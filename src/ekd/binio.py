@@ -2,15 +2,20 @@
 
 Layout: magic | u32 version | u64 header_len | header JSON (sorted keys,
 carries a "kind" tag) | u64 n_records | n_records x (u64 len | payload).
-All integers little-endian; float payloads are little-endian float64 so
-files round-trip bit-exactly across platforms.
+Corpus, posterior, selection and activation records are each u64 meta_len |
+meta JSON (sorted keys) | float64 array, built and checked only here;
+checkpoints hold one bare float64 record. All integers little-endian; float
+payloads are little-endian float64 so files round-trip bit-exactly across
+platforms.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,14 +33,6 @@ def pack_floats(a: np.ndarray) -> bytes:
 def unpack_floats(buf: bytes, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.frombuffer(buf, dtype="<f8").astype(np.float64)
     return arr.reshape(shape)
-
-
-def pack_ints(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<i8").tobytes()
-
-
-def unpack_ints(buf: bytes) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<i8").astype(np.int64)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -99,3 +96,41 @@ def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, lis
     if off != len(data):
         raise FormatError(f"{path}: corrupted record (trailing bytes)")
     return header, records
+
+
+def encode_record(meta: dict, values: np.ndarray) -> bytes:
+    """One record payload: u64 meta length | meta JSON | float64 values."""
+    blob = encode_header(meta)
+    return struct.pack("<Q", len(blob)) + blob + pack_floats(values)
+
+
+def decode_records(path: str | Path, records: list[bytes], expected: int,
+                   shape: Callable[[dict], tuple[int, ...]]) -> list[tuple[dict, np.ndarray]]:
+    """Checked inverse of :func:`encode_record` over a container's records.
+
+    ``expected`` is the record count the header claims; ``shape(meta)`` gives
+    each record's array shape. Any disagreement raises :class:`FormatError`.
+    """
+    def corrupted(what: str) -> FormatError:
+        return FormatError(f"{path}: corrupted record ({what})")
+
+    if len(records) != expected:
+        raise corrupted(f"record count: header says {expected}, file has {len(records)}")
+    out = []
+    for rec in records:
+        if len(rec) < 8:
+            raise corrupted("missing meta length")
+        (mlen,) = struct.unpack("<Q", rec[:8])
+        if 8 + mlen > len(rec):
+            raise corrupted("truncated meta")
+        try:
+            meta = json.loads(rec[8:8 + mlen])
+            dims = shape(meta)
+            nbytes = 8 * math.prod(dims)
+        except (ValueError, KeyError, TypeError) as e:
+            raise corrupted("bad meta") from e
+        blob = rec[8 + mlen:]
+        if len(blob) != nbytes:
+            raise corrupted("blob size")
+        out.append((meta, unpack_floats(blob, dims)))
+    return out

@@ -13,6 +13,7 @@ from .beam import BeamConfig
 from .corpus import DomainSpec
 from .kd import KdConfig
 from .model import ModelConfig
+from .selection import Strategy
 from .training import TrainConfig
 from .vocab import Vocabulary, default_vocabulary
 
@@ -138,6 +139,13 @@ class ExperimentConfig:
             raise ValueError("lm_order must be >= 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        known = [s.value for s in Strategy]
+        unknown = [s for s in self.strategies if s not in known]
+        if unknown:
+            raise ValueError(f"unknown strategies {unknown}; choose from {known}")
+        if Strategy.ELITIST.value not in self.strategies:
+            raise ValueError("strategies must include 'elitist': the svcca stage analyses "
+                             "the elitist student's snapshots")
         if len(set(d.name for d in self.all_domains())) != len(self.all_domains()):
             raise ValueError("domain names must be unique")
 
@@ -210,8 +218,7 @@ class ExperimentConfig:
             # keep "defaults to train" alive across save/load round-trips
             "student_train": (None if self.student_train == self.train
                               else _train_to_dict(self.student_train)),
-            "kd": {"alpha": self.kd.alpha, "temperature": self.kd.temperature,
-                   "soft_label_mode": self.kd.soft_label_mode.value},
+            "kd": {"soft_label_mode": self.kd.soft_label_mode.value},
             "beam": {"beam_width": self.beam.beam_width, "lm_weight": self.beam.lm_weight,
                      "word_insertion_bonus": self.beam.word_insertion_bonus},
             "lm_order": self.lm_order,

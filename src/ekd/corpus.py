@@ -1,8 +1,6 @@
 """Utterance/corpus data model, synthetic domain generation, and persistence."""
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,16 +219,12 @@ def save_corpus(corpus: Corpus, path) -> None:
         "feature_dim": corpus.feature_dim if corpus.utterances else 0,
         "n_utterances": len(corpus.utterances),
     }
-    records = []
-    for u in corpus.utterances:
-        meta = {
-            "id": u.id,
-            "domain_tag": u.domain_tag,
-            "frames": u.num_frames,
-            "transcript": None if u._transcript is None else [int(x) for x in u._transcript],
-        }
-        mblob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-        records.append(struct.pack("<Q", len(mblob)) + mblob + binio.pack_floats(u.features))
+    records = [binio.encode_record({
+        "id": u.id,
+        "domain_tag": u.domain_tag,
+        "frames": u.num_frames,
+        "transcript": None if u._transcript is None else [int(x) for x in u._transcript],
+    }, u.features) for u in corpus.utterances]
     binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
 
 
@@ -241,22 +235,10 @@ def load_corpus(path) -> Corpus:
         raise binio.FormatError(f"{path}: vocabulary-hash mismatch")
     feature_dim = header["feature_dim"]
     utterances = []
-    for rec in records:
-        if len(rec) < 8:
-            raise binio.FormatError(f"{path}: corrupted record (missing meta length)")
-        (mlen,) = struct.unpack("<Q", rec[:8])
-        if 8 + mlen > len(rec):
-            raise binio.FormatError(f"{path}: corrupted record (truncated meta)")
-        meta = json.loads(rec[8:8 + mlen])
-        blob = rec[8 + mlen:]
-        expected = meta["frames"] * feature_dim * 8
-        if len(blob) != expected:
-            raise binio.FormatError(f"{path}: corrupted record (feature blob size)")
-        features = binio.unpack_floats(blob, (meta["frames"], feature_dim))
+    for meta, features in binio.decode_records(path, records, header["n_utterances"],
+                                               lambda m: (m["frames"], feature_dim)):
         transcript = None if meta["transcript"] is None else np.asarray(meta["transcript"], dtype=np.int64)
         utterances.append(Utterance(meta["id"], features, transcript, meta["domain_tag"]))
-    if len(utterances) != header["n_utterances"]:
-        raise binio.FormatError(f"{path}: corrupted record (utterance count)")
     return Corpus(name=header["name"], domain_tag=header["domain_tag"], vocabulary=vocab,
                   utterances=utterances, generation_seed=header["generation_seed"])
 

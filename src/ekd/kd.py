@@ -1,5 +1,5 @@
-"""Distillation objectives: frame-wise KL, the weighted total loss, and the
-confidence-weighted sequence-level CTC objective used for student training."""
+"""Distillation objective: the confidence-weighted sequence-level CTC loss
+used for student training."""
 from __future__ import annotations
 
 import logging
@@ -8,11 +8,9 @@ from enum import Enum
 
 import numpy as np
 
-from .ctc import CtcLossResult, InfeasibleTargetError, PosteriorSequence, ctc_loss
+from .ctc import CtcLossResult, InfeasibleTargetError, ctc_loss
 
 logger = logging.getLogger(__name__)
-
-KL_FLOOR = 1e-12
 
 
 class SoftLabelMode(str, Enum):
@@ -22,18 +20,12 @@ class SoftLabelMode(str, Enum):
 
 @dataclass
 class KdConfig:
-    """Distillation knobs. alpha weighs supervised loss against the
-    distillation loss; it is zero when the target domain has no labels."""
+    """Distillation settings. The student never sees target labels, so its
+    loss is the distillation loss alone."""
 
-    alpha: float = 0.0
-    temperature: float = 1.0
     soft_label_mode: SoftLabelMode = SoftLabelMode.POSTERIOR_WEIGHTED_CTC
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
         self.soft_label_mode = SoftLabelMode(self.soft_label_mode)
 
 
@@ -44,24 +36,11 @@ class SoftTarget:
     utterance_id: str
     pseudo_transcript: np.ndarray
     teacher_sequence_confidence: float
-    teacher_posteriors: PosteriorSequence | None = None
 
     def __post_init__(self) -> None:
         self.pseudo_transcript = np.asarray(self.pseudo_transcript, dtype=np.int64)
         if not 0.0 <= self.teacher_sequence_confidence <= 1.0:
             raise ValueError("teacher_sequence_confidence must lie in [0, 1]")
-
-
-def kl_divergence(p: PosteriorSequence, q: PosteriorSequence) -> float:
-    """Frame-summed KL(p || q) with 0*log(0/q) = 0 and q floored at 1e-12."""
-    if p.probs.shape != q.probs.shape:
-        raise ValueError(f"shape mismatch: {p.probs.shape} vs {q.probs.shape}")
-    pv = p.probs
-    qv = np.maximum(q.probs, KL_FLOOR)
-    mask = pv > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mask, pv * (np.log(np.where(mask, pv, 1.0)) - np.log(qv)), 0.0)
-    return float(terms.sum())
 
 
 def soft_ctc_kd_loss(student_log_probs: np.ndarray, target: SoftTarget,
@@ -79,10 +58,3 @@ def soft_ctc_kd_loss(student_log_probs: np.ndarray, target: SoftTarget,
         logger.warning("skipping utterance %s: %s", target.utterance_id, e)
         return None
     return CtcLossResult(loss=c * base.loss, grad_logits=c * base.grad_logits)
-
-
-def total_loss(sup_loss: float, kd_loss: float, config: KdConfig) -> float:
-    """alpha * supervised + (1 - alpha) * distillation."""
-    if not (np.isfinite(sup_loss) and np.isfinite(kd_loss)):
-        raise ValueError("losses must be finite")
-    return config.alpha * sup_loss + (1.0 - config.alpha) * kd_loss

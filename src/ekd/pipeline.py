@@ -289,15 +289,10 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
                 corpora[test_set] = load_corpus(_require(
                     paths.corpus_path(domain, "test"), "gen-data"))
             model = load_checkpoint(_checkpoint_for(config, paths, model_name))
+            # A failure propagates without writing the cell, so resume retries it.
+            breakdown = evaluate_model(model, corpora[test_set], lm if lm_on else None, config)
             table = ResultTable()
-            try:
-                breakdown = evaluate_model(model, corpora[test_set],
-                                           lm if lm_on else None, config)
-                table.set(test_set, model_name, lm_on, breakdown)
-            except Exception as e:  # record the failure in the table, then re-raise
-                table.set(test_set, model_name, lm_on, None, status=f"failed: {e}")
-                binio.atomic_write_text(cell, table.to_tsv())
-                raise
+            table.set(test_set, model_name, lm_on, breakdown)
             binio.atomic_write_text(cell, table.to_tsv())
             logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
                         "on" if lm_on else "off", 100 * breakdown.wer)

@@ -10,9 +10,7 @@ Three strategies per unlabeled utterance:
 """
 from __future__ import annotations
 
-import json
 import logging
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -192,26 +190,17 @@ def save_posteriors(path, posteriors: list[PosteriorSequence], model_id: str,
     z = posteriors[0].vocab_size if posteriors else 0
     header = {"model_id": model_id, "vocabulary_hash": vocabulary_hash,
               "vocab_size": z, "n_sequences": len(posteriors)}
-    records = []
-    for p in posteriors:
-        meta = json.dumps({"id": p.utterance_id, "frames": p.num_frames},
-                          sort_keys=True, separators=(",", ":")).encode()
-        records.append(struct.pack("<Q", len(meta)) + meta + binio.pack_floats(p.probs))
+    records = [binio.encode_record({"id": p.utterance_id, "frames": p.num_frames}, p.probs)
+               for p in posteriors]
     binio.write_container(path, "posteriors", POSTERIORS_FORMAT_VERSION, header, records)
 
 
 def load_posteriors(path) -> tuple[dict, list[PosteriorSequence]]:
     header, records = binio.read_container(path, "posteriors", POSTERIORS_FORMAT_VERSION)
     z = header["vocab_size"]
-    out = []
-    for rec in records:
-        (mlen,) = struct.unpack("<Q", rec[:8])
-        meta = json.loads(rec[8:8 + mlen])
-        blob = rec[8 + mlen:]
-        if len(blob) != meta["frames"] * z * 8:
-            raise binio.FormatError(f"{path}: corrupted record (posterior blob size)")
-        out.append(PosteriorSequence(binio.unpack_floats(blob, (meta["frames"], z)), meta["id"]))
-    return header, out
+    decoded = binio.decode_records(path, records, header["n_sequences"],
+                                   lambda m: (m["frames"], z))
+    return header, [PosteriorSequence(probs, meta["id"]) for meta, probs in decoded]
 
 
 def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> None:
@@ -224,18 +213,14 @@ def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> No
         "skipped": list(selection.skipped),
         "n_outcomes": len(selection.outcomes),
     }
-    records = []
-    for o in selection.outcomes:
-        meta = json.dumps({
-            "id": o.selected_posteriors.utterance_id,
-            "frames": o.selected_posteriors.num_frames,
-            "winning_teacher": o.winning_teacher,
-            "per_teacher_scores": o.per_teacher_scores,
-            "pseudo_transcript": [int(x) for x in o.pseudo_transcript],
-            "sequence_confidence": o.sequence_confidence,
-        }, sort_keys=True, separators=(",", ":")).encode()
-        records.append(struct.pack("<Q", len(meta)) + meta
-                       + binio.pack_floats(o.selected_posteriors.probs))
+    records = [binio.encode_record({
+        "id": o.selected_posteriors.utterance_id,
+        "frames": o.selected_posteriors.num_frames,
+        "winning_teacher": o.winning_teacher,
+        "per_teacher_scores": o.per_teacher_scores,
+        "pseudo_transcript": [int(x) for x in o.pseudo_transcript],
+        "sequence_confidence": o.sequence_confidence,
+    }, o.selected_posteriors.probs) for o in selection.outcomes]
     binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
 
 
@@ -243,22 +228,15 @@ def load_selection(path) -> CorpusSelection:
     header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
     strategy = Strategy(header["strategy"])
     z = header["vocab_size"]
-    outcomes = []
-    for rec in records:
-        (mlen,) = struct.unpack("<Q", rec[:8])
-        meta = json.loads(rec[8:8 + mlen])
-        blob = rec[8 + mlen:]
-        if len(blob) != meta["frames"] * z * 8:
-            raise binio.FormatError(f"{path}: corrupted record (posterior blob size)")
-        probs = binio.unpack_floats(blob, (meta["frames"], z))
-        outcomes.append(SelectionOutcome(
-            strategy=strategy,
-            selected_posteriors=PosteriorSequence(probs, meta["id"]),
-            winning_teacher=meta["winning_teacher"],
-            per_teacher_scores=meta["per_teacher_scores"],
-            pseudo_transcript=np.asarray(meta["pseudo_transcript"], dtype=np.int64),
-            sequence_confidence=meta["sequence_confidence"],
-        ))
+    outcomes = [SelectionOutcome(
+        strategy=strategy,
+        selected_posteriors=PosteriorSequence(probs, meta["id"]),
+        winning_teacher=meta["winning_teacher"],
+        per_teacher_scores=meta["per_teacher_scores"],
+        pseudo_transcript=np.asarray(meta["pseudo_transcript"], dtype=np.int64),
+        sequence_confidence=meta["sequence_confidence"],
+    ) for meta, probs in binio.decode_records(path, records, header["n_outcomes"],
+                                              lambda m: (m["frames"], z))]
     return CorpusSelection(strategy=strategy, outcomes=outcomes,
                            win_counts=header["win_counts"],
                            skipped=[tuple(s) for s in header["skipped"]])

@@ -3,9 +3,7 @@ each activation matrix, then canonical correlation analysis between the
 pruned subspaces, summarized by the mean canonical correlation."""
 from __future__ import annotations
 
-import json
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,25 +203,16 @@ def save_activations(path, acts: dict[str, ActivationMatrix], frame_indices) -> 
         "frame_indices": [int(i) for i in np.asarray(frame_indices)],
         "sources": {name: list(acts[name].source) for name in names},
     }
-    records = []
-    for name in names:
-        meta = json.dumps({"layer": name, "shape": list(acts[name].data.shape)},
-                          sort_keys=True, separators=(",", ":")).encode()
-        records.append(struct.pack("<Q", len(meta)) + meta + binio.pack_floats(acts[name].data))
+    records = [binio.encode_record({"layer": name, "shape": list(acts[name].data.shape)},
+                                   acts[name].data) for name in names]
     binio.write_container(path, "activations", ACTIVATIONS_FORMAT_VERSION, header, records)
 
 
 def load_activations(path) -> tuple[dict[str, ActivationMatrix], np.ndarray]:
     header, records = binio.read_container(path, "activations", ACTIVATIONS_FORMAT_VERSION)
     out: dict[str, ActivationMatrix] = {}
-    for rec in records:
-        (mlen,) = struct.unpack("<Q", rec[:8])
-        meta = json.loads(rec[8:8 + mlen])
-        shape = tuple(meta["shape"])
-        blob = rec[8 + mlen:]
-        if len(blob) != int(np.prod(shape)) * 8:
-            raise binio.FormatError(f"{path}: corrupted record (activation blob size)")
+    for meta, data in binio.decode_records(path, records, len(header["layers"]),
+                                           lambda m: m["shape"]):
         source = tuple(header["sources"][meta["layer"]])
-        out[meta["layer"]] = ActivationMatrix(meta["layer"], binio.unpack_floats(blob, shape),
-                                              (source[0], int(source[1])))
+        out[meta["layer"]] = ActivationMatrix(meta["layer"], data, (source[0], int(source[1])))
     return out, np.asarray(header["frame_indices"], dtype=np.int64)

@@ -178,15 +178,12 @@ def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig
 
 def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
                   model_cfg: ModelConfig, train_cfg: TrainConfig, kd_cfg: KdConfig,
-                  snapshot_hook=None, allow_supervised: bool = False) -> ModelCheckpoint:
+                  snapshot_hook=None) -> ModelCheckpoint:
     """Distillation training on teacher-selected soft labels only.
 
     The target corpus must arrive with transcripts stripped; the loop never
     reads a target label (auditable via ``corpus.transcript_read_count``).
     """
-    if kd_cfg.alpha != 0.0 and not allow_supervised:
-        raise ValueError("alpha must be 0 for unlabeled-target training "
-                         "(pass allow_supervised=True to override)")
     if any(u.has_transcript for u in target_corpus.utterances):
         raise ValueError("target corpus still carries transcripts; strip them before "
                          "student training")
@@ -227,13 +224,12 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
     return model
 
 
-def corpus_posteriors(model: ModelCheckpoint, corpus: Corpus,
-                      temperature: float = 1.0) -> list[PosteriorSequence]:
+def corpus_posteriors(model: ModelCheckpoint, corpus: Corpus) -> list[PosteriorSequence]:
     """Softmax outputs for every utterance, in corpus order."""
     out = []
     for utt in corpus.utterances:
         logits, _ = forward_features(model, utt.features)
-        out.append(softmax(LogitSequence(logits, utt.id), temperature))
+        out.append(softmax(LogitSequence(logits, utt.id)))
     return out
 
 

@@ -92,15 +92,6 @@ def fd_ctc_gradient(logits: np.ndarray, target, blank: int, eps: float = 1e-5) -
 
 # -- distillation / selection --------------------------------------------------
 
-def naive_kl(p: np.ndarray, q: np.ndarray, floor: float = 1e-12) -> float:
-    total = 0.0
-    for t in range(p.shape[0]):
-        for g in range(p.shape[1]):
-            if p[t, g] > 0:
-                total += p[t, g] * math.log(p[t, g] / max(q[t, g], floor))
-    return total
-
-
 def naive_mean(stacks: list[np.ndarray]) -> np.ndarray:
     out = np.zeros_like(stacks[0])
     for t in range(out.shape[0]):

@@ -1,0 +1,86 @@
+"""Every artifact loader shares binio's record checks: a malformed record
+raises binio.FormatError instead of a low-level error or a silent load."""
+import struct
+
+import numpy as np
+import pytest
+
+from ekd import binio
+from ekd.corpus import CORPUS_FORMAT_VERSION, Corpus, Utterance, load_corpus, save_corpus
+from ekd.selection import (POSTERIORS_FORMAT_VERSION, SELECTION_FORMAT_VERSION, Strategy,
+                           TeacherBundle, load_posteriors, load_selection, save_posteriors,
+                           save_selection, select_corpus)
+from ekd.svcca import (ACTIVATIONS_FORMAT_VERSION, ActivationMatrix, load_activations,
+                       save_activations)
+from ekd.vocab import default_vocabulary
+
+from conftest import random_posteriors
+
+
+def _write_corpus(path, rng):
+    utts = [Utterance(f"u{i}", rng.normal(size=(3 + i, 2)), np.array([1, 2]), "d")
+            for i in range(2)]
+    save_corpus(Corpus("c", "d", default_vocabulary("ab"), utts, generation_seed=1), path)
+
+
+def _write_posteriors(path, rng):
+    save_posteriors(path, [random_posteriors(rng, 3 + i, 4, f"u{i}") for i in range(2)],
+                    "teacher_x", "hash123")
+
+
+def _write_selection(path, rng):
+    bundles = [TeacherBundle(f"u{i}", [random_posteriors(rng, 4, 4, f"u{i}") for _ in range(2)])
+               for i in range(2)]
+    save_selection(path, select_corpus(Strategy.ELITIST, bundles, 0), "hash123")
+
+
+def _write_activations(path, rng):
+    acts = {f"hidden_{i}": ActivationMatrix(f"hidden_{i}", rng.normal(size=(5, 3)), ("m", 1))
+            for i in range(2)}
+    save_activations(path, acts, np.arange(5))
+
+
+ARTIFACTS = {
+    "corpus": (_write_corpus, load_corpus, CORPUS_FORMAT_VERSION),
+    "posteriors": (_write_posteriors, load_posteriors, POSTERIORS_FORMAT_VERSION),
+    "selection": (_write_selection, load_selection, SELECTION_FORMAT_VERSION),
+    "activations": (_write_activations, load_activations, ACTIVATIONS_FORMAT_VERSION),
+}
+
+
+def _short(records):
+    return [b"\x01\x02\x03", *records[1:]]
+
+
+def _meta_past_end(records):
+    rec = records[0]
+    return [struct.pack("<Q", len(rec)) + rec[8:], *records[1:]]
+
+
+def _wrong_blob_size(records):
+    return [records[0][:-8], *records[1:]]
+
+
+def _count_mismatch(records):
+    return records[:-1]
+
+
+@pytest.mark.parametrize("corrupt", [_short, _meta_past_end, _wrong_blob_size, _count_mismatch])
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_loader_rejects_malformed_record(tmp_path, rng, kind, corrupt):
+    write, load, version = ARTIFACTS[kind]
+    path = tmp_path / "artifact"
+    write(path, rng)
+    load(path)
+    header, records = binio.read_container(path, kind, version)
+    binio.write_container(path, kind, version, header, corrupt(records))
+    with pytest.raises(binio.FormatError, match="corrupted record"):
+        load(path)
+
+
+def test_bad_meta_json_rejected(tmp_path):
+    meta = b"{not json"
+    rec = struct.pack("<Q", len(meta)) + meta
+    with pytest.raises(binio.FormatError, match="bad meta"):
+        binio.decode_records(tmp_path / "x", [rec], 1, lambda m: (0,))
+

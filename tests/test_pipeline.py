@@ -105,6 +105,32 @@ def test_resume_downstream_reproduces_outputs(finished_run):
     assert after_cells == before_cells
 
 
+def test_failed_evaluate_cell_is_retried(finished_run, monkeypatch):
+    cfg, root, _ = finished_run
+    seed = cfg.seeds[0]
+    paths = SeedPaths(root, seed)
+    cell = paths.cell_path("student_elitist", f"{cfg.student_domain.name}_test", False)
+    before = cell.read_bytes()
+    cell.unlink()
+    import ekd.pipeline as pl
+
+    real = pl.evaluate_model
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("synthetic evaluate failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "evaluate_model", fail_once)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        pl.stage_evaluate(cfg, seed, paths, lm_mode="off", models=["student_elitist"])
+    assert not cell.exists()
+    pl.stage_evaluate(cfg, seed, paths, lm_mode="off", models=["student_elitist"])
+    assert cell.read_bytes() == before
+
+
 def test_missing_upstream_artifact_names_file(tmp_path):
     cfg = compact_config(str(tmp_path / "out"))
     paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
@@ -154,6 +180,23 @@ def test_identical_domains_rejected(tmp_path):
     cfg.teacher_domains = [base, twin, cfg.teacher_domains[2]]
     with pytest.raises(ValueError, match="identical"):
         cfg.expand_domains()
+
+
+def test_unknown_strategy_rejected_before_any_stage(tmp_path, capsys):
+    from ekd.cli import main
+
+    out = tmp_path / "out"
+    rc = main(["gen-data", "--output-root", str(out),
+               "--set", "strategies=[elitist, median_teacher]"])
+    assert rc == 1
+    assert "median_teacher" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_without_elitist_rejected(tmp_path):
+    with pytest.raises(ValueError, match="elitist"):
+        dataclasses.replace(compact_config(str(tmp_path / "out")),
+                            strategies=["teacher_average", "framewise_max"])
 
 
 def test_output_root_precedence(tmp_path, monkeypatch):

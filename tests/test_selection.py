@@ -236,22 +236,30 @@ def test_posteriors_round_trip(tmp_path, rng):
     for a, b in zip(posts, loaded):
         assert a.utterance_id == b.utterance_id
         assert np.array_equal(a.probs, b.probs)
+    again = tmp_path / "p2.ekdp"
+    save_posteriors(again, loaded, header["model_id"], header["vocabulary_hash"])
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_selection_round_trip(tmp_path, rng):
     bundles = [make_bundle(rng, K=3, uid=f"u{i}") for i in range(6)]
+    bundles.append(make_bundle(rng, K=2, uid="bad"))
     result = select_corpus(Strategy.ELITIST, bundles, BLANK)
     path = tmp_path / "s.ekds"
     save_selection(path, result, "hash123")
     loaded = load_selection(path)
     assert loaded.strategy is Strategy.ELITIST
     assert loaded.win_counts == result.win_counts
+    assert loaded.skipped == result.skipped
     assert len(loaded.outcomes) == len(result.outcomes)
     for a, b in zip(result.outcomes, loaded.outcomes):
         assert np.array_equal(a.selected_posteriors.probs, b.selected_posteriors.probs)
         assert np.array_equal(a.pseudo_transcript, b.pseudo_transcript)
         assert a.sequence_confidence == b.sequence_confidence
         assert a.winning_teacher == b.winning_teacher
+    again = tmp_path / "s2.ekds"
+    save_selection(again, loaded, "hash123")
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_summary_text_counts(rng):

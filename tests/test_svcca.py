@@ -223,3 +223,6 @@ def test_activation_file_round_trip(tmp_path, rng):
     for name in acts:
         assert np.array_equal(loaded[name].data, acts[name].data)
         assert loaded[name].source == ("m", 2)
+    again = tmp_path / "a2.ekda"
+    save_activations(again, loaded, got_idx)
+    assert again.read_bytes() == path.read_bytes()

@@ -163,13 +163,6 @@ def test_student_requires_stripped_corpus(teacher, corpus):
         train_student(selection.outcomes, corpus, MODEL_CFG, TRAIN_CFG, KdConfig())
 
 
-def test_student_requires_alpha_zero(teacher, corpus):
-    selection = make_selection(teacher, corpus)
-    with pytest.raises(ValueError, match="alpha"):
-        train_student(selection.outcomes, corpus.without_transcripts(), MODEL_CFG,
-                      TRAIN_CFG, KdConfig(alpha=0.5))
-
-
 def test_zero_confidence_freezes_weights(teacher, corpus):
     selection = make_selection(teacher, corpus)
     for o in selection.outcomes:
