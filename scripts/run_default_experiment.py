@@ -9,8 +9,7 @@ import logging
 import time
 
 from ekd.config import default_config, load_config
-from ekd.pipeline import SeedPaths, output_root, run_pipeline
-from ekd.report import ResultTable, summarize
+from ekd.pipeline import output_root, run_pipeline
 
 
 def main() -> None:
@@ -24,18 +23,12 @@ def main() -> None:
     config = load_config(args.config) if args.config else default_config()
     start = time.monotonic()
     run_pipeline(config, args.output_root, force=args.force)
-    root = output_root(config, args.output_root)
-
-    per_seed = {}
-    for seed in config.seeds:
-        paths = SeedPaths(root, seed)
-        per_seed[seed] = ResultTable.from_tsv((paths.report / "results.tsv").read_text())
-    print(f"\n=== per-seed tables under {root}/seed_*/report/")
-    print(f"=== first seed ({config.seeds[0]}):\n")
-    print(per_seed[config.seeds[0]].to_text())
-    print("=== cross-seed summary (mean WER):\n")
-    print(summarize(per_seed))
-    print(f"done in {time.monotonic() - start:.0f}s; summary file: {root}/summary/summary.tsv")
+    summary = output_root(config, args.output_root) / "summary"
+    print(f"done in {time.monotonic() - start:.0f}s")
+    print(f"\n=== per-seed tables ({summary / 'per_seed.txt'}):\n")
+    print((summary / "per_seed.txt").read_text())
+    print(f"\n=== cross-seed summary, mean WER ({summary / 'summary.tsv'}):")
+    print((summary / "summary.tsv").read_text(), end="")
 
 
 if __name__ == "__main__":

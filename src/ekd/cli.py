@@ -8,11 +8,22 @@ import sys
 
 from .config import (ExperimentConfig, apply_overrides, default_config, load_config,
                      save_config)
-from .pipeline import (PipelineError, SeedPaths, output_root, run_pipeline,
-                       stage_decode, stage_evaluate, stage_gen_data, stage_report,
-                       stage_select, stage_svcca, stage_train_student, stage_train_teacher)
+from .pipeline import (STAGES, PipelineError, SeedPaths, output_root, run_pipeline,
+                       stage_report, write_summary)
+from .selection import Strategy
 
 logger = logging.getLogger(__name__)
+
+_STRATEGY = ("--strategy", dict(choices=[s.value for s in Strategy]))
+# Stage-specific flags; each flag's dest is the stage function's keyword.
+_STAGE_FLAGS = {
+    "train-teacher": [("--domain", dict(help="train only this teacher domain"))],
+    "decode": [("--teacher", dict(help="decode with only this teacher"))],
+    "select": [_STRATEGY],
+    "train-student": [_STRATEGY],
+    "evaluate": [("--lm", dict(dest="lm_mode", choices=["on", "off", "both"], default="both")),
+                 ("--models", dict(nargs="*", help="restrict to these model names"))],
+}
 
 
 def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
@@ -20,7 +31,8 @@ def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config key (dotted path, YAML value)")
     p.add_argument("--output-root", help="run directory root (wins over EKD_OUTPUT_ROOT and config)")
-    p.add_argument("--force", action="store_true", help="recompute existing artifacts")
+    p.add_argument("--force", action="store_true",
+                   help="delete existing outputs and rebuild them")
     p.add_argument("--allow-indomain", action="store_true",
                    help="permit a student domain that matches a teacher domain")
     if with_seed:
@@ -41,14 +53,6 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
-def _paths(config: ExperimentConfig, args) -> tuple[int, SeedPaths]:
-    seed = args.seed if args.seed is not None else config.seeds[0]
-    root = output_root(config, args.output_root)
-    paths = SeedPaths(root, seed)
-    paths.ensure()
-    return seed, paths
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ekd",
@@ -62,37 +66,16 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("pipeline", help="run every stage for every configured seed")
     _add_common(p, with_seed=False)
 
-    p = sub.add_parser("gen-data", help="synthesize corpora, splits, and the n-gram LM")
-    _add_common(p)
-
-    p = sub.add_parser("train-teacher", help="train teacher model(s) on their domains")
-    _add_common(p)
-    p.add_argument("--domain", help="train only this teacher domain")
-
-    p = sub.add_parser("decode", help="dump teacher posteriors for the student-domain train split")
-    _add_common(p)
-    p.add_argument("--teacher", help="decode with only this teacher")
-
-    p = sub.add_parser("select", help="build training targets with the selection strategies")
-    _add_common(p)
-    p.add_argument("--strategy", choices=["teacher_average", "framewise_max", "elitist"])
-
-    p = sub.add_parser("train-student", help="train student model(s) on selected soft labels")
-    _add_common(p)
-    p.add_argument("--strategy", choices=["teacher_average", "framewise_max", "elitist"])
-
-    p = sub.add_parser("evaluate", help="decode test sets and score WER")
-    _add_common(p)
-    p.add_argument("--lm", choices=["on", "off", "both"], default="both")
-    p.add_argument("--models", nargs="*", help="restrict to these model names")
-
-    p = sub.add_parser("svcca", help="layer-correlation trajectories: original vs pseudo labels")
-    _add_common(p)
-
-    p = sub.add_parser("report", help="assemble result tables from a run directory")
-    _add_common(p)
-    p.add_argument("--summary", action="store_true", help="cross-seed summary instead of one seed")
-    p.add_argument("--win-counts", action="store_true", help="print per-teacher win counts")
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.__doc__)
+        _add_common(p)
+        p.set_defaults(stage_kwargs=[p.add_argument(flag, **options).dest
+                                     for flag, options in _STAGE_FLAGS.get(name, ())])
+        if name == "report":
+            p.add_argument("--summary", action="store_true",
+                           help="cross-seed summary instead of one seed")
+            p.add_argument("--win-counts", action="store_true",
+                           help="print per-teacher win counts")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -109,37 +92,20 @@ def main(argv: list[str] | None = None) -> int:
             print(table.to_text())
             return 0
 
-        seed, paths = _paths(config, args)
-        if args.command == "gen-data":
-            stage_gen_data(config, seed, paths, force=args.force)
-        elif args.command == "train-teacher":
-            stage_train_teacher(config, seed, paths, domain=args.domain, force=args.force)
-        elif args.command == "decode":
-            stage_decode(config, seed, paths, teacher=args.teacher, force=args.force)
-        elif args.command == "select":
-            stage_select(config, seed, paths, strategy=args.strategy, force=args.force)
-        elif args.command == "train-student":
-            stage_train_student(config, seed, paths, strategy=args.strategy, force=args.force)
-        elif args.command == "evaluate":
-            stage_evaluate(config, seed, paths, lm_mode=args.lm, models=args.models,
-                           force=args.force)
-        elif args.command == "svcca":
-            stage_svcca(config, seed, paths, force=args.force)
-        elif args.command == "report":
-            if args.summary:
-                from .report import summarize
-
-                root = output_root(config, args.output_root)
-                per_seed = {}
-                for s in config.seeds:
-                    sp = SeedPaths(root, s)
-                    per_seed[s] = stage_report(config, s, sp)
-                print(summarize(per_seed), end="")
-            else:
-                table = stage_report(config, seed, paths)
+        root = output_root(config, args.output_root)
+        seed = args.seed if args.seed is not None else config.seeds[0]
+        paths = SeedPaths(root, seed)
+        paths.ensure()
+        if args.command == "report" and args.summary:
+            per_seed = {s: stage_report(config, s, SeedPaths(root, s)) for s in config.seeds}
+            print(write_summary(root, per_seed), end="")
+        else:
+            kwargs = {dest: getattr(args, dest) for dest in args.stage_kwargs}
+            table = STAGES[args.command](config, seed, paths, force=args.force, **kwargs)
+            if table is not None:
                 print(table.to_text())
-            if args.win_counts:
-                print((paths.report / "win_counts.txt").read_text(), end="")
+        if args.command == "report" and args.win_counts:
+            print((paths.report / "win_counts.txt").read_text(), end="")
     except (PipelineError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

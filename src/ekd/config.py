@@ -3,7 +3,7 @@ domain specs, model/training/decoding settings, and the seed list."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -232,26 +232,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
+        d = dict(_checked(d, cls))
         if "teacher_domains" in d:
-            d["teacher_domains"] = [DomainRecipe.from_dict(x) for x in d["teacher_domains"]]
-        if d.get("student_domain") is not None:
-            d["student_domain"] = DomainRecipe.from_dict(d["student_domain"])
+            d["teacher_domains"] = [
+                DomainRecipe.from_dict(_checked(x, DomainRecipe, f"teacher_domains[{i}]"))
+                for i, x in enumerate(d["teacher_domains"])]
         if "word_length" in d:
             d["word_length"] = tuple(d["word_length"])
-        if "model" in d:
-            d["model"] = ModelConfig.from_dict(d["model"])
-        if "train" in d:
-            d["train"] = TrainConfig(**d["train"])
-        if d.get("student_train") is not None:
-            d["student_train"] = TrainConfig(**d["student_train"])
-        if "kd" in d:
-            d["kd"] = KdConfig(**d["kd"])
-        if "beam" in d:
-            d["beam"] = BeamConfig(**d["beam"])
-        if "svcca" in d:
-            d["svcca"] = SvccaSettings(**d["svcca"])
+        for key, section in (("student_domain", DomainRecipe), ("model", ModelConfig),
+                             ("train", TrainConfig), ("student_train", TrainConfig),
+                             ("kd", KdConfig), ("beam", BeamConfig), ("svcca", SvccaSettings)):
+            if d.get(key) is None and (key not in d or key.startswith("student_")):
+                continue  # absent, or a null student section: the default applies
+            value = _checked(d[key], section, key)
+            d[key] = section.from_dict(value) if hasattr(section, "from_dict") else section(**value)
         return cls(**d)
+
+
+def _checked(value, cls, key: str = ""):
+    """``value`` if it is a mapping of ``cls``'s fields; otherwise ValueError
+    naming the dotted config key (``key`` is the mapping's own, "" the root)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be a mapping")
+    unknown = [f"{key}.{k}" if key else k for k in value if k not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return value
 
 
 def _train_to_dict(t: TrainConfig) -> dict:

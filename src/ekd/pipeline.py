@@ -5,15 +5,20 @@ teacher per teacher domain, decode the unlabeled student-domain training
 split with every teacher, build training targets with each selection
 strategy, train one student per strategy, evaluate every model with and
 without the LM, and run the representation-trajectory comparison. Every
-stage persists its artifacts, skips itself when they already exist, and can
-be re-run independently, so a run directory is resumable at any point.
+stage persists its artifacts and can be re-run independently; one rule
+(``_run_units``) decides which of its outputs to skip or rebuild. Resume is
+keyed on file existence only: after changing the config on an existing
+root, pass ``force`` or use a new root, or the old artifacts are reused.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import os
+import shutil
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 from . import binio
 from .beam import beam_decode
@@ -29,9 +34,6 @@ from .training import corpus_posteriors, train_student, train_teacher
 from .wer import accumulate, wer
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("gen-data", "train-teacher", "decode", "select", "train-student",
-          "evaluate", "svcca", "report")
 
 
 class PipelineError(RuntimeError):
@@ -89,109 +91,154 @@ class SeedPaths:
         return self.eval_cells / f"{model}--{test_set}--lm_{'on' if lm_on else 'off'}.tsv"
 
 
-def _require(path: Path, producer: str) -> Path:
+# -- the resume rule ------------------------------------------------------------
+
+# The stage that writes the artifacts of each SeedPaths directory (by name).
+_PRODUCERS = {"corpora": "gen-data", "lm": "gen-data", "teachers": "train-teacher",
+              "decode": "decode", "select": "select", "students": "train-student",
+              "snapshots": "train-student", "cells": "evaluate"}
+
+
+def _require(path: Path) -> Path:
     if not path.exists():
-        raise PipelineError(f"missing required artifact {path}; run '{producer}' first")
+        raise PipelineError(f"missing required artifact {path}; "
+                            f"run '{_PRODUCERS[path.parent.name]}' first")
     return path
 
 
-def _model_name(kind: str, name: str) -> str:
-    return f"{kind}_{name}"
+class _Unit(NamedTuple):
+    name: str
+    outputs: Sequence[Path]
+    build: Callable[[object], None]
+    needs: Sequence[Path] = ()
+
+
+def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path] = (),
+               load: Callable[[], object] = lambda: None) -> None:
+    """A unit is one piece of a stage's work: the files and directories it
+    writes, its build step and the artifacts of earlier stages it reads.
+    Each unit whose outputs all exist is skipped unless ``force``; every
+    other unit has its existing outputs deleted and is built. Only if some
+    unit is built are the stage's and those units' ``needs`` checked and the
+    inputs loaded, once, by ``load``; every build step is called with them."""
+    todo = []
+    for unit in units:
+        if all(p.exists() for p in unit.outputs) and not force:
+            logger.info("%s %s: outputs exist, skipping", stage, unit.name)
+        else:
+            todo.append(unit)
+    if not todo:
+        return
+    for path in [*needs, *(p for unit in todo for p in unit.needs)]:
+        _require(path)
+    inputs = load()
+    for unit in todo:
+        for path in unit.outputs:
+            if path.is_dir():
+                shutil.rmtree(path)
+            elif path.exists():
+                path.unlink()
+        unit.build(inputs)
 
 
 # -- stages -------------------------------------------------------------------
 
 def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
                    force: bool = False) -> None:
+    """synthesize corpora, splits, and the n-gram LM"""
     paths.ensure()
-    specs = config.expand_domains()
-    vocab = config.vocabulary()
     lm_path = paths.lm / "ngram.arpa"
-    done = all(paths.corpus_path(r.name, part).exists()
-               for r in config.all_domains() for part in ("train", "test"))
-    if done and lm_path.exists() and not force:
-        logger.info("gen-data: artifacts exist, skipping")
-        return
-    for recipe in config.all_domains():
-        total = recipe.train_size + recipe.test_size
-        corpus = generate_corpus(specs[recipe.name], vocab, total,
-                                 derive_seed(seed, "data", recipe.name))
-        train_part, test_part = split_corpus(
-            corpus, [recipe.train_size / total, recipe.test_size / total],
-            derive_seed(seed, "split", recipe.name))
-        save_corpus(train_part, paths.corpus_path(recipe.name, "train"))
-        save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
-    transcripts = []
-    for recipe in config.teacher_domains:
-        train_part = load_corpus(paths.corpus_path(recipe.name, "train"))
-        for utt in train_part.utterances:
-            transcripts.append(vocab.indices_to_words(utt.transcript))
-    save_arpa(train_lm(transcripts, config.lm_order), lm_path)
+
+    def build(_) -> None:
+        specs = config.expand_domains()
+        vocab = config.vocabulary()
+        for recipe in config.all_domains():
+            total = recipe.train_size + recipe.test_size
+            corpus = generate_corpus(specs[recipe.name], vocab, total,
+                                     derive_seed(seed, "data", recipe.name))
+            train_part, test_part = split_corpus(
+                corpus, [recipe.train_size / total, recipe.test_size / total],
+                derive_seed(seed, "split", recipe.name))
+            save_corpus(train_part, paths.corpus_path(recipe.name, "train"))
+            save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
+        transcripts = []
+        for recipe in config.teacher_domains:
+            train_part = load_corpus(paths.corpus_path(recipe.name, "train"))
+            for utt in train_part.utterances:
+                transcripts.append(vocab.indices_to_words(utt.transcript))
+        save_arpa(train_lm(transcripts, config.lm_order), lm_path)
+
+    outputs = [paths.corpus_path(r.name, part)
+               for r in config.all_domains() for part in ("train", "test")]
+    _run_units("gen-data", [_Unit("corpora and LM", [*outputs, lm_path], build)], force)
 
 
 def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
                         domain: str | None = None, force: bool = False) -> None:
-    specs = config.expand_domains()
+    """train teacher model(s) on their domains"""
     recipes = [r for r in config.teacher_domains if domain in (None, r.name)]
     if not recipes:
         raise PipelineError(f"no teacher domain named {domain!r}")
-    for recipe in recipes:
-        out = paths.teacher_path(recipe.name)
-        if out.exists() and not force:
-            logger.info("train-teacher %s: checkpoint exists, skipping", recipe.name)
-            continue
-        corpus = load_corpus(_require(paths.corpus_path(recipe.name, "train"), "gen-data"))
+
+    def build(recipe, specs) -> None:
+        corpus = load_corpus(paths.corpus_path(recipe.name, "train"))
         model_cfg = dataclasses.replace(config.model,
                                         seed=derive_seed(seed, "model", recipe.name))
         train_cfg = dataclasses.replace(config.train,
                                         seed=derive_seed(seed, "train", recipe.name))
         model = train_teacher(corpus, model_cfg, train_cfg, probe_spec=specs[recipe.name],
                               probe_wer_threshold=config.probe_wer_threshold)
-        save_checkpoint(model, out)
+        save_checkpoint(model, paths.teacher_path(recipe.name))
         logger.info("trained teacher %s (final loss: mean %.4f, sum %.2f)", recipe.name,
                     model.training_meta["final_mean_loss"],
                     model.training_meta["final_sum_loss"])
 
+    units = [_Unit(r.name, [paths.teacher_path(r.name)], functools.partial(build, r),
+                   [paths.corpus_path(r.name, "train")]) for r in recipes]
+    _run_units("train-teacher", units, force, load=config.expand_domains)
+
 
 def stage_decode(config: ExperimentConfig, seed: int, paths: SeedPaths,
                  teacher: str | None = None, force: bool = False) -> None:
-    student_train = load_corpus(_require(
-        paths.corpus_path(config.student_domain.name, "train"), "gen-data"))
-    vocab_hash = student_train.vocabulary.content_hash()
-    for recipe in config.teacher_domains:
-        if teacher not in (None, recipe.name):
-            continue
-        out = paths.posteriors_path(recipe.name)
-        if out.exists() and not force:
-            logger.info("decode %s: posterior dump exists, skipping", recipe.name)
-            continue
-        model = load_checkpoint(_require(paths.teacher_path(recipe.name), "train-teacher"))
-        posts = corpus_posteriors(model, student_train)
-        save_posteriors(out, posts, _model_name("teacher", recipe.name), vocab_hash)
+    """dump teacher posteriors for the student-domain train split"""
+    student_train = paths.corpus_path(config.student_domain.name, "train")
+
+    def build(name, corpus) -> None:
+        model = load_checkpoint(paths.teacher_path(name))
+        save_posteriors(paths.posteriors_path(name), corpus_posteriors(model, corpus),
+                        f"teacher_{name}", corpus.vocabulary.content_hash())
+
+    units = [_Unit(r.name, [paths.posteriors_path(r.name)], functools.partial(build, r.name),
+                   [paths.teacher_path(r.name)])
+             for r in config.teacher_domains if teacher in (None, r.name)]
+    _run_units("decode", units, force, needs=[student_train],
+               load=lambda: load_corpus(student_train))
 
 
 def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
                  strategy: str | None = None, force: bool = False) -> None:
+    """build training targets with the selection strategies"""
     vocab = config.vocabulary()
-    per_teacher = []
-    for recipe in config.teacher_domains:
-        _, posts = load_posteriors(_require(paths.posteriors_path(recipe.name), "decode"))
-        per_teacher.append(posts)
-    n = len(per_teacher[0])
-    if any(len(p) != n for p in per_teacher):
-        raise PipelineError("teacher posterior dumps cover different utterance sets")
-    bundles = [TeacherBundle(per_teacher[0][i].utterance_id, [p[i] for p in per_teacher])
-               for i in range(n)]
-    for strat in config.strategies:
-        if strategy not in (None, strat):
-            continue
-        out = paths.selection_path(strat)
-        if out.exists() and not force:
-            logger.info("select %s: selection file exists, skipping", strat)
-            continue
+    dumps = [paths.posteriors_path(r.name) for r in config.teacher_domains]
+
+    def load_bundles() -> list[TeacherBundle]:
+        per_teacher = [load_posteriors(path)[1] for path in dumps]
+        n = len(per_teacher[0])
+        if any(len(p) != n for p in per_teacher):
+            raise PipelineError("teacher posterior dumps cover different utterance sets")
+        return [TeacherBundle(per_teacher[0][i].utterance_id, [p[i] for p in per_teacher])
+                for i in range(n)]
+
+    def build(strat, bundles) -> None:
         selection = select_corpus(Strategy(strat), bundles, vocab.blank_index)
+        out = paths.selection_path(strat)
         save_selection(out, selection, vocab.content_hash())
         binio.atomic_write_text(out.with_suffix(".summary.txt"), selection.summary_text())
+
+    outs = {s: paths.selection_path(s) for s in config.strategies if strategy in (None, s)}
+    units = [_Unit(s, [out, out.with_suffix(".summary.txt")], functools.partial(build, s))
+             for s, out in outs.items()]
+    _run_units("select", units, force, needs=dumps, load=load_bundles)
 
 
 def _student_configs(config: ExperimentConfig, seed: int):
@@ -201,55 +248,49 @@ def _student_configs(config: ExperimentConfig, seed: int):
     return model_cfg, train_cfg
 
 
+def _snapshots_into(snap_dir: Path):
+    """A snapshot hook that writes each epoch's checkpoint into a new ``snap_dir``."""
+    snap_dir.mkdir(parents=True)
+    return lambda epoch, ckpt: save_checkpoint(ckpt, snap_dir / f"epoch_{epoch:04d}.ekdm")
+
+
+def _load_snapshots(snap_dir: Path) -> list[tuple[int, ModelCheckpoint]]:
+    return [(int(p.stem.split("_")[1]), load_checkpoint(p))
+            for p in sorted(snap_dir.glob("epoch_*.ekdm"))]
+
+
 def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
                         strategy: str | None = None, force: bool = False) -> None:
-    student_train = load_corpus(_require(
-        paths.corpus_path(config.student_domain.name, "train"), "gen-data"))
-    unlabeled = student_train.without_transcripts()
+    """train student model(s) on selected soft labels"""
+    student_train = paths.corpus_path(config.student_domain.name, "train")
     model_cfg, train_cfg = _student_configs(config, seed)
-    for strat in config.strategies:
-        if strategy not in (None, strat):
-            continue
-        out = paths.student_path(strat)
-        if out.exists() and not force:
-            logger.info("train-student %s: checkpoint exists, skipping", strat)
-            continue
-        selection = load_selection(_require(paths.selection_path(strat), "select"))
-        snap_dir = paths.snapshot_dir(f"student_{strat}")
-        snap_dir.mkdir(parents=True, exist_ok=True)
 
-        def snapshot(epoch: int, ckpt: ModelCheckpoint, _dir=snap_dir) -> None:
-            save_checkpoint(ckpt, _dir / f"epoch_{epoch:04d}.ekdm")
-
+    def build(strat, unlabeled) -> None:
+        selection = load_selection(paths.selection_path(strat))
         model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg, config.kd,
-                              snapshot_hook=snapshot)
-        save_checkpoint(model, out)
+                              snapshot_hook=_snapshots_into(paths.snapshot_dir(f"student_{strat}")))
+        save_checkpoint(model, paths.student_path(strat))
         logger.info("trained student (%s), final loss: mean %.4f, sum %.2f", strat,
                     model.training_meta["final_mean_loss"],
                     model.training_meta["final_sum_loss"])
 
-
-def _eval_matrix(config: ExperimentConfig) -> list[tuple[str, str]]:
-    """(model name, test set) pairs: teachers on every domain's test set,
-    students on the student-domain test set."""
-    test_sets = [f"{r.name}_test" for r in config.all_domains()]
-    student_test = f"{config.student_domain.name}_test"
-    pairs = []
-    for recipe in config.teacher_domains:
-        for ts in test_sets:
-            pairs.append((_model_name("teacher", recipe.name), ts))
-    for strat in config.strategies:
-        pairs.append((_model_name("student", strat), student_test))
-    return pairs
+    units = [_Unit(s, [paths.student_path(s), paths.snapshot_dir(f"student_{s}")],
+                   functools.partial(build, s), [paths.selection_path(s)])
+             for s in config.strategies if strategy in (None, s)]
+    _run_units("train-student", units, force, needs=[student_train],
+               load=lambda: load_corpus(student_train).without_transcripts())
 
 
-def _checkpoint_for(config: ExperimentConfig, paths: SeedPaths, model_name: str) -> Path:
-    kind, _, name = model_name.partition("_")
-    if kind == "teacher":
-        return _require(paths.teacher_path(name), "train-teacher")
-    if kind == "student":
-        return _require(paths.student_path(name), "train-student")
-    raise PipelineError(f"unknown model {model_name!r}")
+def _eval_matrix(config: ExperimentConfig, paths: SeedPaths) -> list[tuple[str, Path, str, Path]]:
+    """(model name, checkpoint, test set, test corpus) rows: teachers on every
+    domain's test set, students on the student-domain test set."""
+    domains = [r.name for r in config.all_domains()]
+    models = [(f"teacher_{r.name}", paths.teacher_path(r.name), domains)
+              for r in config.teacher_domains]
+    models += [(f"student_{s}", paths.student_path(s), [config.student_domain.name])
+               for s in config.strategies]
+    return [(name, ckpt, f"{d}_test", paths.corpus_path(d, "test"))
+            for name, ckpt, test_domains in models for d in test_domains]
 
 
 def evaluate_model(model: ModelCheckpoint, corpus: Corpus, lm: NgramLm | None,
@@ -270,86 +311,71 @@ def evaluate_model(model: ModelCheckpoint, corpus: Corpus, lm: NgramLm | None,
 def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
                    lm_mode: str = "both", models: list[str] | None = None,
                    force: bool = False) -> None:
+    """decode test sets and score WER"""
     if lm_mode not in ("on", "off", "both"):
         raise PipelineError(f"lm mode must be on/off/both, got {lm_mode!r}")
     lm_flags = [False, True] if lm_mode == "both" else [lm_mode == "on"]
-    lm = None
-    if True in lm_flags:
-        lm = load_arpa(_require(paths.lm / "ngram.arpa", "gen-data"))
-    corpora: dict[str, Corpus] = {}
-    for model_name, test_set in _eval_matrix(config):
-        if models and model_name not in models:
-            continue
-        for lm_on in lm_flags:
-            cell = paths.cell_path(model_name, test_set, lm_on)
-            if cell.exists() and not force:
-                continue
-            if test_set not in corpora:
-                domain = test_set.removesuffix("_test")
-                corpora[test_set] = load_corpus(_require(
-                    paths.corpus_path(domain, "test"), "gen-data"))
-            model = load_checkpoint(_checkpoint_for(config, paths, model_name))
-            # A failure propagates without writing the cell, so resume retries it.
-            breakdown = evaluate_model(model, corpora[test_set], lm if lm_on else None, config)
-            table = ResultTable()
-            table.set(test_set, model_name, lm_on, breakdown)
-            binio.atomic_write_text(cell, table.to_tsv())
-            logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
-                        "on" if lm_on else "off", 100 * breakdown.wer)
+    lm_path = paths.lm / "ngram.arpa"
+    test_corpus = functools.cache(load_corpus)
+
+    def build(model_name, checkpoint, test_set, corpus_path, lm_on, lm) -> None:
+        model = load_checkpoint(checkpoint)
+        # A failure propagates without writing the cell, so resume retries it.
+        breakdown = evaluate_model(model, test_corpus(corpus_path), lm if lm_on else None,
+                                   config)
+        table = ResultTable()
+        table.set(test_set, model_name, lm_on, breakdown)
+        binio.atomic_write_text(paths.cell_path(model_name, test_set, lm_on), table.to_tsv())
+        logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
+                    "on" if lm_on else "off", 100 * breakdown.wer)
+
+    units = [_Unit(f"{name} on {test_set} (lm {'on' if lm_on else 'off'})",
+                   [paths.cell_path(name, test_set, lm_on)],
+                   functools.partial(build, name, ckpt, test_set, corpus_path, lm_on),
+                   [ckpt, corpus_path])
+             for name, ckpt, test_set, corpus_path in _eval_matrix(config, paths)
+             if not models or name in models for lm_on in lm_flags]
+    _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
+               load=lambda: load_arpa(lm_path) if True in lm_flags else None)
 
 
 def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
                 force: bool = False) -> None:
+    """layer-correlation trajectories: original vs pseudo labels"""
+    student_train = paths.corpus_path(config.student_domain.name, "train")
+    pseudo_dir = paths.snapshot_dir("student_elitist")
+    original_dir = paths.snapshot_dir("student_original_labels")
     out_txt = paths.svcca / "trajectory.txt"
     out_diffs = paths.svcca / "layer_diffs.tsv"
-    if out_txt.exists() and out_diffs.exists() and not force:
-        logger.info("svcca: report exists, skipping")
-        return
-    student_train = load_corpus(_require(
-        paths.corpus_path(config.student_domain.name, "train"), "gen-data"))
-    model_cfg, train_cfg = _student_configs(config, seed)
+    dump_dir = paths.svcca / "activations"
 
-    pseudo_dir = paths.snapshot_dir("student_elitist")
-    pseudo_files = sorted(pseudo_dir.glob("epoch_*.ekdm"))
-    if not pseudo_files:
-        raise PipelineError(f"missing required artifact {pseudo_dir}/epoch_*.ekdm; "
-                            "run 'train-student' first")
-    pseudo_run = [(int(p.stem.split("_")[1]), load_checkpoint(p)) for p in pseudo_files]
-
-    original_dir = paths.snapshot_dir("student_original_labels")
-    original_files = sorted(original_dir.glob("epoch_*.ekdm"))
-    if not original_files or force:
-        original_dir.mkdir(parents=True, exist_ok=True)
-
-        def snapshot(epoch: int, ckpt: ModelCheckpoint) -> None:
-            save_checkpoint(ckpt, original_dir / f"epoch_{epoch:04d}.ekdm")
-
+    def reference_run(corpus) -> None:
         # Analysis-only supervised run on the target domain's true labels,
         # sharing init and batching with the pseudo-label student.
-        train_teacher(student_train, model_cfg, train_cfg, snapshot_hook=snapshot)
-        original_files = sorted(original_dir.glob("epoch_*.ekdm"))
-    original_run = [(int(p.stem.split("_")[1]), load_checkpoint(p)) for p in original_files]
+        model_cfg, train_cfg = _student_configs(config, seed)
+        train_teacher(corpus, model_cfg, train_cfg, snapshot_hook=_snapshots_into(original_dir))
 
-    layers = [f"hidden_{i}" for i in range(len(config.model.hidden_sizes))]
-    report = correlation_trajectory(
-        original_run, pseudo_run, student_train, layers,
-        n_frames=config.svcca.n_frames, seed=config.svcca.sample_seed,
-        variance_fraction=config.svcca.variance_fraction,
-        dump_dir=paths.svcca / "activations",
-        run_names=("original_labels", "pseudo_labels"))
-    binio.atomic_write_text(out_txt, report.to_text())
-    lines = ["layer\tmean_abs_diff"]
-    for layer in report.layers:
-        lines.append(f"{layer}\t{report.mean_abs_diff(layer)!r}")
-    binio.atomic_write_text(out_diffs, "\n".join(lines) + "\n")
+    def build_report(corpus) -> None:
+        layers = [f"hidden_{i}" for i in range(len(config.model.hidden_sizes))]
+        report = correlation_trajectory(
+            _load_snapshots(original_dir), _load_snapshots(pseudo_dir), corpus, layers,
+            n_frames=config.svcca.n_frames, seed=config.svcca.sample_seed,
+            variance_fraction=config.svcca.variance_fraction, dump_dir=dump_dir,
+            run_names=("original_labels", "pseudo_labels"))
+        binio.atomic_write_text(out_txt, report.to_text())
+        binio.atomic_write_text(out_diffs, report.diffs_text())
+
+    units = [_Unit("reference run", [original_dir], reference_run),
+             _Unit("report", [out_txt, out_diffs, dump_dir], build_report)]
+    _run_units("svcca", units, force, needs=[student_train, pseudo_dir],
+               load=lambda: load_corpus(student_train))
 
 
 def stage_report(config: ExperimentConfig, seed: int, paths: SeedPaths,
                  force: bool = False) -> ResultTable:
-    cells = []
-    for model_name, test_set in _eval_matrix(config):
-        for lm_on in (False, True):
-            cells.append(_require(paths.cell_path(model_name, test_set, lm_on), "evaluate"))
+    """assemble result tables from a run directory"""
+    cells = [_require(paths.cell_path(name, test_set, lm_on))
+             for name, _, test_set, _ in _eval_matrix(config, paths) for lm_on in (False, True)]
     table = ResultTable.from_cell_files(cells)
     binio.atomic_write_text(paths.report / "results.tsv", table.to_tsv())
     binio.atomic_write_text(paths.report / "results.txt", table.to_text())
@@ -363,7 +389,8 @@ def stage_report(config: ExperimentConfig, seed: int, paths: SeedPaths,
     return table
 
 
-_STAGE_FUNCS = {
+# Every stage in run order; each is called as (config, seed, paths, force=...).
+STAGES = {
     "gen-data": stage_gen_data,
     "train-teacher": stage_train_teacher,
     "decode": stage_decode,
@@ -376,41 +403,41 @@ _STAGE_FUNCS = {
 
 
 def run_seed(config: ExperimentConfig, seed: int, root: Path, force: bool = False) -> ResultTable:
+    """Every stage for one seed; returns the report stage's table."""
     paths = SeedPaths(root, seed)
     paths.ensure()
-    table = None
     for stage in STAGES:
         try:
-            result = _STAGE_FUNCS[stage](config, seed, paths, force=force)
+            result = STAGES[stage](config, seed, paths, force=force)
         except PipelineError:
             raise
         except Exception as e:
             raise PipelineError(
                 f"stage '{stage}' (seed {seed}) failed: {e}; "
                 f"artifacts under {paths.base} are resumable") from e
-        if stage == "report":
-            table = result
-    return table
+    return result
+
+
+def write_summary(root: Path, per_seed: dict[int, ResultTable]) -> str:
+    """Write the cross-seed ``summary/summary.tsv`` and ``summary/per_seed.txt``
+    under ``root``; returns the text of summary.tsv."""
+    summary_dir = root / "summary"
+    summary_dir.mkdir(parents=True, exist_ok=True)
+    text = summarize(per_seed)
+    binio.atomic_write_text(summary_dir / "summary.tsv", text)
+    binio.atomic_write_text(summary_dir / "per_seed.txt", "\n".join(
+        f"### seed {seed}\n{table.to_text()}" for seed, table in per_seed.items()))
+    return text
 
 
 def run_pipeline(config: ExperimentConfig, output_root_override: str | None = None,
                  force: bool = False) -> ResultTable:
     """Execute every stage for every configured seed and write the cross-seed
-    summary. Returns the summary as a ResultTable keyed on mean WER cells of
-    the final seed run plus summary files on disk."""
+    summary files. Returns the last seed's result table."""
     config.validate_ood()
     root = output_root(config, output_root_override)
     root.mkdir(parents=True, exist_ok=True)
     save_config(config, root / "config.yaml")
-    per_seed: dict[int, ResultTable] = {}
-    for seed in config.seeds:
-        per_seed[seed] = run_seed(config, seed, root, force=force)
-    summary_dir = root / "summary"
-    summary_dir.mkdir(parents=True, exist_ok=True)
-    binio.atomic_write_text(summary_dir / "summary.tsv", summarize(per_seed))
-    lines = []
-    for seed in config.seeds:
-        lines.append(f"### seed {seed}")
-        lines.append(per_seed[seed].to_text())
-    binio.atomic_write_text(summary_dir / "per_seed.txt", "\n".join(lines))
+    per_seed = {seed: run_seed(config, seed, root, force=force) for seed in config.seeds}
+    write_summary(root, per_seed)
     return per_seed[config.seeds[-1]]

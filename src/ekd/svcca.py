@@ -125,15 +125,17 @@ class SvccaReport:
                  self.diff(layer, step))
                 for layer in self.layers for step in self.steps]
 
+    def diffs_text(self) -> str:
+        lines = ["layer\tmean_abs_diff"]
+        for layer in self.layers:
+            lines.append(f"{layer}\t{self.mean_abs_diff(layer)!r}")
+        return "\n".join(lines) + "\n"
+
     def to_text(self) -> str:
         lines = ["layer\tstep\trho_run_a\trho_run_b\tdiff"]
         for layer, step, ra, rb, d in self.rows():
             lines.append(f"{layer}\t{step}\t{ra!r}\t{rb!r}\t{d!r}")
-        lines.append("")
-        lines.append("layer\tmean_abs_diff")
-        for layer in self.layers:
-            lines.append(f"{layer}\t{self.mean_abs_diff(layer)!r}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n\n" + self.diffs_text()
 
 
 def correlation_trajectory(run_a: list[tuple[int, object]], run_b: list[tuple[int, object]],
@@ -147,8 +149,8 @@ def correlation_trajectory(run_a: list[tuple[int, object]], run_b: list[tuple[in
     checkpoint; the report also carries the difference between the two runs'
     trajectories. Steps missing from either run are skipped with a warning.
 
-    With ``dump_dir`` set, per-checkpoint activation dumps are persisted as
-    files and reused on later calls instead of recomputed.
+    With ``dump_dir`` set, every checkpoint's activations are also written
+    there as a dump file; existing dumps are overwritten, never read.
     """
     from pathlib import Path
 
@@ -165,17 +167,11 @@ def correlation_trajectory(run_a: list[tuple[int, object]], run_b: list[tuple[in
     def acts_for(tag, run_by_step):
         out = {}
         for step, ckpt in run_by_step.items():
-            path = None
+            out[step] = dump_activations(ckpt, probe_corpus, n_frames, seed, source=(tag, step))
             if dump_dir is not None:
-                path = Path(dump_dir) / f"{tag}_step_{step:04d}.ekda"
-                if path.exists():
-                    out[step], _ = load_activations(path)
-                    continue
-            acts = dump_activations(ckpt, probe_corpus, n_frames, seed, source=(tag, step))
-            if path is not None:
                 total = sum(u.num_frames for u in probe_corpus.utterances)
-                save_activations(path, acts, activation_frame_indices(total, n_frames, seed))
-            out[step] = acts
+                save_activations(Path(dump_dir) / f"{tag}_step_{step:04d}.ekda", out[step],
+                                 activation_frame_indices(total, n_frames, seed))
         return out
 
     if dump_dir is not None:

@@ -82,6 +82,14 @@ def test_bad_override_reports_error(tmp_path):
         load_config(out, overrides=["no-equals-sign"])
 
 
+@pytest.mark.parametrize("override, key", [("kd.alpha=0", "kd.alpha"), ("bogus=1", "bogus")])
+def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
+    out = tmp_path / "out"
+    assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_artifact_is_a_cli_error(tmp_path, capsys):
     cfg = compact_config(str(tmp_path / "none"))
     cfg_path = tmp_path / "c.yaml"

@@ -3,9 +3,11 @@ import shutil
 
 import pytest
 
+from ekd.config import SvccaSettings
 from ekd.pipeline import (PipelineError, SeedPaths, output_root, run_pipeline, run_seed,
-                          stage_decode, stage_report)
+                          stage_decode, stage_report, stage_svcca, stage_train_student)
 from ekd.report import ResultTable
+from ekd.svcca import load_activations
 
 from conftest import compact_config
 
@@ -82,7 +84,7 @@ def test_svcca_resume_from_dumps(finished_run):
     (paths.svcca / "layer_diffs.tsv").unlink()
     from ekd.pipeline import stage_svcca
 
-    stage_svcca(cfg, seed, paths)  # reuses saved activation dumps
+    stage_svcca(cfg, seed, paths)  # rebuilds the report and its activation dumps
     assert (paths.svcca / "trajectory.txt").read_bytes() == before
 
 
@@ -131,6 +133,57 @@ def test_failed_evaluate_cell_is_retried(finished_run, monkeypatch):
     assert cell.read_bytes() == before
 
 
+def _copy_run(finished_run, tmp_path):
+    cfg, root, _ = finished_run
+    shutil.copytree(root, tmp_path / "copy")
+    return cfg, SeedPaths(tmp_path / "copy", cfg.seeds[0])
+
+
+def _trajectory_steps(paths) -> list[int]:
+    rows = (paths.svcca / "trajectory.txt").read_text().split("\n\n")[0].splitlines()[1:]
+    return sorted({int(row.split("\t")[1]) for row in rows})
+
+
+def test_forced_student_and_svcca_drop_stale_snapshots(finished_run, tmp_path):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    assert _trajectory_steps(paths) == [2, 4]
+    shorter = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=3),
+                                  student_train=None)
+    stage_train_student(shorter, paths.seed, paths, strategy="elitist", force=True)
+    snaps = sorted(p.name for p in paths.snapshot_dir("student_elitist").iterdir())
+    assert snaps == ["epoch_0002.ekdm", "epoch_0003.ekdm"]
+    stage_svcca(shorter, paths.seed, paths, force=True)
+    assert _trajectory_steps(paths) == [2, 3]
+
+
+def test_forced_svcca_rewrites_activation_dumps(finished_run, tmp_path):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    before = (paths.svcca / "trajectory.txt").read_bytes()
+    changed = dataclasses.replace(cfg, svcca=SvccaSettings(n_frames=100, variance_fraction=0.99,
+                                                           sample_seed=99))
+    stage_svcca(changed, paths.seed, paths, force=True)
+    dumps = sorted((paths.svcca / "activations").glob("*.ekda"))
+    assert dumps
+    for dump in dumps:
+        assert len(load_activations(dump)[1]) == 100
+    assert (paths.svcca / "trajectory.txt").read_bytes() != before
+
+
+def test_resume_touches_nothing(finished_run):
+    cfg, root, _ = finished_run
+    paths = SeedPaths(root, cfg.seeds[0])
+
+    def artifacts():
+        files = [p for p in root.rglob("*") if p.suffix.startswith(".ekd")]
+        files += list(paths.eval_cells.iterdir())
+        return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
+
+    before = artifacts()
+    assert len(before) > len(cfg.strategies)
+    run_pipeline(cfg)
+    assert artifacts() == before
+
+
 def test_missing_upstream_artifact_names_file(tmp_path):
     cfg = compact_config(str(tmp_path / "out"))
     paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
@@ -146,7 +199,7 @@ def test_stage_failure_names_stage(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(pl._STAGE_FUNCS, "decode", boom)
+    monkeypatch.setitem(pl.STAGES, "decode", boom)
     with pytest.raises(PipelineError, match="stage 'decode'"):
         run_seed(cfg, cfg.seeds[0], tmp_path / "out")
 
