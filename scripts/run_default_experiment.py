@@ -8,7 +8,7 @@ import argparse
 import logging
 import time
 
-from ekd.config import default_config, load_config
+from ekd.config import load_config
 from ekd.pipeline import output_root, run_pipeline
 
 
@@ -20,7 +20,7 @@ def main() -> None:
     args = parser.parse_args()
 
     logging.basicConfig(level=logging.INFO, format="%(levelname).1s %(name)s: %(message)s")
-    config = load_config(args.config) if args.config else default_config()
+    config = load_config(args.config)
     start = time.monotonic()
     run_pipeline(config, args.output_root, force=args.force)
     summary = output_root(config, args.output_root) / "summary"

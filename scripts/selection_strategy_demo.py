@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ekd.config import default_config, load_config
+from ekd.config import load_config
 from ekd.corpus import load_corpus
 from ekd.pipeline import (SeedPaths, stage_decode, stage_gen_data, stage_select,
                           stage_train_teacher)
@@ -57,7 +57,7 @@ def main() -> None:
     args = parser.parse_args()
     logging.basicConfig(level=logging.WARNING)
 
-    config = load_config(args.config) if args.config else default_config()
+    config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seeds[0]
     if args.output_root:
         run(config, seed, Path(args.output_root))

@@ -6,10 +6,9 @@ import argparse
 import logging
 import sys
 
-from .config import (ExperimentConfig, apply_overrides, default_config, load_config,
-                     save_config)
-from .pipeline import (STAGES, PipelineError, SeedPaths, output_root, run_pipeline,
-                       stage_report, write_summary)
+from .config import default_config, load_config, save_config
+from .pipeline import (STAGES, PipelineError, SeedPaths, output_root, run_pipeline, run_stage,
+                       write_summary)
 from .selection import Strategy
 
 logger = logging.getLogger(__name__)
@@ -37,20 +36,6 @@ def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
                    help="permit a student domain that matches a teacher domain")
     if with_seed:
         p.add_argument("--seed", type=int, help="experiment seed (default: first config seed)")
-
-
-def _load(args) -> ExperimentConfig:
-    if args.config:
-        config = load_config(args.config, args.overrides)
-    elif args.overrides:
-        data = apply_overrides(default_config().to_dict(), args.overrides)
-        config = ExperimentConfig.from_dict(data)
-    else:
-        config = default_config()
-    if args.allow_indomain:
-        config.allow_indomain = True
-    config.validate_ood()
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,7 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        config = _load(args)
+        config = load_config(args.config, args.overrides)
+        config.allow_indomain |= args.allow_indomain
+        config.validate_ood()
         if args.command == "pipeline":
             table = run_pipeline(config, args.output_root, force=args.force)
             print(table.to_text())
@@ -97,11 +84,12 @@ def main(argv: list[str] | None = None) -> int:
         paths = SeedPaths(root, seed)
         paths.ensure()
         if args.command == "report" and args.summary:
-            per_seed = {s: stage_report(config, s, SeedPaths(root, s)) for s in config.seeds}
+            per_seed = {s: run_stage("report", config, s, SeedPaths(root, s))
+                        for s in config.seeds}
             print(write_summary(root, per_seed), end="")
         else:
             kwargs = {dest: getattr(args, dest) for dest in args.stage_kwargs}
-            table = STAGES[args.command](config, seed, paths, force=args.force, **kwargs)
+            table = run_stage(args.command, config, seed, paths, force=args.force, **kwargs)
             if table is not None:
                 print(table.to_text())
         if args.command == "report" and args.win_counts:

@@ -3,7 +3,9 @@ domain specs, model/training/decoding settings, and the seed list."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -81,28 +83,12 @@ class DomainRecipe:
     frames_per_symbol: tuple[int, int] = (2, 4)
     utterance_words: tuple[int, int] = (3, 6)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["frames_per_symbol"] = list(self.frames_per_symbol)
-        d["utterance_words"] = list(self.utterance_words)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DomainRecipe":
-        d = dict(d)
-        d["frames_per_symbol"] = tuple(d.get("frames_per_symbol", (2, 4)))
-        d["utterance_words"] = tuple(d.get("utterance_words", (3, 6)))
-        return cls(**d)
-
 
 @dataclass
 class SvccaSettings:
     n_frames: int = 512
     variance_fraction: float = 0.99
     sample_seed: int = 2024
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -205,65 +191,54 @@ class ExperimentConfig:
 
     # -- (de)serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "vocabulary_letters": self.vocabulary_letters,
-            "feature_dim": self.feature_dim,
-            "teacher_domains": [d.to_dict() for d in self.teacher_domains],
-            "student_domain": self.student_domain.to_dict(),
-            "shared_lexicon_size": self.shared_lexicon_size,
-            "shared_lexicon_seed": self.shared_lexicon_seed,
-            "word_length": list(self.word_length),
-            "model": self.model.to_dict(),
-            "train": _train_to_dict(self.train),
-            # keep "defaults to train" alive across save/load round-trips
-            "student_train": (None if self.student_train == self.train
-                              else _train_to_dict(self.student_train)),
-            "kd": {"soft_label_mode": self.kd.soft_label_mode.value},
-            "beam": {"beam_width": self.beam.beam_width, "lm_weight": self.beam.lm_weight,
-                     "word_insertion_bonus": self.beam.word_insertion_bonus},
-            "lm_order": self.lm_order,
-            "strategies": list(self.strategies),
-            "seeds": list(self.seeds),
-            "output_root": self.output_root,
-            "probe_wer_threshold": self.probe_wer_threshold,
-            "svcca": self.svcca.to_dict(),
-            "allow_indomain": self.allow_indomain,
-        }
+        # student_train equal to train saves as null: "defaults to train" survives a round trip
+        return {**_plain(self), "student_train": (None if self.student_train == self.train
+                                                  else _plain(self.student_train))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(_checked(d, cls))
-        if "teacher_domains" in d:
-            d["teacher_domains"] = [
-                DomainRecipe.from_dict(_checked(x, DomainRecipe, f"teacher_domains[{i}]"))
-                for i, x in enumerate(d["teacher_domains"])]
-        if "word_length" in d:
-            d["word_length"] = tuple(d["word_length"])
-        for key, section in (("student_domain", DomainRecipe), ("model", ModelConfig),
-                             ("train", TrainConfig), ("student_train", TrainConfig),
-                             ("kd", KdConfig), ("beam", BeamConfig), ("svcca", SvccaSettings)):
-            if d.get(key) is None and (key not in d or key.startswith("student_")):
-                continue  # absent, or a null student section: the default applies
-            value = _checked(d[key], section, key)
-            d[key] = section.from_dict(value) if hasattr(section, "from_dict") else section(**value)
-        return cls(**d)
+        return _build(cls, d)
 
 
-def _checked(value, cls, key: str = ""):
-    """``value`` if it is a mapping of ``cls``'s fields; otherwise ValueError
-    naming the dotted config key (``key`` is the mapping's own, "" the root)."""
-    if not isinstance(value, dict):
+def _plain(value):
+    """YAML-ready data for a config value: a dataclass becomes a mapping of its
+    fields, a tuple or list a list, an enum its value."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+def _build(cls, mapping, key: str = ""):
+    """``cls`` from a mapping of some of its fields (absent ones take their
+    defaults), converted by the field types. ValueError names the dotted
+    config key (``key`` is the mapping's own, "" the root) of a non-mapping,
+    an unknown key or a list field given a non-list."""
+    if not isinstance(mapping, dict):
         raise ValueError(f"config key {key!r} must be a mapping")
-    unknown = [f"{key}.{k}" if key else k for k in value if k not in {f.name for f in fields(cls)}]
+    hints = typing.get_type_hints(cls)
+    prefix = f"{key}." if key else ""
+    unknown = [f"{prefix}{k}" for k in mapping if k not in hints]
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return cls(**{k: _field(hints[k], v, f"{prefix}{k}") for k, v in mapping.items()})
+
+
+def _field(tp, value, key: str):
+    """One field's value for its type ``tp`` (see ``_build``)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if type(None) in args:  # X | None: null keeps the field's default meaning
+        return None if value is None else _field(args[0], value, key)
+    if is_dataclass(tp):
+        return _build(tp, value, key)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key!r} must be a list")
+        if origin is tuple:
+            return tuple(value)
+        return [_field(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
     return value
-
-
-def _train_to_dict(t: TrainConfig) -> dict:
-    return {"epochs": t.epochs, "batch_size": t.batch_size, "learning_rate": t.learning_rate,
-            "optimizer": t.optimizer, "gradient_clip": t.gradient_clip, "seed": t.seed,
-            "eval_every": t.eval_every}
 
 
 def _default_teacher_recipes() -> list[DomainRecipe]:
@@ -299,20 +274,24 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         node = data
         parts = key.split(".")
         for p in parts[:-1]:
-            node = node.setdefault(p, {})
+            if node.get(p) is None:  # absent, or a null section such as student_train
+                node[p] = {}
+            node = node[p]
             if not isinstance(node, dict):
                 raise ValueError(f"override {item!r}: {p!r} is not a mapping")
         node[parts[-1]] = yaml.safe_load(raw)
     return data
 
 
-def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Load a YAML config; ``overrides`` are dotted key=value pairs that win
-    over file values (values parsed as YAML)."""
-    with open(path) as f:
-        data = yaml.safe_load(f) or {}
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config root must be a mapping")
+def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConfig:
+    """Load a YAML config (the defaults if ``path`` is None); ``overrides`` are
+    dotted key=value pairs that win over file values (values parsed as YAML)."""
+    data = {}
+    if path is not None:
+        with open(path) as f:
+            data = yaml.safe_load(f) or {}
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config root must be a mapping")
     return ExperimentConfig.from_dict(apply_overrides(data, overrides or []))
 
 

@@ -1,7 +1,7 @@
 """Utterance/corpus data model, synthetic domain generation, and persistence."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -214,7 +214,7 @@ def save_corpus(corpus: Corpus, path) -> None:
         "name": corpus.name,
         "domain_tag": corpus.domain_tag,
         "generation_seed": corpus.generation_seed,
-        "vocabulary": corpus.vocabulary.to_dict(),
+        "vocabulary": asdict(corpus.vocabulary),
         "vocabulary_hash": corpus.vocabulary.content_hash(),
         "feature_dim": corpus.feature_dim if corpus.utterances else 0,
         "n_utterances": len(corpus.utterances),
@@ -230,7 +230,7 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 def load_corpus(path) -> Corpus:
     header, records = binio.read_container(path, "corpus", CORPUS_FORMAT_VERSION)
-    vocab = Vocabulary.from_dict(header["vocabulary"])
+    vocab = Vocabulary(**header["vocabulary"])
     if vocab.content_hash() != header["vocabulary_hash"]:
         raise binio.FormatError(f"{path}: vocabulary-hash mismatch")
     feature_dim = header["feature_dim"]

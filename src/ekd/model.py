@@ -3,7 +3,7 @@ context window of feature frames, producing per-frame logits. Gradients are
 computed by hand so training stays dependency-free and bit-deterministic."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,16 +31,6 @@ class ModelConfig:
             raise ValueError("context_window must be >= 0")
         if self.activation not in ("relu", "tanh"):
             raise ValueError(f"unknown activation {self.activation!r}")
-
-    def to_dict(self) -> dict:
-        return {"context_window": self.context_window, "hidden_sizes": list(self.hidden_sizes),
-                "activation": self.activation, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(context_window=int(d["context_window"]),
-                   hidden_sizes=tuple(d["hidden_sizes"]),
-                   activation=d["activation"], seed=int(d["seed"]))
 
 
 @dataclass
@@ -160,7 +150,7 @@ def backward_features(model: ModelCheckpoint, cache, grad_logits: np.ndarray) ->
 def save_checkpoint(model: ModelCheckpoint, path) -> None:
     layout = [list(w.shape) for w in model.weights]
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "feature_dim": model.feature_dim,
         "vocab_size": model.vocab_size,
         "vocabulary_hash": model.vocabulary_hash,
@@ -186,7 +176,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
         weights.append(flat[off:off + n].reshape(shape))
         off += n
     return ModelCheckpoint(
-        config=ModelConfig.from_dict(header["config"]),
+        config=ModelConfig(**header["config"]),
         feature_dim=int(header["feature_dim"]),
         vocab_size=int(header["vocab_size"]),
         weights=weights,

@@ -407,15 +407,20 @@ def run_seed(config: ExperimentConfig, seed: int, root: Path, force: bool = Fals
     paths = SeedPaths(root, seed)
     paths.ensure()
     for stage in STAGES:
-        try:
-            result = STAGES[stage](config, seed, paths, force=force)
-        except PipelineError:
-            raise
-        except Exception as e:
-            raise PipelineError(
-                f"stage '{stage}' (seed {seed}) failed: {e}; "
-                f"artifacts under {paths.base} are resumable") from e
+        result = run_stage(stage, config, seed, paths, force=force)
     return result
+
+
+def run_stage(stage: str, config: ExperimentConfig, seed: int, paths: SeedPaths, **kwargs):
+    """``STAGES[stage]``; any failure other than a PipelineError is re-raised
+    as one naming the stage and seed."""
+    try:
+        return STAGES[stage](config, seed, paths, **kwargs)
+    except PipelineError:
+        raise
+    except Exception as e:
+        raise PipelineError(f"stage '{stage}' (seed {seed}) failed: {e}; "
+                            f"artifacts under {paths.base} are resumable") from e
 
 
 def write_summary(root: Path, per_seed: dict[int, ResultTable]) -> str:

@@ -21,6 +21,7 @@ class Vocabulary:
     word_separator_index: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "graphemes", tuple(self.graphemes))
         if len(self.graphemes) < 2:
             raise ValueError("vocabulary needs at least a blank and one symbol")
         if len(set(self.graphemes)) != len(self.graphemes):
@@ -51,21 +52,6 @@ class Vocabulary:
             h.update(g.encode())
             h.update(b"\x00")
         return h.hexdigest()
-
-    def to_dict(self) -> dict:
-        return {
-            "graphemes": list(self.graphemes),
-            "blank_index": self.blank_index,
-            "word_separator_index": self.word_separator_index,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Vocabulary":
-        return cls(
-            graphemes=tuple(d["graphemes"]),
-            blank_index=int(d["blank_index"]),
-            word_separator_index=int(d["word_separator_index"]),
-        )
 
     # -- word <-> symbol-index helpers ------------------------------------
     # Lexicon words are concatenations of single-character graphemes.

@@ -1,7 +1,14 @@
-import pytest
+import dataclasses
 
+import pytest
+import yaml
+
+from ekd.beam import BeamConfig
 from ekd.cli import main
-from ekd.config import load_config, save_config
+from ekd.config import DomainRecipe, SvccaSettings, default_config, load_config, save_config
+from ekd.kd import KdConfig, SoftLabelMode
+from ekd.model import ModelConfig
+from ekd.training import TrainConfig
 
 from conftest import compact_config
 
@@ -69,10 +76,11 @@ def test_config_overrides(tmp_path):
     out = tmp_path / "default.yaml"
     main(["init-config", "-o", str(out)])
     cfg = load_config(out, overrides=["lm_order=2", "beam.beam_width=3",
-                                      "train.epochs=2"])
+                                      "train.epochs=2", "student_train.epochs=3"])
     assert cfg.lm_order == 2
     assert cfg.beam.beam_width == 3
     assert cfg.train.epochs == 2
+    assert cfg.student_train == TrainConfig(epochs=3)  # over the saved student_train: null
 
 
 def test_bad_override_reports_error(tmp_path):
@@ -82,12 +90,82 @@ def test_bad_override_reports_error(tmp_path):
         load_config(out, overrides=["no-equals-sign"])
 
 
-@pytest.mark.parametrize("override, key", [("kd.alpha=0", "kd.alpha"), ("bogus=1", "bogus")])
+@pytest.mark.parametrize("override, key", [("kd.alpha=0", "kd.alpha"), ("bogus=1", "bogus"),
+                                           # wrong-shaped values of known keys
+                                           ("teacher_domains=null", "teacher_domains"),
+                                           ("word_length=3", "word_length"),
+                                           ("seeds=5", "seeds")])
 def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
     out = tmp_path / "out"
     assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+_PARTIAL_SECTIONS = {
+    "model": (ModelConfig, {"hidden_sizes": [8]}),
+    "train": (TrainConfig, {"epochs": 2}),
+    "student_train": (TrainConfig, {"epochs": 2}),
+    "kd": (KdConfig, {"soft_label_mode": "hard_pseudo_label"}),
+    "beam": (BeamConfig, {"beam_width": 3}),
+    "svcca": (SvccaSettings, {"n_frames": 100}),
+    "student_domain": (DomainRecipe, {
+        "name": "omega", "train_size": 30, "test_size": 10, "emission_noise_std": 0.4,
+        "transform_strength": 0.7, "transform_seed": 5, "shared_words": 10,
+        "unique_words": 8}),
+}
+
+
+@pytest.mark.parametrize("section", list(_PARTIAL_SECTIONS))
+def test_partial_config_section_takes_defaults(tmp_path, section):
+    """A config file may list only some keys of a section; the rest take
+    their defaults, and the CLI runs on it."""
+    cls, keys = _PARTIAL_SECTIONS[section]
+    cfg = compact_config(str(tmp_path / "out"))
+    data = cfg.to_dict()
+    data[section] = keys
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(data))
+    # the file's student_train: null follows train unless the section is student_train
+    expected = dataclasses.replace(cfg, **{"student_train": None, section: cls(**keys)})
+    assert load_config(cfg_path) == expected
+    assert main(["gen-data", "-c", str(cfg_path)]) == 0
+
+
+def test_non_default_config_round_trips(tmp_path):
+    cfg = compact_config(str(tmp_path / "out"), seeds=(3, 4))
+    cfg.vocabulary_letters = "abcdefg"
+    cfg.feature_dim = 6
+    cfg.teacher_domains[0] = dataclasses.replace(cfg.teacher_domains[0], frames_per_symbol=(1, 3))
+    cfg.student_domain = dataclasses.replace(cfg.student_domain, utterance_words=(2, 5))
+    cfg.shared_lexicon_size = 14
+    cfg.shared_lexicon_seed = 7
+    cfg.word_length = (3, 4)
+    cfg.student_train = dataclasses.replace(cfg.train, epochs=3, learning_rate=1e-3)
+    cfg.kd = KdConfig(SoftLabelMode.HARD_PSEUDO_LABEL)
+    cfg.lm_order = 2
+    cfg.strategies = ["elitist", "teacher_average"]
+    cfg.allow_indomain = True
+    default = default_config()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(cfg))
+    first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
+    save_config(cfg, first)
+    loaded = load_config(first)
+    assert loaded == cfg
+    save_config(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_stage_failure_is_a_cli_error(tmp_path, capsys):
+    cfg = compact_config(str(tmp_path / "out"))
+    cfg_path = tmp_path / "c.yaml"
+    save_config(cfg, cfg_path)
+    assert main(["gen-data", "-c", str(cfg_path)]) == 0
+    rc = main(["train-teacher", "-c", str(cfg_path), "--domain", "alpha",
+               "--set", "probe_wer_threshold=0.0", "--set", "train.epochs=1"])
+    assert rc == 1
+    assert f"stage 'train-teacher' (seed {cfg.seeds[0]}) failed" in capsys.readouterr().err
 
 
 def test_missing_artifact_is_a_cli_error(tmp_path, capsys):

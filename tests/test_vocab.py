@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def test_indices_out_of_range_rejected():
 
 def test_hash_stable_under_round_trip():
     v = default_vocabulary("abcd")
-    again = Vocabulary.from_dict(v.to_dict())
+    again = Vocabulary(**dataclasses.asdict(v))
     assert again == v
     assert again.content_hash() == v.content_hash()
 
