@@ -2,20 +2,18 @@
 
 Layout: magic | u32 version | u64 header_len | header JSON (sorted keys,
 carries a "kind" tag) | u64 n_records | n_records x (u64 len | payload).
-Corpus, posterior, selection and activation records are each u64 meta_len |
-meta JSON (sorted keys) | float64 array, built and checked only here;
-checkpoints hold one bare float64 record. All integers little-endian; float
-payloads are little-endian float64 so files round-trip bit-exactly across
-platforms.
+Corpus, posterior and selection records are each u64 meta_len | meta JSON
+(sorted keys, with the array's "frames") | [frames, width] float64 array,
+built and checked only here; checkpoints hold one bare float64 record. All
+integers little-endian; float payloads are little-endian float64 so files
+round-trip bit-exactly across platforms.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -99,17 +97,19 @@ def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, lis
 
 
 def encode_record(meta: dict, values: np.ndarray) -> bytes:
-    """One record payload: u64 meta length | meta JSON | float64 values."""
-    blob = encode_header(meta)
+    """One record payload: u64 meta length | meta JSON plus the row count as
+    "frames" | float64 values of a [frames, width] matrix."""
+    blob = encode_header({**meta, "frames": values.shape[0]})
     return struct.pack("<Q", len(blob)) + blob + pack_floats(values)
 
 
 def decode_records(path: str | Path, records: list[bytes], expected: int,
-                   shape: Callable[[dict], tuple[int, ...]]) -> list[tuple[dict, np.ndarray]]:
+                   width: int) -> list[tuple[dict, np.ndarray]]:
     """Checked inverse of :func:`encode_record` over a container's records.
 
-    ``expected`` is the record count the header claims; ``shape(meta)`` gives
-    each record's array shape. Any disagreement raises :class:`FormatError`.
+    ``expected`` is the record count the header claims and ``width`` the
+    column count of every record's matrix. Any disagreement raises
+    :class:`FormatError`.
     """
     def corrupted(what: str) -> FormatError:
         return FormatError(f"{path}: corrupted record ({what})")
@@ -125,12 +125,12 @@ def decode_records(path: str | Path, records: list[bytes], expected: int,
             raise corrupted("truncated meta")
         try:
             meta = json.loads(rec[8:8 + mlen])
-            dims = shape(meta)
-            nbytes = 8 * math.prod(dims)
+            frames = meta["frames"]
+            nbytes = 8 * frames * width
         except (ValueError, KeyError, TypeError) as e:
             raise corrupted("bad meta") from e
         blob = rec[8 + mlen:]
         if len(blob) != nbytes:
             raise corrupted("blob size")
-        out.append((meta, unpack_floats(blob, dims)))
+        out.append((meta, unpack_floats(blob, (frames, width))))
     return out

@@ -214,7 +214,8 @@ def _build(cls, mapping, key: str = ""):
     """``cls`` from a mapping of some of its fields (absent ones take their
     defaults), converted by the field types. ValueError names the dotted
     config key (``key`` is the mapping's own, "" the root) of a non-mapping,
-    an unknown key or a list field given a non-list."""
+    an unknown key, a list field given a non-list or a scalar of the wrong
+    type."""
     if not isinstance(mapping, dict):
         raise ValueError(f"config key {key!r} must be a mapping")
     hints = typing.get_type_hints(cls)
@@ -223,6 +224,11 @@ def _build(cls, mapping, key: str = ""):
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     return cls(**{k: _field(hints[k], v, f"{prefix}{k}") for k, v in mapping.items()})
+
+
+# The values a scalar field takes (an int is a valid float, a bool is not an int).
+_SCALARS = {int: (int, "an int"), float: ((int, float), "a number"), str: (str, "a string"),
+            bool: (bool, "a bool")}
 
 
 def _field(tp, value, key: str):
@@ -235,9 +241,12 @@ def _field(tp, value, key: str):
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config key {key!r} must be a list")
-        if origin is tuple:
-            return tuple(value)
-        return [_field(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+        items = [_field(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+        return tuple(items) if origin is tuple else items
+    if tp in _SCALARS:  # enum fields are checked by their dataclass
+        accepts, name = _SCALARS[tp]
+        if not isinstance(value, accepts) or (isinstance(value, bool) and tp is not bool):
+            raise ValueError(f"config key {key!r} must be {name}")
     return value
 
 

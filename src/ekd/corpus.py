@@ -222,7 +222,6 @@ def save_corpus(corpus: Corpus, path) -> None:
     records = [binio.encode_record({
         "id": u.id,
         "domain_tag": u.domain_tag,
-        "frames": u.num_frames,
         "transcript": None if u._transcript is None else [int(x) for x in u._transcript],
     }, u.features) for u in corpus.utterances]
     binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
@@ -233,10 +232,9 @@ def load_corpus(path) -> Corpus:
     vocab = Vocabulary(**header["vocabulary"])
     if vocab.content_hash() != header["vocabulary_hash"]:
         raise binio.FormatError(f"{path}: vocabulary-hash mismatch")
-    feature_dim = header["feature_dim"]
     utterances = []
     for meta, features in binio.decode_records(path, records, header["n_utterances"],
-                                               lambda m: (m["frames"], feature_dim)):
+                                               header["feature_dim"]):
         transcript = None if meta["transcript"] is None else np.asarray(meta["transcript"], dtype=np.int64)
         utterances.append(Utterance(meta["id"], features, transcript, meta["domain_tag"]))
     return Corpus(name=header["name"], domain_tag=header["domain_tag"], vocabulary=vocab,

@@ -168,6 +168,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise binio.FormatError(f"{path}: corrupted record (expected one weight blob)")
     layout = [tuple(s) for s in header["layout"]]
     total = sum(int(np.prod(s)) for s in layout)
+    if len(records[0]) != 8 * total:
+        raise binio.FormatError(f"{path}: corrupted record (blob size)")
     flat = binio.unpack_floats(records[0], (total,))
     weights = []
     off = 0

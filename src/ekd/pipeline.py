@@ -347,7 +347,6 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
     original_dir = paths.snapshot_dir("student_original_labels")
     out_txt = paths.svcca / "trajectory.txt"
     out_diffs = paths.svcca / "layer_diffs.tsv"
-    dump_dir = paths.svcca / "activations"
 
     def reference_run(corpus) -> None:
         # Analysis-only supervised run on the target domain's true labels,
@@ -360,13 +359,12 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
         report = correlation_trajectory(
             _load_snapshots(original_dir), _load_snapshots(pseudo_dir), corpus, layers,
             n_frames=config.svcca.n_frames, seed=config.svcca.sample_seed,
-            variance_fraction=config.svcca.variance_fraction, dump_dir=dump_dir,
-            run_names=("original_labels", "pseudo_labels"))
+            variance_fraction=config.svcca.variance_fraction)
         binio.atomic_write_text(out_txt, report.to_text())
         binio.atomic_write_text(out_diffs, report.diffs_text())
 
     units = [_Unit("reference run", [original_dir], reference_run),
-             _Unit("report", [out_txt, out_diffs, dump_dir], build_report)]
+             _Unit("report", [out_txt, out_diffs], build_report)]
     _run_units("svcca", units, force, needs=[student_train, pseudo_dir],
                load=lambda: load_corpus(student_train))
 

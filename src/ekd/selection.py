@@ -190,16 +190,14 @@ def save_posteriors(path, posteriors: list[PosteriorSequence], model_id: str,
     z = posteriors[0].vocab_size if posteriors else 0
     header = {"model_id": model_id, "vocabulary_hash": vocabulary_hash,
               "vocab_size": z, "n_sequences": len(posteriors)}
-    records = [binio.encode_record({"id": p.utterance_id, "frames": p.num_frames}, p.probs)
+    records = [binio.encode_record({"id": p.utterance_id}, p.probs)
                for p in posteriors]
     binio.write_container(path, "posteriors", POSTERIORS_FORMAT_VERSION, header, records)
 
 
 def load_posteriors(path) -> tuple[dict, list[PosteriorSequence]]:
     header, records = binio.read_container(path, "posteriors", POSTERIORS_FORMAT_VERSION)
-    z = header["vocab_size"]
-    decoded = binio.decode_records(path, records, header["n_sequences"],
-                                   lambda m: (m["frames"], z))
+    decoded = binio.decode_records(path, records, header["n_sequences"], header["vocab_size"])
     return header, [PosteriorSequence(probs, meta["id"]) for meta, probs in decoded]
 
 
@@ -215,7 +213,6 @@ def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> No
     }
     records = [binio.encode_record({
         "id": o.selected_posteriors.utterance_id,
-        "frames": o.selected_posteriors.num_frames,
         "winning_teacher": o.winning_teacher,
         "per_teacher_scores": o.per_teacher_scores,
         "pseudo_transcript": [int(x) for x in o.pseudo_transcript],
@@ -227,7 +224,6 @@ def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> No
 def load_selection(path) -> CorpusSelection:
     header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
     strategy = Strategy(header["strategy"])
-    z = header["vocab_size"]
     outcomes = [SelectionOutcome(
         strategy=strategy,
         selected_posteriors=PosteriorSequence(probs, meta["id"]),
@@ -236,7 +232,7 @@ def load_selection(path) -> CorpusSelection:
         pseudo_transcript=np.asarray(meta["pseudo_transcript"], dtype=np.int64),
         sequence_confidence=meta["sequence_confidence"],
     ) for meta, probs in binio.decode_records(path, records, header["n_outcomes"],
-                                              lambda m: (m["frames"], z))]
+                                              header["vocab_size"])]
     return CorpusSelection(strategy=strategy, outcomes=outcomes,
                            win_counts=header["win_counts"],
                            skipped=[tuple(s) for s in header["skipped"]])

@@ -8,11 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binio
-
 logger = logging.getLogger(__name__)
 
-ACTIVATIONS_FORMAT_VERSION = 1
 RIDGE_SCALE = 1e-8
 
 
@@ -22,7 +19,6 @@ class ActivationMatrix:
 
     layer_name: str
     data: np.ndarray
-    source: tuple[str, int] = ("", 0)   # (model id, checkpoint step)
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -57,8 +53,7 @@ def svd_prune(acts: ActivationMatrix, variance_fraction: float = 0.99) -> Activa
     cumulative = np.cumsum(energy) / energy.sum()
     k = int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1)
     k = min(k, int(np.sum(s > 0)))
-    return ActivationMatrix(layer_name=acts.layer_name, data=centered @ vt[:k].T,
-                            source=acts.source)
+    return ActivationMatrix(layer_name=acts.layer_name, data=centered @ vt[:k].T)
 
 
 def _inv_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -140,21 +135,14 @@ class SvccaReport:
 
 def correlation_trajectory(run_a: list[tuple[int, object]], run_b: list[tuple[int, object]],
                            probe_corpus, layers: list[str], n_frames: int, seed: int,
-                           variance_fraction: float = 0.99,
-                           dump_dir=None, run_names: tuple[str, str] = ("run_a", "run_b"),
-                           ) -> SvccaReport:
+                           variance_fraction: float = 0.99) -> SvccaReport:
     """Layer-wise convergence trajectories of two runs over shared probe frames.
 
     For each run, every checkpoint is correlated against that run's final
     checkpoint; the report also carries the difference between the two runs'
     trajectories. Steps missing from either run are skipped with a warning.
-
-    With ``dump_dir`` set, every checkpoint's activations are also written
-    there as a dump file; existing dumps are overwritten, never read.
     """
-    from pathlib import Path
-
-    from .training import activation_frame_indices, dump_activations
+    from .training import dump_activations
 
     a_by_step = dict(run_a)
     b_by_step = dict(run_b)
@@ -164,20 +152,8 @@ def correlation_trajectory(run_a: list[tuple[int, object]], run_b: list[tuple[in
     if not steps:
         raise ValueError("runs share no checkpoint steps")
 
-    def acts_for(tag, run_by_step):
-        out = {}
-        for step, ckpt in run_by_step.items():
-            out[step] = dump_activations(ckpt, probe_corpus, n_frames, seed, source=(tag, step))
-            if dump_dir is not None:
-                total = sum(u.num_frames for u in probe_corpus.utterances)
-                save_activations(Path(dump_dir) / f"{tag}_step_{step:04d}.ekda", out[step],
-                                 activation_frame_indices(total, n_frames, seed))
-        return out
-
-    if dump_dir is not None:
-        Path(dump_dir).mkdir(parents=True, exist_ok=True)
-    acts_a = acts_for(run_names[0], {s: a_by_step[s] for s in steps})
-    acts_b = acts_for(run_names[1], {s: b_by_step[s] for s in steps})
+    acts_a = {s: dump_activations(a_by_step[s], probe_corpus, n_frames, seed) for s in steps}
+    acts_b = {s: dump_activations(b_by_step[s], probe_corpus, n_frames, seed) for s in steps}
     final = steps[-1]
     rho_a: dict[tuple[str, int], float] = {}
     rho_b: dict[tuple[str, int], float] = {}
@@ -188,27 +164,3 @@ def correlation_trajectory(run_a: list[tuple[int, object]], run_b: list[tuple[in
             rho_b[(layer, step)] = svcca(acts_b[step][layer], acts_b[final][layer],
                                          variance_fraction).mean_rho
     return SvccaReport(layers=list(layers), steps=steps, rho_a=rho_a, rho_b=rho_b)
-
-
-# -- activation dump files ----------------------------------------------------
-
-def save_activations(path, acts: dict[str, ActivationMatrix], frame_indices) -> None:
-    names = sorted(acts)
-    header = {
-        "layers": names,
-        "frame_indices": [int(i) for i in np.asarray(frame_indices)],
-        "sources": {name: list(acts[name].source) for name in names},
-    }
-    records = [binio.encode_record({"layer": name, "shape": list(acts[name].data.shape)},
-                                   acts[name].data) for name in names]
-    binio.write_container(path, "activations", ACTIVATIONS_FORMAT_VERSION, header, records)
-
-
-def load_activations(path) -> tuple[dict[str, ActivationMatrix], np.ndarray]:
-    header, records = binio.read_container(path, "activations", ACTIVATIONS_FORMAT_VERSION)
-    out: dict[str, ActivationMatrix] = {}
-    for meta, data in binio.decode_records(path, records, len(header["layers"]),
-                                           lambda m: m["shape"]):
-        source = tuple(header["sources"][meta["layer"]])
-        out[meta["layer"]] = ActivationMatrix(meta["layer"], data, (source[0], int(source[1])))
-    return out, np.asarray(header["frame_indices"], dtype=np.int64)

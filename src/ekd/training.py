@@ -1,5 +1,5 @@
 """Training loops for teachers (supervised CTC) and students (sequence-level
-distillation on selected soft labels), plus activation dumps for the
+distillation on selected soft labels), plus the activation matrices of the
 representation analysis."""
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from .ctc import LogitSequence, PosteriorSequence, ctc_loss, greedy_decode, log_
 from .kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
+from .svcca import ActivationMatrix
 from .wer import accumulate, wer
 
 logger = logging.getLogger(__name__)
@@ -243,15 +244,13 @@ def activation_frame_indices(total_frames: int, n_frames: int, seed: int) -> np.
     return np.sort(rng.choice(total_frames, size=n_frames, replace=False))
 
 
-def dump_activations(model: ModelCheckpoint, corpus: Corpus, n_frames: int, seed: int,
-                     source: tuple[str, int] = ("", 0)):
+def dump_activations(model: ModelCheckpoint, corpus: Corpus, n_frames: int,
+                     seed: int) -> dict[str, ActivationMatrix]:
     """Per-layer activation matrices on a fixed frame subsample.
 
     The subsample depends only on (total frames, n_frames, seed), so two
     models dumped over the same corpus see the same frames.
     """
-    from .svcca import ActivationMatrix
-
     per_layer: dict[str, list[np.ndarray]] = {}
     for utt in corpus.utterances:
         _, acts = forward_features(model, utt.features)
@@ -260,5 +259,5 @@ def dump_activations(model: ModelCheckpoint, corpus: Corpus, n_frames: int, seed
     stacked = {name: np.concatenate(blocks, axis=0) for name, blocks in per_layer.items()}
     total = next(iter(stacked.values())).shape[0]
     idx = activation_frame_indices(total, n_frames, seed)
-    return {name: ActivationMatrix(layer_name=name, data=mat[idx], source=source)
+    return {name: ActivationMatrix(layer_name=name, data=mat[idx])
             for name, mat in stacked.items()}

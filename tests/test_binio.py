@@ -1,5 +1,6 @@
 """Every artifact loader shares binio's record checks: a malformed record
 raises binio.FormatError instead of a low-level error or a silent load."""
+import re
 import struct
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 
 from ekd import binio
 from ekd.corpus import CORPUS_FORMAT_VERSION, Corpus, Utterance, load_corpus, save_corpus
+from ekd.model import (CHECKPOINT_FORMAT_VERSION, ModelConfig, init_model, load_checkpoint,
+                       save_checkpoint)
 from ekd.selection import (POSTERIORS_FORMAT_VERSION, SELECTION_FORMAT_VERSION, Strategy,
                            TeacherBundle, load_posteriors, load_selection, save_posteriors,
                            save_selection, select_corpus)
-from ekd.svcca import (ACTIVATIONS_FORMAT_VERSION, ActivationMatrix, load_activations,
-                       save_activations)
 from ekd.vocab import default_vocabulary
 
 from conftest import random_posteriors
@@ -34,17 +35,10 @@ def _write_selection(path, rng):
     save_selection(path, select_corpus(Strategy.ELITIST, bundles, 0), "hash123")
 
 
-def _write_activations(path, rng):
-    acts = {f"hidden_{i}": ActivationMatrix(f"hidden_{i}", rng.normal(size=(5, 3)), ("m", 1))
-            for i in range(2)}
-    save_activations(path, acts, np.arange(5))
-
-
 ARTIFACTS = {
     "corpus": (_write_corpus, load_corpus, CORPUS_FORMAT_VERSION),
     "posteriors": (_write_posteriors, load_posteriors, POSTERIORS_FORMAT_VERSION),
     "selection": (_write_selection, load_selection, SELECTION_FORMAT_VERSION),
-    "activations": (_write_activations, load_activations, ACTIVATIONS_FORMAT_VERSION),
 }
 
 
@@ -82,5 +76,16 @@ def test_bad_meta_json_rejected(tmp_path):
     meta = b"{not json"
     rec = struct.pack("<Q", len(meta)) + meta
     with pytest.raises(binio.FormatError, match="bad meta"):
-        binio.decode_records(tmp_path / "x", [rec], 1, lambda m: (0,))
+        binio.decode_records(tmp_path / "x", [rec], 1, 3)
 
+
+
+@pytest.mark.parametrize("missing", [8, 3])  # one float short, and not a whole float
+def test_checkpoint_blob_size_checked(tmp_path, missing):
+    path = tmp_path / "model.ekdm"
+    save_checkpoint(init_model(ModelConfig(hidden_sizes=(4,)), 2, 3, "hash123"), path)
+    header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header,
+                          [records[0][:-missing]])
+    with pytest.raises(binio.FormatError, match=re.escape(f"{path}: corrupted record (blob size)")):
+        load_checkpoint(path)

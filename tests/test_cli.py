@@ -94,7 +94,17 @@ def test_bad_override_reports_error(tmp_path):
                                            # wrong-shaped values of known keys
                                            ("teacher_domains=null", "teacher_domains"),
                                            ("word_length=3", "word_length"),
-                                           ("seeds=5", "seeds")])
+                                           ("seeds=5", "seeds"),
+                                           # wrongly typed values of known keys
+                                           ("lm_order=x", "lm_order"),
+                                           ("lm_order=true", "lm_order"),
+                                           ("train.epochs=abc", "train.epochs"),
+                                           ("train.learning_rate=abc", "train.learning_rate"),
+                                           ("feature_dim=2.5", "feature_dim"),
+                                           ("word_length=[a,b]", "word_length[0]"),
+                                           ("beam.beam_width=1.5", "beam.beam_width"),
+                                           ("svcca.n_frames=x", "svcca.n_frames"),
+                                           ("probe_wer_threshold=abc", "probe_wer_threshold")])
 def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
     out = tmp_path / "out"
     assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1

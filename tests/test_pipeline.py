@@ -7,7 +7,6 @@ from ekd.config import SvccaSettings
 from ekd.pipeline import (PipelineError, SeedPaths, output_root, run_pipeline, run_seed,
                           stage_decode, stage_report, stage_svcca, stage_train_student)
 from ekd.report import ResultTable
-from ekd.svcca import load_activations
 
 from conftest import compact_config
 
@@ -66,13 +65,7 @@ def test_svcca_outputs_exist(finished_run):
     assert len(diffs) == 1 + len(cfg.model.hidden_sizes)
     trajectory = (paths.svcca / "trajectory.txt").read_text()
     assert "rho_run_a" in trajectory
-    dumps = sorted((paths.svcca / "activations").glob("*.ekda"))
-    assert dumps, "per-checkpoint activation dumps should be persisted"
-    from ekd.svcca import load_activations
-
-    acts, idx = load_activations(dumps[0])
-    assert set(acts) == {f"hidden_{i}" for i in range(len(cfg.model.hidden_sizes))}
-    assert len(idx) == cfg.svcca.n_frames
+    assert sorted(p.name for p in paths.svcca.iterdir()) == ["layer_diffs.tsv", "trajectory.txt"]
 
 
 def test_svcca_resume_from_dumps(finished_run):
@@ -84,7 +77,7 @@ def test_svcca_resume_from_dumps(finished_run):
     (paths.svcca / "layer_diffs.tsv").unlink()
     from ekd.pipeline import stage_svcca
 
-    stage_svcca(cfg, seed, paths)  # rebuilds the report and its activation dumps
+    stage_svcca(cfg, seed, paths)  # rebuilds the report
     assert (paths.svcca / "trajectory.txt").read_bytes() == before
 
 
@@ -156,16 +149,12 @@ def test_forced_student_and_svcca_drop_stale_snapshots(finished_run, tmp_path):
     assert _trajectory_steps(paths) == [2, 3]
 
 
-def test_forced_svcca_rewrites_activation_dumps(finished_run, tmp_path):
+def test_forced_svcca_applies_new_settings(finished_run, tmp_path):
     cfg, paths = _copy_run(finished_run, tmp_path)
     before = (paths.svcca / "trajectory.txt").read_bytes()
     changed = dataclasses.replace(cfg, svcca=SvccaSettings(n_frames=100, variance_fraction=0.99,
                                                            sample_seed=99))
     stage_svcca(changed, paths.seed, paths, force=True)
-    dumps = sorted((paths.svcca / "activations").glob("*.ekda"))
-    assert dumps
-    for dump in dumps:
-        assert len(load_activations(dump)[1]) == 100
     assert (paths.svcca / "trajectory.txt").read_bytes() != before
 
 

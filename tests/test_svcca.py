@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ekd.svcca import (ActivationMatrix, cca, correlation_trajectory,
-                       load_activations, save_activations, svcca, svd_prune)
+from ekd.svcca import ActivationMatrix, cca, correlation_trajectory, svcca, svd_prune
 
 from oracles import brute_cca
 
@@ -208,21 +207,3 @@ def test_report_text_shape(rng):
     text = report.to_text()
     assert "mean_abs_diff" in text
     assert len([ln for ln in text.splitlines() if ln.startswith("hidden_0")]) == 3
-
-
-# -- activation files ----------------------------------------------------------------
-
-def test_activation_file_round_trip(tmp_path, rng):
-    acts = {"hidden_0": ActivationMatrix("hidden_0", rng.normal(size=(30, 4)), ("m", 2)),
-            "hidden_1": ActivationMatrix("hidden_1", rng.normal(size=(30, 3)), ("m", 2))}
-    idx = np.arange(30)
-    path = tmp_path / "a.ekda"
-    save_activations(path, acts, idx)
-    loaded, got_idx = load_activations(path)
-    assert np.array_equal(got_idx, idx)
-    for name in acts:
-        assert np.array_equal(loaded[name].data, acts[name].data)
-        assert loaded[name].source == ("m", 2)
-    again = tmp_path / "a2.ekda"
-    save_activations(again, loaded, got_idx)
-    assert again.read_bytes() == path.read_bytes()
