@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -214,8 +214,9 @@ def _build(cls, mapping, key: str = ""):
     """``cls`` from a mapping of some of its fields (absent ones take their
     defaults), converted by the field types. ValueError names the dotted
     config key (``key`` is the mapping's own, "" the root) of a non-mapping,
-    an unknown key, a list field given a non-list or a scalar of the wrong
-    type."""
+    an unknown key, a list field given a non-list, a fixed-length tuple field
+    given the wrong number of items, a scalar of the wrong type or the first
+    absent field that has no default."""
     if not isinstance(mapping, dict):
         raise ValueError(f"config key {key!r} must be a mapping")
     hints = typing.get_type_hints(cls)
@@ -223,7 +224,11 @@ def _build(cls, mapping, key: str = ""):
     unknown = [f"{prefix}{k}" for k in mapping if k not in hints]
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    return cls(**{k: _field(hints[k], v, f"{prefix}{k}") for k, v in mapping.items()})
+    values = {k: _field(hints[k], v, f"{prefix}{k}") for k, v in mapping.items()}
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"config key {prefix + f.name!r} is required")
+    return cls(**values)
 
 
 # The values a scalar field takes (an int is a valid float, a bool is not an int).
@@ -241,7 +246,12 @@ def _field(tp, value, key: str):
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config key {key!r} must be a list")
-        items = [_field(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+        if origin is tuple and args[-1] is not Ellipsis:  # tuple[X, Y]: one type per item
+            if len(value) != len(args):
+                raise ValueError(f"config key {key!r} must be a list of {len(args)} items")
+        else:
+            args = (args[0],) * len(value)
+        items = [_field(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value))]
         return tuple(items) if origin is tuple else items
     if tp in _SCALARS:  # enum fields are checked by their dataclass
         accepts, name = _SCALARS[tp]

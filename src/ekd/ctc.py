@@ -3,6 +3,12 @@
 The loss of a target label sequence is the negative log of the summed
 probability of every frame-level path that collapses to it (remove repeats,
 then blanks). All recursions run in the log domain with log-sum-exp.
+
+The backward variables (beta) are the forward recursion (alpha) run on
+reversed time over reversed states, so ``ctc_loss`` advances both in one
+frame loop over a packed row that holds alpha and the reversed beta side by
+side, each behind two ``-inf`` pad cells. It computes the same IEEE
+operations, in the same order, as separate alpha and beta passes.
 """
 from __future__ import annotations
 
@@ -122,6 +128,16 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int) -> CtcLossResult:
     normalized distribution). The returned gradient is with respect to the
     pre-softmax logits, in the standard posterior-minus-occupancy form, and is
     valid for any logits whose softmax equals ``exp(log_probs)``.
+
+    Over the S = 2L+1 blank-extended states, row k of one [T, 2(S+2)] array
+    is ``[-inf, -inf | alpha[k] | -inf, -inf | beta[T-1-k] reversed]``.
+    Beta's recursion on reversed states is alpha's, with the skip rule
+    reversed, so each frame is one stay+step ``logaddexp``, one masked skip
+    copy, one ``logaddexp`` and one emission add over the whole row. The
+    two pads between the halves pick up values from alpha's last states and
+    are reset to ``-inf`` by their ``-inf`` emission. The occupancy
+    scatter onto the z output symbols adds states in increasing ``s`` order,
+    as a per-state loop would.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     if lp.ndim != 2 or lp.shape[0] < 1:
@@ -147,36 +163,33 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int) -> CtcLossResult:
     skip_ok = np.zeros(S, dtype=bool)
     skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
 
+    # A cell of the packed row reads the cells 0, 1 and 2 places to its left
+    # in the previous row, so each half sits behind two -inf pads.
     lp_ext = lp[:, ext]  # [T, S]
+    W = 2 * (S + 2)
+    emit = np.full((T, W), NEG_INF)
+    emit[:, 2:S + 2] = lp_ext
+    emit[:, S + 4:] = lp_ext[::-1, ::-1]
+    skip_mask = np.zeros(W - 2, dtype=bool)
+    skip_mask[:S] = skip_ok
+    skip_mask[S + 4:] = skip_ok[::-1][:-2]  # the same rule on reversed states
 
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = lp_ext[0, 0]
-    if S > 1:
-        alpha[0, 1] = lp_ext[0, 1]
-    for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-        skip = np.where(skip_ok, skip, NEG_INF)
-        alpha[t] = np.logaddexp(np.logaddexp(stay, step), skip) + lp_ext[t]
+    rows = np.full((T, W), NEG_INF)
+    start = [2, 3, S + 4, S + 5]
+    rows[0, start] = emit[0, start]
+    skip = np.full(W - 2, NEG_INF)
+    for stay, step, jump, cur, e in zip(rows[:-1, 2:], rows[:-1, 1:-1], rows[:-1, :-2],
+                                        rows[1:, 2:], emit[1:, 2:]):
+        np.logaddexp(stay, step, out=cur)
+        np.copyto(skip, jump, where=skip_mask)
+        np.logaddexp(cur, skip, out=cur)
+        np.add(cur, e, out=cur)
 
+    alpha = rows[:, 2:S + 2]
+    beta = rows[::-1, S + 4:][:, ::-1]
     log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
     if not np.isfinite(log_p):
         raise ValueError("target has zero probability under the given posteriors")
-
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = lp_ext[T - 1, S - 1]
-    beta[T - 1, S - 2] = lp_ext[T - 1, S - 2]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [NEG_INF]))
-        skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-        skip_fwd = np.zeros(S, dtype=bool)
-        skip_fwd[:-2] = skip_ok[2:]
-        skip = np.where(skip_fwd, skip, NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(stay, step), skip) + lp_ext[t]
 
     # Occupancy of state s at frame t: alpha*beta double-counts the frame-t
     # emission, so divide by it once and normalize by the total probability.
@@ -186,7 +199,6 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int) -> CtcLossResult:
         occ = np.where(np.isneginf(ab), 0.0, np.exp(log_occ))
 
     gamma = np.zeros((T, z))
-    for s in range(S):
-        gamma[:, ext[s]] += occ[:, s]
+    np.add.at(gamma, (slice(None), ext), occ)
     grad = np.exp(lp) - gamma
     return CtcLossResult(loss=float(-log_p), grad_logits=grad)

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations used only by tests.
 
 Nothing here shares code with the production package: CTC is an explicit
-sum over every frame-level path, CCA is a generalized eigenproblem, edit
-distance is the textbook recursion, and the decoder oracle scores every
+sum over every frame-level path, or separate alpha and beta passes for the
+bit-exact check of the packed recursion; CCA is a generalized eigenproblem,
+edit distance is the textbook recursion, and the decoder oracle scores every
 collapsed label sequence exhaustively.
 """
 from __future__ import annotations
@@ -88,6 +89,71 @@ def fd_ctc_gradient(logits: np.ndarray, target, blank: int, eps: float = 1e-5) -
             dn[t, k] -= eps
             grad[t, k] = (loss_of(up) - loss_of(dn)) / (2 * eps)
     return grad
+
+
+def two_pass_ctc_loss(log_probs: np.ndarray, target, blank: int) -> tuple[float, np.ndarray]:
+    """CTC loss and logit gradient by separate alpha and beta passes, each
+    frame built with concatenate/where, and a per-state gamma loop: the
+    arithmetic ``ekd.ctc.ctc_loss`` must repeat bit for bit. Raises
+    ValueError with ``ctc_loss``'s messages on the same inputs."""
+    lp = np.asarray(log_probs, dtype=np.float64)
+    if lp.ndim != 2 or lp.shape[0] < 1:
+        raise ValueError("log_probs must be [T>=1, z]")
+    if np.any(np.isnan(lp)):
+        raise ValueError("NaN in log posteriors")
+    target = np.asarray(target, dtype=np.int64)
+    if target.size == 0:
+        raise ValueError("target must be non-empty")
+    T, z = lp.shape
+    if target.min() < 0 or target.max() >= z:
+        raise ValueError("target index out of range")
+    if np.any(target == blank):
+        raise ValueError("target must not contain the blank symbol")
+    min_frames = int(target.size + np.sum(target[1:] == target[:-1]))
+    if T < min_frames:
+        raise ValueError(f"target of length {target.size} needs {min_frames} frames, got {T}")
+
+    S = 2 * target.size + 1
+    ext = np.full(S, blank, dtype=np.int64)
+    ext[1::2] = target
+    skip_ok = np.zeros(S, dtype=bool)
+    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    lp_ext = lp[:, ext]
+    neg_inf = -np.inf
+
+    alpha = np.full((T, S), neg_inf)
+    alpha[0, 0] = lp_ext[0, 0]
+    alpha[0, 1] = lp_ext[0, 1]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        step = np.concatenate(([neg_inf], prev[:-1]))
+        skip = np.concatenate(([neg_inf, neg_inf], prev[:-2]))
+        skip = np.where(skip_ok, skip, neg_inf)
+        alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) + lp_ext[t]
+
+    log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
+    if not np.isfinite(log_p):
+        raise ValueError("target has zero probability under the given posteriors")
+
+    beta = np.full((T, S), neg_inf)
+    beta[T - 1, S - 1] = lp_ext[T - 1, S - 1]
+    beta[T - 1, S - 2] = lp_ext[T - 1, S - 2]
+    skip_fwd = np.zeros(S, dtype=bool)
+    skip_fwd[:-2] = skip_ok[2:]
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1]
+        step = np.concatenate((nxt[1:], [neg_inf]))
+        skip = np.concatenate((nxt[2:], [neg_inf, neg_inf]))
+        skip = np.where(skip_fwd, skip, neg_inf)
+        beta[t] = np.logaddexp(np.logaddexp(nxt, step), skip) + lp_ext[t]
+
+    ab = alpha + beta
+    with np.errstate(invalid="ignore", over="ignore"):
+        occ = np.where(np.isneginf(ab), 0.0, np.exp(ab - lp_ext - log_p))
+    gamma = np.zeros((T, z))
+    for s in range(S):
+        gamma[:, ext[s]] += occ[:, s]
+    return float(-log_p), np.exp(lp) - gamma
 
 
 # -- distillation / selection --------------------------------------------------

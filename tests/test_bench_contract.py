@@ -1,14 +1,18 @@
 """The names the traced benchmark (perfbench/run.py) requires of ekd still
-exist with the signatures it calls, checked in seconds instead of after a
-traced run. The benchmark script is parsed, not imported."""
+exist with the signatures it calls, and the arguments its span hooks
+(perfbench/spans.py) read by position are still the parameters they mean,
+checked in seconds instead of after a traced run. The benchmark files are
+parsed, not imported."""
 import ast
 import importlib
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+BENCH_SPANS = BENCH_RUN.parent / "spans.py"
 
 
 def _bench_constant(name: str):
@@ -46,3 +50,64 @@ def test_benchmark_stage_call_binds(stage):
     fn = getattr(pipeline, "stage_" + stage.replace("-", "_"))
     kwargs = {"force": False, **STAGE_KWARGS.get(stage, {})}
     inspect.signature(fn).bind("config", "seed", "paths", **kwargs)
+
+
+def _args_positions(node) -> set[int]:
+    """The constant indices ``i`` of every ``args[i]`` under ``node``."""
+    return {n.slice.value for n in ast.walk(node)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+            and n.value.id == "args" and isinstance(n.slice, ast.Constant)}
+
+
+def _span_argument_reads() -> dict[str, dict[int, str | None]]:
+    """Span name -> {position in ``args`` a hook reads: the keyword the same
+    value is looked up by first, or None}. The counter hooks come from the
+    ``_COUNT_HOOKS`` table, the keyword lookups from ``_variant``."""
+    tree = ast.parse(BENCH_SPANS.read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    hooks = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_COUNT_HOOKS" for t in n.targets))
+    reads: dict[str, dict[int, str | None]] = defaultdict(dict)
+    for span, entry in zip(hooks.keys, hooks.values):
+        for pos in _args_positions(defs[entry.elts[0].id]):
+            reads[span.value][pos] = None
+    for branch in ast.walk(defs["_variant"]):
+        if not (isinstance(branch, ast.If) and isinstance(branch.test, ast.Compare)):
+            continue
+        span = branch.test.comparators[0].value
+        for call in (n for stmt in branch.body for n in ast.walk(stmt)):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "get" and call.func.value.id == "kwargs"):
+                for pos in _args_positions(call.args[1]):
+                    reads[span][pos] = call.args[0].value
+    return reads
+
+
+SPAN_ARGUMENT_READS = _span_argument_reads()
+
+# The parameter each position read by perfbench/spans.py stands for.
+# ctc.ctc_loss's first argument is counted as one [T, z] utterance.
+SPAN_PARAMETERS = {
+    "ctc.ctc_loss": {0: "log_probs", 1: "target"},
+    "model.forward_features": {1: "features", 2: "with_cache"},
+    "beam.beam_decode": {0: "posteriors", 1: "lm"},
+    "binio.write_container": {0: "path"},
+    "binio.read_container": {0: "path"},
+    "selection.save_posteriors": {0: "path"},
+    "selection.save_selection": {0: "path"},
+}
+
+
+@pytest.mark.parametrize("span", sorted(SPAN_ARGUMENT_READS.keys() | SPAN_PARAMETERS.keys()))
+def test_span_hook_reads_the_parameter_it_means(span):
+    reads, names = SPAN_ARGUMENT_READS.get(span, {}), SPAN_PARAMETERS.get(span, {})
+    assert reads.keys() == names.keys(), (
+        f"{BENCH_SPANS.name} reads args {sorted(reads)} of {span}; this test names {sorted(names)}")
+    module_name, func_name = span.split(".")
+    func = getattr(importlib.import_module(f"ekd.{module_name}"), func_name)
+    params = list(inspect.signature(func).parameters.values())
+    for pos, name in names.items():
+        assert pos < len(params) and params[pos].name == name, (
+            f"ekd.{span} argument {pos} is no longer {name!r}")
+        assert params[pos].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert reads[pos] in (None, name), f"{BENCH_SPANS.name} looks up {reads[pos]!r}"

@@ -102,6 +102,11 @@ def test_bad_override_reports_error(tmp_path):
                                            ("train.learning_rate=abc", "train.learning_rate"),
                                            ("feature_dim=2.5", "feature_dim"),
                                            ("word_length=[a,b]", "word_length[0]"),
+                                           # fixed-length tuple fields given another length
+                                           ("word_length=[2]", "word_length"),
+                                           ("word_length=[2,3,4]", "word_length"),
+                                           ("student_domain.frames_per_symbol=[1,2,3]",
+                                            "student_domain.frames_per_symbol"),
                                            ("beam.beam_width=1.5", "beam.beam_width"),
                                            ("svcca.n_frames=x", "svcca.n_frames"),
                                            ("probe_wer_threshold=abc", "probe_wer_threshold")])
@@ -109,6 +114,18 @@ def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
     out = tmp_path / "out"
     assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("student_domain.frames_per_symbol=[3,4]", "student_domain.name"),
+    ("teacher_domains=[{name: x, train_size: 10}]", "teacher_domains[0].test_size")])
+def test_partial_domain_recipe_names_first_required_key(tmp_path, capsys, override, key):
+    """A recipe field with no default must be given: a partial entry is a CLI
+    error naming the first one missing, not a traceback."""
+    out = tmp_path / "out"
+    assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1
+    assert f"error: config key '{key}' is required" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekd.ctc import (InfeasibleTargetError, LogitSequence, PosteriorSequence,
-                     collapse_alignment, ctc_loss, greedy_decode, min_frames_for_target,
-                     softmax)
+                     collapse_alignment, ctc_loss, greedy_decode, log_softmax,
+                     min_frames_for_target, softmax)
 
 from conftest import random_posteriors
-from oracles import brute_ctc, fd_ctc_gradient
+from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss
 
 
 # -- softmax -------------------------------------------------------------------
@@ -157,6 +157,8 @@ def test_log_space_stability_tiny_probs():
     result = ctc_loss(np.log(probs), [0], blank=2)
     assert np.isfinite(result.loss)
     assert np.all(np.isfinite(result.grad_logits))
+    for target in ([0], [1], [0, 1, 0]):
+        _assert_matches_two_pass(np.log(probs), target, blank=2)
 
 
 def test_loss_has_probability_semantics(rng):
@@ -175,3 +177,80 @@ def test_repeated_symbol_counts_paths():
     probs = np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])
     result = ctc_loss(np.log(probs), [0, 0], blank=1)
     assert result.loss == pytest.approx(-math.log(0.6 * 0.7 * 0.5), rel=1e-12)
+
+
+# -- packed recursion against the two-pass reference ----------------------------
+
+def _assert_matches_two_pass(lp, target, blank):
+    """Same loss and gradient bits as the two-pass reference, or the same
+    ValueError message where the reference raises."""
+    try:
+        want_loss, want_grad = two_pass_ctc_loss(lp, target, blank)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            ctc_loss(lp, target, blank)
+        assert str(got.value) == str(err)
+        return
+    got = ctc_loss(lp, target, blank)
+    assert got.loss == want_loss
+    assert np.array_equal(got.grad_logits, want_grad)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_recursion_is_bit_identical_to_two_pass(data):
+    z = data.draw(st.integers(2, 12), label="z")
+    blank = data.draw(st.integers(0, z - 1), label="blank")
+    labels = [g for g in range(z) if g != blank]
+    # few distinct labels make repeats, which need a separating blank
+    n_labels = data.draw(st.integers(1, len(labels)), label="n_labels")
+    target = data.draw(st.lists(st.sampled_from(labels[:n_labels]), min_size=1, max_size=15),
+                       label="target")
+    need = min_frames_for_target(target)
+    T = need if data.draw(st.booleans(), label="T=min") else data.draw(st.integers(need, 40),
+                                                                       label="T")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    lp = log_softmax(rng.normal(size=(T, z)) * rng.uniform(0.1, 10.0))
+    if data.draw(st.booleans(), label="zeros"):
+        lp[rng.random((T, z)) < 0.15] = -np.inf   # exact-zero posteriors
+    _assert_matches_two_pass(lp, target, blank)
+
+
+def test_packed_recursion_matches_two_pass_on_exact_zeros():
+    probs = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])
+    with np.errstate(divide="ignore"):
+        lp = np.log(probs)
+    for target in ([0], [1], [0, 1], [1, 0], [0, 0]):
+        _assert_matches_two_pass(lp, target, blank=2)
+
+
+def test_packed_recursion_matches_two_pass_on_real_shapes(rng):
+    # utterance shapes of the default experiment: T about 60, L about 20, z 10
+    for _ in range(20):
+        T = int(rng.integers(50, 75))
+        target = rng.integers(0, 9, size=int(rng.integers(15, 25)))
+        T = max(T, min_frames_for_target(target))
+        lp = log_softmax(rng.normal(size=(T, 10)) * 3.0)
+        _assert_matches_two_pass(lp, target, blank=9)
+
+
+_UNIFORM = np.log(np.full((3, 3), 1 / 3))
+_NAN = _UNIFORM.copy()
+_NAN[1, 0] = np.nan
+with np.errstate(divide="ignore"):
+    _NO_LABEL = np.log(np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("lp, target, error", [
+    (_UNIFORM[:2], [0, 1, 0], InfeasibleTargetError),
+    (_UNIFORM[:2], [0, 0], InfeasibleTargetError),   # a repeat needs a blank between
+    (_NAN, [0], ValueError), (_UNIFORM, [0, 2], ValueError), (_UNIFORM, [], ValueError),
+    (_UNIFORM, [3], ValueError), (_NO_LABEL, [0], ValueError)],
+    ids=["infeasible", "infeasible-repeat", "nan", "blank", "empty", "out-of-range",
+         "zero-probability"])
+def test_errors_match_two_pass(lp, target, error):
+    with pytest.raises(ValueError) as want:
+        two_pass_ctc_loss(lp, target, blank=2)
+    with pytest.raises(error) as got:
+        ctc_loss(lp, target, blank=2)
+    assert str(got.value) == str(want.value)
