@@ -38,7 +38,7 @@ def run(config, seed: int, root: Path) -> None:
           f"({len(names)} teachers):")
     for strategy in config.strategies:
         result = load_selection(paths.selection_path(strategy))
-        parts = [wer(refs[o.selected_posteriors.utterance_id],
+        parts = [wer(refs[o.utterance_id],
                      vocab.indices_to_words(o.pseudo_transcript)) for o in result.outcomes]
         confidences = [o.sequence_confidence for o in result.outcomes]
         line = (f"  {strategy:18s} pseudo-label WER {accumulate(parts).wer:6.3f}  "

@@ -14,7 +14,7 @@ from .ctc import (CtcLossResult, InfeasibleTargetError, LogitSequence, Posterior
                   collapse_alignment, ctc_loss, greedy_decode, softmax)
 from .kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
 from .lm import NgramLm, load_arpa, perplexity, save_arpa, train_lm
-from .model import ModelCheckpoint, ModelConfig, forward, init_model, load_checkpoint, save_checkpoint
+from .model import ModelCheckpoint, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import run_pipeline
 from .selection import (CorpusSelection, SelectionOutcome, Strategy, TeacherBundle,
                         elitist_scores, elitist_select, framewise_max, select_corpus,

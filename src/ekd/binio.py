@@ -2,11 +2,12 @@
 
 Layout: magic | u32 version | u64 header_len | header JSON (sorted keys,
 carries a "kind" tag) | u64 n_records | n_records x (u64 len | payload).
-Corpus, posterior and selection records are each u64 meta_len | meta JSON
-(sorted keys, with the array's "frames") | [frames, width] float64 array,
-built and checked only here; checkpoints hold one bare float64 record. All
-integers little-endian; float payloads are little-endian float64 so files
-round-trip bit-exactly across platforms.
+Every record of every artifact (corpus, posteriors, selection, checkpoint)
+is u64 meta_len | meta JSON (sorted keys, with the array's "frames") |
+[frames, width] float64 array, built and checked only here; a selection
+record's array is empty ([0, 0]). All integers little-endian; float
+payloads are little-endian float64 so files round-trip bit-exactly across
+platforms.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import json
 import os
 import struct
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -22,15 +24,6 @@ MAGIC = b"EKD1"
 
 class FormatError(ValueError):
     """Raised on bad magic, version/kind mismatch, or a corrupted record."""
-
-
-def pack_floats(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
-def unpack_floats(buf: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.frombuffer(buf, dtype="<f8").astype(np.float64)
-    return arr.reshape(shape)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -100,24 +93,23 @@ def encode_record(meta: dict, values: np.ndarray) -> bytes:
     """One record payload: u64 meta length | meta JSON plus the row count as
     "frames" | float64 values of a [frames, width] matrix."""
     blob = encode_header({**meta, "frames": values.shape[0]})
-    return struct.pack("<Q", len(blob)) + blob + pack_floats(values)
+    return struct.pack("<Q", len(blob)) + blob + np.asarray(values, dtype="<f8").tobytes()
 
 
-def decode_records(path: str | Path, records: list[bytes], expected: int,
-                   width: int) -> list[tuple[dict, np.ndarray]]:
+def decode_records(path: str | Path, records: list[bytes],
+                   widths: Sequence[int]) -> list[tuple[dict, np.ndarray]]:
     """Checked inverse of :func:`encode_record` over a container's records.
 
-    ``expected`` is the record count the header claims and ``width`` the
-    column count of every record's matrix. Any disagreement raises
-    :class:`FormatError`.
+    ``widths`` holds the column count of each record's matrix, one per
+    record the header claims. Any disagreement raises :class:`FormatError`.
     """
     def corrupted(what: str) -> FormatError:
         return FormatError(f"{path}: corrupted record ({what})")
 
-    if len(records) != expected:
-        raise corrupted(f"record count: header says {expected}, file has {len(records)}")
+    if len(records) != len(widths):
+        raise corrupted(f"record count: header says {len(widths)}, file has {len(records)}")
     out = []
-    for rec in records:
+    for rec, width in zip(records, widths):
         if len(rec) < 8:
             raise corrupted("missing meta length")
         (mlen,) = struct.unpack("<Q", rec[:8])
@@ -132,5 +124,6 @@ def decode_records(path: str | Path, records: list[bytes], expected: int,
         blob = rec[8 + mlen:]
         if len(blob) != nbytes:
             raise corrupted("blob size")
-        out.append((meta, unpack_floats(blob, (frames, width))))
+        values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        out.append((meta, values.reshape(frames, width)))
     return out

@@ -233,8 +233,8 @@ def load_corpus(path) -> Corpus:
     if vocab.content_hash() != header["vocabulary_hash"]:
         raise binio.FormatError(f"{path}: vocabulary-hash mismatch")
     utterances = []
-    for meta, features in binio.decode_records(path, records, header["n_utterances"],
-                                               header["feature_dim"]):
+    widths = [header["feature_dim"]] * header["n_utterances"]
+    for meta, features in binio.decode_records(path, records, widths):
         transcript = None if meta["transcript"] is None else np.asarray(meta["transcript"], dtype=np.int64)
         utterances.append(Utterance(meta["id"], features, transcript, meta["domain_tag"]))
     return Corpus(name=header["name"], domain_tag=header["domain_tag"], vocabulary=vocab,

@@ -72,16 +72,12 @@ class CtcLossResult:
     grad_logits: np.ndarray     # [T, z], d(loss)/d(pre-softmax logits)
 
 
-def softmax(logits: LogitSequence, temperature: float = 1.0) -> PosteriorSequence:
-    """Row-wise softmax at the given temperature."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+def softmax(logits: LogitSequence) -> PosteriorSequence:
+    """Row-wise softmax."""
     v = logits.values
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite logits")
-    scaled = v / temperature
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
+    e = np.exp(v - v.max(axis=1, keepdims=True))
     return PosteriorSequence(e / e.sum(axis=1, keepdims=True), logits.utterance_id)
 
 

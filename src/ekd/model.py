@@ -8,10 +8,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import binio
-from .corpus import Utterance
-from .ctc import LogitSequence
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -123,12 +121,6 @@ def forward_features(model: ModelCheckpoint, features: np.ndarray,
     return logits, activations
 
 
-def forward(model: ModelCheckpoint, utterance: Utterance) -> tuple[LogitSequence, dict[str, np.ndarray]]:
-    """Frame-synchronous forward pass: one logit row per input frame."""
-    logits, activations = forward_features(model, utterance.features)
-    return LogitSequence(logits, utterance.id), activations
-
-
 def backward_features(model: ModelCheckpoint, cache, grad_logits: np.ndarray) -> list[np.ndarray]:
     """Gradients for every weight given d(loss)/d(logits)."""
     inputs, pres = cache
@@ -148,37 +140,27 @@ def backward_features(model: ModelCheckpoint, cache, grad_logits: np.ndarray) ->
 
 
 def save_checkpoint(model: ModelCheckpoint, path) -> None:
-    layout = [list(w.shape) for w in model.weights]
+    """One record per weight array: a weight matrix as [in, out], a bias as
+    [1, out]. The shapes are not stored; they follow from the header."""
     header = {
         "config": asdict(model.config),
         "feature_dim": model.feature_dim,
         "vocab_size": model.vocab_size,
         "vocabulary_hash": model.vocabulary_hash,
-        "layout": layout,
         "training_meta": model.training_meta,
     }
-    flat = np.concatenate([w.ravel() for w in model.weights])
-    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header,
-                          [binio.pack_floats(flat)])
+    records = [binio.encode_record({}, w.reshape(-1, w.shape[-1])) for w in model.weights]
+    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
     header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
-    if len(records) != 1:
-        raise binio.FormatError(f"{path}: corrupted record (expected one weight blob)")
-    layout = [tuple(s) for s in header["layout"]]
-    total = sum(int(np.prod(s)) for s in layout)
-    if len(records[0]) != 8 * total:
-        raise binio.FormatError(f"{path}: corrupted record (blob size)")
-    flat = binio.unpack_floats(records[0], (total,))
-    weights = []
-    off = 0
-    for shape in layout:
-        n = int(np.prod(shape))
-        weights.append(flat[off:off + n].reshape(shape))
-        off += n
+    config = ModelConfig(**header["config"])
+    shapes = layer_shapes(config, header["feature_dim"], header["vocab_size"])
+    decoded = binio.decode_records(path, records, [shape[-1] for shape in shapes])
+    weights = [w if len(shape) == 2 else w.reshape(-1) for (_, w), shape in zip(decoded, shapes)]
     return ModelCheckpoint(
-        config=ModelConfig(**header["config"]),
+        config=config,
         feature_dim=int(header["feature_dim"]),
         vocab_size=int(header["vocab_size"]),
         weights=weights,

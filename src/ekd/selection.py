@@ -21,7 +21,7 @@ from .ctc import PosteriorSequence, greedy_decode
 
 logger = logging.getLogger(__name__)
 
-SELECTION_FORMAT_VERSION = 1
+SELECTION_FORMAT_VERSION = 2
 POSTERIORS_FORMAT_VERSION = 1
 
 
@@ -53,8 +53,12 @@ class TeacherBundle:
 
 @dataclass
 class SelectionOutcome:
+    """One utterance's training target. ``selected_posteriors`` is set only
+    on outcomes a strategy returns; selection files do not store them."""
+
     strategy: Strategy
-    selected_posteriors: PosteriorSequence
+    utterance_id: str
+    selected_posteriors: PosteriorSequence | None
     winning_teacher: int | None
     per_teacher_scores: list[float] | None
     pseudo_transcript: np.ndarray
@@ -83,6 +87,7 @@ def teacher_average(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     selected = PosteriorSequence(mean, bundle.utterance_id)
     return SelectionOutcome(
         strategy=Strategy.TEACHER_AVERAGE,
+        utterance_id=bundle.utterance_id,
         selected_posteriors=selected,
         winning_teacher=None,
         per_teacher_scores=None,
@@ -101,6 +106,7 @@ def framewise_max(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     selected = PosteriorSequence(composed, bundle.utterance_id)
     return SelectionOutcome(
         strategy=Strategy.FRAMEWISE_MAX,
+        utterance_id=bundle.utterance_id,
         selected_posteriors=selected,
         winning_teacher=None,
         per_teacher_scores=None,
@@ -120,6 +126,7 @@ def elitist_select(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     selected = bundle.per_teacher_posteriors[winner]
     return SelectionOutcome(
         strategy=Strategy.ELITIST,
+        utterance_id=bundle.utterance_id,
         selected_posteriors=selected,
         winning_teacher=winner,
         per_teacher_scores=scores,
@@ -197,27 +204,25 @@ def save_posteriors(path, posteriors: list[PosteriorSequence], model_id: str,
 
 def load_posteriors(path) -> tuple[dict, list[PosteriorSequence]]:
     header, records = binio.read_container(path, "posteriors", POSTERIORS_FORMAT_VERSION)
-    decoded = binio.decode_records(path, records, header["n_sequences"], header["vocab_size"])
+    decoded = binio.decode_records(path, records, [header["vocab_size"]] * header["n_sequences"])
     return header, [PosteriorSequence(probs, meta["id"]) for meta, probs in decoded]
 
 
 def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> None:
-    z = selection.outcomes[0].selected_posteriors.vocab_size if selection.outcomes else 0
     header = {
         "strategy": selection.strategy.value,
         "vocabulary_hash": vocabulary_hash,
-        "vocab_size": z,
         "win_counts": selection.win_counts,
         "skipped": list(selection.skipped),
         "n_outcomes": len(selection.outcomes),
     }
     records = [binio.encode_record({
-        "id": o.selected_posteriors.utterance_id,
+        "id": o.utterance_id,
         "winning_teacher": o.winning_teacher,
         "per_teacher_scores": o.per_teacher_scores,
         "pseudo_transcript": [int(x) for x in o.pseudo_transcript],
         "sequence_confidence": o.sequence_confidence,
-    }, o.selected_posteriors.probs) for o in selection.outcomes]
+    }, np.zeros((0, 0))) for o in selection.outcomes]
     binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
 
 
@@ -226,13 +231,13 @@ def load_selection(path) -> CorpusSelection:
     strategy = Strategy(header["strategy"])
     outcomes = [SelectionOutcome(
         strategy=strategy,
-        selected_posteriors=PosteriorSequence(probs, meta["id"]),
+        utterance_id=meta["id"],
+        selected_posteriors=None,
         winning_teacher=meta["winning_teacher"],
         per_teacher_scores=meta["per_teacher_scores"],
         pseudo_transcript=np.asarray(meta["pseudo_transcript"], dtype=np.int64),
         sequence_confidence=meta["sequence_confidence"],
-    ) for meta, probs in binio.decode_records(path, records, header["n_outcomes"],
-                                              header["vocab_size"])]
+    ) for meta, _ in binio.decode_records(path, records, [0] * header["n_outcomes"])]
     return CorpusSelection(strategy=strategy, outcomes=outcomes,
                            win_counts=header["win_counts"],
                            skipped=[tuple(s) for s in header["skipped"]])

@@ -190,7 +190,7 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
                          "student training")
     vocab = target_corpus.vocabulary
     blank = vocab.blank_index
-    by_id = {o.selected_posteriors.utterance_id: o for o in selections}
+    by_id = {o.utterance_id: o for o in selections}
     covered = []
     for utt in target_corpus.utterances:
         if utt.id not in by_id:

@@ -35,7 +35,12 @@ def _write_selection(path, rng):
     save_selection(path, select_corpus(Strategy.ELITIST, bundles, 0), "hash123")
 
 
+def _write_checkpoint(path, rng):
+    save_checkpoint(init_model(ModelConfig(hidden_sizes=(4,)), 2, 3, "hash123"), path)
+
+
 ARTIFACTS = {
+    "checkpoint": (_write_checkpoint, load_checkpoint, CHECKPOINT_FORMAT_VERSION),
     "corpus": (_write_corpus, load_corpus, CORPUS_FORMAT_VERSION),
     "posteriors": (_write_posteriors, load_posteriors, POSTERIORS_FORMAT_VERSION),
     "selection": (_write_selection, load_selection, SELECTION_FORMAT_VERSION),
@@ -76,16 +81,15 @@ def test_bad_meta_json_rejected(tmp_path):
     meta = b"{not json"
     rec = struct.pack("<Q", len(meta)) + meta
     with pytest.raises(binio.FormatError, match="bad meta"):
-        binio.decode_records(tmp_path / "x", [rec], 1, 3)
-
+        binio.decode_records(tmp_path / "x", [rec], [3])
 
 
 @pytest.mark.parametrize("missing", [8, 3])  # one float short, and not a whole float
-def test_checkpoint_blob_size_checked(tmp_path, missing):
+def test_checkpoint_blob_size_checked(tmp_path, rng, missing):
     path = tmp_path / "model.ekdm"
-    save_checkpoint(init_model(ModelConfig(hidden_sizes=(4,)), 2, 3, "hash123"), path)
+    _write_checkpoint(path, rng)
     header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
-    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header,
-                          [records[0][:-missing]])
+    records[2] = records[2][:-missing]  # the second weight matrix
+    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
     with pytest.raises(binio.FormatError, match=re.escape(f"{path}: corrupted record (blob size)")):
         load_checkpoint(path)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from ekd.corpus import Utterance
-from ekd.ctc import softmax
-from ekd.model import (ModelCheckpoint, ModelConfig, context_expand, forward,
-                       forward_features, init_model, layer_shapes, load_checkpoint,
-                       save_checkpoint)
+from ekd.ctc import LogitSequence, softmax
+from ekd.model import (ModelCheckpoint, ModelConfig, context_expand, forward_features,
+                       init_model, layer_shapes, load_checkpoint, save_checkpoint)
 
 
 def make_model(seed=0, F=5, z=4, hidden=(8, 6), window=1):
@@ -32,27 +30,25 @@ def test_zero_weight_model_uniform_posteriors(rng):
     model = make_model()
     for w in model.weights:
         w[:] = 0.0
-    utt = Utterance("u", rng.normal(size=(7, 5)))
-    logits, acts = forward(model, utt)
-    assert not logits.values.any()
-    posts = softmax(logits)
+    logits, acts = forward_features(model, rng.normal(size=(7, 5)))
+    assert not logits.any()
+    posts = softmax(LogitSequence(logits))
     assert np.allclose(posts.probs, 0.25)
     assert set(acts) == {"hidden_0", "hidden_1"}
 
 
 def test_forward_deterministic(rng):
-    utt = Utterance("u", rng.normal(size=(6, 5)))
-    a, _ = forward(make_model(seed=3), utt)
-    b, _ = forward(make_model(seed=3), utt)
-    assert np.array_equal(a.values, b.values)
-    c, _ = forward(make_model(seed=4), utt)
-    assert not np.array_equal(a.values, c.values)
+    features = rng.normal(size=(6, 5))
+    a, _ = forward_features(make_model(seed=3), features)
+    b, _ = forward_features(make_model(seed=3), features)
+    assert np.array_equal(a, b)
+    c, _ = forward_features(make_model(seed=4), features)
+    assert not np.array_equal(a, c)
 
 
 def test_frame_synchronous(rng):
-    utt = Utterance("u", rng.normal(size=(9, 5)))
-    logits, acts = forward(make_model(), utt)
-    assert logits.values.shape == (9, 4)
+    logits, acts = forward_features(make_model(), rng.normal(size=(9, 5)))
+    assert logits.shape == (9, 4)
     assert acts["hidden_0"].shape == (9, 8)
 
 

@@ -1,9 +1,12 @@
 import dataclasses
 import shutil
 
+import numpy as np
 import pytest
 
+from ekd import binio
 from ekd.config import SvccaSettings
+from ekd.model import load_checkpoint
 from ekd.pipeline import (PipelineError, SeedPaths, output_root, run_pipeline, run_seed,
                           stage_decode, stage_report, stage_svcca, stage_train_student)
 from ekd.report import ResultTable
@@ -179,6 +182,24 @@ def test_missing_upstream_artifact_names_file(tmp_path):
     paths.ensure()
     with pytest.raises(PipelineError, match="gen-data"):
         stage_decode(cfg, cfg.seeds[0], paths)
+
+
+def test_resume_over_version_1_checkpoint_names_stage(finished_run, tmp_path):
+    # A root written before checkpoints moved to one record per weight array:
+    # version 1 kept the shapes in the header and every weight in one blob.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    name = cfg.teacher_domains[0].name
+    model = load_checkpoint(paths.teacher_path(name))
+    header = {"config": dataclasses.asdict(model.config), "feature_dim": model.feature_dim,
+              "vocab_size": model.vocab_size, "vocabulary_hash": model.vocabulary_hash,
+              "layout": [list(w.shape) for w in model.weights],
+              "training_meta": model.training_meta}
+    blob = np.concatenate([w.ravel() for w in model.weights]).astype("<f8").tobytes()
+    binio.write_container(paths.teacher_path(name), "checkpoint", 1, header, [blob])
+    paths.posteriors_path(name).unlink()
+    with pytest.raises(PipelineError, match=r"stage 'decode'.*version mismatch \(file 1, "
+                                            r"expected 2\)"):
+        run_seed(cfg, paths.seed, tmp_path / "copy")
 
 
 def test_stage_failure_names_stage(tmp_path, monkeypatch):

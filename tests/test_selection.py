@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+from ekd import binio
+from ekd.config import build_transform
+from ekd.corpus import DomainSpec, generate_corpus
 from ekd.ctc import PosteriorSequence, greedy_decode
-from ekd.selection import (Strategy, TeacherBundle, elitist_scores,
+from ekd.kd import KdConfig
+from ekd.model import ModelConfig
+from ekd.selection import (SELECTION_FORMAT_VERSION, Strategy, TeacherBundle, elitist_scores,
                            elitist_select, framewise_max, load_posteriors, load_selection,
                            save_posteriors, save_selection, select_corpus, teacher_average)
+from ekd.training import TrainConfig, train_student
+from ekd.vocab import default_vocabulary
 
 from conftest import random_posteriors
 from oracles import naive_mean, two_pass_confidence
@@ -253,13 +260,40 @@ def test_selection_round_trip(tmp_path, rng):
     assert loaded.skipped == result.skipped
     assert len(loaded.outcomes) == len(result.outcomes)
     for a, b in zip(result.outcomes, loaded.outcomes):
-        assert np.array_equal(a.selected_posteriors.probs, b.selected_posteriors.probs)
+        assert b.utterance_id == a.utterance_id
+        assert b.selected_posteriors is None
         assert np.array_equal(a.pseudo_transcript, b.pseudo_transcript)
         assert a.sequence_confidence == b.sequence_confidence
         assert a.winning_teacher == b.winning_teacher
+        assert a.per_teacher_scores == b.per_teacher_scores
+    _, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    decoded = binio.decode_records(path, records, [0] * len(records))
+    assert [values.shape for _, values in decoded] == [(0, 0)] * len(result.outcomes)
     again = tmp_path / "s2.ekds"
     save_selection(again, loaded, "hash123")
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_student_trains_the_same_on_a_loaded_selection(tmp_path, rng):
+    # The pipeline trains students on load_selection outcomes, which carry no
+    # posteriors; the result must equal training on the in-memory outcomes.
+    vocab = default_vocabulary("abcd")
+    scale, bias = build_transform(6, 0.5, 42)
+    spec = DomainSpec("dom", 0.25, scale, bias, (2, 3), (2, 4), ("ab", "cd", "bca", "da"))
+    corpus = generate_corpus(spec, vocab, 12, seed=3).without_transcripts()
+    bundles = [TeacherBundle(u.id, [random_posteriors(rng, u.num_frames, vocab.size, u.id)
+                                    for _ in range(2)]) for u in corpus.utterances]
+    selection = select_corpus(Strategy.ELITIST, bundles, vocab.blank_index)
+    path = tmp_path / "s.ekds"
+    save_selection(path, selection, vocab.content_hash())
+
+    def train(outcomes):
+        return train_student(outcomes, corpus, ModelConfig(hidden_sizes=(8,), seed=1),
+                             TrainConfig(epochs=2, batch_size=4, seed=2), KdConfig())
+
+    in_memory, loaded = train(selection.outcomes), train(load_selection(path).outcomes)
+    assert all(np.array_equal(a, b) for a, b in zip(in_memory.weights, loaded.weights))
+    assert in_memory.training_meta == loaded.training_meta
 
 
 def test_summary_text_counts(rng):
