@@ -6,6 +6,23 @@ supplied, ``lm_weight * ln p_lm`` for every completed word and a per-word
 insertion bonus. Word boundaries are the vocabulary's separator symbol; the
 trailing partial word and the sentence end are scored at finalization.
 
+The beam is three arrays: score, prefix id and last symbol. A frame scores
+every extension at once as ``score[:, None] + log_probs[t]``, the same IEEE
+additions as extending one hypothesis at a time; a separator that completes
+a word then adds the bonus and the LM term, in that order. Prefixes are
+interned: per id a table holds the symbol tuple, partial word, LM context,
+the word's LM term (one LM query per id) and the merge key of each
+extension. An extension whose child prefix is not interned yet has a
+virtual key, negative and derived from (parent id, symbol); only extensions
+that survive the frame's pruning are interned.
+
+Equal (prefix, last) keys merge by maximum score; the key fixes partial
+word, context and word count, so tied duplicates are identical. The
+``beam_width`` best keys survive, and only candidates tied at the cut-off
+score are ranked by (prefix tuple, last). Order within the beam never
+matters: finalization visits hypotheses by (prefix, last) and keeps the
+first strict maximum.
+
 With beam_width=1, no LM and zero bonus this reduces exactly to greedy
 decoding (the single kept state always extends by the frame argmax).
 """
@@ -37,22 +54,6 @@ class BeamConfig:
             raise ValueError("lm_weight must be >= 0")
 
 
-class _Hyp:
-    __slots__ = ("prefix", "last", "score", "context", "partial", "n_words")
-
-    def __init__(self, prefix, last, score, context, partial, n_words):
-        self.prefix = prefix      # collapsed symbol indices so far
-        self.last = last          # last path symbol (NO_LAST after blank/start)
-        self.score = score        # acoustic + committed LM + committed bonus
-        self.context = context    # completed words (trimmed to LM order)
-        self.partial = partial    # graphemes of the in-progress word
-        self.n_words = n_words
-
-
-def _word_of(partial: tuple[int, ...], vocab: Vocabulary) -> str:
-    return "".join(vocab.graphemes[i] for i in partial)
-
-
 def beam_decode(posteriors: PosteriorSequence, lm: NgramLm | None,
                 config: BeamConfig, vocab: Vocabulary) -> list[str]:
     """Best word sequence under acoustic + (optional) LM + bonus scoring."""
@@ -65,57 +66,102 @@ def beam_decode(posteriors: PosteriorSequence, lm: NgramLm | None,
     fuse = lm is not None and config.lm_weight > 0
     lm_scale = config.lm_weight * LN10
     bonus = config.word_insertion_bonus
+    width = config.beam_width
+    span = z + 1  # a merge key is prefix id * span + (last symbol + 1)
 
-    def commit_word(hyp_score, context, partial, n_words):
-        word = _word_of(partial, vocab)
-        score = hyp_score + bonus
-        if fuse:
-            score += lm_scale * lm.log10_prob(word, context)
-            if lm.order > 1:
-                context = (context + (word if word in lm.vocabulary else UNK,))[-(lm.order - 1):]
-        return score, context, n_words + 1
+    # Prefix table; each frame interns at most `width` prefixes. keys[p, g]
+    # starts virtual (the key of child id -(p*z + g) - 1), and blank keeps p.
+    # adds[p] is what a separator adds to p's score: (bonus, LM term) when p
+    # ends in a partial word, else zeros. ends[p] is p's context once that
+    # word is in.
+    ids = np.arange(1 + T * width)[:, None]
+    symbols = np.arange(z)
+    keys = (-(ids * z + symbols) - 1) * span + symbols + 1
+    keys[:, blank] = ids[:, 0] * span
+    adds = np.zeros((len(ids), 2))
+    prefixes: list[tuple[int, ...]] = []
+    partials: list[tuple[int, ...]] = []
+    contexts: list[tuple[str, ...]] = []
+    ends: list[tuple[str, ...]] = []
 
-    start_context = (BOS,) * (lm.order - 1) if fuse else ()
-    beams: dict[tuple, _Hyp] = {}
-    start = _Hyp(prefix=(), last=NO_LAST, score=0.0, context=start_context, partial=(), n_words=0)
-    beams[(start.prefix, start.last)] = start
+    def intern(prefix, partial, context) -> int:
+        p = len(prefixes)
+        end = context
+        if partial:
+            adds[p, 0] = bonus
+            if fuse:
+                word = "".join(vocab.graphemes[i] for i in partial)
+                adds[p, 1] = lm_scale * lm.log10_prob(word, context)
+                if lm.order > 1:
+                    end = (context + (word if word in lm.vocabulary else UNK,))[-(lm.order - 1):]
+        prefixes.append(prefix)
+        partials.append(partial)
+        contexts.append(context)
+        ends.append(end)
+        return p
 
+    def state(key: int) -> tuple[tuple[int, ...], int]:
+        p, last = divmod(key, span)
+        if p >= 0:
+            return prefixes[p], last - 1
+        parent, g = divmod(-p - 1, z)
+        return prefixes[parent] + (g,), last - 1
+
+    # The beam: per hypothesis its score, prefix id, last symbol and own key.
+    beam_score = [0.0]
+    beam_pid = [intern((), (), (BOS,) * (lm.order - 1) if fuse else ())]
+    beam_last = [NO_LAST]
+    beam_key = [0]
+    rows = np.arange(width)
     for t in range(T):
-        frame = lp[t]
-        nxt: dict[tuple, _Hyp] = {}
-        for hyp in beams.values():
-            for g in range(z):
-                score = hyp.score + frame[g]
-                if g == blank:
-                    cand = _Hyp(hyp.prefix, NO_LAST, score, hyp.context, hyp.partial, hyp.n_words)
-                elif g == hyp.last:
-                    cand = _Hyp(hyp.prefix, g, score, hyp.context, hyp.partial, hyp.n_words)
-                elif g == sep:
-                    context, partial, n_words = hyp.context, hyp.partial, hyp.n_words
-                    if partial:
-                        score, context, n_words = commit_word(score, context, partial, n_words)
-                        partial = ()
-                    cand = _Hyp(hyp.prefix + (g,), g, score, context, partial, n_words)
+        pid = np.array(beam_pid)
+        scores = np.array(beam_score)[:, None] + lp[t]
+        add = adds[pid]
+        scores[:, sep] += add[:, 0]
+        scores[:, sep] += add[:, 1]
+        cand = keys[pid]
+        # Blank and a repeated symbol keep the row's own (prefix, last) key.
+        cand[rows[:len(pid)], [blank if g == NO_LAST else g for g in beam_last]] = beam_key
+        flat_score = scores.ravel().tolist()
+        flat_key = cand.ravel().tolist()
+        kept: dict[int, float] = {}
+        cutoff = None
+        for c in np.argsort(-scores, axis=None).tolist():
+            score = flat_score[c]
+            if cutoff is not None and score < cutoff:
+                break
+            if flat_key[c] not in kept:
+                kept[flat_key[c]] = score
+                if len(kept) == width:
+                    cutoff = score
+        survivors = list(kept.items())
+        if len(survivors) > width:
+            survivors.sort(key=lambda kv: (-kv[1], *state(kv[0])))
+            del survivors[width:]
+        beam_score, beam_pid, beam_last, beam_key = [], [], [], []
+        for key, score in survivors:
+            p, last = divmod(key, span)
+            if p < 0:
+                parent, g = divmod(-p - 1, z)
+                if g == sep:
+                    p = intern(prefixes[parent] + (g,), (), ends[parent])
                 else:
-                    cand = _Hyp(hyp.prefix + (g,), g, score, hyp.context,
-                                hyp.partial + (g,), hyp.n_words)
-                key = (cand.prefix, cand.last)
-                kept = nxt.get(key)
-                if kept is None or cand.score > kept.score:
-                    nxt[key] = cand
-        ranked = sorted(nxt.values(), key=lambda h: (-h.score, h.prefix, h.last))
-        beams = {(h.prefix, h.last): h for h in ranked[:config.beam_width]}
+                    p = intern(prefixes[parent] + (g,), partials[parent] + (g,), contexts[parent])
+                key = keys[parent, g] = p * span + last
+            beam_score.append(score)
+            beam_pid.append(p)
+            beam_last.append(last - 1)
+            beam_key.append(key)
 
     best_words: list[str] | None = None
     best_final = -np.inf
-    for hyp in sorted(beams.values(), key=lambda h: (h.prefix, h.last)):
-        final = hyp.score
-        context = hyp.context
-        if hyp.partial:
-            final, context, _ = commit_word(final, context, hyp.partial, hyp.n_words)
+    for p, last, final in sorted(zip(beam_pid, beam_last, beam_score),
+                                 key=lambda h: (prefixes[h[0]], h[1])):
+        if partials[p]:
+            final = final + adds[p, 0] + adds[p, 1]
         if fuse:
-            final += lm_scale * lm.log10_prob(EOS, context)
+            final += lm_scale * lm.log10_prob(EOS, ends[p])
         if final > best_final:
             best_final = final
-            best_words = vocab.indices_to_words(hyp.prefix)
+            best_words = vocab.indices_to_words(prefixes[p])
     return best_words if best_words is not None else []

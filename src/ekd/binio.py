@@ -118,11 +118,12 @@ def decode_records(path: str | Path, records: list[bytes],
         try:
             meta = json.loads(rec[8:8 + mlen])
             frames = meta["frames"]
-            nbytes = 8 * frames * width
         except (ValueError, KeyError, TypeError) as e:
             raise corrupted("bad meta") from e
+        if type(frames) is not int or frames < 0:  # bool is an int subclass
+            raise corrupted("bad meta")
         blob = rec[8 + mlen:]
-        if len(blob) != nbytes:
+        if len(blob) != 8 * frames * width:
             raise corrupted("blob size")
         values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
         out.append((meta, values.reshape(frames, width)))

@@ -158,7 +158,13 @@ def load_checkpoint(path) -> ModelCheckpoint:
     config = ModelConfig(**header["config"])
     shapes = layer_shapes(config, header["feature_dim"], header["vocab_size"])
     decoded = binio.decode_records(path, records, [shape[-1] for shape in shapes])
-    weights = [w if len(shape) == 2 else w.reshape(-1) for (_, w), shape in zip(decoded, shapes)]
+    weights = []
+    for i, ((_, w), shape) in enumerate(zip(decoded, shapes)):
+        rows = shape[0] if len(shape) == 2 else 1  # a bias is stored as [1, out]
+        if w.shape[0] != rows:
+            raise binio.FormatError(
+                f"{path}: corrupted record (weight {i} has {w.shape[0]} rows, expected {rows})")
+        weights.append(w.reshape(shape))
     return ModelCheckpoint(
         config=config,
         feature_dim=int(header["feature_dim"]),

@@ -4,7 +4,9 @@ Nothing here shares code with the production package: CTC is an explicit
 sum over every frame-level path, or separate alpha and beta passes for the
 bit-exact check of the packed recursion; CCA is a generalized eigenproblem,
 edit distance is the textbook recursion, and the decoder oracle scores every
-collapsed label sequence exhaustively.
+collapsed label sequence exhaustively. ``object_beam_decode`` is the beam
+search as first written, one object per hypothesis, kept as the bit-exact
+reference for the array-backed decoder.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+
+from ekd.lm import BOS, EOS, UNK
 
 
 # -- CTC ----------------------------------------------------------------------
@@ -249,6 +253,94 @@ def exhaustive_beam_best(probs: np.ndarray, lm, lm_weight: float, bonus: float,
             best_score = score
             best_words = words
     return best_words
+
+
+LN10 = math.log(10.0)
+NO_LAST = -1
+
+
+class _Hyp:
+    __slots__ = ("prefix", "last", "score", "context", "partial", "n_words")
+
+    def __init__(self, prefix, last, score, context, partial, n_words):
+        self.prefix = prefix      # collapsed symbol indices so far
+        self.last = last          # last path symbol (NO_LAST after blank/start)
+        self.score = score        # acoustic + committed LM + committed bonus
+        self.context = context    # completed words (trimmed to LM order)
+        self.partial = partial    # graphemes of the in-progress word
+        self.n_words = n_words
+
+
+def _word_of(partial: tuple[int, ...], vocab) -> str:
+    return "".join(vocab.graphemes[i] for i in partial)
+
+
+def object_beam_decode(posteriors, lm, config, vocab) -> list[str]:
+    """The decoder as first written: one ``_Hyp`` object per candidate and a
+    dict merge per frame. ``ekd.beam.beam_decode`` must return the same words."""
+    lp = posteriors.log_probs()
+    T, z = lp.shape
+    if z != vocab.size:
+        raise ValueError(f"posterior width {z} does not match vocabulary size {vocab.size}")
+    blank = vocab.blank_index
+    sep = vocab.word_separator_index
+    fuse = lm is not None and config.lm_weight > 0
+    lm_scale = config.lm_weight * LN10
+    bonus = config.word_insertion_bonus
+
+    def commit_word(hyp_score, context, partial, n_words):
+        word = _word_of(partial, vocab)
+        score = hyp_score + bonus
+        if fuse:
+            score += lm_scale * lm.log10_prob(word, context)
+            if lm.order > 1:
+                context = (context + (word if word in lm.vocabulary else UNK,))[-(lm.order - 1):]
+        return score, context, n_words + 1
+
+    start_context = (BOS,) * (lm.order - 1) if fuse else ()
+    beams: dict[tuple, _Hyp] = {}
+    start = _Hyp(prefix=(), last=NO_LAST, score=0.0, context=start_context, partial=(), n_words=0)
+    beams[(start.prefix, start.last)] = start
+
+    for t in range(T):
+        frame = lp[t]
+        nxt: dict[tuple, _Hyp] = {}
+        for hyp in beams.values():
+            for g in range(z):
+                score = hyp.score + frame[g]
+                if g == blank:
+                    cand = _Hyp(hyp.prefix, NO_LAST, score, hyp.context, hyp.partial, hyp.n_words)
+                elif g == hyp.last:
+                    cand = _Hyp(hyp.prefix, g, score, hyp.context, hyp.partial, hyp.n_words)
+                elif g == sep:
+                    context, partial, n_words = hyp.context, hyp.partial, hyp.n_words
+                    if partial:
+                        score, context, n_words = commit_word(score, context, partial, n_words)
+                        partial = ()
+                    cand = _Hyp(hyp.prefix + (g,), g, score, context, partial, n_words)
+                else:
+                    cand = _Hyp(hyp.prefix + (g,), g, score, hyp.context,
+                                hyp.partial + (g,), hyp.n_words)
+                key = (cand.prefix, cand.last)
+                kept = nxt.get(key)
+                if kept is None or cand.score > kept.score:
+                    nxt[key] = cand
+        ranked = sorted(nxt.values(), key=lambda h: (-h.score, h.prefix, h.last))
+        beams = {(h.prefix, h.last): h for h in ranked[:config.beam_width]}
+
+    best_words: list[str] | None = None
+    best_final = -np.inf
+    for hyp in sorted(beams.values(), key=lambda h: (h.prefix, h.last)):
+        final = hyp.score
+        context = hyp.context
+        if hyp.partial:
+            final, context, _ = commit_word(final, context, hyp.partial, hyp.n_words)
+        if fuse:
+            final += lm_scale * lm.log10_prob(EOS, context)
+        if final > best_final:
+            best_final = final
+            best_words = vocab.indices_to_words(hyp.prefix)
+    return best_words if best_words is not None else []
 
 
 # -- corpus --------------------------------------------------------------------

@@ -3,15 +3,16 @@ import pytest
 
 from ekd.beam import BeamConfig, beam_decode
 from ekd.ctc import PosteriorSequence, greedy_decode
-from ekd.lm import train_lm
+from ekd.lm import NgramLm, train_lm
 from ekd.vocab import default_vocabulary
 
 from conftest import random_posteriors
-from oracles import exhaustive_beam_best
+from oracles import exhaustive_beam_best, object_beam_decode
 
 VOCAB = default_vocabulary("ab")
-LM = train_lm([["a", "b"], ["ab", "a"], ["b", "ab"], ["a"], ["ab", "b", "a"], ["ba", "ab"]],
-              order=2)
+TRANSCRIPTS = [["a", "b"], ["ab", "a"], ["b", "ab"], ["a"], ["ab", "b", "a"], ["ba", "ab"]]
+LM = train_lm(TRANSCRIPTS, order=2)
+LM3 = train_lm(TRANSCRIPTS, order=3)
 
 
 def test_config_validation():
@@ -92,3 +93,54 @@ def test_posterior_width_must_match_vocab(rng):
     posts = random_posteriors(rng, 4, 3)
     with pytest.raises(ValueError, match="vocabulary"):
         beam_decode(posts, None, BeamConfig(), VOCAB)
+
+
+def quantised_posteriors(rng, T, z):
+    """Probabilities in quarters: many exact score ties, and exact zeros whose
+    log is -inf."""
+    return PosteriorSequence(rng.multinomial(4, np.full(z, 1.0 / z), size=T) / 4.0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 12])
+@pytest.mark.parametrize("lm", [None, LM, LM3], ids=["no_lm", "bigram", "trigram"])
+@pytest.mark.parametrize("bonus", [0.5, -0.3])
+def test_matches_object_decoder(width, lm, bonus):
+    rng = np.random.default_rng([width, 0 if lm is None else lm.order, int(bonus > 0)])
+    cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=bonus)
+    for i in range(60):
+        T = int(rng.integers(1, 20))
+        posts = (random_posteriors(rng, T, VOCAB.size) if i % 2
+                 else quantised_posteriors(rng, T, VOCAB.size))
+        assert beam_decode(posts, lm, cfg, VOCAB) == object_beam_decode(posts, lm, cfg, VOCAB)
+
+
+def test_matches_object_decoder_on_default_vocabulary(rng):
+    vocab = default_vocabulary()
+    lm = train_lm([["abc", "de"], ["fgh", "abc"], ["de", "ha", "abc"], ["bad"]], order=3)
+    cfg = BeamConfig()
+    for i in range(20):
+        T = int(rng.integers(20, 60))
+        posts = (random_posteriors(rng, T, vocab.size) if i % 2
+                 else quantised_posteriors(rng, T, vocab.size))
+        for model in (None, lm):
+            assert (beam_decode(posts, model, cfg, vocab)
+                    == object_beam_decode(posts, model, cfg, vocab))
+
+
+def test_lm_queried_through_its_method(monkeypatch):
+    # The traced benchmark counts LM queries on NgramLm.log10_prob; a decoder
+    # that bypasses the method would hide them.
+    queried = []
+    original = NgramLm.log10_prob
+
+    def counting(self, word, context=()):
+        queried.append(word)
+        return original(self, word, context)
+
+    monkeypatch.setattr(NgramLm, "log10_prob", counting)
+    a, b, sep = VOCAB.index_of("a"), VOCAB.index_of("b"), VOCAB.word_separator_index
+    probs = np.full((4, VOCAB.size), 0.1)
+    for t, g in enumerate((a, sep, b, sep)):
+        probs[t, g] = 1.0 - 0.1 * (VOCAB.size - 1)
+    assert beam_decode(PosteriorSequence(probs), LM, BeamConfig(), VOCAB) == ["a", "b"]
+    assert "a" in queried and "</s>" in queried

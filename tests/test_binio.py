@@ -84,6 +84,17 @@ def test_bad_meta_json_rejected(tmp_path):
         binio.decode_records(tmp_path / "x", [rec], [3])
 
 
+# Each blob holds 2 floats at width 4 (0.5 rows) or 0 floats at width 0, so
+# the byte count alone would accept every one of these.
+@pytest.mark.parametrize("frames, floats, width", [(0.5, 2, 4), (True, 4, 4), (-1, 0, 0),
+                                                   ("1", 4, 4)])
+def test_non_integer_frames_rejected(tmp_path, frames, floats, width):
+    meta = binio.encode_header({"frames": frames})
+    rec = struct.pack("<Q", len(meta)) + meta + np.zeros(floats, dtype="<f8").tobytes()
+    with pytest.raises(binio.FormatError, match=re.escape("corrupted record (bad meta)")):
+        binio.decode_records(tmp_path / "x", [rec], [width])
+
+
 @pytest.mark.parametrize("missing", [8, 3])  # one float short, and not a whole float
 def test_checkpoint_blob_size_checked(tmp_path, rng, missing):
     path = tmp_path / "model.ekdm"
@@ -92,4 +103,16 @@ def test_checkpoint_blob_size_checked(tmp_path, rng, missing):
     records[2] = records[2][:-missing]  # the second weight matrix
     binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
     with pytest.raises(binio.FormatError, match=re.escape(f"{path}: corrupted record (blob size)")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_record_rows_checked(tmp_path, rng):
+    # A bias rewritten as [2, out] passes the blob-size check for 2 rows.
+    path = tmp_path / "model.ekdm"
+    _write_checkpoint(path, rng)
+    header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    records[1] = binio.encode_record({}, np.zeros((2, 4)))
+    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
+    with pytest.raises(binio.FormatError,
+                       match=re.escape(f"{path}: corrupted record (weight 1 has 2 rows")):
         load_checkpoint(path)
