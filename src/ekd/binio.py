@@ -77,6 +77,8 @@ def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, lis
         header = json.loads(take(hlen, "header"))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: corrupted record (bad header)") from e
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: corrupted record (bad header)")
     if header.get("kind") != kind:
         raise FormatError(f"{path}: kind mismatch (file {header.get('kind')!r}, expected {kind!r})")
     (n,) = struct.unpack("<Q", take(8, "record count"))

@@ -24,19 +24,6 @@ class InfeasibleTargetError(ValueError):
 
 
 @dataclass
-class LogitSequence:
-    """Per-frame unnormalized scores over the grapheme vocabulary."""
-
-    values: np.ndarray  # [T, z]
-    utterance_id: str = ""
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
-            raise ValueError("logits must be [T>=1, z]")
-
-
-@dataclass
 class PosteriorSequence:
     """Per-frame probability distributions; every row sums to one."""
 
@@ -72,13 +59,12 @@ class CtcLossResult:
     grad_logits: np.ndarray     # [T, z], d(loss)/d(pre-softmax logits)
 
 
-def softmax(logits: LogitSequence) -> PosteriorSequence:
-    """Row-wise softmax."""
-    v = logits.values
-    if not np.all(np.isfinite(v)):
+def softmax(logits: np.ndarray, utterance_id: str = "") -> PosteriorSequence:
+    """Row-wise softmax of ``[T, z]`` logits."""
+    if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    return PosteriorSequence(e / e.sum(axis=1, keepdims=True), logits.utterance_id)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return PosteriorSequence(e / e.sum(axis=1, keepdims=True), utterance_id)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -76,16 +76,6 @@ def _discount(counts: dict, fallback: float = 0.5) -> float:
     return fallback
 
 
-def _linear_prob(gram: tuple[str, ...], linear: dict, backoffs: dict) -> float:
-    if gram in linear:
-        return linear[gram]
-    ctx = gram[:-1]
-    if not ctx:
-        return linear[(gram[-1],)]
-    bow = 10.0 ** backoffs.get(ctx, 0.0)
-    return bow * _linear_prob(gram[1:], linear, backoffs)
-
-
 def _entry_grams(log_probs: dict, backoffs: dict, order: int) -> list[list[tuple[str, ...]]]:
     """Grams emitted per order: probability entries plus back-off-only
     contexts (those ending in <s>, which are never predicted)."""
@@ -143,7 +133,8 @@ def train_lm(transcripts: list[list[str]], order: int = 3) -> NgramLm:
                 level_linear[ctx + (w,)] = p
                 log_probs[ctx + (w,)] = math.log10(p)
                 seen_mass += p
-                lower_seen_mass += _linear_prob(ctx[1:] + (w,), linear_lower, backoffs)
+                # A counted k-gram's suffix is a counted (k-1)-gram.
+                lower_seen_mass += linear_lower[ctx[1:] + (w,)]
             backoffs[ctx] = math.log10((1.0 - seen_mass) / (1.0 - lower_seen_mass))
         linear_lower.update(level_linear)
 

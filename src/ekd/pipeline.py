@@ -141,6 +141,24 @@ def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path
         unit.build(inputs)
 
 
+def _restrict(what: str, names: Sequence[str], wanted: str | Sequence[str] | None) -> list[str]:
+    """The ``names`` a stage filter keeps: all of them if ``wanted`` is None,
+    else those ``wanted`` names, each of which must be one of ``names``."""
+    if wanted is None:
+        return list(names)
+    wanted = [wanted] if isinstance(wanted, str) else wanted
+    for name in wanted:
+        if name not in names:
+            raise PipelineError(f"no {what} named {name!r}")
+    return [name for name in names if name in wanted]
+
+
+def _seeded_configs(config: ExperimentConfig, seed: int, run: str, train_cfg):
+    """The (model, train) configs of one training run, seeded for ``run``."""
+    return (dataclasses.replace(config.model, seed=derive_seed(seed, "model", run)),
+            dataclasses.replace(train_cfg, seed=derive_seed(seed, "train", run)))
+
+
 # -- stages -------------------------------------------------------------------
 
 def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
@@ -176,25 +194,20 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
 def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
                         domain: str | None = None, force: bool = False) -> None:
     """train teacher model(s) on their domains"""
-    recipes = [r for r in config.teacher_domains if domain in (None, r.name)]
-    if not recipes:
-        raise PipelineError(f"no teacher domain named {domain!r}")
+    names = _restrict("teacher domain", [r.name for r in config.teacher_domains], domain)
 
-    def build(recipe, specs) -> None:
-        corpus = load_corpus(paths.corpus_path(recipe.name, "train"))
-        model_cfg = dataclasses.replace(config.model,
-                                        seed=derive_seed(seed, "model", recipe.name))
-        train_cfg = dataclasses.replace(config.train,
-                                        seed=derive_seed(seed, "train", recipe.name))
-        model = train_teacher(corpus, model_cfg, train_cfg, probe_spec=specs[recipe.name],
+    def build(name, specs) -> None:
+        corpus = load_corpus(paths.corpus_path(name, "train"))
+        model_cfg, train_cfg = _seeded_configs(config, seed, name, config.train)
+        model = train_teacher(corpus, model_cfg, train_cfg, probe_spec=specs[name],
                               probe_wer_threshold=config.probe_wer_threshold)
-        save_checkpoint(model, paths.teacher_path(recipe.name))
-        logger.info("trained teacher %s (final loss: mean %.4f, sum %.2f)", recipe.name,
+        save_checkpoint(model, paths.teacher_path(name))
+        logger.info("trained teacher %s (final loss: mean %.4f, sum %.2f)", name,
                     model.training_meta["final_mean_loss"],
                     model.training_meta["final_sum_loss"])
 
-    units = [_Unit(r.name, [paths.teacher_path(r.name)], functools.partial(build, r),
-                   [paths.corpus_path(r.name, "train")]) for r in recipes]
+    units = [_Unit(n, [paths.teacher_path(n)], functools.partial(build, n),
+                   [paths.corpus_path(n, "train")]) for n in names]
     _run_units("train-teacher", units, force, load=config.expand_domains)
 
 
@@ -208,9 +221,9 @@ def stage_decode(config: ExperimentConfig, seed: int, paths: SeedPaths,
         save_posteriors(paths.posteriors_path(name), corpus_posteriors(model, corpus),
                         f"teacher_{name}", corpus.vocabulary.content_hash())
 
-    units = [_Unit(r.name, [paths.posteriors_path(r.name)], functools.partial(build, r.name),
-                   [paths.teacher_path(r.name)])
-             for r in config.teacher_domains if teacher in (None, r.name)]
+    names = _restrict("teacher", [r.name for r in config.teacher_domains], teacher)
+    units = [_Unit(n, [paths.posteriors_path(n)], functools.partial(build, n),
+                   [paths.teacher_path(n)]) for n in names]
     _run_units("decode", units, force, needs=[student_train],
                load=lambda: load_corpus(student_train))
 
@@ -223,11 +236,12 @@ def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
 
     def load_bundles() -> list[TeacherBundle]:
         per_teacher = [load_posteriors(path)[1] for path in dumps]
-        n = len(per_teacher[0])
-        if any(len(p) != n for p in per_teacher):
-            raise PipelineError("teacher posterior dumps cover different utterance sets")
-        return [TeacherBundle(per_teacher[0][i].utterance_id, [p[i] for p in per_teacher])
-                for i in range(n)]
+        ids = [p.utterance_id for p in per_teacher[0]]
+        for path, posts in zip(dumps[1:], per_teacher[1:]):
+            if [p.utterance_id for p in posts] != ids:
+                raise PipelineError(f"teacher posterior dumps {dumps[0]} and {path} cover "
+                                    "different utterances; re-run 'decode' with --force")
+        return [TeacherBundle(uid, [p[i] for p in per_teacher]) for i, uid in enumerate(ids)]
 
     def build(strat, bundles) -> None:
         selection = select_corpus(Strategy(strat), bundles, vocab.blank_index)
@@ -235,17 +249,10 @@ def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
         save_selection(out, selection, vocab.content_hash())
         binio.atomic_write_text(out.with_suffix(".summary.txt"), selection.summary_text())
 
-    outs = {s: paths.selection_path(s) for s in config.strategies if strategy in (None, s)}
+    outs = {s: paths.selection_path(s) for s in _restrict("strategy", config.strategies, strategy)}
     units = [_Unit(s, [out, out.with_suffix(".summary.txt")], functools.partial(build, s))
              for s, out in outs.items()]
     _run_units("select", units, force, needs=dumps, load=load_bundles)
-
-
-def _student_configs(config: ExperimentConfig, seed: int):
-    model_cfg = dataclasses.replace(config.model, seed=derive_seed(seed, "model", "student"))
-    train_cfg = dataclasses.replace(config.student_train,
-                                    seed=derive_seed(seed, "train", "student"))
-    return model_cfg, train_cfg
 
 
 def _snapshots_into(snap_dir: Path):
@@ -263,7 +270,7 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
                         strategy: str | None = None, force: bool = False) -> None:
     """train student model(s) on selected soft labels"""
     student_train = paths.corpus_path(config.student_domain.name, "train")
-    model_cfg, train_cfg = _student_configs(config, seed)
+    model_cfg, train_cfg = _seeded_configs(config, seed, "student", config.student_train)
 
     def build(strat, unlabeled) -> None:
         selection = load_selection(paths.selection_path(strat))
@@ -276,7 +283,7 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
 
     units = [_Unit(s, [paths.student_path(s), paths.snapshot_dir(f"student_{s}")],
                    functools.partial(build, s), [paths.selection_path(s)])
-             for s in config.strategies if strategy in (None, s)]
+             for s in _restrict("strategy", config.strategies, strategy)]
     _run_units("train-student", units, force, needs=[student_train],
                load=lambda: load_corpus(student_train).without_transcripts())
 
@@ -329,12 +336,14 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
         logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
                     "on" if lm_on else "off", 100 * breakdown.wer)
 
+    matrix = _eval_matrix(config, paths)
+    names = _restrict("model", list(dict.fromkeys(row[0] for row in matrix)), models or None)
     units = [_Unit(f"{name} on {test_set} (lm {'on' if lm_on else 'off'})",
                    [paths.cell_path(name, test_set, lm_on)],
                    functools.partial(build, name, ckpt, test_set, corpus_path, lm_on),
                    [ckpt, corpus_path])
-             for name, ckpt, test_set, corpus_path in _eval_matrix(config, paths)
-             if not models or name in models for lm_on in lm_flags]
+             for name, ckpt, test_set, corpus_path in matrix if name in names
+             for lm_on in lm_flags]
     _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
                load=lambda: load_arpa(lm_path) if True in lm_flags else None)
 
@@ -351,7 +360,7 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
     def reference_run(corpus) -> None:
         # Analysis-only supervised run on the target domain's true labels,
         # sharing init and batching with the pseudo-label student.
-        model_cfg, train_cfg = _student_configs(config, seed)
+        model_cfg, train_cfg = _seeded_configs(config, seed, "student", config.student_train)
         train_teacher(corpus, model_cfg, train_cfg, snapshot_hook=_snapshots_into(original_dir))
 
     def build_report(corpus) -> None:

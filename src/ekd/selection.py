@@ -80,20 +80,25 @@ def elitist_scores(bundle: TeacherBundle) -> list[float]:
     return [utterance_confidence(p.probs) for p in bundle.per_teacher_posteriors]
 
 
+def _outcome(strategy: Strategy, bundle: TeacherBundle, selected: PosteriorSequence,
+             blank: int, winner: int | None = None,
+             scores: list[float] | None = None) -> SelectionOutcome:
+    return SelectionOutcome(
+        strategy=strategy,
+        utterance_id=bundle.utterance_id,
+        selected_posteriors=selected,
+        winning_teacher=winner,
+        per_teacher_scores=scores,
+        pseudo_transcript=greedy_decode(selected, blank),
+        sequence_confidence=utterance_confidence(selected.probs),
+    )
+
+
 def teacher_average(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     """Element-wise mean over teachers."""
     stack = np.stack([p.probs for p in bundle.per_teacher_posteriors])
-    mean = stack.mean(axis=0)
-    selected = PosteriorSequence(mean, bundle.utterance_id)
-    return SelectionOutcome(
-        strategy=Strategy.TEACHER_AVERAGE,
-        utterance_id=bundle.utterance_id,
-        selected_posteriors=selected,
-        winning_teacher=None,
-        per_teacher_scores=None,
-        pseudo_transcript=greedy_decode(selected, blank),
-        sequence_confidence=utterance_confidence(mean),
-    )
+    return _outcome(Strategy.TEACHER_AVERAGE, bundle,
+                    PosteriorSequence(stack.mean(axis=0), bundle.utterance_id), blank)
 
 
 def framewise_max(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
@@ -103,36 +108,21 @@ def framewise_max(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     frame_conf = stack.max(axis=2)                                     # [K, T]
     winners = np.argmax(frame_conf, axis=0)                            # [T]
     composed = stack[winners, np.arange(stack.shape[1]), :]
-    selected = PosteriorSequence(composed, bundle.utterance_id)
-    return SelectionOutcome(
-        strategy=Strategy.FRAMEWISE_MAX,
-        utterance_id=bundle.utterance_id,
-        selected_posteriors=selected,
-        winning_teacher=None,
-        per_teacher_scores=None,
-        pseudo_transcript=greedy_decode(selected, blank),
-        sequence_confidence=utterance_confidence(composed),
-    )
+    return _outcome(Strategy.FRAMEWISE_MAX, bundle,
+                    PosteriorSequence(composed, bundle.utterance_id), blank)
 
 
 def elitist_select(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     """Keep the highest-confidence teacher's full posterior sequence.
 
     The winner's posteriors are passed through unchanged (same array), so the
-    training target preserves one model's coherent sequence.
+    training target preserves one model's coherent sequence; its confidence
+    is the winner's score.
     """
     scores = elitist_scores(bundle)
     winner = int(np.argmax(scores))
-    selected = bundle.per_teacher_posteriors[winner]
-    return SelectionOutcome(
-        strategy=Strategy.ELITIST,
-        utterance_id=bundle.utterance_id,
-        selected_posteriors=selected,
-        winning_teacher=winner,
-        per_teacher_scores=scores,
-        pseudo_transcript=greedy_decode(selected, blank),
-        sequence_confidence=scores[winner],
-    )
+    return _outcome(Strategy.ELITIST, bundle, bundle.per_teacher_posteriors[winner], blank,
+                    winner, scores)
 
 
 _STRATEGY_FNS = {

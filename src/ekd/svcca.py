@@ -91,12 +91,7 @@ def cca(a: ActivationMatrix, b: ActivationMatrix) -> SvccaResult:
 def svcca(a: ActivationMatrix, b: ActivationMatrix,
           variance_fraction: float = 0.99) -> SvccaResult:
     """SVD-prune both inputs, then correlate the pruned subspaces."""
-    pa = svd_prune(a, variance_fraction)
-    pb = svd_prune(b, variance_fraction)
-    result = cca(pa, pb)
-    return SvccaResult(canonical_correlations=result.canonical_correlations,
-                       mean_rho=result.mean_rho,
-                       kept_dims=(pa.data.shape[1], pb.data.shape[1]))
+    return cca(svd_prune(a, variance_fraction), svd_prune(b, variance_fraction))
 
 
 @dataclass

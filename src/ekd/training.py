@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, DomainSpec, generate_corpus
-from .ctc import LogitSequence, PosteriorSequence, ctc_loss, greedy_decode, log_softmax, softmax
+from .ctc import PosteriorSequence, ctc_loss, greedy_decode, log_softmax, softmax
 from .kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
@@ -73,11 +73,15 @@ class _Optimizer:
             w -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _run_training(model: ModelCheckpoint, utterances, loss_fn, cfg: TrainConfig,
-                  snapshot_hook=None) -> list[float]:
-    """Generic deterministic loop. ``loss_fn(utt, log_probs)`` returns a
-    CtcLossResult or None (skip). Batch reduction is the mean over scored
-    utterances, summed in utterance-index order."""
+def _run_training(corpus: Corpus, utterances, loss_fn, model_cfg: ModelConfig,
+                  cfg: TrainConfig, snapshot_hook=None, **meta) -> ModelCheckpoint:
+    """Generic deterministic loop: a fresh model fitted on ``utterances`` of
+    ``corpus``, with its ``training_meta`` (plus the caller's ``meta`` keys)
+    set. ``loss_fn(utt, log_probs)`` returns a CtcLossResult or None (skip).
+    Batch reduction is the mean over scored utterances, summed in
+    utterance-index order."""
+    vocab = corpus.vocabulary
+    model = init_model(model_cfg, corpus.feature_dim, vocab.size, vocab.content_hash())
     opt = _Optimizer(cfg, model.weights)
     shuffle_rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
@@ -117,19 +121,23 @@ def _run_training(model: ModelCheckpoint, utterances, loss_fn, cfg: TrainConfig,
                 f"epoch {epoch}: non-finite mean loss {mean_loss} (scored {scored} utterances)")
         if snapshot_hook is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             snapshot_hook(epoch, model.copy())
-    return epoch_losses
+    model.training_meta = {
+        "corpus": corpus.name,
+        "epochs": cfg.epochs,
+        "final_mean_loss": epoch_losses[-1],
+        "final_sum_loss": epoch_losses[-1] * max(n, 1),
+        "loss_curve": epoch_losses,
+        **meta,
+    }
+    return model
 
 
 def greedy_corpus_wer(model: ModelCheckpoint, corpus: Corpus) -> float:
     """Greedy-decode WER of a model over a labelled corpus."""
     vocab = corpus.vocabulary
-    parts = []
-    for utt in corpus.utterances:
-        logits, _ = forward_features(model, utt.features)
-        posts = softmax(LogitSequence(logits, utt.id))
-        hyp = vocab.indices_to_words(greedy_decode(posts, vocab.blank_index))
-        ref = vocab.indices_to_words(utt.transcript)
-        parts.append(wer(ref, hyp))
+    parts = [wer(vocab.indices_to_words(utt.transcript),
+                 vocab.indices_to_words(greedy_decode(posts, vocab.blank_index)))
+             for utt, posts in zip(corpus.utterances, corpus_posteriors(model, corpus))]
     return accumulate(parts).wer
 
 
@@ -147,20 +155,12 @@ def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig
         raise ValueError(f"corpus {corpus.name!r} is missing transcripts")
     vocab = corpus.vocabulary
     blank = vocab.blank_index
-    model = init_model(model_cfg, corpus.feature_dim, vocab.size, vocab.content_hash())
 
     def loss_fn(utt, log_probs):
         return ctc_loss(log_probs, utt.transcript, blank)
 
-    losses = _run_training(model, corpus.utterances, loss_fn, train_cfg, snapshot_hook)
-    model.training_meta = {
-        "corpus": corpus.name,
-        "epochs": train_cfg.epochs,
-        "final_mean_loss": losses[-1],
-        "final_sum_loss": losses[-1] * len(corpus.utterances),
-        "loss_curve": losses,
-        "objective": "ctc",
-    }
+    model = _run_training(corpus, corpus.utterances, loss_fn, model_cfg, train_cfg,
+                          snapshot_hook, objective="ctc")
     if probe_spec is not None and probe_wer_threshold is not None:
         probe_seed = (train_cfg.seed * 9973 + 17) % (2 ** 31)
         probe = generate_corpus(
@@ -211,18 +211,9 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
         )
         return soft_ctc_kd_loss(log_probs, target, blank)
 
-    model = init_model(model_cfg, target_corpus.feature_dim, vocab.size, vocab.content_hash())
-    losses = _run_training(model, covered, loss_fn, train_cfg, snapshot_hook)
-    model.training_meta = {
-        "corpus": target_corpus.name,
-        "epochs": train_cfg.epochs,
-        "final_mean_loss": losses[-1],
-        "final_sum_loss": losses[-1] * max(len(covered), 1),
-        "loss_curve": losses,
-        "objective": f"soft_ctc_kd/{kd_cfg.soft_label_mode.value}",
-        "covered_utterances": len(covered),
-    }
-    return model
+    return _run_training(target_corpus, covered, loss_fn, model_cfg, train_cfg, snapshot_hook,
+                         objective=f"soft_ctc_kd/{kd_cfg.soft_label_mode.value}",
+                         covered_utterances=len(covered))
 
 
 def corpus_posteriors(model: ModelCheckpoint, corpus: Corpus) -> list[PosteriorSequence]:
@@ -230,7 +221,7 @@ def corpus_posteriors(model: ModelCheckpoint, corpus: Corpus) -> list[PosteriorS
     out = []
     for utt in corpus.utterances:
         logits, _ = forward_features(model, utt.features)
-        out.append(softmax(LogitSequence(logits, utt.id)))
+        out.append(softmax(logits, utt.id))
     return out
 
 

@@ -79,10 +79,10 @@ def brute_best_paths(probs: np.ndarray, blank: int) -> dict[tuple[int, ...], flo
 
 def fd_ctc_gradient(logits: np.ndarray, target, blank: int, eps: float = 1e-5) -> np.ndarray:
     """Central finite differences of the CTC loss through the softmax."""
-    from ekd.ctc import LogitSequence, ctc_loss, softmax
+    from ekd.ctc import ctc_loss, softmax
 
     def loss_of(u):
-        return ctc_loss(softmax(LogitSequence(u)).log_probs(), target, blank).loss
+        return ctc_loss(softmax(u).log_probs(), target, blank).loss
 
     grad = np.zeros_like(logits)
     for t in range(logits.shape[0]):

@@ -77,6 +77,16 @@ def test_loader_rejects_malformed_record(tmp_path, rng, kind, corrupt):
         load(path)
 
 
+@pytest.mark.parametrize("header", [b'["x"]', b'"posteriors"', b"3", b"null"])
+def test_non_object_header_rejected(tmp_path, header):
+    path = tmp_path / "artifact"
+    path.write_bytes(binio.MAGIC + struct.pack("<IQ", 1, len(header)) + header
+                     + struct.pack("<Q", 0))
+    with pytest.raises(binio.FormatError,
+                       match=re.escape(f"{path}: corrupted record (bad header)")):
+        binio.read_container(path, "posteriors", 1)
+
+
 def test_bad_meta_json_rejected(tmp_path):
     meta = b"{not json"
     rec = struct.pack("<Q", len(meta)) + meta

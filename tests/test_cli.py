@@ -204,6 +204,19 @@ def test_missing_artifact_is_a_cli_error(tmp_path, capsys):
     assert "gen-data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["train-teacher", "--domain", "nosuch"], "teacher domain named 'nosuch'"),
+    (["decode", "--teacher", "nosuch"], "teacher named 'nosuch'"),
+    (["select", "--strategy", "framewise_max"], "strategy named 'framewise_max'"),
+    (["train-student", "--strategy", "framewise_max"], "strategy named 'framewise_max'"),
+    (["evaluate", "--models", "student_elitist", "nosuch"], "model named 'nosuch'"),
+])
+def test_unknown_stage_filter_name_is_a_cli_error(tmp_path, capsys, argv, name):
+    rc = main([*argv, "--output-root", str(tmp_path / "out"), "--set", "strategies=[elitist]"])
+    assert rc == 1
+    assert f"error: no {name}" in capsys.readouterr().err
+
+
 def test_indomain_guard_via_cli(tmp_path, capsys):
     import dataclasses
 

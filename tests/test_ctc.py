@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekd.ctc import (InfeasibleTargetError, LogitSequence, PosteriorSequence,
-                     collapse_alignment, ctc_loss, greedy_decode, log_softmax,
-                     min_frames_for_target, softmax)
+from ekd.ctc import (InfeasibleTargetError, PosteriorSequence, collapse_alignment,
+                     ctc_loss, greedy_decode, log_softmax, min_frames_for_target, softmax)
 
 from conftest import random_posteriors
 from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss
@@ -15,24 +14,24 @@ from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss
 # -- softmax -------------------------------------------------------------------
 
 def test_softmax_uniform():
-    p = softmax(LogitSequence(np.zeros((1, 4))))
+    p = softmax(np.zeros((1, 4)))
     assert np.allclose(p.probs, 0.25)
 
 
 def test_softmax_analytic():
-    p = softmax(LogitSequence(np.array([[math.log(2.0), 0.0]])))
+    p = softmax(np.array([[math.log(2.0), 0.0]]))
     assert np.allclose(p.probs, [[2 / 3, 1 / 3]])
 
 
 def test_softmax_preserves_argmax(rng):
     logits = rng.normal(size=(10, 5))
-    p = softmax(LogitSequence(logits))
+    p = softmax(logits)
     assert np.array_equal(np.argmax(p.probs, axis=1), np.argmax(logits, axis=1))
 
 
 def test_softmax_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
-        softmax(LogitSequence(np.array([[np.inf, 0.0]])))
+        softmax(np.array([[np.inf, 0.0]]))
 
 
 # -- collapse / greedy ----------------------------------------------------------
@@ -108,7 +107,7 @@ def test_gradient_matches_finite_differences(rng):
         target = rng.integers(0, z - 1, size=L)
         if min_frames_for_target(target) > T:
             continue
-        analytic = ctc_loss(softmax(LogitSequence(logits)).log_probs(), target, z - 1).grad_logits
+        analytic = ctc_loss(softmax(logits).log_probs(), target, z - 1).grad_logits
         fd = fd_ctc_gradient(logits, target, z - 1)
         err = np.max(np.abs(analytic - fd)) / max(1.0, float(np.max(np.abs(fd))))
         assert err < 1e-4

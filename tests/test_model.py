@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ekd.ctc import LogitSequence, softmax
+from ekd.ctc import softmax
 from ekd.model import (ModelCheckpoint, ModelConfig, context_expand, forward_features,
                        init_model, layer_shapes, load_checkpoint, save_checkpoint)
 
@@ -32,7 +32,7 @@ def test_zero_weight_model_uniform_posteriors(rng):
         w[:] = 0.0
     logits, acts = forward_features(model, rng.normal(size=(7, 5)))
     assert not logits.any()
-    posts = softmax(LogitSequence(logits))
+    posts = softmax(logits)
     assert np.allclose(posts.probs, 0.25)
     assert set(acts) == {"hidden_0", "hidden_1"}
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import shutil
 
 import numpy as np
@@ -8,8 +9,10 @@ from ekd import binio
 from ekd.config import SvccaSettings
 from ekd.model import load_checkpoint
 from ekd.pipeline import (PipelineError, SeedPaths, output_root, run_pipeline, run_seed,
-                          stage_decode, stage_report, stage_svcca, stage_train_student)
+                          stage_decode, stage_report, stage_select, stage_svcca,
+                          stage_train_student)
 from ekd.report import ResultTable
+from ekd.selection import load_posteriors, save_posteriors
 
 from conftest import compact_config
 
@@ -133,6 +136,18 @@ def _copy_run(finished_run, tmp_path):
     cfg, root, _ = finished_run
     shutil.copytree(root, tmp_path / "copy")
     return cfg, SeedPaths(tmp_path / "copy", cfg.seeds[0])
+
+
+def test_select_rejects_dumps_of_different_utterances(finished_run, tmp_path):
+    # Same count and frame counts: only the renamed id tells the dumps apart.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    first, second = (paths.posteriors_path(r.name) for r in cfg.teacher_domains[:2])
+    header, posts = load_posteriors(second)
+    posts[-1].utterance_id = "renamed"
+    save_posteriors(second, posts, header["model_id"], header["vocabulary_hash"])
+    with pytest.raises(PipelineError, match=f"{re.escape(str(first))} and "
+                                            f"{re.escape(str(second))} cover different"):
+        stage_select(cfg, paths.seed, paths, force=True)
 
 
 def _trajectory_steps(paths) -> list[int]:

@@ -122,6 +122,7 @@ def test_elitist_argmax():
     assert out.winning_teacher == 1
     assert out.sequence_confidence == pytest.approx(0.9)
     assert out.per_teacher_scores == pytest.approx([0.8, 0.9, 0.85])
+    assert out.sequence_confidence == out.per_teacher_scores[out.winning_teacher]
 
 
 def test_elitist_tie_breaks_low_index(rng):

@@ -199,6 +199,26 @@ def test_coverage_gap_skipped(teacher, corpus, caplog):
     assert model.training_meta["covered_utterances"] == len(corpus) - 3
 
 
+def test_training_meta_of_teacher_and_student(teacher, corpus):
+    shared = {"corpus", "epochs", "final_mean_loss", "final_sum_loss", "loss_curve", "objective"}
+    meta = teacher.training_meta
+    assert meta.keys() == shared | {"probe_wer"}
+    assert (meta["corpus"], meta["epochs"], meta["objective"]) == (corpus.name, 14, "ctc")
+    assert meta["final_mean_loss"] == meta["loss_curve"][-1]
+    assert meta["final_sum_loss"] == meta["final_mean_loss"] * len(corpus)
+    partial = make_selection(teacher, corpus).outcomes[:-3]
+    student = train_student(partial, corpus.without_transcripts(), MODEL_CFG,
+                            dataclasses.replace(TRAIN_CFG, epochs=2),
+                            KdConfig(soft_label_mode=SoftLabelMode.HARD_PSEUDO_LABEL))
+    meta = student.training_meta
+    assert meta.keys() == shared | {"covered_utterances"}
+    assert (meta["corpus"], meta["epochs"], meta["objective"], meta["covered_utterances"]) == (
+        corpus.name, 2, "soft_ctc_kd/hard_pseudo_label", len(corpus) - 3)
+    assert len(meta["loss_curve"]) == 2
+    assert meta["final_mean_loss"] == meta["loss_curve"][-1]
+    assert meta["final_sum_loss"] == meta["final_mean_loss"] * (len(corpus) - 3)
+
+
 def test_student_learns_from_good_teacher(teacher, corpus, spec):
     selection = make_selection(teacher, corpus)
     unlabeled = corpus.without_transcripts()
