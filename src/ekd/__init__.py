@@ -13,7 +13,7 @@ from .corpus import (Corpus, DomainSpec, Utterance, generate_corpus, load_corpus
 from .ctc import (CtcLossResult, InfeasibleTargetError, PosteriorSequence, collapse_alignment,
                   ctc_loss, greedy_decode, softmax)
 from .kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
-from .lm import NgramLm, load_arpa, perplexity, save_arpa, train_lm
+from .lm import NgramLm, load_arpa, save_arpa, train_lm
 from .model import ModelCheckpoint, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import run_pipeline
 from .selection import (CorpusSelection, SelectionOutcome, Strategy, TeacherBundle,

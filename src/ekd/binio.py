@@ -26,6 +26,17 @@ class FormatError(ValueError):
     """Raised on bad magic, version/kind mismatch, or a corrupted record."""
 
 
+class _Header(dict):
+    """A container header whose missing keys raise FormatError naming the file."""
+
+    def __init__(self, path: str | Path, fields: dict):
+        super().__init__(fields)
+        self.path = path
+
+    def __missing__(self, key):
+        raise FormatError(f"{self.path}: corrupted record (header has no {key!r})")
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write-temp-then-rename so readers never observe partial files."""
     path = Path(path)
@@ -56,6 +67,8 @@ def write_container(path: str | Path, kind: str, version: int, header: dict,
 
 
 def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, list[bytes]]:
+    """The header and raw records of a container of ``kind`` and ``version``.
+    Reading a key the header lacks raises :class:`FormatError`."""
     data = Path(path).read_bytes()
     off = 0
 
@@ -75,7 +88,7 @@ def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, lis
     (hlen,) = struct.unpack("<Q", take(8, "header length"))
     try:
         header = json.loads(take(hlen, "header"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"{path}: corrupted record (bad header)") from e
     if not isinstance(header, dict):
         raise FormatError(f"{path}: corrupted record (bad header)")
@@ -88,7 +101,7 @@ def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, lis
         records.append(take(rlen, f"record {i}"))
     if off != len(data):
         raise FormatError(f"{path}: corrupted record (trailing bytes)")
-    return header, records
+    return _Header(path, header), records
 
 
 def encode_record(meta: dict, values: np.ndarray) -> bytes:

@@ -5,14 +5,20 @@ probability of every frame-level path that collapses to it (remove repeats,
 then blanks). All recursions run in the log domain with log-sum-exp.
 
 The backward variables (beta) are the forward recursion (alpha) run on
-reversed time over reversed states, so ``ctc_loss`` advances both in one
-frame loop over a packed row that holds alpha and the reversed beta side by
-side, each behind two ``-inf`` pad cells. It computes the same IEEE
-operations, in the same order, as separate alpha and beta passes.
+reversed time over reversed states. ``ctc_lattices`` therefore advances
+alpha and the reversed-time beta of every utterance of a minibatch in one
+frame loop over one packed ``[T_max, W]`` array. Each utterance owns a block
+``[pad pad | alpha | pad pad pad | reversed beta | pad]`` of ``2S + 6``
+columns (S = 2L+1 blank-extended states), so every label state sits on an
+odd column and the skip transition only touches the odd columns of a row.
+``ctc_loss`` reads one utterance's loss and logit gradient from its block.
+Every cell sees the same IEEE operations, in the same order, as separate
+alpha and beta passes over that utterance alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,24 +109,9 @@ def _extend_target(target: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
-def ctc_loss(log_probs: np.ndarray, target, blank: int) -> CtcLossResult:
-    """Loss and logit gradient for one utterance.
-
-    ``log_probs`` is a [T, z] log-domain posterior matrix (rows are logs of a
-    normalized distribution). The returned gradient is with respect to the
-    pre-softmax logits, in the standard posterior-minus-occupancy form, and is
-    valid for any logits whose softmax equals ``exp(log_probs)``.
-
-    Over the S = 2L+1 blank-extended states, row k of one [T, 2(S+2)] array
-    is ``[-inf, -inf | alpha[k] | -inf, -inf | beta[T-1-k] reversed]``.
-    Beta's recursion on reversed states is alpha's, with the skip rule
-    reversed, so each frame is one stay+step ``logaddexp``, one masked skip
-    copy, one ``logaddexp`` and one emission add over the whole row. The
-    two pads between the halves pick up values from alpha's last states and
-    are reset to ``-inf`` by their ``-inf`` emission. The occupancy
-    scatter onto the z output symbols adds states in increasing ``s`` order,
-    as a per-state loop would.
-    """
+def _checked(log_probs: np.ndarray, target, blank: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log_probs`` as float64 and ``target`` as int64, or the ValueError
+    that makes the pair unscorable."""
     lp = np.asarray(log_probs, dtype=np.float64)
     if lp.ndim != 2 or lp.shape[0] < 1:
         raise ValueError("log_probs must be [T>=1, z]")
@@ -137,44 +128,113 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int) -> CtcLossResult:
     if T < min_frames_for_target(target):
         raise InfeasibleTargetError(
             f"target of length {target.size} needs {min_frames_for_target(target)} frames, got {T}")
+    return lp, target
 
-    ext = _extend_target(target, blank)
+
+class CtcLattice(NamedTuple):
+    """Forward and backward variables of one utterance, ``[T, S]`` each
+    (views into the packed array of its minibatch)."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
+def ctc_lattices(log_probs_list: Sequence[np.ndarray], targets: Sequence,
+                 blank: int) -> list[CtcLattice]:
+    """Alpha and beta of every ``(log_probs, target)`` pair of a minibatch.
+
+    One ``[T_max, W]`` array holds a block per utterance, side by side:
+    ``[pad pad | alpha[k] | pad pad pad | beta[T-1-k] reversed | pad]`` in
+    row k. A cell reads the cells 0, 1 and 2 places to its left in the
+    previous row, and beta's recursion on reversed states is alpha's with
+    the skip rule reversed, so one row update advances every block. The
+    array starts as the emissions, with row 0 cut to the four start cells
+    per block; pads and the rows past an utterance's end have ``-inf``
+    emissions and stay ``-inf``. Each frame is one stay+step ``logaddexp``
+    into a scratch row, a masked skip copy and a second ``logaddexp`` on the
+    odd (label) columns only, where a skip can be allowed, and one
+    ``np.add`` of the scratch row onto the emissions. A skip that is not
+    allowed is ``-inf``, and ``logaddexp(x, -inf)`` is ``x``, so every cell
+    gets the bits a per-utterance loop gives it.
+
+    Raises the first unscorable pair's ValueError (InfeasibleTargetError
+    when its target needs more frames than it has).
+    """
+    checked = [_checked(lp, target, blank) for lp, target in zip(log_probs_list, targets)]
+    if not checked:
+        return []
+    exts = [_extend_target(target, blank) for _, target in checked]
+    offsets = np.cumsum([0] + [2 * ext.size + 6 for ext in exts])
+    T_max = max(lp.shape[0] for lp, _ in checked)
+    W = int(offsets[-1])
+    rows = np.full((T_max, W), NEG_INF)
+    skip_mask = np.zeros(W, dtype=bool)
+    start = []
+    blocks = []
+    for (lp, _), ext, off in zip(checked, exts, offsets):
+        T, S = lp.shape[0], ext.size
+        a, b = off + 2, off + S + 5   # first alpha column, first reversed-beta column
+        lp_ext = lp[:, ext]
+        rows[:T, a:a + S] = lp_ext
+        rows[:T, b:b + S] = lp_ext[::-1, ::-1]
+        # A state may inherit from s-2 when it is a new label distinct from
+        # the one two slots back (skipping the blank in between).
+        skip_ok = np.zeros(S, dtype=bool)
+        skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+        skip_mask[a:a + S] = skip_ok
+        skip_mask[b + 2:b + S] = skip_ok[::-1][:-2]   # the same rule on reversed states
+        start += [a, a + 1, b, b + 1]
+        blocks.append((T, S, a, b))
+    first = rows[0, start]
+    rows[0] = NEG_INF
+    rows[0, start] = first
+
+    label_mask = skip_mask[3::2]   # columns 3, 5, ...: the odd entries of cur (row[2:])
+    cur = np.empty(W - 2)
+    skip = np.full(label_mask.size, NEG_INF)
+    cur_labels = cur[1::2]
+    for prev, row in zip(rows[:-1], rows[1:]):
+        np.logaddexp(prev[2:], prev[1:-1], out=cur)
+        np.copyto(skip, prev[1:-2:2], where=label_mask)
+        np.logaddexp(cur_labels, skip, out=cur_labels)
+        np.add(cur, row[2:], out=row[2:])
+
+    return [CtcLattice(rows[:T, a:a + S], rows[T - 1::-1, b:b + S][:, ::-1])
+            for T, S, a, b in blocks]
+
+
+def ctc_loss(log_probs: np.ndarray, target, blank: int,
+             lattice: CtcLattice | None = None) -> CtcLossResult:
+    """Loss and logit gradient for one utterance.
+
+    ``log_probs`` is a [T, z] log-domain posterior matrix (rows are logs of a
+    normalized distribution). The returned gradient is with respect to the
+    pre-softmax logits, in the standard posterior-minus-occupancy form, and is
+    valid for any logits whose softmax equals ``exp(log_probs)``.
+
+    ``lattice`` is this pair's entry of :func:`ctc_lattices` over a
+    minibatch; without one, a minibatch of this pair alone is advanced. In
+    the lattice's block every label state sits on an odd column, which is
+    where the skip transition runs (see :func:`ctc_lattices`). The
+    occupancy scatter onto the z output symbols adds states in increasing
+    ``s`` order, as a per-state loop would.
+    """
+    if lattice is None:
+        (lattice,) = ctc_lattices([log_probs], [target], blank)
+    lp = np.asarray(log_probs, dtype=np.float64)
+    ext = _extend_target(np.asarray(target, dtype=np.int64), blank)
+    T, z = lp.shape
     S = ext.size
-    # A state may inherit from s-2 when it is a new label distinct from the
-    # one two slots back (skipping the blank in between).
-    skip_ok = np.zeros(S, dtype=bool)
-    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-
-    # A cell of the packed row reads the cells 0, 1 and 2 places to its left
-    # in the previous row, so each half sits behind two -inf pads.
-    lp_ext = lp[:, ext]  # [T, S]
-    W = 2 * (S + 2)
-    emit = np.full((T, W), NEG_INF)
-    emit[:, 2:S + 2] = lp_ext
-    emit[:, S + 4:] = lp_ext[::-1, ::-1]
-    skip_mask = np.zeros(W - 2, dtype=bool)
-    skip_mask[:S] = skip_ok
-    skip_mask[S + 4:] = skip_ok[::-1][:-2]  # the same rule on reversed states
-
-    rows = np.full((T, W), NEG_INF)
-    start = [2, 3, S + 4, S + 5]
-    rows[0, start] = emit[0, start]
-    skip = np.full(W - 2, NEG_INF)
-    for stay, step, jump, cur, e in zip(rows[:-1, 2:], rows[:-1, 1:-1], rows[:-1, :-2],
-                                        rows[1:, 2:], emit[1:, 2:]):
-        np.logaddexp(stay, step, out=cur)
-        np.copyto(skip, jump, where=skip_mask)
-        np.logaddexp(cur, skip, out=cur)
-        np.add(cur, e, out=cur)
-
-    alpha = rows[:, 2:S + 2]
-    beta = rows[::-1, S + 4:][:, ::-1]
+    alpha, beta = lattice
+    if alpha.shape != (T, S) or beta.shape != (T, S):
+        raise ValueError(f"lattice is {alpha.shape}, expected ({T}, {S})")
     log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
     if not np.isfinite(log_p):
         raise ValueError("target has zero probability under the given posteriors")
 
     # Occupancy of state s at frame t: alpha*beta double-counts the frame-t
     # emission, so divide by it once and normalize by the total probability.
+    lp_ext = lp[:, ext]
     ab = alpha + beta
     with np.errstate(invalid="ignore", over="ignore"):
         log_occ = ab - lp_ext - log_p

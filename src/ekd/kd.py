@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ctc import CtcLossResult, InfeasibleTargetError, ctc_loss
+from .ctc import CtcLattice, CtcLossResult, InfeasibleTargetError, ctc_loss
 
 logger = logging.getLogger(__name__)
 
@@ -43,17 +43,18 @@ class SoftTarget:
             raise ValueError("teacher_sequence_confidence must lie in [0, 1]")
 
 
-def soft_ctc_kd_loss(student_log_probs: np.ndarray, target: SoftTarget,
-                     blank: int) -> CtcLossResult | None:
+def soft_ctc_kd_loss(student_log_probs: np.ndarray, target: SoftTarget, blank: int,
+                     lattice: CtcLattice | None = None) -> CtcLossResult | None:
     """Teacher-confidence-weighted CTC loss of the student against the
     teacher's decoded transcription. Loss and gradient scale together.
+    ``lattice`` is passed on to :func:`~ekd.ctc.ctc_loss`.
 
     Returns None (after a logged warning) when the pseudo-transcript cannot
     fit in the student's frame count, so the caller can skip the utterance.
     """
     c = target.teacher_sequence_confidence
     try:
-        base = ctc_loss(student_log_probs, target.pseudo_transcript, blank)
+        base = ctc_loss(student_log_probs, target.pseudo_transcript, blank, lattice=lattice)
     except InfeasibleTargetError as e:
         logger.warning("skipping utterance %s: %s", target.utterance_id, e)
         return None

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, DomainSpec, generate_corpus
-from .ctc import PosteriorSequence, ctc_loss, greedy_decode, log_softmax, softmax
+from .ctc import (PosteriorSequence, ctc_lattices, ctc_loss, greedy_decode, log_softmax,
+                  min_frames_for_target, softmax)
 from .kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
@@ -73,14 +74,23 @@ class _Optimizer:
             w -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _run_training(corpus: Corpus, utterances, loss_fn, model_cfg: ModelConfig,
+def _run_training(corpus: Corpus, utterances, targets, loss_fn, model_cfg: ModelConfig,
                   cfg: TrainConfig, snapshot_hook=None, **meta) -> ModelCheckpoint:
     """Generic deterministic loop: a fresh model fitted on ``utterances`` of
     ``corpus``, with its ``training_meta`` (plus the caller's ``meta`` keys)
-    set. ``loss_fn(utt, log_probs)`` returns a CtcLossResult or None (skip).
-    Batch reduction is the mean over scored utterances, summed in
-    utterance-index order."""
+    set. ``targets[i]`` is the CTC target of ``utterances[i]``, and
+    ``loss_fn(utt, log_probs, target, lattice)`` returns a CtcLossResult or
+    None (skip).
+
+    A minibatch runs every forward pass, then advances the lattices of its
+    scorable targets in one :func:`~ekd.ctc.ctc_lattices` call, then scores
+    and back-propagates each utterance in index order. A target that cannot
+    be scored (empty, or longer than its frames allow) gets no lattice, so
+    ``loss_fn`` sees it exactly as a per-utterance loop would. Batch
+    reduction is the mean over scored utterances, summed in utterance-index
+    order."""
     vocab = corpus.vocabulary
+    blank = vocab.blank_index
     model = init_model(model_cfg, corpus.feature_dim, vocab.size, vocab.content_hash())
     opt = _Optimizer(cfg, model.weights)
     shuffle_rng = np.random.default_rng(cfg.seed)
@@ -91,16 +101,24 @@ def _run_training(corpus: Corpus, utterances, loss_fn, model_cfg: ModelConfig,
         total = 0.0
         scored = 0
         for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+            batch = [int(idx) for idx in order[start:start + cfg.batch_size]]
+            caches, log_probs = [], []
+            for idx in batch:
+                logits, _, cache = forward_features(model, utterances[idx].features,
+                                                    with_cache=True)
+                caches.append(cache)
+                log_probs.append(log_softmax(logits))
+            scorable = [j for j, idx in enumerate(batch) if targets[idx].size
+                        and log_probs[j].shape[0] >= min_frames_for_target(targets[idx])]
+            lattices = dict(zip(scorable, ctc_lattices(
+                [log_probs[j] for j in scorable], [targets[batch[j]] for j in scorable], blank)))
             grads = [np.zeros_like(w) for w in model.weights]
             batch_scored = 0
-            for idx in batch:
-                utt = utterances[int(idx)]
-                logits, _, cache = forward_features(model, utt.features, with_cache=True)
-                result = loss_fn(utt, log_softmax(logits))
+            for j, idx in enumerate(batch):
+                result = loss_fn(utterances[idx], log_probs[j], targets[idx], lattices.get(j))
                 if result is None:
                     continue
-                for gi, g in enumerate(backward_features(model, cache, result.grad_logits)):
+                for gi, g in enumerate(backward_features(model, caches[j], result.grad_logits)):
                     grads[gi] += g
                 total += result.loss
                 batch_scored += 1
@@ -156,10 +174,11 @@ def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig
     vocab = corpus.vocabulary
     blank = vocab.blank_index
 
-    def loss_fn(utt, log_probs):
-        return ctc_loss(log_probs, utt.transcript, blank)
+    def loss_fn(utt, log_probs, target, lattice):
+        return ctc_loss(log_probs, target, blank, lattice=lattice)
 
-    model = _run_training(corpus, corpus.utterances, loss_fn, model_cfg, train_cfg,
+    targets = [u.transcript for u in corpus.utterances]
+    model = _run_training(corpus, corpus.utterances, targets, loss_fn, model_cfg, train_cfg,
                           snapshot_hook, objective="ctc")
     if probe_spec is not None and probe_wer_threshold is not None:
         probe_seed = (train_cfg.seed * 9973 + 17) % (2 ** 31)
@@ -199,19 +218,20 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
         covered.append(utt)
     hard = kd_cfg.soft_label_mode is SoftLabelMode.HARD_PSEUDO_LABEL
 
-    def loss_fn(utt, log_probs):
-        outcome = by_id[utt.id]
-        if outcome.pseudo_transcript.size == 0:
+    def loss_fn(utt, log_probs, target, lattice):
+        if target.size == 0:
             logger.warning("empty pseudo-transcript for %s; skipping", utt.id)
             return None
-        target = SoftTarget(
+        soft = SoftTarget(
             utterance_id=utt.id,
-            pseudo_transcript=outcome.pseudo_transcript,
-            teacher_sequence_confidence=1.0 if hard else outcome.sequence_confidence,
+            pseudo_transcript=target,
+            teacher_sequence_confidence=1.0 if hard else by_id[utt.id].sequence_confidence,
         )
-        return soft_ctc_kd_loss(log_probs, target, blank)
+        return soft_ctc_kd_loss(log_probs, soft, blank, lattice=lattice)
 
-    return _run_training(target_corpus, covered, loss_fn, model_cfg, train_cfg, snapshot_hook,
+    targets = [by_id[u.id].pseudo_transcript for u in covered]
+    return _run_training(target_corpus, covered, targets, loss_fn, model_cfg, train_cfg,
+                         snapshot_hook,
                          objective=f"soft_ctc_kd/{kd_cfg.soft_label_mode.value}",
                          covered_utterances=len(covered))
 

@@ -77,7 +77,8 @@ def test_loader_rejects_malformed_record(tmp_path, rng, kind, corrupt):
         load(path)
 
 
-@pytest.mark.parametrize("header", [b'["x"]', b'"posteriors"', b"3", b"null"])
+@pytest.mark.parametrize("header", [b'["x"]', b'"posteriors"', b"3", b"null",
+                                    b"\xff\xfe{", b'{"kind":"\xff"}'])
 def test_non_object_header_rejected(tmp_path, header):
     path = tmp_path / "artifact"
     path.write_bytes(binio.MAGIC + struct.pack("<IQ", 1, len(header)) + header
@@ -85,6 +86,18 @@ def test_non_object_header_rejected(tmp_path, header):
     with pytest.raises(binio.FormatError,
                        match=re.escape(f"{path}: corrupted record (bad header)")):
         binio.read_container(path, "posteriors", 1)
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_header_missing_keys_rejected(tmp_path, rng, kind):
+    write, load, version = ARTIFACTS[kind]
+    path = tmp_path / "artifact"
+    write(path, rng)
+    _, records = binio.read_container(path, kind, version)
+    binio.write_container(path, kind, version, {}, records)   # header is {"kind": kind}
+    with pytest.raises(binio.FormatError,
+                       match=re.escape(f"{path}: corrupted record (header has no '")):
+        load(path)
 
 
 def test_bad_meta_json_rejected(tmp_path):

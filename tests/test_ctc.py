@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekd.ctc import (InfeasibleTargetError, PosteriorSequence, collapse_alignment,
-                     ctc_loss, greedy_decode, log_softmax, min_frames_for_target, softmax)
+                     ctc_lattices, ctc_loss, greedy_decode, log_softmax, min_frames_for_target,
+                     softmax)
 
 from conftest import random_posteriors
 from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss
@@ -186,11 +187,9 @@ def _assert_matches_two_pass(lp, target, blank):
     assert np.array_equal(got.grad_logits, want_grad)
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_packed_recursion_is_bit_identical_to_two_pass(data):
-    z = data.draw(st.integers(2, 12), label="z")
-    blank = data.draw(st.integers(0, z - 1), label="blank")
+def _draw_pair(data, z, blank):
+    """A (log_probs, target) pair: repeated labels, T often at its minimum,
+    sometimes exact-zero posteriors."""
     labels = [g for g in range(z) if g != blank]
     # few distinct labels make repeats, which need a separating blank
     n_labels = data.draw(st.integers(1, len(labels)), label="n_labels")
@@ -203,7 +202,78 @@ def test_packed_recursion_is_bit_identical_to_two_pass(data):
     lp = log_softmax(rng.normal(size=(T, z)) * rng.uniform(0.1, 10.0))
     if data.draw(st.booleans(), label="zeros"):
         lp[rng.random((T, z)) < 0.15] = -np.inf   # exact-zero posteriors
-    _assert_matches_two_pass(lp, target, blank)
+    return lp, target
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_recursion_is_bit_identical_to_two_pass(data):
+    z = data.draw(st.integers(2, 12), label="z")
+    blank = data.draw(st.integers(0, z - 1), label="blank")
+    _assert_matches_two_pass(*_draw_pair(data, z, blank), blank)
+
+
+def _spoil(kind, lp, target, z, blank):
+    """The pair made unscorable in one of the ways ``ctc_loss`` rejects."""
+    lp, target = lp.copy(), list(target)
+    if kind == "nan":
+        lp[-1, 0] = np.nan
+    elif kind == "shape":
+        lp = lp[0]
+    elif kind == "empty":
+        target = []
+    elif kind == "blank":
+        target[-1] = blank
+    elif kind == "out-of-range":
+        target[0] = z
+    else:  # infeasible: more labels than frames
+        target = target * (lp.shape[0] + 1)
+    return lp, target
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_lattices_are_bit_identical_per_utterance(data):
+    """Ragged minibatches: every utterance's loss and gradient read from its
+    lattice are the bits of ``ctc_loss`` alone and of the two-pass
+    reference, and an unscorable pair anywhere in the batch raises what it
+    raises alone."""
+    z = data.draw(st.integers(2, 12), label="z")
+    blank = data.draw(st.integers(0, z - 1), label="blank")
+    B = data.draw(st.integers(1, 16), label="B")
+    pairs = [_draw_pair(data, z, blank) for _ in range(B)]
+    bad = data.draw(st.sampled_from([None, "nan", "shape", "empty", "blank", "out-of-range",
+                                     "infeasible"]), label="bad")
+    if bad is not None:
+        at = data.draw(st.integers(0, B - 1), label="bad_at")
+        pairs[at] = _spoil(bad, *pairs[at], z, blank)
+        with pytest.raises(ValueError) as alone:
+            ctc_loss(*pairs[at], blank)
+        with pytest.raises(ValueError) as batched:
+            ctc_lattices([lp for lp, _ in pairs], [t for _, t in pairs], blank)
+        assert type(batched.value) is type(alone.value)
+        assert str(batched.value) == str(alone.value)
+        return
+    lattices = ctc_lattices([lp for lp, _ in pairs], [t for _, t in pairs], blank)
+    for (lp, target), lattice in zip(pairs, lattices):
+        try:
+            want_loss, want_grad = two_pass_ctc_loss(lp, target, blank)
+        except ValueError as err:   # zero probability, found by the readout
+            for kwargs in ({"lattice": lattice}, {}):
+                with pytest.raises(ValueError) as got:
+                    ctc_loss(lp, target, blank, **kwargs)
+                assert str(got.value) == str(err)
+            continue
+        for got in (ctc_loss(lp, target, blank, lattice=lattice), ctc_loss(lp, target, blank)):
+            assert got.loss == want_loss
+            assert np.array_equal(got.grad_logits, want_grad)
+
+
+def test_lattice_of_another_pair_rejected():
+    uniform = np.log(np.full((5, 3), 1 / 3))
+    (lattice,) = ctc_lattices([uniform[:4]], [[0, 1]], blank=2)
+    with pytest.raises(ValueError, match="lattice"):
+        ctc_loss(uniform, [0, 1], blank=2, lattice=lattice)
 
 
 def test_packed_recursion_matches_two_pass_on_exact_zeros():

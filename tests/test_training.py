@@ -5,8 +5,9 @@ import pytest
 
 from ekd.config import build_transform
 from ekd.corpus import DomainSpec, generate_corpus, transcript_read_count
-from ekd.ctc import ctc_loss, log_softmax
-from ekd.kd import KdConfig, SoftLabelMode
+from ekd import training
+from ekd.ctc import ctc_lattices, ctc_loss, log_softmax
+from ekd.kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
 from ekd.model import ModelConfig, forward_features, init_model
 from ekd.selection import Strategy, TeacherBundle, select_corpus
 from ekd.training import (TeacherQualityError, TrainConfig, activation_frame_indices,
@@ -235,6 +236,61 @@ def test_snapshot_hook_cadence(corpus):
     train_teacher(corpus, MODEL_CFG, dataclasses.replace(TRAIN_CFG, epochs=8, eval_every=3),
                   snapshot_hook=lambda e, m: seen.append(e))
     assert seen == [3, 6, 8]
+
+
+# -- minibatch lattices -----------------------------------------------------------
+
+def _one_at_a_time(log_probs_list, targets, blank):
+    return [ctc_lattices([lp], [t], blank)[0] for lp, t in zip(log_probs_list, targets)]
+
+
+def test_batched_lattices_train_bit_identical_models(teacher, corpus, monkeypatch):
+    cfg = dataclasses.replace(TRAIN_CFG, epochs=3)
+    selection = make_selection(teacher, corpus)
+    unlabeled = corpus.without_transcripts()
+
+    def both():
+        return (train_teacher(corpus, MODEL_CFG, cfg),
+                train_student(selection.outcomes, unlabeled, MODEL_CFG, cfg, KdConfig()))
+
+    batched = both()
+    monkeypatch.setattr(training, "ctc_lattices", _one_at_a_time)
+    for got, want in zip(both(), batched):
+        assert got.training_meta["loss_curve"] == want.training_meta["loss_curve"]
+        assert all(np.array_equal(g, w) for g, w in zip(got.weights, want.weights))
+
+
+def test_unscorable_pseudo_transcripts_warn_in_order(teacher, spec, caplog, monkeypatch):
+    """An empty and an infeasible pseudo-transcript in the middle of one
+    minibatch are warned about in minibatch order, and the mean loss is
+    that of the other utterances, summed in minibatch order."""
+    small = generate_corpus(spec, VOCAB, 8, seed=21)
+    cfg = dataclasses.replace(TRAIN_CFG, epochs=1, batch_size=8)
+    order = np.random.default_rng(cfg.seed).permutation(8)
+    empty, infeasible = small.utterances[order[3]], small.utterances[order[5]]
+    outcomes = [dataclasses.replace(
+        o, pseudo_transcript=[] if o.utterance_id == empty.id
+        else [1, 2] * infeasible.num_frames if o.utterance_id == infeasible.id
+        else o.pseudo_transcript) for o in make_selection(teacher, small).outcomes]
+    batches = []
+    monkeypatch.setattr(training, "ctc_lattices",
+                        lambda lps, targets, blank: batches.append(len(lps))
+                        or ctc_lattices(lps, targets, blank))
+    with caplog.at_level("WARNING"):
+        model = train_student(outcomes, small.without_transcripts(), MODEL_CFG, cfg, KdConfig())
+    assert [r.getMessage() for r in caplog.records] == [
+        f"empty pseudo-transcript for {empty.id}; skipping",
+        f"skipping utterance {infeasible.id}: target of length {2 * infeasible.num_frames} "
+        f"needs {2 * infeasible.num_frames} frames, got {infeasible.num_frames}"]
+    assert batches == [6]
+    fresh = init_model(MODEL_CFG, small.feature_dim, VOCAB.size, VOCAB.content_hash())
+    total = 0.0
+    for idx in order[[0, 1, 2, 4, 6, 7]]:
+        utt, outcome = small.utterances[idx], outcomes[idx]
+        logits, _ = forward_features(fresh, utt.features)
+        target = SoftTarget(utt.id, outcome.pseudo_transcript, outcome.sequence_confidence)
+        total += soft_ctc_kd_loss(log_softmax(logits), target, VOCAB.blank_index).loss
+    assert model.training_meta["loss_curve"] == [total / 6]
 
 
 # -- activation dumps --------------------------------------------------------------
