@@ -103,6 +103,19 @@ def min_frames_for_target(target: np.ndarray) -> int:
     return int(target.size + repeats)
 
 
+def target_error(target, n_frames: int) -> ValueError | None:
+    """Why ``target`` cannot be scored over ``n_frames`` frames (it is empty,
+    or needs more frames than there are: InfeasibleTargetError), or None."""
+    target = np.asarray(target, dtype=np.int64)
+    if target.size == 0:
+        return ValueError("target must be non-empty")
+    need = min_frames_for_target(target)
+    if n_frames < need:
+        return InfeasibleTargetError(
+            f"target of length {target.size} needs {need} frames, got {n_frames}")
+    return None
+
+
 def _extend_target(target: np.ndarray, blank: int) -> np.ndarray:
     ext = np.full(2 * target.size + 1, blank, dtype=np.int64)
     ext[1::2] = target
@@ -118,16 +131,16 @@ def _checked(log_probs: np.ndarray, target, blank: int) -> tuple[np.ndarray, np.
     if np.any(np.isnan(lp)):
         raise ValueError("NaN in log posteriors")
     target = np.asarray(target, dtype=np.int64)
-    if target.size == 0:
-        raise ValueError("target must be non-empty")
     T, z = lp.shape
+    unfit = target_error(target, T)
+    if target.size == 0:
+        raise unfit
     if target.min() < 0 or target.max() >= z:
         raise ValueError("target index out of range")
     if np.any(target == blank):
         raise ValueError("target must not contain the blank symbol")
-    if T < min_frames_for_target(target):
-        raise InfeasibleTargetError(
-            f"target of length {target.size} needs {min_frames_for_target(target)} frames, got {T}")
+    if unfit is not None:
+        raise unfit
     return lp, target
 
 

@@ -56,7 +56,6 @@ class SelectionOutcome:
     """One utterance's training target. ``selected_posteriors`` is set only
     on outcomes a strategy returns; selection files do not store them."""
 
-    strategy: Strategy
     utterance_id: str
     selected_posteriors: PosteriorSequence | None
     winning_teacher: int | None
@@ -65,8 +64,10 @@ class SelectionOutcome:
     sequence_confidence: float
 
     def __post_init__(self) -> None:
-        self.strategy = Strategy(self.strategy)
         self.pseudo_transcript = np.asarray(self.pseudo_transcript, dtype=np.int64)
+        if not 0.0 <= self.sequence_confidence <= 1.0:   # also rejects NaN
+            raise ValueError(f"{self.utterance_id}: sequence_confidence "
+                             f"{self.sequence_confidence} outside [0, 1]")
 
 
 def utterance_confidence(probs: np.ndarray) -> float:
@@ -80,11 +81,9 @@ def elitist_scores(bundle: TeacherBundle) -> list[float]:
     return [utterance_confidence(p.probs) for p in bundle.per_teacher_posteriors]
 
 
-def _outcome(strategy: Strategy, bundle: TeacherBundle, selected: PosteriorSequence,
-             blank: int, winner: int | None = None,
-             scores: list[float] | None = None) -> SelectionOutcome:
+def _outcome(bundle: TeacherBundle, selected: PosteriorSequence, blank: int,
+             winner: int | None = None, scores: list[float] | None = None) -> SelectionOutcome:
     return SelectionOutcome(
-        strategy=strategy,
         utterance_id=bundle.utterance_id,
         selected_posteriors=selected,
         winning_teacher=winner,
@@ -97,8 +96,7 @@ def _outcome(strategy: Strategy, bundle: TeacherBundle, selected: PosteriorSeque
 def teacher_average(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     """Element-wise mean over teachers."""
     stack = np.stack([p.probs for p in bundle.per_teacher_posteriors])
-    return _outcome(Strategy.TEACHER_AVERAGE, bundle,
-                    PosteriorSequence(stack.mean(axis=0), bundle.utterance_id), blank)
+    return _outcome(bundle, PosteriorSequence(stack.mean(axis=0), bundle.utterance_id), blank)
 
 
 def framewise_max(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
@@ -108,8 +106,7 @@ def framewise_max(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     frame_conf = stack.max(axis=2)                                     # [K, T]
     winners = np.argmax(frame_conf, axis=0)                            # [T]
     composed = stack[winners, np.arange(stack.shape[1]), :]
-    return _outcome(Strategy.FRAMEWISE_MAX, bundle,
-                    PosteriorSequence(composed, bundle.utterance_id), blank)
+    return _outcome(bundle, PosteriorSequence(composed, bundle.utterance_id), blank)
 
 
 def elitist_select(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
@@ -121,8 +118,7 @@ def elitist_select(bundle: TeacherBundle, blank: int) -> SelectionOutcome:
     """
     scores = elitist_scores(bundle)
     winner = int(np.argmax(scores))
-    return _outcome(Strategy.ELITIST, bundle, bundle.per_teacher_posteriors[winner], blank,
-                    winner, scores)
+    return _outcome(bundle, bundle.per_teacher_posteriors[winner], blank, winner, scores)
 
 
 _STRATEGY_FNS = {
@@ -219,15 +215,18 @@ def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> No
 def load_selection(path) -> CorpusSelection:
     header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
     strategy = Strategy(header["strategy"])
-    outcomes = [SelectionOutcome(
-        strategy=strategy,
-        utterance_id=meta["id"],
-        selected_posteriors=None,
-        winning_teacher=meta["winning_teacher"],
-        per_teacher_scores=meta["per_teacher_scores"],
-        pseudo_transcript=np.asarray(meta["pseudo_transcript"], dtype=np.int64),
-        sequence_confidence=meta["sequence_confidence"],
-    ) for meta, _ in binio.decode_records(path, records, [0] * header["n_outcomes"])]
+    decoded = binio.decode_records(path, records, [0] * header["n_outcomes"])
+    try:
+        outcomes = [SelectionOutcome(
+            utterance_id=meta["id"],
+            selected_posteriors=None,
+            winning_teacher=meta["winning_teacher"],
+            per_teacher_scores=meta["per_teacher_scores"],
+            pseudo_transcript=meta["pseudo_transcript"],
+            sequence_confidence=meta["sequence_confidence"],
+        ) for meta, _ in decoded]
+    except (TypeError, ValueError) as e:
+        raise binio.FormatError(f"{path}: corrupted record ({e})") from e
     return CorpusSelection(strategy=strategy, outcomes=outcomes,
                            win_counts=header["win_counts"],
                            skipped=[tuple(s) for s in header["skipped"]])

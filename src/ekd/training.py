@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, DomainSpec, generate_corpus
-from .ctc import (PosteriorSequence, ctc_lattices, ctc_loss, greedy_decode, log_softmax,
-                  min_frames_for_target, softmax)
-from .kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
+from .ctc import PosteriorSequence, ctc_lattices, greedy_decode, log_softmax, softmax, target_error
+from .kd import KdConfig, SoftLabelMode, soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
 from .svcca import ActivationMatrix
@@ -74,21 +73,20 @@ class _Optimizer:
             w -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _run_training(corpus: Corpus, utterances, targets, loss_fn, model_cfg: ModelConfig,
+def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: ModelConfig,
                   cfg: TrainConfig, snapshot_hook=None, **meta) -> ModelCheckpoint:
-    """Generic deterministic loop: a fresh model fitted on ``utterances`` of
-    ``corpus``, with its ``training_meta`` (plus the caller's ``meta`` keys)
-    set. ``targets[i]`` is the CTC target of ``utterances[i]``, and
-    ``loss_fn(utt, log_probs, target, lattice)`` returns a CtcLossResult or
-    None (skip).
+    """The one deterministic loop: a fresh model fitted on ``utterances`` of
+    ``corpus`` with the weighted CTC loss, with its ``training_meta`` (plus
+    the caller's ``meta`` keys) set. ``targets[i]``, the CTC target of
+    ``utterances[i]``, must be scorable (see :func:`~ekd.ctc.target_error`);
+    ``weights[i]`` scales its loss.
 
-    A minibatch runs every forward pass, then advances the lattices of its
-    scorable targets in one :func:`~ekd.ctc.ctc_lattices` call, then scores
-    and back-propagates each utterance in index order. A target that cannot
-    be scored (empty, or longer than its frames allow) gets no lattice, so
-    ``loss_fn`` sees it exactly as a per-utterance loop would. Batch
-    reduction is the mean over scored utterances, summed in utterance-index
-    order."""
+    A minibatch runs every forward pass, then advances all its lattices in
+    one :func:`~ekd.ctc.ctc_lattices` call, then scores and back-propagates
+    each utterance in index order. Batch reduction is the mean over the
+    minibatch, summed in utterance-index order."""
+    if not utterances:
+        raise ValueError(f"corpus {corpus.name!r}: no utterance can be scored")
     vocab = corpus.vocabulary
     blank = vocab.blank_index
     model = init_model(model_cfg, corpus.feature_dim, vocab.size, vocab.content_hash())
@@ -99,7 +97,6 @@ def _run_training(corpus: Corpus, utterances, targets, loss_fn, model_cfg: Model
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         total = 0.0
-        scored = 0
         for start in range(0, n, cfg.batch_size):
             batch = [int(idx) for idx in order[start:start + cfg.batch_size]]
             caches, log_probs = [], []
@@ -108,42 +105,33 @@ def _run_training(corpus: Corpus, utterances, targets, loss_fn, model_cfg: Model
                                                     with_cache=True)
                 caches.append(cache)
                 log_probs.append(log_softmax(logits))
-            scorable = [j for j, idx in enumerate(batch) if targets[idx].size
-                        and log_probs[j].shape[0] >= min_frames_for_target(targets[idx])]
-            lattices = dict(zip(scorable, ctc_lattices(
-                [log_probs[j] for j in scorable], [targets[batch[j]] for j in scorable], blank)))
+            lattices = ctc_lattices(log_probs, [targets[idx] for idx in batch], blank)
             grads = [np.zeros_like(w) for w in model.weights]
-            batch_scored = 0
-            for j, idx in enumerate(batch):
-                result = loss_fn(utterances[idx], log_probs[j], targets[idx], lattices.get(j))
-                if result is None:
-                    continue
-                for gi, g in enumerate(backward_features(model, caches[j], result.grad_logits)):
+            for idx, lp, cache, lattice in zip(batch, log_probs, caches, lattices):
+                result = soft_ctc_kd_loss(lp, targets[idx], weights[idx], blank, lattice)
+                for gi, g in enumerate(backward_features(model, cache, result.grad_logits)):
                     grads[gi] += g
                 total += result.loss
-                batch_scored += 1
-            if batch_scored == 0:
-                continue
-            grads = [g / batch_scored for g in grads]
+            grads = [g / len(batch) for g in grads]
             opt.step(model.weights, grads)
             if not all(np.all(np.isfinite(w)) for w in model.weights):
                 raise TrainingDivergedError(
                     f"epoch {epoch}: non-finite weights after an update "
                     "(diverged; lower the learning rate or tighten gradient_clip)")
-            scored += batch_scored
-        mean_loss = total / scored if scored else float("nan")
+        mean_loss = total / n
         epoch_losses.append(mean_loss)
-        logger.debug("epoch %d: mean loss %.6f over %d utterances", epoch, mean_loss, scored)
         if not np.isfinite(mean_loss):
-            raise TrainingDivergedError(
-                f"epoch {epoch}: non-finite mean loss {mean_loss} (scored {scored} utterances)")
-        if snapshot_hook is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            snapshot_hook(epoch, model.copy())
+            raise TrainingDivergedError(f"epoch {epoch}: non-finite mean loss {mean_loss}")
+        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+            logger.info("%s epoch %d: mean loss %.6f over %d utterances",
+                        corpus.name, epoch, mean_loss, n)
+            if snapshot_hook is not None:
+                snapshot_hook(epoch, model.copy())
     model.training_meta = {
         "corpus": corpus.name,
         "epochs": cfg.epochs,
         "final_mean_loss": epoch_losses[-1],
-        "final_sum_loss": epoch_losses[-1] * max(n, 1),
+        "final_sum_loss": epoch_losses[-1] * n,
         "loss_curve": epoch_losses,
         **meta,
     }
@@ -171,22 +159,21 @@ def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig
     """
     if not all(u.has_transcript for u in corpus.utterances):
         raise ValueError(f"corpus {corpus.name!r} is missing transcripts")
-    vocab = corpus.vocabulary
-    blank = vocab.blank_index
-
-    def loss_fn(utt, log_probs, target, lattice):
-        return ctc_loss(log_probs, target, blank, lattice=lattice)
-
     targets = [u.transcript for u in corpus.utterances]
-    model = _run_training(corpus, corpus.utterances, targets, loss_fn, model_cfg, train_cfg,
-                          snapshot_hook, objective="ctc")
+    for utt, target in zip(corpus.utterances, targets):
+        error = target_error(target, utt.num_frames)
+        if error is not None:
+            raise ValueError(f"corpus {corpus.name!r}: transcript of {utt.id} cannot be "
+                             f"scored: {error}")
+    model = _run_training(corpus, corpus.utterances, targets, [1.0] * len(targets), model_cfg,
+                          train_cfg, snapshot_hook, objective="ctc")
     if probe_spec is not None and probe_wer_threshold is not None:
         probe_seed = (train_cfg.seed * 9973 + 17) % (2 ** 31)
         probe = generate_corpus(
             DomainSpec(probe_spec.name, 0.0, probe_spec.feature_scale, probe_spec.feature_bias,
                        probe_spec.frames_per_symbol, probe_spec.utterance_length_range,
                        probe_spec.lexicon),
-            vocab, n_utterances=16, seed=probe_seed)
+            corpus.vocabulary, n_utterances=16, seed=probe_seed)
         probe_wer = greedy_corpus_wer(model, probe)
         model.training_meta["probe_wer"] = probe_wer
         if probe_wer > probe_wer_threshold:
@@ -207,30 +194,22 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
     if any(u.has_transcript for u in target_corpus.utterances):
         raise ValueError("target corpus still carries transcripts; strip them before "
                          "student training")
-    vocab = target_corpus.vocabulary
-    blank = vocab.blank_index
     by_id = {o.utterance_id: o for o in selections}
-    covered = []
+    hard = kd_cfg.soft_label_mode is SoftLabelMode.HARD_PSEUDO_LABEL
+    covered, targets, weights = [], [], []
     for utt in target_corpus.utterances:
-        if utt.id not in by_id:
+        outcome = by_id.get(utt.id)
+        if outcome is None:
             logger.warning("no selection for utterance %s; skipping", utt.id)
             continue
+        error = target_error(outcome.pseudo_transcript, utt.num_frames)
+        if error is not None:
+            logger.warning("unscorable pseudo-transcript for %s (%s); skipping", utt.id, error)
+            continue
         covered.append(utt)
-    hard = kd_cfg.soft_label_mode is SoftLabelMode.HARD_PSEUDO_LABEL
-
-    def loss_fn(utt, log_probs, target, lattice):
-        if target.size == 0:
-            logger.warning("empty pseudo-transcript for %s; skipping", utt.id)
-            return None
-        soft = SoftTarget(
-            utterance_id=utt.id,
-            pseudo_transcript=target,
-            teacher_sequence_confidence=1.0 if hard else by_id[utt.id].sequence_confidence,
-        )
-        return soft_ctc_kd_loss(log_probs, soft, blank, lattice=lattice)
-
-    targets = [by_id[u.id].pseudo_transcript for u in covered]
-    return _run_training(target_corpus, covered, targets, loss_fn, model_cfg, train_cfg,
+        targets.append(outcome.pseudo_transcript)
+        weights.append(1.0 if hard else outcome.sequence_confidence)
+    return _run_training(target_corpus, covered, targets, weights, model_cfg, train_cfg,
                          snapshot_hook,
                          objective=f"soft_ctc_kd/{kd_cfg.soft_label_mode.value}",
                          covered_utterances=len(covered))

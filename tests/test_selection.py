@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ from ekd.corpus import DomainSpec, generate_corpus
 from ekd.ctc import PosteriorSequence, greedy_decode
 from ekd.kd import KdConfig
 from ekd.model import ModelConfig
-from ekd.selection import (SELECTION_FORMAT_VERSION, Strategy, TeacherBundle, elitist_scores,
-                           elitist_select, framewise_max, load_posteriors, load_selection,
-                           save_posteriors, save_selection, select_corpus, teacher_average)
+from ekd.selection import (SELECTION_FORMAT_VERSION, SelectionOutcome, Strategy, TeacherBundle,
+                           elitist_scores, elitist_select, framewise_max, load_posteriors,
+                           load_selection, save_posteriors, save_selection, select_corpus,
+                           teacher_average)
 from ekd.training import TrainConfig, train_student
 from ekd.vocab import default_vocabulary
 
@@ -273,6 +276,22 @@ def test_selection_round_trip(tmp_path, rng):
     again = tmp_path / "s2.ekds"
     save_selection(again, loaded, "hash123")
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_confidence_out_of_range_rejected():
+    for confidence in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="u7: sequence_confidence"):
+            SelectionOutcome("u7", None, None, None, [0], confidence)
+
+
+def test_load_selection_rejects_confidence_out_of_range(tmp_path, rng):
+    selection = select_corpus(Strategy.ELITIST, [make_bundle(rng, uid="u0")], BLANK)
+    path = tmp_path / "s.ekds"
+    for confidence in (1.5, float("nan")):
+        selection.outcomes[0].sequence_confidence = confidence
+        save_selection(path, selection, "hash123")
+        with pytest.raises(binio.FormatError, match=f"^{re.escape(str(path))}: .*u0: sequence_confidence"):
+            load_selection(path)
 
 
 def test_student_trains_the_same_on_a_loaded_selection(tmp_path, rng):

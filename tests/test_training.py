@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ekd.config import build_transform
-from ekd.corpus import DomainSpec, generate_corpus, transcript_read_count
+from ekd.corpus import DomainSpec, Utterance, generate_corpus, transcript_read_count
 from ekd import training
 from ekd.ctc import ctc_lattices, ctc_loss, log_softmax
-from ekd.kd import KdConfig, SoftLabelMode, SoftTarget, soft_ctc_kd_loss
+from ekd.kd import KdConfig, SoftLabelMode
 from ekd.model import ModelConfig, forward_features, init_model
 from ekd.selection import Strategy, TeacherBundle, select_corpus
 from ekd.training import (TeacherQualityError, TrainConfig, activation_frame_indices,
@@ -87,6 +87,32 @@ def test_in_domain_beats_out_of_domain(teacher, spec):
 def test_missing_transcripts_rejected(corpus):
     with pytest.raises(ValueError, match="transcripts"):
         train_teacher(corpus.without_transcripts(), MODEL_CFG, TRAIN_CFG)
+
+
+def test_unscorable_teacher_transcript_fails_before_training(spec, monkeypatch):
+    small = generate_corpus(spec, VOCAB, 4, seed=21)
+    bad = small.utterances[2]
+    monkeypatch.setattr(training, "_run_training",
+                        lambda *args, **kwargs: pytest.fail("training started"))
+    for transcript, reason in (([], "target must be non-empty"),
+                               ([1, 2] * bad.num_frames,
+                                f"needs {2 * bad.num_frames} frames, got {bad.num_frames}")):
+        utterances = list(small.utterances)
+        utterances[2] = Utterance(bad.id, bad.features, transcript, bad.domain_tag)
+        broken = dataclasses.replace(small, utterances=utterances)
+        with pytest.raises(ValueError, match=f"{small.name!r}.*{bad.id}.*{reason}"):
+            train_teacher(broken, MODEL_CFG, TRAIN_CFG)
+
+
+def test_mean_loss_logged_every_eval_every(spec, caplog):
+    small = generate_corpus(spec, VOCAB, 4, seed=21)
+    with caplog.at_level("INFO", logger="ekd.training"):
+        model = train_teacher(small, MODEL_CFG,
+                              dataclasses.replace(TRAIN_CFG, epochs=5, eval_every=2))
+    curve = model.training_meta["loss_curve"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{small.name} epoch {e}: mean loss {curve[e - 1]:.6f} over 4 utterances"
+        for e in (2, 4, 5)]
 
 
 def test_divergence_aborts_with_diagnostic(corpus):
@@ -178,12 +204,11 @@ def test_zero_confidence_freezes_weights(teacher, corpus):
 
 def test_hard_pseudo_label_mode_ignores_confidence(teacher, corpus):
     selection = make_selection(teacher, corpus)
-    low_conf = [dataclasses.replace(o) if False else o for o in selection.outcomes]
-    for o in low_conf:
+    for o in selection.outcomes:
         o.sequence_confidence = 0.0
     unlabeled = corpus.without_transcripts()
     cfg = dataclasses.replace(TRAIN_CFG, epochs=2)
-    hard = train_student(low_conf, unlabeled, MODEL_CFG, cfg,
+    hard = train_student(selection.outcomes, unlabeled, MODEL_CFG, cfg,
                          KdConfig(soft_label_mode=SoftLabelMode.HARD_PSEUDO_LABEL))
     fresh = init_model(MODEL_CFG, corpus.feature_dim, VOCAB.size, VOCAB.content_hash())
     assert any(not np.array_equal(w, f) for w, f in zip(hard.weights, fresh.weights))
@@ -260,37 +285,37 @@ def test_batched_lattices_train_bit_identical_models(teacher, corpus, monkeypatc
         assert all(np.array_equal(g, w) for g, w in zip(got.weights, want.weights))
 
 
-def test_unscorable_pseudo_transcripts_warn_in_order(teacher, spec, caplog, monkeypatch):
-    """An empty and an infeasible pseudo-transcript in the middle of one
-    minibatch are warned about in minibatch order, and the mean loss is
-    that of the other utterances, summed in minibatch order."""
+def test_unscorable_pseudo_transcripts_count_as_absent(teacher, spec, caplog):
+    """An empty and an infeasible pseudo-transcript are each warned about
+    once, not once per epoch, and the student trains exactly as if their
+    selection outcomes were missing."""
     small = generate_corpus(spec, VOCAB, 8, seed=21)
-    cfg = dataclasses.replace(TRAIN_CFG, epochs=1, batch_size=8)
-    order = np.random.default_rng(cfg.seed).permutation(8)
-    empty, infeasible = small.utterances[order[3]], small.utterances[order[5]]
+    cfg = dataclasses.replace(TRAIN_CFG, epochs=3, batch_size=4)
+    empty, infeasible = small.utterances[3], small.utterances[5]
     outcomes = [dataclasses.replace(
         o, pseudo_transcript=[] if o.utterance_id == empty.id
         else [1, 2] * infeasible.num_frames if o.utterance_id == infeasible.id
         else o.pseudo_transcript) for o in make_selection(teacher, small).outcomes]
-    batches = []
-    monkeypatch.setattr(training, "ctc_lattices",
-                        lambda lps, targets, blank: batches.append(len(lps))
-                        or ctc_lattices(lps, targets, blank))
+    unlabeled = small.without_transcripts()
     with caplog.at_level("WARNING"):
-        model = train_student(outcomes, small.without_transcripts(), MODEL_CFG, cfg, KdConfig())
+        model = train_student(outcomes, unlabeled, MODEL_CFG, cfg, KdConfig())
     assert [r.getMessage() for r in caplog.records] == [
-        f"empty pseudo-transcript for {empty.id}; skipping",
-        f"skipping utterance {infeasible.id}: target of length {2 * infeasible.num_frames} "
-        f"needs {2 * infeasible.num_frames} frames, got {infeasible.num_frames}"]
-    assert batches == [6]
-    fresh = init_model(MODEL_CFG, small.feature_dim, VOCAB.size, VOCAB.content_hash())
-    total = 0.0
-    for idx in order[[0, 1, 2, 4, 6, 7]]:
-        utt, outcome = small.utterances[idx], outcomes[idx]
-        logits, _ = forward_features(fresh, utt.features)
-        target = SoftTarget(utt.id, outcome.pseudo_transcript, outcome.sequence_confidence)
-        total += soft_ctc_kd_loss(log_softmax(logits), target, VOCAB.blank_index).loss
-    assert model.training_meta["loss_curve"] == [total / 6]
+        f"unscorable pseudo-transcript for {empty.id} (target must be non-empty); skipping",
+        f"unscorable pseudo-transcript for {infeasible.id} (target of length "
+        f"{2 * infeasible.num_frames} needs {2 * infeasible.num_frames} frames, "
+        f"got {infeasible.num_frames}); skipping"]
+    absent = [o for o in outcomes if o.utterance_id not in (empty.id, infeasible.id)]
+    want = train_student(absent, unlabeled, MODEL_CFG, cfg, KdConfig())
+    assert model.training_meta["covered_utterances"] == want.training_meta["covered_utterances"] == 6
+    assert np.array_equal(model.training_meta["loss_curve"], want.training_meta["loss_curve"])
+    assert all(np.array_equal(g, w) for g, w in zip(model.weights, want.weights))
+
+
+def test_student_with_nothing_scorable_names_the_corpus(teacher, corpus):
+    outcomes = [dataclasses.replace(o, pseudo_transcript=[])
+                for o in make_selection(teacher, corpus).outcomes]
+    with pytest.raises(ValueError, match=f"corpus {corpus.name!r}: no utterance can be scored"):
+        train_student(outcomes, corpus.without_transcripts(), MODEL_CFG, TRAIN_CFG, KdConfig())
 
 
 # -- activation dumps --------------------------------------------------------------
