@@ -26,15 +26,17 @@ class FormatError(ValueError):
     """Raised on bad magic, version/kind mismatch, or a corrupted record."""
 
 
-class _Header(dict):
-    """A container header whose missing keys raise FormatError naming the file."""
+class _Fields(dict):
+    """The JSON fields of a container header or of a record's meta; a missing
+    key raises FormatError naming the file, the owner and the key."""
 
-    def __init__(self, path: str | Path, fields: dict):
+    def __init__(self, path: str | Path, fields: dict, owner: str):
         super().__init__(fields)
         self.path = path
+        self.owner = owner
 
     def __missing__(self, key):
-        raise FormatError(f"{self.path}: corrupted record (header has no {key!r})")
+        raise FormatError(f"{self.path}: corrupted record ({self.owner} has no {key!r})")
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -101,7 +103,7 @@ def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, lis
         records.append(take(rlen, f"record {i}"))
     if off != len(data):
         raise FormatError(f"{path}: corrupted record (trailing bytes)")
-    return _Header(path, header), records
+    return _Fields(path, header, "header"), records
 
 
 def encode_record(meta: dict, values: np.ndarray) -> bytes:
@@ -116,7 +118,8 @@ def decode_records(path: str | Path, records: list[bytes],
     """Checked inverse of :func:`encode_record` over a container's records.
 
     ``widths`` holds the column count of each record's matrix, one per
-    record the header claims. Any disagreement raises :class:`FormatError`.
+    record the header claims. Any disagreement raises :class:`FormatError`,
+    and so does reading a key that a record's meta lacks.
     """
     def corrupted(what: str) -> FormatError:
         return FormatError(f"{path}: corrupted record ({what})")
@@ -124,7 +127,7 @@ def decode_records(path: str | Path, records: list[bytes],
     if len(records) != len(widths):
         raise corrupted(f"record count: header says {len(widths)}, file has {len(records)}")
     out = []
-    for rec, width in zip(records, widths):
+    for i, (rec, width) in enumerate(zip(records, widths)):
         if len(rec) < 8:
             raise corrupted("missing meta length")
         (mlen,) = struct.unpack("<Q", rec[:8])
@@ -132,14 +135,14 @@ def decode_records(path: str | Path, records: list[bytes],
             raise corrupted("truncated meta")
         try:
             meta = json.loads(rec[8:8 + mlen])
-            frames = meta["frames"]
-        except (ValueError, KeyError, TypeError) as e:
+        except ValueError as e:
             raise corrupted("bad meta") from e
+        frames = meta.get("frames") if isinstance(meta, dict) else None
         if type(frames) is not int or frames < 0:  # bool is an int subclass
             raise corrupted("bad meta")
         blob = rec[8 + mlen:]
         if len(blob) != 8 * frames * width:
             raise corrupted("blob size")
         values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-        out.append((meta, values.reshape(frames, width)))
+        out.append((_Fields(path, meta, f"record {i}"), values.reshape(frames, width)))
     return out

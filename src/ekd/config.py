@@ -84,6 +84,26 @@ class DomainRecipe:
     utterance_words: tuple[int, int] = (3, 6)
 
 
+def _default_teacher_recipes() -> list[DomainRecipe]:
+    # Unequal training sizes on purpose; the mid recipe shares its transform
+    # direction with the student domain at a different strength, making it
+    # the best-positioned (and best-resourced) teacher.
+    return [
+        DomainRecipe(name="alpha", train_size=120, test_size=36, emission_noise_std=0.35,
+                     transform_strength=0.60, transform_seed=101, shared_words=10, unique_words=8),
+        DomainRecipe(name="beta", train_size=280, test_size=36, emission_noise_std=0.30,
+                     transform_strength=0.40, transform_seed=777, shared_words=12, unique_words=8),
+        DomainRecipe(name="gamma", train_size=100, test_size=36, emission_noise_std=0.30,
+                     transform_strength=0.65, transform_seed=303, shared_words=10, unique_words=8),
+    ]
+
+
+def _default_student_recipe() -> DomainRecipe:
+    return DomainRecipe(name="delta", train_size=160, test_size=48, emission_noise_std=0.40,
+                        transform_strength=0.75, transform_seed=777, shared_words=10,
+                        unique_words=8)
+
+
 @dataclass
 class SvccaSettings:
     n_frames: int = 512
@@ -95,8 +115,8 @@ class SvccaSettings:
 class ExperimentConfig:
     vocabulary_letters: str = "abcdefgh"
     feature_dim: int = 8
-    teacher_domains: list[DomainRecipe] = field(default_factory=list)
-    student_domain: DomainRecipe | None = None
+    teacher_domains: list[DomainRecipe] = field(default_factory=_default_teacher_recipes)
+    student_domain: DomainRecipe = field(default_factory=_default_student_recipe)
     shared_lexicon_size: int = 16
     shared_lexicon_seed: int = 7000
     word_length: tuple[int, int] = (2, 5)
@@ -116,9 +136,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not self.teacher_domains:
-            self.teacher_domains = _default_teacher_recipes()
-        if self.student_domain is None:
-            self.student_domain = _default_student_recipe()
+            raise ValueError("config key 'teacher_domains' must list at least one teacher")
         if self.student_train is None:
             self.student_train = self.train
         if self.lm_order < 1:
@@ -258,26 +276,6 @@ def _field(tp, value, key: str):
         if not isinstance(value, accepts) or (isinstance(value, bool) and tp is not bool):
             raise ValueError(f"config key {key!r} must be {name}")
     return value
-
-
-def _default_teacher_recipes() -> list[DomainRecipe]:
-    # Unequal training sizes on purpose; the mid recipe shares its transform
-    # direction with the student domain at a different strength, making it
-    # the best-positioned (and best-resourced) teacher.
-    return [
-        DomainRecipe(name="alpha", train_size=120, test_size=36, emission_noise_std=0.35,
-                     transform_strength=0.60, transform_seed=101, shared_words=10, unique_words=8),
-        DomainRecipe(name="beta", train_size=280, test_size=36, emission_noise_std=0.30,
-                     transform_strength=0.40, transform_seed=777, shared_words=12, unique_words=8),
-        DomainRecipe(name="gamma", train_size=100, test_size=36, emission_noise_std=0.30,
-                     transform_strength=0.65, transform_seed=303, shared_words=10, unique_words=8),
-    ]
-
-
-def _default_student_recipe() -> DomainRecipe:
-    return DomainRecipe(name="delta", train_size=160, test_size=48, emission_noise_std=0.40,
-                        transform_strength=0.75, transform_seed=777, shared_words=10,
-                        unique_words=8)
 
 
 def default_config() -> ExperimentConfig:

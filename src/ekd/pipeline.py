@@ -29,8 +29,9 @@ from .model import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .report import ResultTable, summarize
 from .selection import (Strategy, TeacherBundle, load_posteriors, load_selection,
                         save_posteriors, save_selection, select_corpus)
-from .svcca import correlation_trajectory
-from .training import corpus_posteriors, train_student, train_teacher
+from .svcca import ActivationMatrix, correlation_trajectory
+from .training import (corpus_posteriors, dump_activations, greedy_corpus_wer, train_student,
+                       train_teacher)
 from .wer import accumulate, wer
 
 logger = logging.getLogger(__name__)
@@ -38,6 +39,10 @@ logger = logging.getLogger(__name__)
 
 class PipelineError(RuntimeError):
     pass
+
+
+class TeacherQualityError(RuntimeError):
+    """In-domain probe WER above the configured gate after training."""
 
 
 def output_root(config: ExperimentConfig, override: str | None = None) -> Path:
@@ -170,6 +175,7 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
     def build(_) -> None:
         specs = config.expand_domains()
         vocab = config.vocabulary()
+        transcripts = []  # the LM's: teacher-domain training transcripts, in teacher order
         for recipe in config.all_domains():
             total = recipe.train_size + recipe.test_size
             corpus = generate_corpus(specs[recipe.name], vocab, total,
@@ -179,16 +185,27 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
                 derive_seed(seed, "split", recipe.name))
             save_corpus(train_part, paths.corpus_path(recipe.name, "train"))
             save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
-        transcripts = []
-        for recipe in config.teacher_domains:
-            train_part = load_corpus(paths.corpus_path(recipe.name, "train"))
-            for utt in train_part.utterances:
-                transcripts.append(vocab.indices_to_words(utt.transcript))
+            if recipe is not config.student_domain:
+                transcripts += [vocab.indices_to_words(u.transcript) for u in train_part.utterances]
         save_arpa(train_lm(transcripts, config.lm_order), lm_path)
 
     outputs = [paths.corpus_path(r.name, part)
                for r in config.all_domains() for part in ("train", "test")]
     _run_units("gen-data", [_Unit("corpora and LM", [*outputs, lm_path], build)], force)
+
+
+def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,
+                threshold: float) -> None:
+    """Record the teacher's greedy WER on a zero-noise in-domain probe set as
+    ``training_meta["probe_wer"]``; raise TeacherQualityError above ``threshold``.
+    This gates selection experiments on adequately trained teachers."""
+    probe = generate_corpus(dataclasses.replace(spec, emission_noise_std=0.0), corpus.vocabulary,
+                            n_utterances=16, seed=(train_seed * 9973 + 17) % (2 ** 31))
+    probe_wer = greedy_corpus_wer(model, probe)
+    model.training_meta["probe_wer"] = probe_wer
+    if probe_wer > threshold:
+        raise TeacherQualityError(f"teacher on {corpus.name!r}: probe WER {probe_wer:.3f} "
+                                  f"exceeds gate {threshold:.3f}")
 
 
 def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
@@ -199,8 +216,9 @@ def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
     def build(name, specs) -> None:
         corpus = load_corpus(paths.corpus_path(name, "train"))
         model_cfg, train_cfg = _seeded_configs(config, seed, name, config.train)
-        model = train_teacher(corpus, model_cfg, train_cfg, probe_spec=specs[name],
-                              probe_wer_threshold=config.probe_wer_threshold)
+        model = train_teacher(corpus, model_cfg, train_cfg)
+        if config.probe_wer_threshold is not None:
+            _probe_gate(model, corpus, specs[name], train_cfg.seed, config.probe_wer_threshold)
         save_checkpoint(model, paths.teacher_path(name))
         logger.info("trained teacher %s (final loss: mean %.4f, sum %.2f)", name,
                     model.training_meta["final_mean_loss"],
@@ -261,9 +279,14 @@ def _snapshots_into(snap_dir: Path):
     return lambda epoch, ckpt: save_checkpoint(ckpt, snap_dir / f"epoch_{epoch:04d}.ekdm")
 
 
-def _load_snapshots(snap_dir: Path) -> list[tuple[int, ModelCheckpoint]]:
-    return [(int(p.stem.split("_")[1]), load_checkpoint(p))
-            for p in sorted(snap_dir.glob("epoch_*.ekdm"))]
+def _sample_snapshots(snap_dir: Path, corpus: Corpus,
+                      config: ExperimentConfig) -> dict[int, dict[str, ActivationMatrix]]:
+    """``{epoch: {layer: activations}}`` of every snapshot in ``snap_dir``,
+    each sampled on the same frames of ``corpus``."""
+    return {int(p.stem.split("_")[1]): dump_activations(load_checkpoint(p), corpus,
+                                                        config.svcca.n_frames,
+                                                        config.svcca.sample_seed)
+            for p in sorted(snap_dir.glob("epoch_*.ekdm"))}
 
 
 def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
@@ -271,17 +294,21 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
     """train student model(s) on selected soft labels"""
     student_train = paths.corpus_path(config.student_domain.name, "train")
     model_cfg, train_cfg = _seeded_configs(config, seed, "student", config.student_train)
+    # Only the student that the svcca stage analyses keeps per-epoch snapshots.
+    analysed = Strategy.ELITIST.value
+    snap_dir = paths.snapshot_dir(f"student_{analysed}")
 
     def build(strat, unlabeled) -> None:
         selection = load_selection(paths.selection_path(strat))
+        hook = _snapshots_into(snap_dir) if strat == analysed else None
         model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg, config.kd,
-                              snapshot_hook=_snapshots_into(paths.snapshot_dir(f"student_{strat}")))
+                              snapshot_hook=hook)
         save_checkpoint(model, paths.student_path(strat))
         logger.info("trained student (%s), final loss: mean %.4f, sum %.2f", strat,
                     model.training_meta["final_mean_loss"],
                     model.training_meta["final_sum_loss"])
 
-    units = [_Unit(s, [paths.student_path(s), paths.snapshot_dir(f"student_{s}")],
+    units = [_Unit(s, [paths.student_path(s), *([snap_dir] if s == analysed else [])],
                    functools.partial(build, s), [paths.selection_path(s)])
              for s in _restrict("strategy", config.strategies, strategy)]
     _run_units("train-student", units, force, needs=[student_train],
@@ -365,10 +392,9 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
 
     def build_report(corpus) -> None:
         layers = [f"hidden_{i}" for i in range(len(config.model.hidden_sizes))]
-        report = correlation_trajectory(
-            _load_snapshots(original_dir), _load_snapshots(pseudo_dir), corpus, layers,
-            n_frames=config.svcca.n_frames, seed=config.svcca.sample_seed,
-            variance_fraction=config.svcca.variance_fraction)
+        report = correlation_trajectory(_sample_snapshots(original_dir, corpus, config),
+                                        _sample_snapshots(pseudo_dir, corpus, config), layers,
+                                        config.svcca.variance_fraction)
         binio.atomic_write_text(out_txt, report.to_text())
         binio.atomic_write_text(out_diffs, report.diffs_text())
 
@@ -383,16 +409,12 @@ def stage_report(config: ExperimentConfig, seed: int, paths: SeedPaths,
     """assemble result tables from a run directory"""
     cells = [_require(paths.cell_path(name, test_set, lm_on))
              for name, _, test_set, _ in _eval_matrix(config, paths) for lm_on in (False, True)]
+    selections = [_require(paths.selection_path(strat)) for strat in config.strategies]
     table = ResultTable.from_cell_files(cells)
     binio.atomic_write_text(paths.report / "results.tsv", table.to_tsv())
     binio.atomic_write_text(paths.report / "results.txt", table.to_text())
-    win_lines = []
-    for strat in config.strategies:
-        path = paths.selection_path(strat)
-        if path.exists():
-            selection = load_selection(path)
-            win_lines.append(selection.summary_text())
-    binio.atomic_write_text(paths.report / "win_counts.txt", "\n".join(win_lines))
+    binio.atomic_write_text(paths.report / "win_counts.txt", "\n".join(
+        load_selection(path).summary_text() for path in selections))
     return table
 
 

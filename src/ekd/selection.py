@@ -225,6 +225,8 @@ def load_selection(path) -> CorpusSelection:
             pseudo_transcript=meta["pseudo_transcript"],
             sequence_confidence=meta["sequence_confidence"],
         ) for meta, _ in decoded]
+    except binio.FormatError:
+        raise
     except (TypeError, ValueError) as e:
         raise binio.FormatError(f"{path}: corrupted record ({e})") from e
     return CorpusSelection(strategy=strategy, outcomes=outcomes,

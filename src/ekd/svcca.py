@@ -128,27 +128,21 @@ class SvccaReport:
         return "\n".join(lines) + "\n\n" + self.diffs_text()
 
 
-def correlation_trajectory(run_a: list[tuple[int, object]], run_b: list[tuple[int, object]],
-                           probe_corpus, layers: list[str], n_frames: int, seed: int,
+def correlation_trajectory(acts_a: dict[int, dict[str, ActivationMatrix]],
+                           acts_b: dict[int, dict[str, ActivationMatrix]], layers: list[str],
                            variance_fraction: float = 0.99) -> SvccaReport:
-    """Layer-wise convergence trajectories of two runs over shared probe frames.
+    """Layer-wise convergence trajectories of two runs, each given as
+    ``{step: {layer: activations}}`` sampled on the same probe frames.
 
-    For each run, every checkpoint is correlated against that run's final
-    checkpoint; the report also carries the difference between the two runs'
+    For each run, every step is correlated against that run's final step;
+    the report also carries the difference between the two runs'
     trajectories. Steps missing from either run are skipped with a warning.
     """
-    from .training import dump_activations
-
-    a_by_step = dict(run_a)
-    b_by_step = dict(run_b)
-    steps = sorted(set(a_by_step) & set(b_by_step))
-    for step in sorted(set(a_by_step) ^ set(b_by_step)):
+    steps = sorted(set(acts_a) & set(acts_b))
+    for step in sorted(set(acts_a) ^ set(acts_b)):
         logger.warning("checkpoint step %d present in only one run; skipped", step)
     if not steps:
         raise ValueError("runs share no checkpoint steps")
-
-    acts_a = {s: dump_activations(a_by_step[s], probe_corpus, n_frames, seed) for s in steps}
-    acts_b = {s: dump_activations(b_by_step[s], probe_corpus, n_frames, seed) for s in steps}
     final = steps[-1]
     rho_a: dict[tuple[str, int], float] = {}
     rho_b: dict[tuple[str, int], float] = {}

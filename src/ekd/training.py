@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, DomainSpec, generate_corpus
+from .corpus import Corpus
 from .ctc import PosteriorSequence, ctc_lattices, greedy_decode, log_softmax, softmax, target_error
 from .kd import KdConfig, SoftLabelMode, soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
@@ -21,10 +21,6 @@ logger = logging.getLogger(__name__)
 
 class TrainingDivergedError(RuntimeError):
     pass
-
-
-class TeacherQualityError(RuntimeError):
-    """In-domain probe WER above the configured gate after training."""
 
 
 @dataclass
@@ -148,15 +144,8 @@ def greedy_corpus_wer(model: ModelCheckpoint, corpus: Corpus) -> float:
 
 
 def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                  probe_spec: DomainSpec | None = None,
-                  probe_wer_threshold: float | None = None,
                   snapshot_hook=None) -> ModelCheckpoint:
-    """Supervised CTC training on a labelled corpus.
-
-    When a probe spec and threshold are given, the trained model must reach
-    the threshold on a zero-noise in-domain probe set; this gates selection
-    experiments on adequately trained teachers.
-    """
+    """Supervised CTC training on a labelled corpus."""
     if not all(u.has_transcript for u in corpus.utterances):
         raise ValueError(f"corpus {corpus.name!r} is missing transcripts")
     targets = [u.transcript for u in corpus.utterances]
@@ -165,22 +154,8 @@ def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig
         if error is not None:
             raise ValueError(f"corpus {corpus.name!r}: transcript of {utt.id} cannot be "
                              f"scored: {error}")
-    model = _run_training(corpus, corpus.utterances, targets, [1.0] * len(targets), model_cfg,
-                          train_cfg, snapshot_hook, objective="ctc")
-    if probe_spec is not None and probe_wer_threshold is not None:
-        probe_seed = (train_cfg.seed * 9973 + 17) % (2 ** 31)
-        probe = generate_corpus(
-            DomainSpec(probe_spec.name, 0.0, probe_spec.feature_scale, probe_spec.feature_bias,
-                       probe_spec.frames_per_symbol, probe_spec.utterance_length_range,
-                       probe_spec.lexicon),
-            corpus.vocabulary, n_utterances=16, seed=probe_seed)
-        probe_wer = greedy_corpus_wer(model, probe)
-        model.training_meta["probe_wer"] = probe_wer
-        if probe_wer > probe_wer_threshold:
-            raise TeacherQualityError(
-                f"teacher on {corpus.name!r}: probe WER {probe_wer:.3f} exceeds "
-                f"gate {probe_wer_threshold:.3f}")
-    return model
+    return _run_training(corpus, corpus.utterances, targets, [1.0] * len(targets), model_cfg,
+                         train_cfg, snapshot_hook, objective="ctc")
 
 
 def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,

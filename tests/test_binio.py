@@ -1,5 +1,6 @@
 """Every artifact loader shares binio's record checks: a malformed record
 raises binio.FormatError instead of a low-level error or a silent load."""
+import json
 import re
 import struct
 
@@ -97,6 +98,24 @@ def test_header_missing_keys_rejected(tmp_path, rng, kind):
     binio.write_container(path, kind, version, {}, records)   # header is {"kind": kind}
     with pytest.raises(binio.FormatError,
                        match=re.escape(f"{path}: corrupted record (header has no '")):
+        load(path)
+
+
+@pytest.mark.parametrize("kind, kept, missing", [("corpus", {"id"}, "transcript"),
+                                                 ("posteriors", set(), "id"),
+                                                 ("selection", {"id"}, "winning_teacher")])
+def test_record_meta_missing_keys_rejected(tmp_path, rng, kind, kept, missing):
+    write, load, version = ARTIFACTS[kind]
+    path = tmp_path / "artifact"
+    write(path, rng)
+    header, records = binio.read_container(path, kind, version)
+    (mlen,) = struct.unpack("<Q", records[0][:8])
+    meta = json.loads(records[0][8:8 + mlen])
+    blob = binio.encode_header({k: v for k, v in meta.items() if k in kept | {"frames"}})
+    records[0] = struct.pack("<Q", len(blob)) + blob + records[0][8 + mlen:]
+    binio.write_container(path, kind, version, header, records)
+    with pytest.raises(binio.FormatError,
+                       match=re.escape(f"{path}: corrupted record (record 0 has no {missing!r})")):
         load(path)
 
 

@@ -93,6 +93,9 @@ def test_bad_override_reports_error(tmp_path):
 @pytest.mark.parametrize("override, key", [("kd.alpha=0", "kd.alpha"), ("bogus=1", "bogus"),
                                            # wrong-shaped values of known keys
                                            ("teacher_domains=null", "teacher_domains"),
+                                           # empty values are refused, not the defaults
+                                           ("teacher_domains=[]", "teacher_domains"),
+                                           ("student_domain=null", "student_domain"),
                                            ("word_length=3", "word_length"),
                                            ("seeds=5", "seeds"),
                                            # wrongly typed values of known keys

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from ekd import binio
-from ekd.config import SvccaSettings
+from ekd.config import SvccaSettings, derive_seed
+from ekd.corpus import generate_corpus
 from ekd.model import load_checkpoint
-from ekd.pipeline import (PipelineError, SeedPaths, output_root, run_pipeline, run_seed,
-                          stage_decode, stage_report, stage_select, stage_svcca,
-                          stage_train_student)
+from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, output_root,
+                          run_pipeline, run_seed, stage_decode, stage_report, stage_select,
+                          stage_svcca, stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, save_posteriors
+from ekd.training import greedy_corpus_wer
 
 from conftest import compact_config
 
@@ -165,6 +167,49 @@ def test_forced_student_and_svcca_drop_stale_snapshots(finished_run, tmp_path):
     assert snaps == ["epoch_0002.ekdm", "epoch_0003.ekdm"]
     stage_svcca(shorter, paths.seed, paths, force=True)
     assert _trajectory_steps(paths) == [2, 3]
+
+
+def test_only_the_analysed_student_keeps_snapshots(finished_run):
+    cfg, root, _ = finished_run
+    paths = SeedPaths(root, cfg.seeds[0])
+    assert sorted(p.name for p in (paths.base / "snapshots").iterdir()) == [
+        "student_elitist", "student_original_labels"]
+
+
+def test_probe_gate_passes_and_records(finished_run, tmp_path):
+    """The gate adds ``probe_wer``, the greedy WER on 16 zero-noise utterances
+    of the teacher's own domain, and leaves the weights as trained."""
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    name = cfg.teacher_domains[0].name
+    ungated = load_checkpoint(paths.teacher_path(name))
+    assert "probe_wer" not in ungated.training_meta
+    gated = dataclasses.replace(cfg, probe_wer_threshold=10.0)
+    stage_train_teacher(gated, paths.seed, paths, domain=name, force=True)
+    model = load_checkpoint(paths.teacher_path(name))
+    spec = dataclasses.replace(cfg.expand_domains()[name], emission_noise_std=0.0)
+    probe_seed = (derive_seed(paths.seed, "train", name) * 9973 + 17) % (2 ** 31)
+    probe = generate_corpus(spec, cfg.vocabulary(), 16, probe_seed)
+    assert model.training_meta["probe_wer"] == greedy_corpus_wer(model, probe)
+    assert model.training_meta.keys() - ungated.training_meta.keys() == {"probe_wer"}
+    assert all(np.array_equal(a, b) for a, b in zip(model.weights, ungated.weights))
+
+
+def test_probe_gate_rejects_undertrained(finished_run, tmp_path):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    name = cfg.teacher_domains[0].name
+    strict = dataclasses.replace(cfg, probe_wer_threshold=0.0)
+    with pytest.raises(TeacherQualityError,
+                       match=f"teacher on '{name}.*': probe WER .* exceeds gate 0.000"):
+        stage_train_teacher(strict, paths.seed, paths, domain=name, force=True)
+    assert not paths.teacher_path(name).exists()
+
+
+def test_report_requires_every_selection(finished_run, tmp_path):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    missing = paths.selection_path("framewise_max")
+    missing.unlink()
+    with pytest.raises(PipelineError, match=f"{re.escape(str(missing))}; run 'select' first"):
+        stage_report(cfg, paths.seed, paths)
 
 
 def test_forced_svcca_applies_new_settings(finished_run, tmp_path):

@@ -153,57 +153,44 @@ def test_svcca_kept_dims_recorded(rng):
 # -- trajectories -------------------------------------------------------------------
 
 def _fake_run(rng, steps, drift):
-    """Checkpoints here are stand-ins: activation matrices come from models,
-    so use a tiny real model driven by a constant corpus."""
-    from ekd.config import build_transform
-    from ekd.corpus import DomainSpec, generate_corpus
-    from ekd.model import ModelConfig, init_model
-    from ekd.vocab import default_vocabulary
-
-    vocab = default_vocabulary("ab")
-    scale, bias = build_transform(4, 0.3, 1)
-    spec = DomainSpec("d", 0.2, scale, bias, (2, 3), (2, 3), ("ab", "ba"))
-    corpus = generate_corpus(spec, vocab, 6, seed=2)
-    cfg = ModelConfig(context_window=0, hidden_sizes=(6, 5), activation="tanh", seed=3)
-    run = []
-    for k, step in enumerate(steps):
-        model = init_model(cfg, 4, vocab.size, "h")
-        for w in model.weights:
-            w += drift * k * 0.05
-        run.append((step, model))
-    return corpus, run
+    """``{step: {layer: activations}}`` of a run whose activations drift away
+    from a random start, by ``drift`` per step."""
+    start = rng.normal(size=(40, 6))
+    return {step: {layer: mat(start + drift * k * rng.normal(size=start.shape), layer)
+                   for layer in ("hidden_0", "hidden_1")}
+            for k, step in enumerate(steps)}
 
 
 def test_trajectory_self_difference_zero(rng):
-    corpus, run = _fake_run(rng, [1, 2, 3], drift=1.0)
-    report = correlation_trajectory(run, run, corpus, ["hidden_0", "hidden_1"],
-                                    n_frames=40, seed=1)
+    run = _fake_run(rng, [1, 2, 3], drift=1.0)
+    report = correlation_trajectory(run, run, ["hidden_0", "hidden_1"])
     for layer, step, ra, rb, diff in report.rows():
         assert diff == 0.0
     assert report.mean_abs_diff("hidden_0") == 0.0
 
 
 def test_trajectory_row_count(rng):
-    corpus, run_a = _fake_run(rng, [1, 2, 3], drift=1.0)
-    _, run_b = _fake_run(rng, [1, 2, 3], drift=2.0)
-    report = correlation_trajectory(run_a, run_b, corpus, ["hidden_0", "hidden_1"],
-                                    n_frames=40, seed=1)
+    run_a = _fake_run(rng, [1, 2, 3], drift=1.0)
+    run_b = _fake_run(rng, [1, 2, 3], drift=2.0)
+    report = correlation_trajectory(run_a, run_b, ["hidden_0", "hidden_1"])
     assert len(report.rows()) == 2 * 3
+    for layer in ("hidden_0", "hidden_1"):  # the final step is each run's reference
+        assert report.rho_a[(layer, 3)] == pytest.approx(1.0)
+        assert report.rho_b[(layer, 3)] == pytest.approx(1.0)
 
 
 def test_trajectory_skips_unshared_steps(rng, caplog):
-    corpus, run_a = _fake_run(rng, [1, 2, 3], drift=1.0)
-    _, run_b = _fake_run(rng, [2, 3, 4], drift=2.0)
+    run_a = _fake_run(rng, [1, 2, 3], drift=1.0)
+    run_b = _fake_run(rng, [2, 3, 4], drift=2.0)
     with caplog.at_level("WARNING"):
-        report = correlation_trajectory(run_a, run_b, corpus, ["hidden_0"],
-                                        n_frames=40, seed=1)
+        report = correlation_trajectory(run_a, run_b, ["hidden_0"])
     assert report.steps == [2, 3]
     assert "skipped" in caplog.text
 
 
 def test_report_text_shape(rng):
-    corpus, run = _fake_run(rng, [1, 2], drift=1.0)
-    report = correlation_trajectory(run, run, corpus, ["hidden_0"], n_frames=40, seed=1)
+    run = _fake_run(rng, [1, 2], drift=1.0)
+    report = correlation_trajectory(run, run, ["hidden_0"])
     text = report.to_text()
     assert "mean_abs_diff" in text
     assert len([ln for ln in text.splitlines() if ln.startswith("hidden_0")]) == 3

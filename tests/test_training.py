@@ -10,9 +10,8 @@ from ekd.ctc import ctc_lattices, ctc_loss, log_softmax
 from ekd.kd import KdConfig, SoftLabelMode
 from ekd.model import ModelConfig, forward_features, init_model
 from ekd.selection import Strategy, TeacherBundle, select_corpus
-from ekd.training import (TeacherQualityError, TrainConfig, activation_frame_indices,
-                          corpus_posteriors, dump_activations, greedy_corpus_wer,
-                          train_student, train_teacher)
+from ekd.training import (TrainConfig, activation_frame_indices, corpus_posteriors,
+                          dump_activations, greedy_corpus_wer, train_student, train_teacher)
 from ekd.vocab import default_vocabulary
 
 
@@ -41,9 +40,8 @@ def corpus(spec):
 
 
 @pytest.fixture(scope="module")
-def teacher(corpus, spec):
-    return train_teacher(corpus, MODEL_CFG, TRAIN_CFG, probe_spec=spec,
-                         probe_wer_threshold=0.15)
+def teacher(corpus):
+    return train_teacher(corpus, MODEL_CFG, TRAIN_CFG)
 
 
 def test_train_config_validation():
@@ -65,16 +63,6 @@ def test_training_deterministic(corpus):
     b = train_teacher(corpus, MODEL_CFG, TRAIN_CFG)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
-
-
-def test_probe_gate_passes_and_records(teacher):
-    assert teacher.training_meta["probe_wer"] <= 0.15
-
-
-def test_probe_gate_rejects_undertrained(corpus, spec):
-    cfg = dataclasses.replace(TRAIN_CFG, epochs=1, learning_rate=1e-5)
-    with pytest.raises(TeacherQualityError, match="probe WER"):
-        train_teacher(corpus, MODEL_CFG, cfg, probe_spec=spec, probe_wer_threshold=0.15)
 
 
 def test_in_domain_beats_out_of_domain(teacher, spec):
@@ -228,7 +216,7 @@ def test_coverage_gap_skipped(teacher, corpus, caplog):
 def test_training_meta_of_teacher_and_student(teacher, corpus):
     shared = {"corpus", "epochs", "final_mean_loss", "final_sum_loss", "loss_curve", "objective"}
     meta = teacher.training_meta
-    assert meta.keys() == shared | {"probe_wer"}
+    assert meta.keys() == shared
     assert (meta["corpus"], meta["epochs"], meta["objective"]) == (corpus.name, 14, "ctc")
     assert meta["final_mean_loss"] == meta["loss_curve"][-1]
     assert meta["final_sum_loss"] == meta["final_mean_loss"] * len(corpus)
