@@ -2,7 +2,8 @@
 """Run the default five-seed experiment and print the summary tables.
 
 Writes all artifacts under runs/default (override with --output-root or the
-EKD_OUTPUT_ROOT environment variable). Roughly 3-4 minutes on one core.
+EKD_OUTPUT_ROOT environment variable). About 90 seconds on one core (89 s
+pinned to one core of a 2-vCPU host with OPENBLAS_NUM_THREADS=1).
 """
 import argparse
 import logging

@@ -83,6 +83,11 @@ class DomainRecipe:
     frames_per_symbol: tuple[int, int] = (2, 4)
     utterance_words: tuple[int, int] = (3, 6)
 
+    def __post_init__(self) -> None:
+        if min(self.train_size, self.test_size) < 1:
+            raise ValueError(f"domain {self.name!r}: train_size and test_size must be >= 1 "
+                             f"(got {self.train_size} and {self.test_size})")
+
 
 def _default_teacher_recipes() -> list[DomainRecipe]:
     # Unequal training sizes on purpose; the mid recipe shares its transform

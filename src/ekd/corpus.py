@@ -26,16 +26,15 @@ class Utterance:
     use :func:`transcript_read_count` deltas around a code region.
     """
 
-    __slots__ = ("id", "features", "domain_tag", "_transcript")
+    __slots__ = ("id", "features", "_transcript")
 
     def __init__(self, id: str, features: np.ndarray,
-                 transcript: np.ndarray | None = None, domain_tag: str = "") -> None:
+                 transcript: np.ndarray | None = None) -> None:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError(f"utterance {id!r}: features must be [T>=1, F]")
         self.id = id
         self.features = features
-        self.domain_tag = domain_tag
         self._transcript = None if transcript is None else np.asarray(transcript, dtype=np.int64)
 
     @property
@@ -58,12 +57,12 @@ class Utterance:
         return self.features.shape[1]
 
     def without_transcript(self) -> "Utterance":
-        return Utterance(self.id, self.features, None, self.domain_tag)
+        return Utterance(self.id, self.features)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Utterance):
             return NotImplemented
-        if self.id != other.id or self.domain_tag != other.domain_tag:
+        if self.id != other.id:
             return False
         if not np.array_equal(self.features, other.features):
             return False
@@ -79,13 +78,11 @@ class Utterance:
 
 @dataclass
 class Corpus:
-    """A named, seeded collection of utterances sharing one vocabulary."""
+    """One domain's utterances, named by the domain, sharing one vocabulary."""
 
     name: str
-    domain_tag: str
     vocabulary: Vocabulary
     utterances: list[Utterance]
-    generation_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.utterances:
@@ -110,8 +107,8 @@ class Corpus:
         return self.utterances[0].feature_dim
 
     def without_transcripts(self) -> "Corpus":
-        return Corpus(self.name, self.domain_tag, self.vocabulary,
-                      [u.without_transcript() for u in self.utterances], self.generation_seed)
+        return Corpus(self.name, self.vocabulary,
+                      [u.without_transcript() for u in self.utterances])
 
 
 @dataclass(eq=False)
@@ -161,7 +158,7 @@ class DomainSpec:
 
 
 def generate_corpus(spec: DomainSpec, vocab: Vocabulary, n_utterances: int,
-                    seed: int, name: str | None = None) -> Corpus:
+                    seed: int) -> Corpus:
     """Synthesize a corpus: sampled lexicon words rendered as noisy prototype frames.
 
     Deterministic: identical (spec, vocab, n_utterances, seed) yields a
@@ -203,17 +200,13 @@ def generate_corpus(spec: DomainSpec, vocab: Vocabulary, n_utterances: int,
             id=f"{spec.name}-{seed}-{i:05d}",
             features=features,
             transcript=np.asarray(transcript, dtype=np.int64),
-            domain_tag=spec.name,
         ))
-    return Corpus(name=name or spec.name, domain_tag=spec.name, vocabulary=vocab,
-                  utterances=utterances, generation_seed=seed)
+    return Corpus(name=spec.name, vocabulary=vocab, utterances=utterances)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     header = {
         "name": corpus.name,
-        "domain_tag": corpus.domain_tag,
-        "generation_seed": corpus.generation_seed,
         "vocabulary": asdict(corpus.vocabulary),
         "vocabulary_hash": corpus.vocabulary.content_hash(),
         "feature_dim": corpus.feature_dim if corpus.utterances else 0,
@@ -221,13 +214,15 @@ def save_corpus(corpus: Corpus, path) -> None:
     }
     records = [binio.encode_record({
         "id": u.id,
-        "domain_tag": u.domain_tag,
         "transcript": None if u._transcript is None else [int(x) for x in u._transcript],
     }, u.features) for u in corpus.utterances]
     binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
 
 
 def load_corpus(path) -> Corpus:
+    """The corpus saved at ``path``. Header and record keys it does not read,
+    such as the ``domain_tag`` and ``generation_seed`` of older files, are
+    ignored."""
     header, records = binio.read_container(path, "corpus", CORPUS_FORMAT_VERSION)
     vocab = Vocabulary(**header["vocabulary"])
     if vocab.content_hash() != header["vocabulary_hash"]:
@@ -236,38 +231,18 @@ def load_corpus(path) -> Corpus:
     widths = [header["feature_dim"]] * header["n_utterances"]
     for meta, features in binio.decode_records(path, records, widths):
         transcript = None if meta["transcript"] is None else np.asarray(meta["transcript"], dtype=np.int64)
-        utterances.append(Utterance(meta["id"], features, transcript, meta["domain_tag"]))
-    return Corpus(name=header["name"], domain_tag=header["domain_tag"], vocabulary=vocab,
-                  utterances=utterances, generation_seed=header["generation_seed"])
+        utterances.append(Utterance(meta["id"], features, transcript))
+    return Corpus(name=header["name"], vocabulary=vocab, utterances=utterances)
 
 
-def split_corpus(corpus: Corpus, fractions: list[float], seed: int) -> list[Corpus]:
-    """Disjoint covering partition, deterministic under the seed.
-
-    Part sizes come from cumulative rounding so they always sum to the corpus
-    size ([0.5, 0.5] on 10 utterances gives exactly {5, 5}).
-    """
-    fractions = [float(f) for f in fractions]
-    if not fractions or any(f < 0 for f in fractions):
-        raise ValueError("fractions must be non-negative and non-empty")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1 (got {sum(fractions)})")
+def split_corpus(corpus: Corpus, n_first: int, seed: int) -> tuple[Corpus, Corpus]:
+    """Disjoint covering split into the first ``n_first`` utterances of a
+    seeded permutation and the rest, each kept in corpus order. Both parts
+    keep the corpus's name."""
     n = len(corpus.utterances)
+    if not 0 <= n_first <= n:
+        raise ValueError(f"corpus {corpus.name!r}: cannot take {n_first} of {n} utterances")
     perm = np.random.default_rng(seed).permutation(n)
-    bounds = [0]
-    cum = 0.0
-    for f in fractions:
-        cum += f
-        bounds.append(round(cum * n))
-    bounds[-1] = n
-    parts = []
-    for i in range(len(fractions)):
-        idx = sorted(perm[bounds[i]:bounds[i + 1]].tolist())
-        parts.append(Corpus(
-            name=f"{corpus.name}/split{i}",
-            domain_tag=corpus.domain_tag,
-            vocabulary=corpus.vocabulary,
-            utterances=[corpus.utterances[j] for j in idx],
-            generation_seed=None,
-        ))
-    return parts
+    return tuple(Corpus(corpus.name, corpus.vocabulary,
+                        [corpus.utterances[j] for j in sorted(part.tolist())])
+                 for part in (perm[:n_first], perm[n_first:]))

@@ -180,9 +180,8 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
             total = recipe.train_size + recipe.test_size
             corpus = generate_corpus(specs[recipe.name], vocab, total,
                                      derive_seed(seed, "data", recipe.name))
-            train_part, test_part = split_corpus(
-                corpus, [recipe.train_size / total, recipe.test_size / total],
-                derive_seed(seed, "split", recipe.name))
+            train_part, test_part = split_corpus(corpus, recipe.train_size,
+                                                 derive_seed(seed, "split", recipe.name))
             save_corpus(train_part, paths.corpus_path(recipe.name, "train"))
             save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
             if recipe is not config.student_domain:
@@ -263,13 +262,10 @@ def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
 
     def build(strat, bundles) -> None:
         selection = select_corpus(Strategy(strat), bundles, vocab.blank_index)
-        out = paths.selection_path(strat)
-        save_selection(out, selection, vocab.content_hash())
-        binio.atomic_write_text(out.with_suffix(".summary.txt"), selection.summary_text())
+        save_selection(paths.selection_path(strat), selection, vocab.content_hash())
 
-    outs = {s: paths.selection_path(s) for s in _restrict("strategy", config.strategies, strategy)}
-    units = [_Unit(s, [out, out.with_suffix(".summary.txt")], functools.partial(build, s))
-             for s, out in outs.items()]
+    units = [_Unit(s, [paths.selection_path(s)], functools.partial(build, s))
+             for s in _restrict("strategy", config.strategies, strategy)]
     _run_units("select", units, force, needs=dumps, load=load_bundles)
 
 

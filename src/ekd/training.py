@@ -191,7 +191,11 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
 
 
 def corpus_posteriors(model: ModelCheckpoint, corpus: Corpus) -> list[PosteriorSequence]:
-    """Softmax outputs for every utterance, in corpus order."""
+    """Softmax outputs for every utterance, in corpus order. ValueError if the
+    model was trained on another vocabulary than the corpus's."""
+    if model.vocabulary_hash != corpus.vocabulary.content_hash():
+        raise ValueError(f"corpus {corpus.name!r}: vocabulary differs from the one the "
+                         "model was trained on")
     out = []
     for utt in corpus.utterances:
         logits, _ = forward_features(model, utt.features)

@@ -20,9 +20,8 @@ from conftest import random_posteriors
 
 
 def _write_corpus(path, rng):
-    utts = [Utterance(f"u{i}", rng.normal(size=(3 + i, 2)), np.array([1, 2]), "d")
-            for i in range(2)]
-    save_corpus(Corpus("c", "d", default_vocabulary("ab"), utts, generation_seed=1), path)
+    utts = [Utterance(f"u{i}", rng.normal(size=(3 + i, 2)), np.array([1, 2])) for i in range(2)]
+    save_corpus(Corpus("c", default_vocabulary("ab"), utts), path)
 
 
 def _write_posteriors(path, rng):

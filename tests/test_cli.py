@@ -112,7 +112,18 @@ def test_bad_override_reports_error(tmp_path):
                                             "student_domain.frames_per_symbol"),
                                            ("beam.beam_width=1.5", "beam.beam_width"),
                                            ("svcca.n_frames=x", "svcca.n_frames"),
-                                           ("probe_wer_threshold=abc", "probe_wer_threshold")])
+                                           ("probe_wer_threshold=abc", "probe_wer_threshold"),
+                                           # domain sizes a split cannot fill
+                                           ("student_domain={name: y, train_size: 30, "
+                                            "test_size: 0, emission_noise_std: 0.4, "
+                                            "transform_strength: 0.7, transform_seed: 5, "
+                                            "shared_words: 4, unique_words: 4}",
+                                            "domain 'y': train_size and test_size"),
+                                           ("teacher_domains=[{name: x, train_size: -1, "
+                                            "test_size: 8, emission_noise_std: 0.3, "
+                                            "transform_strength: 0.5, transform_seed: 1, "
+                                            "shared_words: 4, unique_words: 4}]",
+                                            "domain 'x': train_size and test_size")])
 def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
     out = tmp_path / "out"
     assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 
 from ekd import binio
 from ekd.config import build_transform, default_config
-from ekd.corpus import (Corpus, DomainSpec, Utterance, generate_corpus, load_corpus,
-                        save_corpus, split_corpus, transcript_read_count)
+from ekd.corpus import (CORPUS_FORMAT_VERSION, Corpus, DomainSpec, Utterance, generate_corpus,
+                        load_corpus, save_corpus, split_corpus, transcript_read_count)
 from ekd.vocab import default_vocabulary, symbol_prototypes
 
 from oracles import expected_mean_frames, nearest_prototype_transcript
 
 # Regression pin: SHA-256 of the serialized reference corpus below. Any change
 # to the generator's random stream or the file format must be deliberate.
-REFERENCE_CORPUS_SHA256 = "c2e0e0b3d0560b6fb7587e9f7d001d3e5dbd878f7540f047b66aecfe6264ea90"
+REFERENCE_CORPUS_SHA256 = "42797bd5e0744a65814ce16a4d53d997ecc933ea4858c4a36ad313576f40da81"
 
 
 def make_spec(noise=0.25, frames=(2, 4), words=(2, 4), lexicon=("ab", "cd", "bca", "da"),
@@ -117,6 +118,21 @@ def test_round_trip_hash_regression(tmp_path, vocab):
     assert first == REFERENCE_CORPUS_SHA256
 
 
+def test_file_with_domain_tags_still_loads(tmp_path, vocab):
+    # Files written before the domain tags were dropped carry "domain_tag" and
+    # "generation_seed" in the header and "domain_tag" in every record.
+    corpus = generate_corpus(make_spec(), vocab, 3, seed=1)
+    header = {"name": corpus.name, "domain_tag": corpus.name, "generation_seed": 1,
+              "vocabulary": dataclasses.asdict(vocab), "vocabulary_hash": vocab.content_hash(),
+              "feature_dim": corpus.feature_dim, "n_utterances": len(corpus)}
+    records = [binio.encode_record({"id": u.id, "domain_tag": corpus.name,
+                                    "transcript": [int(x) for x in u.transcript]}, u.features)
+               for u in corpus.utterances]
+    path = tmp_path / "old.ekdc"
+    binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
+    assert load_corpus(path) == corpus
+
+
 def test_truncated_record_is_corrupted(tmp_path, vocab):
     corpus = generate_corpus(make_spec(), vocab, 3, seed=1)
     path = tmp_path / "c.ekdc"
@@ -152,29 +168,44 @@ def test_vocabulary_hash_mismatch_detected(tmp_path, vocab):
 
 def test_split_identity(vocab):
     corpus = generate_corpus(make_spec(), vocab, 10, seed=2)
-    (only,) = split_corpus(corpus, [1.0], seed=0)
-    assert [u.id for u in only.utterances] == [u.id for u in corpus.utterances]
+    only, rest = split_corpus(corpus, 10, seed=0)
+    assert only == corpus and len(rest) == 0
+    rest_only = split_corpus(corpus, 0, seed=0)[1]
+    assert [u.id for u in rest_only.utterances] == [u.id for u in corpus.utterances]
 
 
 def test_split_halves(vocab):
     corpus = generate_corpus(make_spec(), vocab, 10, seed=2)
-    a, b = split_corpus(corpus, [0.5, 0.5], seed=3)
+    a, b = split_corpus(corpus, 5, seed=3)
     assert len(a) == 5 and len(b) == 5
+    assert a.name == b.name == corpus.name
     ids = {u.id for u in a.utterances} | {u.id for u in b.utterances}
     assert ids == {u.id for u in corpus.utterances}
 
 
 def test_split_deterministic(vocab):
     corpus = generate_corpus(make_spec(), vocab, 11, seed=2)
-    first = split_corpus(corpus, [0.3, 0.7], seed=9)
-    second = split_corpus(corpus, [0.3, 0.7], seed=9)
+    first = split_corpus(corpus, 3, seed=9)
+    second = split_corpus(corpus, 3, seed=9)
     assert all(x == y for x, y in zip(first, second))
 
 
-def test_split_invalid_fractions(vocab):
+def test_split_keeps_the_fraction_split_ids(vocab):
+    # The ids the earlier fraction split, split_corpus(corpus, [3/11, 8/11], 9),
+    # picked: taking a count keeps every existing train/test split.
+    corpus = generate_corpus(make_spec(), vocab, 11, seed=2)
+    first, rest = split_corpus(corpus, 3, seed=9)
+    assert [u.id for u in first.utterances] == ["dom-2-00002", "dom-2-00005", "dom-2-00007"]
+    assert [u.id for u in rest.utterances] == [
+        "dom-2-00000", "dom-2-00001", "dom-2-00003", "dom-2-00004", "dom-2-00006",
+        "dom-2-00008", "dom-2-00009", "dom-2-00010"]
+
+
+def test_split_out_of_range_names_corpus(vocab):
     corpus = generate_corpus(make_spec(), vocab, 4, seed=2)
-    with pytest.raises(ValueError, match="sum to 1"):
-        split_corpus(corpus, [0.5, 0.4], seed=0)
+    for n_first in (-1, 5):
+        with pytest.raises(ValueError, match=f"corpus 'dom': cannot take {n_first} of 4"):
+            split_corpus(corpus, n_first, seed=0)
 
 
 def test_transcript_reads_are_counted(vocab):
@@ -197,4 +228,4 @@ def test_without_transcripts_strips(vocab):
 def test_transcript_with_blank_rejected(vocab):
     utt = Utterance("u", np.zeros((2, 3)), transcript=np.array([vocab.blank_index]))
     with pytest.raises(ValueError, match="blank"):
-        Corpus("c", "d", vocab, [utt])
+        Corpus("c", vocab, [utt])

@@ -63,6 +63,18 @@ def test_win_counts_sum_to_corpus_size(finished_run):
     assert sum(selection.win_counts) == cfg.student_domain.train_size - len(selection.skipped)
     text = (paths.report / "win_counts.txt").read_text()
     assert "win counts" in text
+    # the selection files are the select stage's only outputs
+    assert sorted(p.name for p in paths.select.iterdir()) == sorted(
+        f"{s}.ekds" for s in cfg.strategies)
+
+
+def test_checkpoints_name_their_domain(finished_run):
+    cfg, root, _ = finished_run
+    paths = SeedPaths(root, cfg.seeds[0])
+    teachers = [load_checkpoint(paths.teacher_path(r.name)) for r in cfg.teacher_domains]
+    assert [t.training_meta["corpus"] for t in teachers] == ["alpha", "beta", "gamma"]
+    for s in cfg.strategies:
+        assert load_checkpoint(paths.student_path(s)).training_meta["corpus"] == "delta"
 
 
 def test_svcca_outputs_exist(finished_run):
@@ -199,7 +211,7 @@ def test_probe_gate_rejects_undertrained(finished_run, tmp_path):
     name = cfg.teacher_domains[0].name
     strict = dataclasses.replace(cfg, probe_wer_threshold=0.0)
     with pytest.raises(TeacherQualityError,
-                       match=f"teacher on '{name}.*': probe WER .* exceeds gate 0.000"):
+                       match="teacher on 'alpha': probe WER .* exceeds gate 0.000"):
         stage_train_teacher(strict, paths.seed, paths, domain=name, force=True)
     assert not paths.teacher_path(name).exists()
 

@@ -86,7 +86,7 @@ def test_unscorable_teacher_transcript_fails_before_training(spec, monkeypatch):
                                ([1, 2] * bad.num_frames,
                                 f"needs {2 * bad.num_frames} frames, got {bad.num_frames}")):
         utterances = list(small.utterances)
-        utterances[2] = Utterance(bad.id, bad.features, transcript, bad.domain_tag)
+        utterances[2] = Utterance(bad.id, bad.features, transcript)
         broken = dataclasses.replace(small, utterances=utterances)
         with pytest.raises(ValueError, match=f"{small.name!r}.*{bad.id}.*{reason}"):
             train_teacher(broken, MODEL_CFG, TRAIN_CFG)
@@ -170,6 +170,15 @@ def test_student_never_reads_labels(teacher, corpus):
     train_student(selection.outcomes, unlabeled, MODEL_CFG,
                   dataclasses.replace(TRAIN_CFG, epochs=2), KdConfig())
     assert transcript_read_count() - before == 0
+
+
+def test_posteriors_refuse_another_vocabulary(teacher, corpus):
+    # Same size, other symbols: a corpus regenerated with new vocabulary letters.
+    relabelled = dataclasses.replace(corpus, vocabulary=default_vocabulary("dcba"))
+    with pytest.raises(ValueError, match=f"corpus {corpus.name!r}: vocabulary differs"):
+        corpus_posteriors(teacher, relabelled)
+    with pytest.raises(ValueError, match="vocabulary differs"):
+        greedy_corpus_wer(teacher, relabelled)
 
 
 def test_student_requires_stripped_corpus(teacher, corpus):
