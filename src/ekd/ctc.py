@@ -229,8 +229,9 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int,
     minibatch; without one, a minibatch of this pair alone is advanced. In
     the lattice's block every label state sits on an odd column, which is
     where the skip transition runs (see :func:`ctc_lattices`). The
-    occupancy scatter onto the z output symbols adds states in increasing
-    ``s`` order, as a per-state loop would.
+    occupancy scatter onto the z output symbols is one ``bincount``, which
+    adds in input order: states in increasing ``s``, as a per-state loop
+    would.
     """
     if lattice is None:
         (lattice,) = ctc_lattices([log_probs], [target], blank)
@@ -253,7 +254,7 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int,
         log_occ = ab - lp_ext - log_p
         occ = np.where(np.isneginf(ab), 0.0, np.exp(log_occ))
 
-    gamma = np.zeros((T, z))
-    np.add.at(gamma, (slice(None), ext), occ)
+    cells = (np.arange(T)[:, None] * z + ext).ravel()
+    gamma = np.bincount(cells, weights=occ.ravel(), minlength=T * z).reshape(T, z)
     grad = np.exp(lp) - gamma
     return CtcLossResult(loss=float(-log_p), grad_logits=grad)

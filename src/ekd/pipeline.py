@@ -297,6 +297,10 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
     def build(strat, unlabeled) -> None:
         selection = load_selection(paths.selection_path(strat))
         hook = _snapshots_into(snap_dir) if strat == analysed else None
+        # Older runs kept snapshots of every student; nothing reads the others.
+        stale = paths.snapshot_dir(f"student_{strat}")
+        if hook is None and stale.is_dir():
+            shutil.rmtree(stale)
         model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg, config.kd,
                               snapshot_hook=hook)
         save_checkpoint(model, paths.student_path(strat))

@@ -218,15 +218,22 @@ def dump_activations(model: ModelCheckpoint, corpus: Corpus, n_frames: int,
     """Per-layer activation matrices on a fixed frame subsample.
 
     The subsample depends only on (total frames, n_frames, seed), so two
-    models dumped over the same corpus see the same frames.
+    models dumped over the same corpus see the same frames. Rows are kept
+    one utterance at a time, so memory is the sample plus one utterance's
+    activations, not the whole corpus's.
     """
+    lengths = [utt.num_frames for utt in corpus.utterances]
+    idx = activation_frame_indices(sum(lengths), n_frames, seed)
+    offsets = np.cumsum([0, *lengths])
+    bounds = np.searchsorted(idx, offsets)
     per_layer: dict[str, list[np.ndarray]] = {}
-    for utt in corpus.utterances:
+    for utt, start, lo, hi in zip(corpus.utterances, offsets, bounds, bounds[1:]):
+        # An unsampled utterance needs no forward pass, except the first:
+        # it names the layers even when nothing at all is sampled.
+        if lo == hi and per_layer:
+            continue
         _, acts = forward_features(model, utt.features)
         for name, a in acts.items():
-            per_layer.setdefault(name, []).append(a)
-    stacked = {name: np.concatenate(blocks, axis=0) for name, blocks in per_layer.items()}
-    total = next(iter(stacked.values())).shape[0]
-    idx = activation_frame_indices(total, n_frames, seed)
-    return {name: ActivationMatrix(layer_name=name, data=mat[idx])
-            for name, mat in stacked.items()}
+            per_layer.setdefault(name, []).append(a[idx[lo:hi] - start])
+    return {name: ActivationMatrix(layer_name=name, data=np.concatenate(blocks, axis=0))
+            for name, blocks in per_layer.items()}

@@ -6,7 +6,10 @@ bit-exact check of the packed recursion; CCA is a generalized eigenproblem,
 edit distance is the textbook recursion, and the decoder oracle scores every
 collapsed label sequence exhaustively. ``object_beam_decode`` is the beam
 search as first written, one object per hypothesis, kept as the bit-exact
-reference for the array-backed decoder.
+reference for the array-backed decoder. ``stacked_dump_activations`` is
+the activation sampler as first written, stacking every frame of the corpus
+before it indexes the sample; it reuses the model's forward pass and frame
+subsample and is the bit-exact reference for the per-utterance sampler.
 """
 from __future__ import annotations
 
@@ -18,6 +21,9 @@ import numpy as np
 import scipy.linalg
 
 from ekd.lm import BOS, EOS, UNK
+from ekd.model import forward_features
+from ekd.svcca import ActivationMatrix
+from ekd.training import activation_frame_indices
 
 
 # -- CTC ----------------------------------------------------------------------
@@ -375,3 +381,20 @@ def nearest_prototype_transcript(features: np.ndarray, transformed_protos: np.nd
             out.append(s)
         prev = s
     return tuple(out)
+
+
+# -- activation sampling ------------------------------------------------------
+
+def stacked_dump_activations(model, corpus, n_frames: int, seed: int) -> dict:
+    """Every frame's activations stacked per layer, then the sample indexed.
+    ``ekd.training.dump_activations`` must return the same matrices."""
+    per_layer: dict[str, list[np.ndarray]] = {}
+    for utt in corpus.utterances:
+        _, acts = forward_features(model, utt.features)
+        for name, a in acts.items():
+            per_layer.setdefault(name, []).append(a)
+    stacked = {name: np.concatenate(blocks, axis=0) for name, blocks in per_layer.items()}
+    total = next(iter(stacked.values())).shape[0]
+    idx = activation_frame_indices(total, n_frames, seed)
+    return {name: ActivationMatrix(layer_name=name, data=mat[idx])
+            for name, mat in stacked.items()}

@@ -181,6 +181,17 @@ def test_forced_student_and_svcca_drop_stale_snapshots(finished_run, tmp_path):
     assert _trajectory_steps(paths) == [2, 3]
 
 
+def test_forced_student_drops_snapshots_of_unanalysed_strategies(finished_run, tmp_path):
+    # Older runs kept per-epoch snapshots of every student.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    stale = paths.snapshot_dir("student_framewise_max")
+    shutil.copytree(paths.snapshot_dir("student_elitist"), stale)
+    stage_train_student(cfg, paths.seed, paths, strategy="framewise_max", force=True)
+    assert not stale.exists()
+    assert sorted(p.name for p in (paths.base / "snapshots").iterdir()) == [
+        "student_elitist", "student_original_labels"]
+
+
 def test_only_the_analysed_student_keeps_snapshots(finished_run):
     cfg, root, _ = finished_run
     paths = SeedPaths(root, cfg.seeds[0])

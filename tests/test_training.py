@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ekd.config import build_transform
-from ekd.corpus import DomainSpec, Utterance, generate_corpus, transcript_read_count
+from ekd.corpus import Corpus, DomainSpec, Utterance, generate_corpus, transcript_read_count
 from ekd import training
 from ekd.ctc import ctc_lattices, ctc_loss, log_softmax
 from ekd.kd import KdConfig, SoftLabelMode
@@ -13,6 +14,7 @@ from ekd.selection import Strategy, TeacherBundle, select_corpus
 from ekd.training import (TrainConfig, activation_frame_indices, corpus_posteriors,
                           dump_activations, greedy_corpus_wer, train_student, train_teacher)
 from ekd.vocab import default_vocabulary
+from oracles import stacked_dump_activations
 
 
 VOCAB = default_vocabulary("abcd")
@@ -345,3 +347,37 @@ def test_dump_too_many_frames_rejected(teacher, corpus):
     total = sum(u.num_frames for u in corpus.utterances)
     with pytest.raises(ValueError, match="exceeds"):
         dump_activations(teacher, corpus, total + 1, seed=0)
+
+
+@pytest.mark.parametrize("n_frames", [0, 1, 32, "all"])
+def test_dump_matches_stacked_oracle(teacher, corpus, n_frames):
+    lengths = [u.num_frames for u in corpus.utterances]
+    n_frames = sum(lengths) if n_frames == "all" else n_frames
+    if n_frames == 32:  # the first utterance and 21 others have no sampled frame
+        sampled = np.unique(np.searchsorted(
+            np.cumsum(lengths), activation_frame_indices(sum(lengths), 32, 3), side="right"))
+        assert sampled[0] == 1 and sampled.size == 26
+    got = dump_activations(teacher, corpus, n_frames, seed=3)
+    want = stacked_dump_activations(teacher, corpus, n_frames, seed=3)
+    assert list(got) == list(want) == ["hidden_0", "hidden_1"]
+    for name in want:
+        assert got[name].layer_name == name
+        assert got[name].data.shape == want[name].data.shape
+        assert got[name].data.shape[0] == n_frames
+        assert got[name].data.tobytes() == want[name].data.tobytes()
+
+
+def test_dump_memory_does_not_grow_with_the_corpus(teacher, corpus):
+    """The traced peak of one call holds the sample and one utterance's
+    activations, not every frame of the corpus."""
+    def traced_peak(c) -> int:
+        dump_activations(teacher, c, 256, seed=3)  # warm-up: lazy imports, caches
+        tracemalloc.start()
+        try:
+            dump_activations(teacher, c, 256, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    repeated = Corpus(corpus.name, corpus.vocabulary, corpus.utterances * 4)
+    assert traced_peak(repeated) < 1.5 * traced_peak(corpus)
