@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the default five-seed experiment and print the summary tables.
 
-Writes all artifacts under runs/default (override with --output-root or the
-EKD_OUTPUT_ROOT environment variable). About 90 seconds on one core (89 s
-pinned to one core of a 2-vCPU host with OPENBLAS_NUM_THREADS=1).
+Writes all artifacts under runs/default (override with --output-root). About
+50 seconds on one core (51 s pinned to one core of a 2-vCPU host with
+OPENBLAS_NUM_THREADS=1).
 """
 import argparse
 import logging

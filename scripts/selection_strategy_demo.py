@@ -37,7 +37,7 @@ def run(config, seed: int, root: Path) -> None:
     print(f"\nselection over {len(refs)} unlabeled student-domain utterances "
           f"({len(names)} teachers):")
     for strategy in config.strategies:
-        result = load_selection(paths.selection_path(strategy))
+        _, result = load_selection(paths.selection_path(strategy))
         parts = [wer(refs[o.utterance_id],
                      vocab.indices_to_words(o.pseudo_transcript)) for o in result.outcomes]
         confidences = [o.sequence_confidence for o in result.outcomes]

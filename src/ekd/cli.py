@@ -9,31 +9,17 @@ import sys
 from .config import default_config, load_config, save_config
 from .pipeline import (STAGES, PipelineError, SeedPaths, output_root, run_pipeline, run_stage,
                        write_summary)
-from .selection import Strategy
 
 logger = logging.getLogger(__name__)
-
-_STRATEGY = ("--strategy", dict(choices=[s.value for s in Strategy]))
-# Stage-specific flags; each flag's dest is the stage function's keyword.
-_STAGE_FLAGS = {
-    "train-teacher": [("--domain", dict(help="train only this teacher domain"))],
-    "decode": [("--teacher", dict(help="decode with only this teacher"))],
-    "select": [_STRATEGY],
-    "train-student": [_STRATEGY],
-    "evaluate": [("--lm", dict(dest="lm_mode", choices=["on", "off", "both"], default="both")),
-                 ("--models", dict(nargs="*", help="restrict to these model names"))],
-}
 
 
 def _add_common(p: argparse.ArgumentParser, with_seed: bool = True) -> None:
     p.add_argument("-c", "--config", help="experiment config YAML (defaults apply if omitted)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config key (dotted path, YAML value)")
-    p.add_argument("--output-root", help="run directory root (wins over EKD_OUTPUT_ROOT and config)")
+    p.add_argument("--output-root", help="run directory root (wins over the config's)")
     p.add_argument("--force", action="store_true",
                    help="delete existing outputs and rebuild them")
-    p.add_argument("--allow-indomain", action="store_true",
-                   help="permit a student domain that matches a teacher domain")
     if with_seed:
         p.add_argument("--seed", type=int, help="experiment seed (default: first config seed)")
 
@@ -54,8 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, stage in STAGES.items():
         p = sub.add_parser(name, help=stage.__doc__)
         _add_common(p)
-        p.set_defaults(stage_kwargs=[p.add_argument(flag, **options).dest
-                                     for flag, options in _STAGE_FLAGS.get(name, ())])
+        if name == "evaluate":
+            p.add_argument("--lm", dest="lm_mode", choices=["on", "off", "both"], default="both")
         if name == "report":
             p.add_argument("--summary", action="store_true",
                            help="cross-seed summary instead of one seed")
@@ -72,7 +58,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config, args.overrides)
-        config.allow_indomain |= args.allow_indomain
         config.validate_ood()
         if args.command == "pipeline":
             table = run_pipeline(config, args.output_root, force=args.force)
@@ -88,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
                         for s in config.seeds}
             print(write_summary(root, per_seed), end="")
         else:
-            kwargs = {dest: getattr(args, dest) for dest in args.stage_kwargs}
+            kwargs = {"lm_mode": args.lm_mode} if args.command == "evaluate" else {}
             table = run_stage(args.command, config, seed, paths, force=args.force, **kwargs)
             if table is not None:
                 print(table.to_text())

@@ -127,7 +127,6 @@ class ExperimentConfig:
     word_length: tuple[int, int] = (2, 5)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    student_train: TrainConfig | None = None
     kd: KdConfig = field(default_factory=KdConfig)
     beam: BeamConfig = field(default_factory=BeamConfig)
     lm_order: int = 3
@@ -142,8 +141,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.teacher_domains:
             raise ValueError("config key 'teacher_domains' must list at least one teacher")
-        if self.student_train is None:
-            self.student_train = self.train
+        if not 1 <= self.word_length[0] <= self.word_length[1]:
+            raise ValueError("config key 'word_length' must be [min, max] with 1 <= min <= max")
+        if self.svcca.n_frames < 2:
+            raise ValueError("config key 'svcca.n_frames' must be >= 2")
+        if not 0 < self.svcca.variance_fraction <= 1:
+            raise ValueError("config key 'svcca.variance_fraction' must lie in (0, 1]")
+        if self.probe_wer_threshold is not None and self.probe_wer_threshold < 0:
+            raise ValueError("config key 'probe_wer_threshold' must be null or >= 0")
         if self.lm_order < 1:
             raise ValueError("lm_order must be >= 1")
         if not self.seeds:
@@ -209,14 +214,12 @@ class ExperimentConfig:
                 if not self.allow_indomain:
                     raise ValueError(
                         f"student domain {student!r} does not differ from teacher domain "
-                        f"{t!r}; pass --allow-indomain to override")
+                        f"{t!r}; set config key 'allow_indomain' to true to override")
         return specs
 
     # -- (de)serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        # student_train equal to train saves as null: "defaults to train" survives a round trip
-        return {**_plain(self), "student_train": (None if self.student_train == self.train
-                                                  else _plain(self.student_train))}
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -296,7 +299,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         node = data
         parts = key.split(".")
         for p in parts[:-1]:
-            if node.get(p) is None:  # absent, or a null section such as student_train
+            if node.get(p) is None:  # absent, or a null section
                 node[p] = {}
             node = node[p]
             if not isinstance(node, dict):

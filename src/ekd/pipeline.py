@@ -6,16 +6,17 @@ split with every teacher, build training targets with each selection
 strategy, train one student per strategy, evaluate every model with and
 without the LM, and run the representation-trajectory comparison. Every
 stage persists its artifacts and can be re-run independently; one rule
-(``_run_units``) decides which of its outputs to skip or rebuild. Resume is
-keyed on file existence only: after changing the config on an existing
-root, pass ``force`` or use a new root, or the old artifacts are reused.
+(``_run_units``) decides which of its outputs to skip or rebuild, so deleting
+one unit's outputs and re-running its stage rebuilds only that unit. Resume
+is keyed on file existence only: after changing the config on an existing
+root, pass ``force`` or use a new root, or the old artifacts are reused
+(those of another vocabulary are refused).
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import logging
-import os
 import shutil
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -46,13 +47,8 @@ class TeacherQualityError(RuntimeError):
 
 
 def output_root(config: ExperimentConfig, override: str | None = None) -> Path:
-    """CLI flag wins over the EKD_OUTPUT_ROOT env var wins over the config."""
-    if override:
-        return Path(override)
-    env = os.environ.get("EKD_OUTPUT_ROOT")
-    if env:
-        return Path(env) / Path(config.output_root).name
-    return Path(config.output_root)
+    """The ``--output-root`` flag's ``override`` if given, else the config's."""
+    return Path(override or config.output_root)
 
 
 class SeedPaths:
@@ -146,22 +142,21 @@ def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path
         unit.build(inputs)
 
 
-def _restrict(what: str, names: Sequence[str], wanted: str | Sequence[str] | None) -> list[str]:
-    """The ``names`` a stage filter keeps: all of them if ``wanted`` is None,
-    else those ``wanted`` names, each of which must be one of ``names``."""
-    if wanted is None:
-        return list(names)
-    wanted = [wanted] if isinstance(wanted, str) else wanted
-    for name in wanted:
-        if name not in names:
-            raise PipelineError(f"no {what} named {name!r}")
-    return [name for name in names if name in wanted]
+def _load_checked(load: Callable, path: Path, config: ExperimentConfig):
+    """The artifact that ``load`` returns with its header; a PipelineError
+    naming ``path`` and its stage if it records another vocabulary than the
+    config's."""
+    header, artifact = load(path)
+    if header["vocabulary_hash"] != config.vocabulary().content_hash():
+        raise PipelineError(f"{path} was built for another vocabulary; "
+                            f"re-run '{_PRODUCERS[path.parent.name]}' with --force")
+    return artifact
 
 
-def _seeded_configs(config: ExperimentConfig, seed: int, run: str, train_cfg):
+def _seeded_configs(config: ExperimentConfig, seed: int, run: str):
     """The (model, train) configs of one training run, seeded for ``run``."""
     return (dataclasses.replace(config.model, seed=derive_seed(seed, "model", run)),
-            dataclasses.replace(train_cfg, seed=derive_seed(seed, "train", run)))
+            dataclasses.replace(config.train, seed=derive_seed(seed, "train", run)))
 
 
 # -- stages -------------------------------------------------------------------
@@ -176,6 +171,7 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
         specs = config.expand_domains()
         vocab = config.vocabulary()
         transcripts = []  # the LM's: teacher-domain training transcripts, in teacher order
+        n_frames = config.svcca.n_frames  # svcca samples these from the student train split
         for recipe in config.all_domains():
             total = recipe.train_size + recipe.test_size
             corpus = generate_corpus(specs[recipe.name], vocab, total,
@@ -186,6 +182,10 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
             save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
             if recipe is not config.student_domain:
                 transcripts += [vocab.indices_to_words(u.transcript) for u in train_part.utterances]
+            elif (frames := sum(u.num_frames for u in train_part.utterances)) < n_frames:
+                # Raised before the LM is written, so a re-run builds gen-data again.
+                raise PipelineError(f"config key 'svcca.n_frames' is {n_frames}, but the "
+                                    f"student train split has only {frames} frames")
         save_arpa(train_lm(transcripts, config.lm_order), lm_path)
 
     outputs = [paths.corpus_path(r.name, part)
@@ -208,13 +208,13 @@ def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,
 
 
 def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
-                        domain: str | None = None, force: bool = False) -> None:
+                        force: bool = False) -> None:
     """train teacher model(s) on their domains"""
-    names = _restrict("teacher domain", [r.name for r in config.teacher_domains], domain)
+    names = [r.name for r in config.teacher_domains]
 
     def build(name, specs) -> None:
         corpus = load_corpus(paths.corpus_path(name, "train"))
-        model_cfg, train_cfg = _seeded_configs(config, seed, name, config.train)
+        model_cfg, train_cfg = _seeded_configs(config, seed, name)
         model = train_teacher(corpus, model_cfg, train_cfg)
         if config.probe_wer_threshold is not None:
             _probe_gate(model, corpus, specs[name], train_cfg.seed, config.probe_wer_threshold)
@@ -229,7 +229,7 @@ def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
 
 
 def stage_decode(config: ExperimentConfig, seed: int, paths: SeedPaths,
-                 teacher: str | None = None, force: bool = False) -> None:
+                 force: bool = False) -> None:
     """dump teacher posteriors for the student-domain train split"""
     student_train = paths.corpus_path(config.student_domain.name, "train")
 
@@ -238,21 +238,20 @@ def stage_decode(config: ExperimentConfig, seed: int, paths: SeedPaths,
         save_posteriors(paths.posteriors_path(name), corpus_posteriors(model, corpus),
                         f"teacher_{name}", corpus.vocabulary.content_hash())
 
-    names = _restrict("teacher", [r.name for r in config.teacher_domains], teacher)
-    units = [_Unit(n, [paths.posteriors_path(n)], functools.partial(build, n),
-                   [paths.teacher_path(n)]) for n in names]
+    units = [_Unit(r.name, [paths.posteriors_path(r.name)], functools.partial(build, r.name),
+                   [paths.teacher_path(r.name)]) for r in config.teacher_domains]
     _run_units("decode", units, force, needs=[student_train],
                load=lambda: load_corpus(student_train))
 
 
 def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
-                 strategy: str | None = None, force: bool = False) -> None:
+                 force: bool = False) -> None:
     """build training targets with the selection strategies"""
     vocab = config.vocabulary()
     dumps = [paths.posteriors_path(r.name) for r in config.teacher_domains]
 
     def load_bundles() -> list[TeacherBundle]:
-        per_teacher = [load_posteriors(path)[1] for path in dumps]
+        per_teacher = [_load_checked(load_posteriors, path, config) for path in dumps]
         ids = [p.utterance_id for p in per_teacher[0]]
         for path, posts in zip(dumps[1:], per_teacher[1:]):
             if [p.utterance_id for p in posts] != ids:
@@ -265,7 +264,7 @@ def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
         save_selection(paths.selection_path(strat), selection, vocab.content_hash())
 
     units = [_Unit(s, [paths.selection_path(s)], functools.partial(build, s))
-             for s in _restrict("strategy", config.strategies, strategy)]
+             for s in config.strategies]
     _run_units("select", units, force, needs=dumps, load=load_bundles)
 
 
@@ -286,16 +285,16 @@ def _sample_snapshots(snap_dir: Path, corpus: Corpus,
 
 
 def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
-                        strategy: str | None = None, force: bool = False) -> None:
+                        force: bool = False) -> None:
     """train student model(s) on selected soft labels"""
     student_train = paths.corpus_path(config.student_domain.name, "train")
-    model_cfg, train_cfg = _seeded_configs(config, seed, "student", config.student_train)
+    model_cfg, train_cfg = _seeded_configs(config, seed, "student")
     # Only the student that the svcca stage analyses keeps per-epoch snapshots.
     analysed = Strategy.ELITIST.value
     snap_dir = paths.snapshot_dir(f"student_{analysed}")
 
     def build(strat, unlabeled) -> None:
-        selection = load_selection(paths.selection_path(strat))
+        selection = _load_checked(load_selection, paths.selection_path(strat), config)
         hook = _snapshots_into(snap_dir) if strat == analysed else None
         # Older runs kept snapshots of every student; nothing reads the others.
         stale = paths.snapshot_dir(f"student_{strat}")
@@ -310,7 +309,7 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
 
     units = [_Unit(s, [paths.student_path(s), *([snap_dir] if s == analysed else [])],
                    functools.partial(build, s), [paths.selection_path(s)])
-             for s in _restrict("strategy", config.strategies, strategy)]
+             for s in config.strategies]
     _run_units("train-student", units, force, needs=[student_train],
                load=lambda: load_corpus(student_train).without_transcripts())
 
@@ -343,8 +342,7 @@ def evaluate_model(model: ModelCheckpoint, corpus: Corpus, lm: NgramLm | None,
 
 
 def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
-                   lm_mode: str = "both", models: list[str] | None = None,
-                   force: bool = False) -> None:
+                   lm_mode: str = "both", force: bool = False) -> None:
     """decode test sets and score WER"""
     if lm_mode not in ("on", "off", "both"):
         raise PipelineError(f"lm mode must be on/off/both, got {lm_mode!r}")
@@ -363,13 +361,11 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
         logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
                     "on" if lm_on else "off", 100 * breakdown.wer)
 
-    matrix = _eval_matrix(config, paths)
-    names = _restrict("model", list(dict.fromkeys(row[0] for row in matrix)), models or None)
     units = [_Unit(f"{name} on {test_set} (lm {'on' if lm_on else 'off'})",
                    [paths.cell_path(name, test_set, lm_on)],
                    functools.partial(build, name, ckpt, test_set, corpus_path, lm_on),
                    [ckpt, corpus_path])
-             for name, ckpt, test_set, corpus_path in matrix if name in names
+             for name, ckpt, test_set, corpus_path in _eval_matrix(config, paths)
              for lm_on in lm_flags]
     _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
                load=lambda: load_arpa(lm_path) if True in lm_flags else None)
@@ -379,7 +375,7 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
                 force: bool = False) -> None:
     """layer-correlation trajectories: original vs pseudo labels"""
     student_train = paths.corpus_path(config.student_domain.name, "train")
-    pseudo_dir = paths.snapshot_dir("student_elitist")
+    pseudo_dir = paths.snapshot_dir(f"student_{Strategy.ELITIST.value}")
     original_dir = paths.snapshot_dir("student_original_labels")
     out_txt = paths.svcca / "trajectory.txt"
     out_diffs = paths.svcca / "layer_diffs.tsv"
@@ -387,7 +383,7 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
     def reference_run(corpus) -> None:
         # Analysis-only supervised run on the target domain's true labels,
         # sharing init and batching with the pseudo-label student.
-        model_cfg, train_cfg = _seeded_configs(config, seed, "student", config.student_train)
+        model_cfg, train_cfg = _seeded_configs(config, seed, "student")
         train_teacher(corpus, model_cfg, train_cfg, snapshot_hook=_snapshots_into(original_dir))
 
     def build_report(corpus) -> None:
@@ -410,11 +406,12 @@ def stage_report(config: ExperimentConfig, seed: int, paths: SeedPaths,
     cells = [_require(paths.cell_path(name, test_set, lm_on))
              for name, _, test_set, _ in _eval_matrix(config, paths) for lm_on in (False, True)]
     selections = [_require(paths.selection_path(strat)) for strat in config.strategies]
+    win_counts = "\n".join(_load_checked(load_selection, path, config).summary_text()
+                           for path in selections)
     table = ResultTable.from_cell_files(cells)
     binio.atomic_write_text(paths.report / "results.tsv", table.to_tsv())
     binio.atomic_write_text(paths.report / "results.txt", table.to_text())
-    binio.atomic_write_text(paths.report / "win_counts.txt", "\n".join(
-        load_selection(path).summary_text() for path in selections))
+    binio.atomic_write_text(paths.report / "win_counts.txt", win_counts)
     return table
 
 

@@ -212,7 +212,7 @@ def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> No
     binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
 
 
-def load_selection(path) -> CorpusSelection:
+def load_selection(path) -> tuple[dict, CorpusSelection]:
     header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
     strategy = Strategy(header["strategy"])
     decoded = binio.decode_records(path, records, [0] * header["n_outcomes"])
@@ -229,6 +229,6 @@ def load_selection(path) -> CorpusSelection:
         raise
     except (TypeError, ValueError) as e:
         raise binio.FormatError(f"{path}: corrupted record ({e})") from e
-    return CorpusSelection(strategy=strategy, outcomes=outcomes,
-                           win_counts=header["win_counts"],
-                           skipped=[tuple(s) for s in header["skipped"]])
+    return header, CorpusSelection(strategy=strategy, outcomes=outcomes,
+                                   win_counts=header["win_counts"],
+                                   skipped=[tuple(s) for s in header["skipped"]])

@@ -40,7 +40,6 @@ def compact_config(output_root: str, seeds=(5,)):
     cfg.model = ModelConfig(context_window=1, hidden_sizes=(16, 12), activation="tanh", seed=0)
     cfg.train = TrainConfig(epochs=4, batch_size=8, learning_rate=3e-3, optimizer="adam",
                             gradient_clip=5.0, seed=0, eval_every=2)
-    cfg.student_train = cfg.train
     cfg.beam = BeamConfig(beam_width=6, lm_weight=0.4, word_insertion_bonus=0.5)
     cfg.svcca = SvccaSettings(n_frames=160, variance_fraction=0.99, sample_seed=2024)
     cfg.seeds = list(seeds)

@@ -295,7 +295,7 @@ def test_criterion_11_label_free_student(tmp_path):
     selection = select_corpus(Strategy.ELITIST, bundles, vocab.blank_index)
     unlabeled = student_corpus.without_transcripts()
     before = transcript_read_count()
-    train_student(selection.outcomes, unlabeled, cfg.model, cfg.student_train, KdConfig())
+    train_student(selection.outcomes, unlabeled, cfg.model, cfg.train, KdConfig())
     reads = transcript_read_count() - before
     record(11, "instrumented target-transcript reads during student training equal zero",
            reads == 0, f"reads {reads}")

@@ -26,7 +26,6 @@ def cli_run(tmp_path_factory):
         ["gen-data", "-c", str(cfg_path), "--seed", str(seed)],
         ["train-teacher", "-c", str(cfg_path), "--seed", str(seed)],
         ["decode", "-c", str(cfg_path), "--seed", str(seed)],
-        ["select", "-c", str(cfg_path), "--seed", str(seed), "--strategy", "elitist"],
         ["select", "-c", str(cfg_path), "--seed", str(seed)],
         ["train-student", "-c", str(cfg_path), "--seed", str(seed)],
         ["evaluate", "-c", str(cfg_path), "--seed", str(seed), "--lm", "off"],
@@ -75,12 +74,10 @@ def test_init_config_round_trips(tmp_path):
 def test_config_overrides(tmp_path):
     out = tmp_path / "default.yaml"
     main(["init-config", "-o", str(out)])
-    cfg = load_config(out, overrides=["lm_order=2", "beam.beam_width=3",
-                                      "train.epochs=2", "student_train.epochs=3"])
+    cfg = load_config(out, overrides=["lm_order=2", "beam.beam_width=3", "train.epochs=2"])
     assert cfg.lm_order == 2
     assert cfg.beam.beam_width == 3
     assert cfg.train.epochs == 2
-    assert cfg.student_train == TrainConfig(epochs=3)  # over the saved student_train: null
 
 
 def test_bad_override_reports_error(tmp_path):
@@ -91,6 +88,9 @@ def test_bad_override_reports_error(tmp_path):
 
 
 @pytest.mark.parametrize("override, key", [("kd.alpha=0", "kd.alpha"), ("bogus=1", "bogus"),
+                                           # students train with `train`
+                                           ("student_train.epochs=3",
+                                            "unknown config key(s): student_train"),
                                            # wrong-shaped values of known keys
                                            ("teacher_domains=null", "teacher_domains"),
                                            # empty values are refused, not the defaults
@@ -131,6 +131,23 @@ def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("svcca.n_frames=1", "'svcca.n_frames' must be >= 2"),
+    ("svcca.n_frames=-1", "'svcca.n_frames' must be >= 2"),
+    ("svcca.variance_fraction=1.5", "'svcca.variance_fraction' must lie in (0, 1]"),
+    ("svcca.variance_fraction=0", "'svcca.variance_fraction' must lie in (0, 1]"),
+    ("probe_wer_threshold=-0.1", "'probe_wer_threshold' must be null or >= 0"),
+    ("word_length=[5,2]", "'word_length' must be [min, max] with 1 <= min <= max"),
+    ("word_length=[0,3]", "'word_length' must be [min, max] with 1 <= min <= max")])
+def test_infeasible_config_value_is_a_cli_error(tmp_path, capsys, override, message):
+    """A value no stage can use is refused when the config loads, naming its
+    key, not after the teachers and students have trained."""
+    out = tmp_path / "out"
+    assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1
+    assert f"error: config key {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, key", [
     ("student_domain.frames_per_symbol=[3,4]", "student_domain.name"),
     ("teacher_domains=[{name: x, train_size: 10}]", "teacher_domains[0].test_size")])
@@ -146,7 +163,6 @@ def test_partial_domain_recipe_names_first_required_key(tmp_path, capsys, overri
 _PARTIAL_SECTIONS = {
     "model": (ModelConfig, {"hidden_sizes": [8]}),
     "train": (TrainConfig, {"epochs": 2}),
-    "student_train": (TrainConfig, {"epochs": 2}),
     "kd": (KdConfig, {"soft_label_mode": "hard_pseudo_label"}),
     "beam": (BeamConfig, {"beam_width": 3}),
     "svcca": (SvccaSettings, {"n_frames": 100}),
@@ -167,8 +183,7 @@ def test_partial_config_section_takes_defaults(tmp_path, section):
     data[section] = keys
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text(yaml.safe_dump(data))
-    # the file's student_train: null follows train unless the section is student_train
-    expected = dataclasses.replace(cfg, **{"student_train": None, section: cls(**keys)})
+    expected = dataclasses.replace(cfg, **{section: cls(**keys)})
     assert load_config(cfg_path) == expected
     assert main(["gen-data", "-c", str(cfg_path)]) == 0
 
@@ -182,7 +197,6 @@ def test_non_default_config_round_trips(tmp_path):
     cfg.shared_lexicon_size = 14
     cfg.shared_lexicon_seed = 7
     cfg.word_length = (3, 4)
-    cfg.student_train = dataclasses.replace(cfg.train, epochs=3, learning_rate=1e-3)
     cfg.kd = KdConfig(SoftLabelMode.HARD_PSEUDO_LABEL)
     cfg.lm_order = 2
     cfg.strategies = ["elitist", "teacher_average"]
@@ -203,7 +217,7 @@ def test_stage_failure_is_a_cli_error(tmp_path, capsys):
     cfg_path = tmp_path / "c.yaml"
     save_config(cfg, cfg_path)
     assert main(["gen-data", "-c", str(cfg_path)]) == 0
-    rc = main(["train-teacher", "-c", str(cfg_path), "--domain", "alpha",
+    rc = main(["train-teacher", "-c", str(cfg_path),
                "--set", "probe_wer_threshold=0.0", "--set", "train.epochs=1"])
     assert rc == 1
     assert f"stage 'train-teacher' (seed {cfg.seeds[0]}) failed" in capsys.readouterr().err
@@ -218,17 +232,22 @@ def test_missing_artifact_is_a_cli_error(tmp_path, capsys):
     assert "gen-data" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["train-teacher", "--domain", "nosuch"], "teacher domain named 'nosuch'"),
-    (["decode", "--teacher", "nosuch"], "teacher named 'nosuch'"),
-    (["select", "--strategy", "framewise_max"], "strategy named 'framewise_max'"),
-    (["train-student", "--strategy", "framewise_max"], "strategy named 'framewise_max'"),
-    (["evaluate", "--models", "student_elitist", "nosuch"], "model named 'nosuch'"),
-])
-def test_unknown_stage_filter_name_is_a_cli_error(tmp_path, capsys, argv, name):
-    rc = main([*argv, "--output-root", str(tmp_path / "out"), "--set", "strategies=[elitist]"])
-    assert rc == 1
-    assert f"error: no {name}" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["train-teacher", "--domain", "alpha"],
+                                  ["decode", "--teacher", "alpha"],
+                                  ["select", "--strategy", "elitist"],
+                                  ["train-student", "--strategy", "elitist"],
+                                  ["evaluate", "--models", "student_elitist"],
+                                  ["gen-data", "--allow-indomain"],
+                                  ["pipeline", "--allow-indomain"]], ids=" ".join)
+def test_removed_flag_is_a_usage_error(tmp_path, capsys, argv):
+    """Stage filters are gone (delete a unit's outputs and re-run its stage
+    to rebuild only that unit), and so is the flag form of allow_indomain."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--output-root", str(out)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_indomain_guard_via_cli(tmp_path, capsys):
@@ -246,6 +265,6 @@ def test_indomain_guard_via_cli(tmp_path, capsys):
     cfg_path = tmp_path / "c.yaml"
     save_config(cfg, cfg_path)
     assert main(["gen-data", "-c", str(cfg_path)]) == 1
-    assert "allow-indomain" in capsys.readouterr().err
-    # the override flag lets the in-domain experiment proceed
-    assert main(["gen-data", "-c", str(cfg_path), "--allow-indomain"]) == 0
+    assert "set config key 'allow_indomain' to true" in capsys.readouterr().err
+    # the config key lets the in-domain experiment proceed
+    assert main(["gen-data", "-c", str(cfg_path), "--set", "allow_indomain=true"]) == 0

@@ -59,7 +59,7 @@ def test_win_counts_sum_to_corpus_size(finished_run):
     from ekd.selection import load_selection
 
     paths = SeedPaths(root, cfg.seeds[0])
-    selection = load_selection(paths.selection_path("elitist"))
+    _, selection = load_selection(paths.selection_path("elitist"))
     assert sum(selection.win_counts) == cfg.student_domain.train_size - len(selection.skipped)
     text = (paths.report / "win_counts.txt").read_text()
     assert "win counts" in text
@@ -140,10 +140,11 @@ def test_failed_evaluate_cell_is_retried(finished_run, monkeypatch):
 
     monkeypatch.setattr(pl, "evaluate_model", fail_once)
     with pytest.raises(RuntimeError, match="synthetic"):
-        pl.stage_evaluate(cfg, seed, paths, lm_mode="off", models=["student_elitist"])
+        pl.stage_evaluate(cfg, seed, paths, lm_mode="off")
     assert not cell.exists()
-    pl.stage_evaluate(cfg, seed, paths, lm_mode="off", models=["student_elitist"])
+    pl.stage_evaluate(cfg, seed, paths, lm_mode="off")
     assert cell.read_bytes() == before
+    assert len(calls) == 2  # every other cell exists and is skipped
 
 
 def _copy_run(finished_run, tmp_path):
@@ -164,6 +165,33 @@ def test_select_rejects_dumps_of_different_utterances(finished_run, tmp_path):
         stage_select(cfg, paths.seed, paths, force=True)
 
 
+def test_stages_refuse_artifacts_of_another_vocabulary(finished_run, tmp_path):
+    # Same size, other order: every index means another grapheme.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    permuted = dataclasses.replace(cfg, vocabulary_letters=cfg.vocabulary_letters[::-1])
+    dump = re.escape(str(paths.posteriors_path(cfg.teacher_domains[0].name)))
+    with pytest.raises(PipelineError, match=f"{dump} was built for another vocabulary; "
+                                            "re-run 'decode' with --force"):
+        stage_select(permuted, paths.seed, paths, force=True)
+    selection = re.escape(str(paths.selection_path(cfg.strategies[0])))
+    refused = f"{selection} was built for another vocabulary; re-run 'select' with --force"
+    with pytest.raises(PipelineError, match=refused):
+        stage_train_student(permuted, paths.seed, paths, force=True)
+    with pytest.raises(PipelineError, match=refused):
+        stage_report(permuted, paths.seed, paths)
+
+
+def test_gen_data_refuses_more_svcca_frames_than_the_student_split_has(tmp_path):
+    cfg = compact_config(str(tmp_path / "out"))
+    cfg.svcca = SvccaSettings(n_frames=100000)
+    with pytest.raises(PipelineError, match=r"config key 'svcca.n_frames' is 100000, but the "
+                                            r"student train split has only \d+ frames"):
+        run_pipeline(cfg)
+    paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
+    assert not (paths.lm / "ngram.arpa").exists()  # so a re-run builds gen-data again
+    assert not any(paths.teachers.iterdir())
+
+
 def _trajectory_steps(paths) -> list[int]:
     rows = (paths.svcca / "trajectory.txt").read_text().split("\n\n")[0].splitlines()[1:]
     return sorted({int(row.split("\t")[1]) for row in rows})
@@ -172,9 +200,8 @@ def _trajectory_steps(paths) -> list[int]:
 def test_forced_student_and_svcca_drop_stale_snapshots(finished_run, tmp_path):
     cfg, paths = _copy_run(finished_run, tmp_path)
     assert _trajectory_steps(paths) == [2, 4]
-    shorter = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=3),
-                                  student_train=None)
-    stage_train_student(shorter, paths.seed, paths, strategy="elitist", force=True)
+    shorter = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=3))
+    stage_train_student(shorter, paths.seed, paths, force=True)
     snaps = sorted(p.name for p in paths.snapshot_dir("student_elitist").iterdir())
     assert snaps == ["epoch_0002.ekdm", "epoch_0003.ekdm"]
     stage_svcca(shorter, paths.seed, paths, force=True)
@@ -186,7 +213,7 @@ def test_forced_student_drops_snapshots_of_unanalysed_strategies(finished_run, t
     cfg, paths = _copy_run(finished_run, tmp_path)
     stale = paths.snapshot_dir("student_framewise_max")
     shutil.copytree(paths.snapshot_dir("student_elitist"), stale)
-    stage_train_student(cfg, paths.seed, paths, strategy="framewise_max", force=True)
+    stage_train_student(cfg, paths.seed, paths, force=True)
     assert not stale.exists()
     assert sorted(p.name for p in (paths.base / "snapshots").iterdir()) == [
         "student_elitist", "student_original_labels"]
@@ -207,7 +234,8 @@ def test_probe_gate_passes_and_records(finished_run, tmp_path):
     ungated = load_checkpoint(paths.teacher_path(name))
     assert "probe_wer" not in ungated.training_meta
     gated = dataclasses.replace(cfg, probe_wer_threshold=10.0)
-    stage_train_teacher(gated, paths.seed, paths, domain=name, force=True)
+    paths.teacher_path(name).unlink()  # the other teachers exist and are skipped
+    stage_train_teacher(gated, paths.seed, paths)
     model = load_checkpoint(paths.teacher_path(name))
     spec = dataclasses.replace(cfg.expand_domains()[name], emission_noise_std=0.0)
     probe_seed = (derive_seed(paths.seed, "train", name) * 9973 + 17) % (2 ** 31)
@@ -221,9 +249,10 @@ def test_probe_gate_rejects_undertrained(finished_run, tmp_path):
     cfg, paths = _copy_run(finished_run, tmp_path)
     name = cfg.teacher_domains[0].name
     strict = dataclasses.replace(cfg, probe_wer_threshold=0.0)
+    paths.teacher_path(name).unlink()
     with pytest.raises(TeacherQualityError,
                        match="teacher on 'alpha': probe WER .* exceeds gate 0.000"):
-        stage_train_teacher(strict, paths.seed, paths, domain=name, force=True)
+        stage_train_teacher(strict, paths.seed, paths)
     assert not paths.teacher_path(name).exists()
 
 
@@ -312,7 +341,7 @@ def _make_indomain(cfg):
 
 def test_ood_guard_refuses_matching_domains(tmp_path):
     cfg = _make_indomain(compact_config(str(tmp_path / "out")))
-    with pytest.raises(ValueError, match="allow-indomain"):
+    with pytest.raises(ValueError, match="set config key 'allow_indomain' to true"):
         cfg.validate_ood()
     cfg.allow_indomain = True
     cfg.validate_ood()
@@ -347,9 +376,8 @@ def test_config_without_elitist_rejected(tmp_path):
 
 def test_output_root_precedence(tmp_path, monkeypatch):
     cfg = compact_config(str(tmp_path / "from-config"))
+    monkeypatch.setenv("EKD_OUTPUT_ROOT", str(tmp_path / "from-env"))  # read by nothing
     assert output_root(cfg) == tmp_path / "from-config"
-    monkeypatch.setenv("EKD_OUTPUT_ROOT", str(tmp_path / "from-env"))
-    assert output_root(cfg) == tmp_path / "from-env" / "from-config"
     assert output_root(cfg, str(tmp_path / "flag")) == tmp_path / "flag"
 
 

@@ -258,7 +258,8 @@ def test_selection_round_trip(tmp_path, rng):
     result = select_corpus(Strategy.ELITIST, bundles, BLANK)
     path = tmp_path / "s.ekds"
     save_selection(path, result, "hash123")
-    loaded = load_selection(path)
+    header, loaded = load_selection(path)
+    assert header["vocabulary_hash"] == "hash123"
     assert loaded.strategy is Strategy.ELITIST
     assert loaded.win_counts == result.win_counts
     assert loaded.skipped == result.skipped
@@ -311,7 +312,7 @@ def test_student_trains_the_same_on_a_loaded_selection(tmp_path, rng):
         return train_student(outcomes, corpus, ModelConfig(hidden_sizes=(8,), seed=1),
                              TrainConfig(epochs=2, batch_size=4, seed=2), KdConfig())
 
-    in_memory, loaded = train(selection.outcomes), train(load_selection(path).outcomes)
+    in_memory, loaded = train(selection.outcomes), train(load_selection(path)[1].outcomes)
     assert all(np.array_equal(a, b) for a, b in zip(in_memory.weights, loaded.weights))
     assert in_memory.training_meta == loaded.training_meta
 
