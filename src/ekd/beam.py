@@ -1,4 +1,5 @@
-"""Time-synchronous beam search over CTC posteriors with LM shallow fusion.
+"""Frame-synchronous beam search over CTC posteriors with LM shallow fusion,
+for a batch of utterances at once.
 
 Hypotheses are (collapsed prefix, last path symbol) states scored by the
 best-alignment acoustic log probability plus, when a language model is
@@ -6,22 +7,33 @@ supplied, ``lm_weight * ln p_lm`` for every completed word and a per-word
 insertion bonus. Word boundaries are the vocabulary's separator symbol; the
 trailing partial word and the sentence end are scored at finalization.
 
-The beam is three arrays: score, prefix id and last symbol. A frame scores
-every extension at once as ``score[:, None] + log_probs[t]``, the same IEEE
-additions as extending one hypothesis at a time; a separator that completes
-a word then adds the bonus and the LM term, in that order. Prefixes are
-interned: per id a table holds the symbol tuple, partial word, LM context,
-the word's LM term (one LM query per id) and the merge key of each
-extension. An extension whose child prefix is not interned yet has a
-virtual key, negative and derived from (parent id, symbol); only extensions
-that survive the frame's pruning are interned.
+Each utterance keeps ``beam_width`` slots of (score, prefix id, last symbol);
+an empty slot scores NaN. Utterances run longest first, so those still
+running are a leading block, and every frame advances all their beams with
+the same fixed set of numpy calls over the whole block:
 
-Equal (prefix, last) keys merge by maximum score; the key fixes partial
-word, context and word count, so tied duplicates are identical. The
-``beam_width`` best keys survive, and only candidates tied at the cut-off
-score are ranked by (prefix tuple, last). Order within the beam never
-matters: finalization visits hypotheses by (prefix, last) and keeps the
-first strict maximum.
+* every extension is scored as ``score + log_probs[t]`` (the same IEEE
+  additions as extending one hypothesis at a time), and a separator that
+  completes a word then adds the bonus and the LM term, in that order;
+* equal (prefix, last) keys merge by maximum score. A beam's keys are
+  distinct and a prefix ends in its hypotheses' last symbol, so a key is
+  reached twice only in two ways: the two hypotheses of one prefix, (p,
+  none) and (p, p's last symbol), extend alike by every symbol but that
+  last one; and the repeat of (p, g) is also the extension of p's parent by
+  g. Both are merged by slot position, without comparing keys;
+* the ``beam_width`` best candidates of each utterance survive
+  (``argpartition``), and those that extend a prefix by a new symbol are
+  interned in one batch: a prefix is its parent's id and symbol, found again
+  through a sorted (parent, symbol) index, and with an LM also a partial
+  word id, LM contexts and the word's LM term.
+
+The key fixes partial word, context and word count, so tied duplicates are
+identical and order within a beam never matters. Python runs only to query
+the LM, once per (token, context) pair and call; to rank the rare
+candidates tied at an utterance's cut-off score by (prefix, last), the
+published tie rule; and to finish each utterance, where the first strict
+maximum in (prefix, last) order wins and its prefix is read back through
+the parent links.
 
 With beam_width=1, no LM and zero bonus this reduces exactly to greedy
 decoding (the single kept state always extends by the frame argmax).
@@ -29,6 +41,7 @@ decoding (the single kept state always extends by the frame argmax).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,114 +67,281 @@ class BeamConfig:
             raise ValueError("lm_weight must be >= 0")
 
 
-def beam_decode(posteriors: PosteriorSequence, lm: NgramLm | None,
-                config: BeamConfig, vocab: Vocabulary) -> list[str]:
-    """Best word sequence under acoustic + (optional) LM + bonus scoring."""
-    lp = posteriors.log_probs()
-    T, z = lp.shape
-    if z != vocab.size:
-        raise ValueError(f"posterior width {z} does not match vocabulary size {vocab.size}")
-    blank = vocab.blank_index
-    sep = vocab.word_separator_index
-    fuse = lm is not None and config.lm_weight > 0
-    lm_scale = config.lm_weight * LN10
-    bonus = config.word_insertion_bonus
-    width = config.beam_width
-    span = z + 1  # a merge key is prefix id * span + (last symbol + 1)
+class _Index:
+    """A sorted map from int64 keys to ids; memory grows with the entries,
+    not with the key range."""
 
-    # Prefix table; each frame interns at most `width` prefixes. keys[p, g]
-    # starts virtual (the key of child id -(p*z + g) - 1), and blank keeps p.
-    # adds[p] is what a separator adds to p's score: (bonus, LM term) when p
-    # ends in a partial word, else zeros. ends[p] is p's context once that
-    # word is in.
-    ids = np.arange(1 + T * width)[:, None]
-    symbols = np.arange(z)
-    keys = (-(ids * z + symbols) - 1) * span + symbols + 1
-    keys[:, blank] = ids[:, 0] * span
-    adds = np.zeros((len(ids), 2))
-    prefixes: list[tuple[int, ...]] = []
-    partials: list[tuple[int, ...]] = []
-    contexts: list[tuple[str, ...]] = []
-    ends: list[tuple[str, ...]] = []
+    def __init__(self) -> None:
+        # A sentinel above every key, so that a lookup always lands on an entry.
+        self.keys = np.array([np.iinfo(np.int64).max])
+        self.ids = np.array([-1], np.int32)
 
-    def intern(prefix, partial, context) -> int:
-        p = len(prefixes)
-        end = context
-        if partial:
-            adds[p, 0] = bonus
-            if fuse:
-                word = "".join(vocab.graphemes[i] for i in partial)
-                adds[p, 1] = lm_scale * lm.log10_prob(word, context)
-                if lm.order > 1:
-                    end = (context + (word if word in lm.vocabulary else UNK,))[-(lm.order - 1):]
-        prefixes.append(prefix)
-        partials.append(partial)
-        contexts.append(context)
-        ends.append(end)
-        return p
+    def get(self, keys: np.ndarray) -> np.ndarray:
+        """The id of each key, or -1."""
+        at = np.searchsorted(self.keys, keys)
+        return np.where(self.keys[at] == keys, self.ids[at], -1)
 
-    def state(key: int) -> tuple[tuple[int, ...], int]:
-        p, last = divmod(key, span)
-        if p >= 0:
-            return prefixes[p], last - 1
-        parent, g = divmod(-p - 1, z)
-        return prefixes[parent] + (g,), last - 1
+    def add(self, keys: np.ndarray, ids: np.ndarray) -> None:
+        """Add new, distinct keys."""
+        order = np.argsort(keys)
+        new = np.searchsorted(self.keys, keys[order]) + np.arange(len(keys))
+        old = np.ones(len(self.keys) + len(keys), bool)
+        old[new] = False
+        for name, values in (("keys", keys[order]), ("ids", ids[order])):
+            merged = np.empty(len(old), getattr(self, name).dtype)
+            merged[new] = values
+            merged[old] = getattr(self, name)
+            setattr(self, name, merged)
 
-    # The beam: per hypothesis its score, prefix id, last symbol and own key.
-    beam_score = [0.0]
-    beam_pid = [intern((), (), (BOS,) * (lm.order - 1) if fuse else ())]
-    beam_last = [NO_LAST]
-    beam_key = [0]
-    rows = np.arange(width)
-    for t in range(T):
-        pid = np.array(beam_pid)
-        scores = np.array(beam_score)[:, None] + lp[t]
-        add = adds[pid]
-        scores[:, sep] += add[:, 0]
-        scores[:, sep] += add[:, 1]
-        cand = keys[pid]
-        # Blank and a repeated symbol keep the row's own (prefix, last) key.
-        cand[rows[:len(pid)], [blank if g == NO_LAST else g for g in beam_last]] = beam_key
-        flat_score = scores.ravel().tolist()
-        flat_key = cand.ravel().tolist()
-        kept: dict[int, float] = {}
-        cutoff = None
-        for c in np.argsort(-scores, axis=None).tolist():
-            score = flat_score[c]
-            if cutoff is not None and score < cutoff:
-                break
-            if flat_key[c] not in kept:
-                kept[flat_key[c]] = score
-                if len(kept) == width:
-                    cutoff = score
-        survivors = list(kept.items())
-        if len(survivors) > width:
-            survivors.sort(key=lambda kv: (-kv[1], *state(kv[0])))
-            del survivors[width:]
-        beam_score, beam_pid, beam_last, beam_key = [], [], [], []
-        for key, score in survivors:
-            p, last = divmod(key, span)
-            if p < 0:
-                parent, g = divmod(-p - 1, z)
-                if g == sep:
-                    p = intern(prefixes[parent] + (g,), (), ends[parent])
-                else:
-                    p = intern(prefixes[parent] + (g,), partials[parent] + (g,), contexts[parent])
-                key = keys[parent, g] = p * span + last
-            beam_score.append(score)
-            beam_pid.append(p)
-            beam_last.append(last - 1)
-            beam_key.append(key)
 
-    best_words: list[str] | None = None
-    best_final = -np.inf
-    for p, last, final in sorted(zip(beam_pid, beam_last, beam_score),
-                                 key=lambda h: (prefixes[h[0]], h[1])):
-        if partials[p]:
-            final = final + adds[p, 0] + adds[p, 1]
+class _WordTerms:
+    """The LM side of one call: partial words, the LM contexts met, and the
+    LM term of each (token, context) pair, queried once per call. A word
+    outside the LM's vocabulary is scored as ``<unk>``, so partial words are
+    told apart only while they can still grow into an LM token: they are the
+    prefixes of the tokens (0 is the empty word), and every other word is
+    the one word ``DEAD``, whose extensions stay dead."""
+
+    DEAD = 1
+
+    def __init__(self, lm: NgramLm, lm_scale: float, vocab: Vocabulary):
+        self.lm, self.lm_scale = lm, lm_scale
+        self.tokens = sorted(lm.vocabulary | {UNK, EOS})
+        token_ids = {tok: i for i, tok in enumerate(self.tokens)}
+        self.eos = token_ids[EOS]
+        words = ["", None, *sorted({tok[:i] for tok in self.tokens
+                                    for i in range(1, len(tok) + 1)})]
+        word_ids = {word: i for i, word in enumerate(words) if word is not None}
+        # child[w, g] is word w extended by symbol g; token[w] is how the LM scores w.
+        self.child = np.array([[self.DEAD if w is None else word_ids.get(w + g, self.DEAD)
+                                for g in vocab.graphemes] for w in words])
+        self.token = np.array([token_ids.get(w, token_ids[UNK]) for w in words])
+        start = (BOS,) * (lm.order - 1)
+        self.contexts = [start]
+        self.context_ids = {start: 0}
+        # [token, context] -> LM term (NaN until queried) and context after it.
+        self.term = np.full((len(self.tokens), 16), np.nan)
+        self.end = np.zeros((len(self.tokens), 16), np.int64)
+
+    def extend(self, words: np.ndarray, symbols: np.ndarray,
+               contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each word extended by its symbol: (word ids, LM terms in their
+        contexts, the contexts once the words are in)."""
+        words = self.child[words, symbols]
+        return (words, *self.terms(self.token[words], contexts))
+
+    def terms(self, tokens: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lm_weight * ln p(token | context), the context after the token)
+        for each pair of token and context ids."""
+        terms = self.term[tokens, contexts]
+        if np.isnan(terms).any():
+            n_ctx = self.term.shape[1]
+            for key in _distinct((tokens * n_ctx + contexts)[np.isnan(terms)]).tolist():
+                self._query(*divmod(key, n_ctx))
+            terms = self.term[tokens, contexts]
+        return terms, self.end[tokens, contexts]
+
+    def _query(self, token: int, cid: int) -> None:
+        lm, word, context = self.lm, self.tokens[token], self.contexts[cid]
+        self.term[token, cid] = self.lm_scale * lm.log10_prob(word, context)
+        if lm.order > 1:
+            after = (context + (word,))[-(lm.order - 1):]
+            if after not in self.context_ids:
+                self.context_ids[after] = len(self.contexts)
+                self.contexts.append(after)
+                if len(self.contexts) > self.term.shape[1]:
+                    self.term = _grown(self.term, np.nan, axis=1)
+                    self.end = _grown(self.end, 0, axis=1)
+            self.end[token, cid] = self.context_ids[after]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted (np.unique imports numpy.ma, a megabyte)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _grown(table: np.ndarray, fill, axis: int = 0) -> np.ndarray:
+    """``table`` twice as long along ``axis``, the new part set to ``fill``."""
+    return np.concatenate((table, np.full_like(table, fill)), axis=axis)
+
+
+class _Prefixes:
+    """The collapsed prefixes of one call, in columns indexed by prefix id.
+    Ids below ``n_roots`` are the utterances' empty prefixes. A prefix holds
+    its parent and last symbol (NO_LAST for a root); with an LM also its
+    partial word (a ``_WordTerms`` word id, 0 for none), the LM contexts
+    before and after that word, and the word's LM term. ``children`` maps
+    ``parent * z + symbol`` to the child's id; ``slots[p]`` maps p's beam
+    hypotheses (last none, last symbol) to their flat slot during a frame's
+    merge, else -1. A separator adds the bonus to a prefix whose last symbol
+    is a letter: ``sep_bonus[symbol]``, whose last entry serves NO_LAST."""
+
+    def __init__(self, n_roots: int, lm: NgramLm | None, config: BeamConfig,
+                 vocab: Vocabulary):
+        fuse = lm is not None and config.lm_weight > 0
+        self.lm = _WordTerms(lm, config.lm_weight * LN10, vocab) if fuse else None
+        self.z, self.sep = vocab.size, vocab.word_separator_index
+        self.sep_bonus = np.full(vocab.size + 1, config.word_insertion_bonus)
+        self.sep_bonus[[self.sep, NO_LAST]] = 0.0
+        self.columns = {"parent": -1, "symbol": NO_LAST, "slots": -1}
         if fuse:
-            final += lm_scale * lm.log10_prob(EOS, ends[p])
-        if final > best_final:
-            best_final = final
-            best_words = vocab.indices_to_words(prefixes[p])
-    return best_words if best_words is not None else []
+            self.columns.update(word=0, context=0, end=0, lm_add=0.0)
+        self.size = n_roots
+        for name, fill in self.columns.items():
+            shape = (2 * n_roots, 2) if name == "slots" else 2 * n_roots
+            setattr(self, name, np.full(shape, fill, float if name == "lm_add" else np.int32))
+        self.children = _Index()
+
+    def extend(self, parents: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Intern each parent extended by its symbol; returns the new ids."""
+        ids = np.arange(self.size, self.size + len(parents))
+        self.size += len(parents)
+        while self.size > len(self.parent):
+            for name, fill in self.columns.items():
+                setattr(self, name, _grown(getattr(self, name), fill))
+        self.parent[ids] = parents
+        self.symbol[ids] = symbols
+        self.children.add(parents * self.z + symbols, ids)
+        if self.lm is not None:
+            # A separator closes the parent's word; a letter extends it.
+            letter = symbols != self.sep
+            context = np.where(letter, self.context[parents], self.end[parents])
+            self.context[ids] = context
+            self.end[ids] = context
+            if letter.any():
+                self.word[ids[letter]], self.lm_add[ids[letter]], self.end[ids[letter]] = (
+                    self.lm.extend(self.word[parents[letter]], symbols[letter], context[letter]))
+        return ids
+
+    def state(self, p: int, last: int) -> tuple[tuple[int, ...], int]:
+        """The (prefix symbols, last symbol) a hypothesis is ranked by."""
+        out = []
+        while self.symbol[p] != NO_LAST:
+            out.append(int(self.symbol[p]))
+            p = self.parent[p]
+        return tuple(reversed(out)), last
+
+    def merge_duplicates(self, scores: np.ndarray, pid: np.ndarray, last: np.ndarray,
+                         live: np.ndarray) -> None:
+        """Merge candidates of equal (prefix, last) key into one by maximum
+        score; the others become NaN. ``scores`` is [slots, z]; ``pid`` and
+        ``last`` give each slot's hypothesis and ``live`` the occupied slots."""
+        p, g = pid[live], last[live]
+        rep = (g != NO_LAST).astype(np.intp)
+        self.slots[p, rep] = live
+        # (p, none) and (p, p's last symbol) reach the same key with every
+        # symbol but that last one: blank keeps p, others extend p alike.
+        first = live[rep == 0]
+        second = self.slots[p[rep == 0], 1]
+        paired = second >= 0
+        if paired.any():
+            a, b = first[paired], second[paired]
+            alike = np.arange(scores.shape[1]) != last[b][:, None]
+            scores[a] = np.where(alike, np.fmax(scores[a], scores[b]), scores[a])
+            scores[b] = np.where(alike, np.nan, scores[b])
+        # The repeat of (p, g) is the extension of p's parent by g, held by
+        # the parent's (q, none) hypothesis, or else by (q, q's last symbol)
+        # unless g repeats that symbol.
+        hit = live[rep == 1]
+        g = g[rep == 1]
+        q = self.parent[p[rep == 1]]
+        source = self.slots[q, 0]
+        source = np.where(source >= 0, source,
+                          np.where(g != self.symbol[q], self.slots[q, 1], -1))
+        found = source >= 0
+        if found.any():
+            hit, g, source = hit[found], g[found], source[found]
+            scores[hit, g] = np.fmax(scores[hit, g], scores[source, g])
+            scores[source, g] = np.nan
+        self.slots[p, rep] = -1
+
+
+def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
+                config: BeamConfig, vocab: Vocabulary) -> list[list[str]]:
+    """Best word sequence of each utterance, in input order, under acoustic
+    + (optional) LM + bonus scoring."""
+    posteriors = list(posteriors)
+    for posts in posteriors:
+        if posts.vocab_size != vocab.size:
+            raise ValueError(f"utterance {posts.utterance_id!r}: posterior width "
+                             f"{posts.vocab_size} does not match vocabulary size {vocab.size}")
+    if not posteriors:
+        return []
+    z, blank, sep = vocab.size, vocab.blank_index, vocab.word_separator_index
+    width = config.beam_width
+    # Longest first, so the utterances still running are a leading block.
+    lengths = np.array([posts.num_frames for posts in posteriors])
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    running = np.searchsorted(-lengths, -np.arange(lengths[0]))
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    log_probs = np.concatenate([posteriors[i].log_probs() for i in order])
+
+    n_utts = len(posteriors)
+    prefixes = _Prefixes(n_utts, lm, config, vocab)
+    score = np.full((n_utts, width), np.nan)
+    score[:, 0] = 0.0
+    pid = np.full((n_utts, width), -1, np.int64)
+    pid[:, 0] = np.arange(n_utts)
+    last = np.full((n_utts, width), NO_LAST, np.int64)
+    for t, n in enumerate(running.tolist()):
+        p = pid[:n]
+        cand = score[:n, :, None] + log_probs[starts[:n] + t][:, None, :]
+        cand[:, :, sep] += prefixes.sep_bonus[prefixes.symbol[p]]
+        if prefixes.lm is not None:
+            cand[:, :, sep] += prefixes.lm_add[p]
+        flat_pid, flat_last = p.ravel(), last[:n].ravel()
+        prefixes.merge_duplicates(cand.reshape(-1, z), flat_pid, flat_last,
+                                  np.flatnonzero(~np.isnan(score[:n])))
+        cand = cand.reshape(n, width * z)
+        top = np.argpartition(-cand, width - 1, axis=1)[:, :width]
+        # Candidates tied with the cut-off beyond the kept ones: rank by (prefix, last).
+        rows = np.arange(n)[:, None]
+        cutoff = cand[rows, top[:, -1:]]
+        for r in np.flatnonzero(np.count_nonzero(cand >= cutoff, axis=1) > width).tolist():
+            tied = np.flatnonzero(cand[r] >= cutoff[r]).tolist()
+            top[r] = sorted(tied, key=lambda c: (-cand[r, c], *_candidate_state(
+                prefixes, flat_pid[r * width + c // z], flat_last[r * width + c // z],
+                c % z, blank)))[:width]
+        new_score = cand[rows, top]
+        g = top % z
+        src = top // z + rows * width
+        src_pid, src_last = flat_pid[src], flat_last[src]
+        extended = (g != blank) & (g != src_last)
+        kid = prefixes.children.get(src_pid * z + g)
+        fresh = extended & (kid < 0) & ~np.isnan(new_score)
+        if fresh.any():
+            kid[fresh] = prefixes.extend(src_pid[fresh], g[fresh])
+        score[:n] = new_score
+        pid[:n] = np.where(extended, kid, src_pid)
+        last[:n] = np.where(g == blank, NO_LAST, g)
+
+    live = ~np.isnan(score)
+    final = score + prefixes.sep_bonus[prefixes.symbol[pid]]
+    if prefixes.lm is not None:
+        final += prefixes.lm_add[pid]
+        ends = prefixes.end[pid[live]]
+        final[live] += prefixes.lm.terms(np.full_like(ends, prefixes.lm.eos), ends)[0]
+    final[~live] = np.nan
+    best = np.fmax.reduce(final, axis=1)
+    out: list[list[str]] = [[] for _ in posteriors]
+    for r, i in enumerate(order.tolist()):
+        if best[r] == -np.inf:
+            continue
+        tied = np.flatnonzero(final[r] == best[r]).tolist()
+        w = tied[0] if len(tied) == 1 else min(
+            tied, key=lambda w: prefixes.state(pid[r, w], last[r, w]))
+        out[i] = vocab.indices_to_words(prefixes.state(pid[r, w], 0)[0])
+    return out
+
+
+def _candidate_state(prefixes: _Prefixes, p: int, last: int, g: int,
+                     blank: int) -> tuple[tuple[int, ...], int]:
+    """(prefix, last) of hypothesis (p, last) extended by symbol g."""
+    if g == blank:
+        return prefixes.state(p, NO_LAST)
+    prefix, _ = prefixes.state(p, last)
+    if g == last:
+        return prefix, last
+    return prefix + (g,), g

@@ -115,13 +115,14 @@ class _Unit(NamedTuple):
 
 
 def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path] = (),
-               load: Callable[[], object] = lambda: None) -> None:
+               load: Callable[[], object] = lambda: None) -> list[_Unit]:
     """A unit is one piece of a stage's work: the files and directories it
     writes, its build step and the artifacts of earlier stages it reads.
     Each unit whose outputs all exist is skipped unless ``force``; every
     other unit has its existing outputs deleted and is built. Only if some
     unit is built are the stage's and those units' ``needs`` checked and the
-    inputs loaded, once, by ``load``; every build step is called with them."""
+    inputs loaded, once, by ``load``; every build step is called with them.
+    Returns the units built."""
     todo = []
     for unit in units:
         if all(p.exists() for p in unit.outputs) and not force:
@@ -129,7 +130,7 @@ def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path
         else:
             todo.append(unit)
     if not todo:
-        return
+        return todo
     for path in [*needs, *(p for unit in todo for p in unit.needs)]:
         _require(path)
     inputs = load()
@@ -140,6 +141,7 @@ def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path
             elif path.exists():
                 path.unlink()
         unit.build(inputs)
+    return todo
 
 
 def _load_checked(load: Callable, path: Path, config: ExperimentConfig):
@@ -167,11 +169,17 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
     paths.ensure()
     lm_path = paths.lm / "ngram.arpa"
 
+    def require_svcca_frames(student_train: Corpus) -> None:
+        # svcca samples config.svcca.n_frames frames from the student train split.
+        frames = sum(u.num_frames for u in student_train.utterances)
+        if frames < config.svcca.n_frames:
+            raise PipelineError(f"config key 'svcca.n_frames' is {config.svcca.n_frames}, but "
+                                f"the student train split has only {frames} frames")
+
     def build(_) -> None:
         specs = config.expand_domains()
         vocab = config.vocabulary()
         transcripts = []  # the LM's: teacher-domain training transcripts, in teacher order
-        n_frames = config.svcca.n_frames  # svcca samples these from the student train split
         for recipe in config.all_domains():
             total = recipe.train_size + recipe.test_size
             corpus = generate_corpus(specs[recipe.name], vocab, total,
@@ -182,15 +190,16 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
             save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
             if recipe is not config.student_domain:
                 transcripts += [vocab.indices_to_words(u.transcript) for u in train_part.utterances]
-            elif (frames := sum(u.num_frames for u in train_part.utterances)) < n_frames:
+            else:
                 # Raised before the LM is written, so a re-run builds gen-data again.
-                raise PipelineError(f"config key 'svcca.n_frames' is {n_frames}, but the "
-                                    f"student train split has only {frames} frames")
+                require_svcca_frames(train_part)
         save_arpa(train_lm(transcripts, config.lm_order), lm_path)
 
     outputs = [paths.corpus_path(r.name, part)
                for r in config.all_domains() for part in ("train", "test")]
-    _run_units("gen-data", [_Unit("corpora and LM", [*outputs, lm_path], build)], force)
+    if not _run_units("gen-data", [_Unit("corpora and LM", [*outputs, lm_path], build)], force):
+        # The corpora exist already, perhaps from a config with fewer svcca frames.
+        require_svcca_frames(load_corpus(paths.corpus_path(config.student_domain.name, "train")))
 
 
 def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,
@@ -333,12 +342,9 @@ def evaluate_model(model: ModelCheckpoint, corpus: Corpus, lm: NgramLm | None,
     # the acoustic score stands alone.
     beam_cfg = config.beam if lm is not None else dataclasses.replace(
         config.beam, lm_weight=0.0, word_insertion_bonus=0.0)
-    parts = []
-    for utt, posts in zip(corpus.utterances, corpus_posteriors(model, corpus)):
-        hyp = beam_decode(posts, lm, beam_cfg, vocab)
-        ref = vocab.indices_to_words(utt.transcript)
-        parts.append(wer(ref, hyp))
-    return accumulate(parts)
+    hyps = beam_decode(corpus_posteriors(model, corpus), lm, beam_cfg, vocab)
+    return accumulate([wer(vocab.indices_to_words(utt.transcript), hyp)
+                       for utt, hyp in zip(corpus.utterances, hyps)])
 
 
 def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,

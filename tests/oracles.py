@@ -283,7 +283,8 @@ def _word_of(partial: tuple[int, ...], vocab) -> str:
 
 def object_beam_decode(posteriors, lm, config, vocab) -> list[str]:
     """The decoder as first written: one ``_Hyp`` object per candidate and a
-    dict merge per frame. ``ekd.beam.beam_decode`` must return the same words."""
+    dict merge per frame, one utterance at a time. ``ekd.beam.beam_decode``
+    must return the same words for each utterance of a batch."""
     lp = posteriors.log_probs()
     T, z = lp.shape
     if z != vocab.size:

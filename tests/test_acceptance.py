@@ -192,13 +192,10 @@ def test_criterion_06_wer_and_decoder_reduction(rng):
             break
     vocab = default_vocabulary("abc")
     cfg = BeamConfig(beam_width=1, lm_weight=0.4, word_insertion_bonus=0.0)
-    reduction_ok = True
-    for _ in range(1000):
-        posts = random_posteriors(rng, int(rng.integers(1, 13)), vocab.size)
-        want = vocab.indices_to_words(greedy_decode(posts, vocab.blank_index))
-        if beam_decode(posts, None, cfg, vocab) != want:
-            reduction_ok = False
-            break
+    batch = [random_posteriors(rng, int(rng.integers(1, 13)), vocab.size, f"u{i}")
+             for i in range(1000)]
+    want = [vocab.indices_to_words(greedy_decode(posts, vocab.blank_index)) for posts in batch]
+    reduction_ok = beam_decode(batch, None, cfg, vocab) == want
     record(6, "WER totals match the recursive oracle (10000 pairs) and beam_width=1 "
               "reduces to greedy decoding (1000 posteriors)", ok and reduction_ok)
 

@@ -22,37 +22,38 @@ def test_config_validation():
         BeamConfig(lm_weight=-0.1)
 
 
+def batch_of(rng, n, max_frames, z=VOCAB.size, min_frames=1):
+    """``n`` posteriors of mixed lengths, each named by its position."""
+    return [random_posteriors(rng, int(rng.integers(min_frames, max_frames + 1)), z, f"u{i}")
+            for i in range(n)]
+
+
 def test_width_one_no_lm_equals_greedy(rng):
     cfg = BeamConfig(beam_width=1, lm_weight=0.4, word_insertion_bonus=0.0)
-    for _ in range(200):
-        posts = random_posteriors(rng, int(rng.integers(1, 16)), VOCAB.size)
-        want = VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index))
-        assert beam_decode(posts, None, cfg, VOCAB) == want
+    batch = batch_of(rng, 200, 15)
+    want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
+    assert beam_decode(batch, None, cfg, VOCAB) == want
 
 
 def test_lm_weight_zero_ignores_lm(rng):
     cfg = BeamConfig(beam_width=6, lm_weight=0.0, word_insertion_bonus=0.3)
-    for _ in range(50):
-        posts = random_posteriors(rng, int(rng.integers(1, 10)), VOCAB.size)
-        assert beam_decode(posts, LM, cfg, VOCAB) == beam_decode(posts, None, cfg, VOCAB)
+    batch = batch_of(rng, 50, 9)
+    assert beam_decode(batch, LM, cfg, VOCAB) == beam_decode(batch, None, cfg, VOCAB)
 
 
 def test_matches_exhaustive_oracle(rng):
     cfg = BeamConfig(beam_width=4096, lm_weight=0.7, word_insertion_bonus=0.4)
-    for _ in range(60):
-        posts = random_posteriors(rng, int(rng.integers(1, 6)), VOCAB.size)
-        got = beam_decode(posts, LM, cfg, VOCAB)
-        want = exhaustive_beam_best(posts.probs, LM, cfg.lm_weight,
-                                    cfg.word_insertion_bonus, VOCAB)
-        assert got == want
+    batch = batch_of(rng, 60, 5)
+    want = [exhaustive_beam_best(posts.probs, LM, cfg.lm_weight, cfg.word_insertion_bonus, VOCAB)
+            for posts in batch]
+    assert beam_decode(batch, LM, cfg, VOCAB) == want
 
 
 def test_matches_exhaustive_oracle_no_lm(rng):
     cfg = BeamConfig(beam_width=4096, lm_weight=0.0, word_insertion_bonus=0.0)
-    for _ in range(40):
-        posts = random_posteriors(rng, int(rng.integers(1, 6)), VOCAB.size)
-        got = beam_decode(posts, None, cfg, VOCAB)
-        assert got == exhaustive_beam_best(posts.probs, None, 0.0, 0.0, VOCAB)
+    batch = batch_of(rng, 40, 5)
+    want = [exhaustive_beam_best(posts.probs, None, 0.0, 0.0, VOCAB) for posts in batch]
+    assert beam_decode(batch, None, cfg, VOCAB) == want
 
 
 def test_score_monotone_toward_full_width(rng):
@@ -60,14 +61,12 @@ def test_score_monotone_toward_full_width(rng):
     # any narrower beam. (Adjacent widths are not pairwise comparable: beam
     # pruning sets do not nest, so a width-2 run can lose the width-1
     # survivor; only the comparison against the complete search is sound.)
-    for _ in range(40):
-        posts = random_posteriors(rng, int(rng.integers(2, 6)), VOCAB.size)
-        full = _score_of(posts.probs,
-                         beam_decode(posts, LM, BeamConfig(4096, 0.5, 0.2), VOCAB))
-        for width in (1, 2, 8):
-            narrow = _score_of(posts.probs,
-                               beam_decode(posts, LM, BeamConfig(width, 0.5, 0.2), VOCAB))
-            assert narrow <= full + 1e-12
+    batch = batch_of(rng, 40, 5, min_frames=2)
+    full = beam_decode(batch, LM, BeamConfig(4096, 0.5, 0.2), VOCAB)
+    for width in (1, 2, 8):
+        narrow = beam_decode(batch, LM, BeamConfig(width, 0.5, 0.2), VOCAB)
+        for posts, best, words in zip(batch, full, narrow):
+            assert _score_of(posts.probs, words) <= _score_of(posts.probs, best) + 1e-12
 
 
 def _score_of(probs, words):
@@ -86,13 +85,23 @@ def test_separator_only_output_is_empty(rng):
     probs = np.zeros((3, VOCAB.size))
     probs[:, VOCAB.word_separator_index] = 1.0
     posts = PosteriorSequence(probs)
-    assert beam_decode(posts, None, BeamConfig(beam_width=4), VOCAB) == []
+    assert beam_decode([posts], None, BeamConfig(beam_width=4), VOCAB) == [[]]
 
 
-def test_posterior_width_must_match_vocab(rng):
-    posts = random_posteriors(rng, 4, 3)
-    with pytest.raises(ValueError, match="vocabulary"):
-        beam_decode(posts, None, BeamConfig(), VOCAB)
+def test_empty_batch_decodes_to_nothing():
+    assert beam_decode([], LM, BeamConfig(), VOCAB) == []
+
+
+def test_posterior_width_must_match_vocab(rng, monkeypatch):
+    # The bad utterance is named, and refused before any decoding: the LM is
+    # never queried for the good utterances ahead of it.
+    queried = []
+    monkeypatch.setattr(NgramLm, "log10_prob", lambda self, *args: queried.append(args))
+    batch = [random_posteriors(rng, 4, VOCAB.size, "good"),
+             random_posteriors(rng, 4, 3, "narrow")]
+    with pytest.raises(ValueError, match="'narrow'.*vocabulary"):
+        beam_decode(batch, LM, BeamConfig(), VOCAB)
+    assert queried == []
 
 
 def quantised_posteriors(rng, T, z):
@@ -101,30 +110,42 @@ def quantised_posteriors(rng, T, z):
     return PosteriorSequence(rng.multinomial(4, np.full(z, 1.0 / z), size=T) / 4.0)
 
 
+def mixed_batch(rng, n, max_frames, z, min_frames=1):
+    """Random and quantised posteriors of lengths ``min_frames..max_frames``."""
+    return [(random_posteriors(rng, T, z, f"u{i}") if i % 2 else quantised_posteriors(rng, T, z))
+            for i, T in enumerate(rng.integers(min_frames, max_frames + 1, size=n).tolist())]
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 12])
 @pytest.mark.parametrize("lm", [None, LM, LM3], ids=["no_lm", "bigram", "trigram"])
 @pytest.mark.parametrize("bonus", [0.5, -0.3])
 def test_matches_object_decoder(width, lm, bonus):
+    # One batch of mixed lengths against the per-utterance reference decoder.
     rng = np.random.default_rng([width, 0 if lm is None else lm.order, int(bonus > 0)])
     cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=bonus)
-    for i in range(60):
-        T = int(rng.integers(1, 20))
-        posts = (random_posteriors(rng, T, VOCAB.size) if i % 2
-                 else quantised_posteriors(rng, T, VOCAB.size))
-        assert beam_decode(posts, lm, cfg, VOCAB) == object_beam_decode(posts, lm, cfg, VOCAB)
+    batch = mixed_batch(rng, 60, 60, VOCAB.size)
+    assert (beam_decode(batch, lm, cfg, VOCAB)
+            == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
 
 
 def test_matches_object_decoder_on_default_vocabulary(rng):
     vocab = default_vocabulary()
     lm = train_lm([["abc", "de"], ["fgh", "abc"], ["de", "ha", "abc"], ["bad"]], order=3)
     cfg = BeamConfig()
-    for i in range(20):
-        T = int(rng.integers(20, 60))
-        posts = (random_posteriors(rng, T, vocab.size) if i % 2
-                 else quantised_posteriors(rng, T, vocab.size))
-        for model in (None, lm):
-            assert (beam_decode(posts, model, cfg, vocab)
-                    == object_beam_decode(posts, model, cfg, vocab))
+    batch = mixed_batch(rng, 20, 60, vocab.size, min_frames=20)
+    for model in (None, lm):
+        assert (beam_decode(batch, model, cfg, vocab)
+                == [object_beam_decode(posts, model, cfg, vocab) for posts in batch])
+
+
+@pytest.mark.parametrize("width", [1, 3, 12])
+def test_batch_matches_batches_of_one(width):
+    rng = np.random.default_rng(width)
+    cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.5)
+    batch = mixed_batch(rng, 30, 60, VOCAB.size)
+    for lm in (None, LM3):
+        assert (beam_decode(batch, lm, cfg, VOCAB)
+                == [words for posts in batch for words in beam_decode([posts], lm, cfg, VOCAB)])
 
 
 def test_lm_queried_through_its_method(monkeypatch):
@@ -142,5 +163,5 @@ def test_lm_queried_through_its_method(monkeypatch):
     probs = np.full((4, VOCAB.size), 0.1)
     for t, g in enumerate((a, sep, b, sep)):
         probs[t, g] = 1.0 - 0.1 * (VOCAB.size - 1)
-    assert beam_decode(PosteriorSequence(probs), LM, BeamConfig(), VOCAB) == ["a", "b"]
+    assert beam_decode([PosteriorSequence(probs)], LM, BeamConfig(), VOCAB) == [["a", "b"]]
     assert "a" in queried and "</s>" in queried

@@ -10,8 +10,8 @@ from ekd.config import SvccaSettings, derive_seed
 from ekd.corpus import generate_corpus
 from ekd.model import load_checkpoint
 from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, output_root,
-                          run_pipeline, run_seed, stage_decode, stage_report, stage_select,
-                          stage_svcca, stage_train_student, stage_train_teacher)
+                          run_pipeline, run_seed, stage_decode, stage_gen_data, stage_report,
+                          stage_select, stage_svcca, stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, save_posteriors
 from ekd.training import greedy_corpus_wer
@@ -189,6 +189,17 @@ def test_gen_data_refuses_more_svcca_frames_than_the_student_split_has(tmp_path)
         run_pipeline(cfg)
     paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
     assert not (paths.lm / "ngram.arpa").exists()  # so a re-run builds gen-data again
+    assert not any(paths.teachers.iterdir())
+
+
+def test_gen_data_checks_svcca_frames_on_an_existing_root(tmp_path):
+    cfg = compact_config(str(tmp_path / "out"))
+    paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
+    stage_gen_data(cfg, cfg.seeds[0], paths)
+    cfg.svcca = SvccaSettings(n_frames=100000)
+    with pytest.raises(PipelineError, match=r"config key 'svcca.n_frames' is 100000, but the "
+                                            r"student train split has only \d+ frames"):
+        run_seed(cfg, cfg.seeds[0], tmp_path / "out")
     assert not any(paths.teachers.iterdir())
 
 
