@@ -35,6 +35,17 @@ published tie rule; and to finish each utterance, where the first strict
 maximum in (prefix, last) order wins and its prefix is read back through
 the parent links.
 
+Most prefixes die within a frame of being interned, so the prefix columns
+are collected when an extension would overflow them: only the utterances'
+roots and the ancestors of live hypotheses (found by walking the parent
+links from the occupied slots) are kept, compacted in id order, with parent
+and slot ids renumbered and the child index rebuilt. The capacity doubles
+only if the survivors plus one frame's worst case of new prefixes (a full
+beam for every running utterance) would still fill more than half of it;
+without that margin a batch whose live set grows with its frames would be
+collected almost every frame. Ids never rank hypotheses, so collection
+cannot change the words.
+
 With beam_width=1, no LM and zero bonus this reduces exactly to greedy
 decoding (the single kept state always extends by the frame argmax).
 """
@@ -71,10 +82,12 @@ class _Index:
     """A sorted map from int64 keys to ids; memory grows with the entries,
     not with the key range."""
 
-    def __init__(self) -> None:
+    def __init__(self, keys: np.ndarray, ids: np.ndarray) -> None:
+        """The map of each of the distinct ``keys`` to its id."""
+        order = np.argsort(keys)
         # A sentinel above every key, so that a lookup always lands on an entry.
-        self.keys = np.array([np.iinfo(np.int64).max])
-        self.ids = np.array([-1], np.int32)
+        self.keys = np.concatenate((keys[order], [np.iinfo(np.int64).max]))
+        self.ids = np.concatenate((ids[order], [-1])).astype(np.int32)
 
     def get(self, keys: np.ndarray) -> np.ndarray:
         """The id of each key, or -1."""
@@ -150,8 +163,8 @@ class _WordTerms:
                 self.context_ids[after] = len(self.contexts)
                 self.contexts.append(after)
                 if len(self.contexts) > self.term.shape[1]:
-                    self.term = _grown(self.term, np.nan, axis=1)
-                    self.end = _grown(self.end, 0, axis=1)
+                    self.term = _grown(self.term, np.nan)
+                    self.end = _grown(self.end, 0)
             self.end[token, cid] = self.context_ids[after]
 
 
@@ -161,14 +174,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _grown(table: np.ndarray, fill, axis: int = 0) -> np.ndarray:
-    """``table`` twice as long along ``axis``, the new part set to ``fill``."""
-    return np.concatenate((table, np.full_like(table, fill)), axis=axis)
+def _grown(table: np.ndarray, fill) -> np.ndarray:
+    """``table`` with twice the columns, the new ones set to ``fill``."""
+    return np.concatenate((table, np.full_like(table, fill)), axis=1)
 
 
 class _Prefixes:
-    """The collapsed prefixes of one call, in columns indexed by prefix id.
-    Ids below ``n_roots`` are the utterances' empty prefixes. A prefix holds
+    """The collapsed prefixes of one call, in columns indexed by prefix id:
+    the columns have room for ``capacity`` prefixes, of which the ids below
+    ``size`` are in use, and those below ``n_roots`` are the utterances'
+    empty prefixes. A parent's id is below its children's. A prefix holds
     its parent and last symbol (NO_LAST for a root); with an LM also its
     partial word (a ``_WordTerms`` word id, 0 for none), the LM contexts
     before and after that word, and the word's LM term. ``children`` maps
@@ -187,19 +202,53 @@ class _Prefixes:
         self.columns = {"parent": -1, "symbol": NO_LAST, "slots": -1}
         if fuse:
             self.columns.update(word=0, context=0, end=0, lm_add=0.0)
-        self.size = n_roots
-        for name, fill in self.columns.items():
-            shape = (2 * n_roots, 2) if name == "slots" else 2 * n_roots
-            setattr(self, name, np.full(shape, fill, float if name == "lm_add" else np.int32))
-        self.children = _Index()
+        self.n_roots = self.size = n_roots
+        for name in self.columns:
+            setattr(self, name, self._column(name, 2 * n_roots))
+        self.children = _Index(np.empty(0, np.int64), np.empty(0, np.int32))
+
+    def _column(self, name: str, capacity: int) -> np.ndarray:
+        shape = (capacity, 2) if name == "slots" else capacity
+        return np.full(shape, self.columns[name], float if name == "lm_add" else np.int32)
+
+    @property
+    def capacity(self) -> int:
+        return len(self.parent)
+
+    def collect(self, pid: np.ndarray, live: np.ndarray, room: int) -> None:
+        """Keep only the roots and the ancestors of the live hypotheses
+        (``pid[live]``, themselves included), in id order, and renumber
+        ``parent``, the child index and ``pid[live]``; the ids in dead slots
+        go stale, as a dead slot's prefix is never read. The capacity
+        doubles until the survivors plus ``room`` new prefixes fill at most
+        half of it."""
+        keep = np.zeros(self.size, bool)
+        keep[:self.n_roots] = True
+        found = pid[live]
+        while len(found):
+            keep[found] = True
+            found = self.parent[found[found >= self.n_roots]]
+            found = found[~keep[found]]
+        renumber = np.cumsum(keep) - 1
+        self.size = int(renumber[-1]) + 1
+        capacity = self.capacity
+        while 2 * (self.size + room) > capacity:
+            capacity *= 2
+        for name in self.columns:
+            column = self._column(name, capacity)
+            column[:self.size] = getattr(self, name)[:len(keep)][keep]
+            setattr(self, name, column)
+        kids = slice(self.n_roots, self.size)
+        self.parent[kids] = renumber[self.parent[kids]]
+        self.children = _Index(self.parent[kids].astype(np.int64) * self.z + self.symbol[kids],
+                               np.arange(self.n_roots, self.size))
+        pid[live] = renumber[pid[live]]
 
     def extend(self, parents: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Intern each parent extended by its symbol; returns the new ids."""
+        """Intern each parent extended by its symbol; returns the new ids.
+        The caller makes room first (``collect``)."""
         ids = np.arange(self.size, self.size + len(parents))
         self.size += len(parents)
-        while self.size > len(self.parent):
-            for name, fill in self.columns.items():
-                setattr(self, name, _grown(getattr(self, name), fill))
         self.parent[ids] = parents
         self.symbol[ids] = symbols
         self.children.add(parents * self.z + symbols, ids)
@@ -275,8 +324,12 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     running = np.searchsorted(-lengths, -np.arange(lengths[0]))
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    log_probs = np.concatenate([posteriors[i].log_probs() for i in order])
+    starts = np.cumsum(lengths) - lengths
+    # Filled in place, with the bits of PosteriorSequence.log_probs().
+    log_probs = np.empty((lengths.sum(), z))
+    with np.errstate(divide="ignore"):
+        for i, start, T in zip(order.tolist(), starts.tolist(), lengths.tolist()):
+            np.log(posteriors[i].probs, out=log_probs[start:start + T])
 
     n_utts = len(posteriors)
     prefixes = _Prefixes(n_utts, lm, config, vocab)
@@ -311,11 +364,14 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
         extended = (g != blank) & (g != src_last)
         kid = prefixes.children.get(src_pid * z + g)
         fresh = extended & (kid < 0) & ~np.isnan(new_score)
-        if fresh.any():
-            kid[fresh] = prefixes.extend(src_pid[fresh], g[fresh])
         score[:n] = new_score
-        pid[:n] = np.where(extended, kid, src_pid)
         last[:n] = np.where(g == blank, NO_LAST, g)
+        # A fresh prefix's slot holds its parent until the prefix is interned.
+        pid[:n] = np.where(extended & ~fresh, kid, src_pid)
+        if fresh.any():
+            if prefixes.size + np.count_nonzero(fresh) > prefixes.capacity:
+                prefixes.collect(pid, ~np.isnan(score), n * width)
+            pid[:n][fresh] = prefixes.extend(pid[:n][fresh], g[fresh])
 
     live = ~np.isnan(score)
     final = score + prefixes.sep_bonus[prefixes.symbol[pid]]

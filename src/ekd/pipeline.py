@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import logging
 import shutil
 from pathlib import Path
@@ -25,6 +26,7 @@ from . import binio
 from .beam import beam_decode
 from .config import ExperimentConfig, derive_seed, save_config
 from .corpus import Corpus, generate_corpus, load_corpus, save_corpus, split_corpus
+from .ctc import PosteriorSequence
 from .lm import NgramLm, load_arpa, save_arpa, train_lm
 from .model import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .report import ResultTable, summarize
@@ -33,7 +35,7 @@ from .selection import (Strategy, TeacherBundle, load_posteriors, load_selection
 from .svcca import ActivationMatrix, correlation_trajectory
 from .training import (corpus_posteriors, dump_activations, greedy_corpus_wer, train_student,
                        train_teacher)
-from .wer import accumulate, wer
+from .wer import WerBreakdown, accumulate, wer
 
 logger = logging.getLogger(__name__)
 
@@ -335,16 +337,18 @@ def _eval_matrix(config: ExperimentConfig, paths: SeedPaths) -> list[tuple[str, 
             for name, ckpt, test_domains in models for d in test_domains]
 
 
-def evaluate_model(model: ModelCheckpoint, corpus: Corpus, lm: NgramLm | None,
-                   config: ExperimentConfig):
-    vocab = corpus.vocabulary
+def evaluate_model(corpora: Sequence[Corpus], posteriors: Sequence[list[PosteriorSequence]],
+                   lm: NgramLm | None, config: ExperimentConfig) -> list[WerBreakdown]:
+    """The WER breakdown of one model on each corpus, from its posteriors on
+    each (``posteriors[i]`` on ``corpora[i]``), decoded as one batch."""
+    vocab = corpora[0].vocabulary  # the model's, checked by corpus_posteriors
     # The word bonus exists to offset the LM's per-word cost; without an LM
     # the acoustic score stands alone.
     beam_cfg = config.beam if lm is not None else dataclasses.replace(
         config.beam, lm_weight=0.0, word_insertion_bonus=0.0)
-    hyps = beam_decode(corpus_posteriors(model, corpus), lm, beam_cfg, vocab)
-    return accumulate([wer(vocab.indices_to_words(utt.transcript), hyp)
-                       for utt, hyp in zip(corpus.utterances, hyps)])
+    hyps = iter(beam_decode([p for posts in posteriors for p in posts], lm, beam_cfg, vocab))
+    return [accumulate([wer(vocab.indices_to_words(utt.transcript), next(hyps))
+                        for utt in corpus.utterances]) for corpus in corpora]
 
 
 def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
@@ -356,23 +360,30 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
     lm_path = paths.lm / "ngram.arpa"
     test_corpus = functools.cache(load_corpus)
 
-    def build(model_name, checkpoint, test_set, corpus_path, lm_on, lm) -> None:
+    def build(model_name, checkpoint, test_sets, lm) -> None:
         model = load_checkpoint(checkpoint)
-        # A failure propagates without writing the cell, so resume retries it.
-        breakdown = evaluate_model(model, test_corpus(corpus_path), lm if lm_on else None,
-                                   config)
-        table = ResultTable()
-        table.set(test_set, model_name, lm_on, breakdown)
-        binio.atomic_write_text(paths.cell_path(model_name, test_set, lm_on), table.to_tsv())
-        logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
-                    "on" if lm_on else "off", 100 * breakdown.wer)
+        corpora = [test_corpus(corpus_path) for _, corpus_path in test_sets]
+        posteriors = [corpus_posteriors(model, corpus) for corpus in corpora]
+        for lm_on in lm_flags:
+            # A failure propagates before this flag's cells are written, and a
+            # model with a missing cell is evaluated again on resume.
+            breakdowns = evaluate_model(corpora, posteriors, lm if lm_on else None, config)
+            for (test_set, _), breakdown in zip(test_sets, breakdowns):
+                table = ResultTable()
+                table.set(test_set, model_name, lm_on, breakdown)
+                binio.atomic_write_text(paths.cell_path(model_name, test_set, lm_on),
+                                        table.to_tsv())
+                logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
+                            "on" if lm_on else "off", 100 * breakdown.wer)
 
-    units = [_Unit(f"{name} on {test_set} (lm {'on' if lm_on else 'off'})",
-                   [paths.cell_path(name, test_set, lm_on)],
-                   functools.partial(build, name, ckpt, test_set, corpus_path, lm_on),
-                   [ckpt, corpus_path])
-             for name, ckpt, test_set, corpus_path in _eval_matrix(config, paths)
-             for lm_on in lm_flags]
+    units = []
+    for (name, ckpt), rows in itertools.groupby(_eval_matrix(config, paths),
+                                                key=lambda row: row[:2]):
+        test_sets = [(test_set, corpus_path) for _, _, test_set, corpus_path in rows]
+        units.append(_Unit(name, [paths.cell_path(name, test_set, lm_on)
+                                  for test_set, _ in test_sets for lm_on in lm_flags],
+                           functools.partial(build, name, ckpt, test_sets),
+                           [ckpt, *(corpus_path for _, corpus_path in test_sets)]))
     _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
                load=lambda: load_arpa(lm_path) if True in lm_flags else None)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ekd.beam import BeamConfig, beam_decode
+from ekd.beam import BeamConfig, _Prefixes, beam_decode
 from ekd.ctc import PosteriorSequence, greedy_decode
 from ekd.lm import NgramLm, train_lm
 from ekd.vocab import default_vocabulary
@@ -146,6 +146,52 @@ def test_batch_matches_batches_of_one(width):
     for lm in (None, LM3):
         assert (beam_decode(batch, lm, cfg, VOCAB)
                 == [words for posts in batch for words in beam_decode([posts], lm, cfg, VOCAB)])
+
+
+def _lineage(prefixes, p):
+    """Prefix ``p`` and its ancestors, up to its root, through the parent
+    links; a parent precedes its child, so the walk ends."""
+    out = [p]
+    while prefixes.parent[p] >= 0:
+        assert prefixes.parent[p] < p
+        p = int(prefixes.parent[p])
+        out.append(p)
+    return out
+
+
+def _read(prefixes, p):
+    """(root id, symbols) of prefix ``p``."""
+    *kids, root = _lineage(prefixes, p)
+    return root, [int(prefixes.symbol[k]) for k in reversed(kids)]
+
+
+@pytest.mark.parametrize("lm", [None, LM3], ids=["no_lm", "trigram"])
+def test_collection_keeps_exactly_the_live_prefixes(lm, monkeypatch):
+    # A batch long enough to collect the prefix table several times. Right
+    # after each collection the table holds the roots and the ancestors of
+    # the live hypotheses and nothing else, every live hypothesis reads the
+    # same symbols as before it, and the child index finds every prefix.
+    rng = np.random.default_rng(7)
+    cfg = BeamConfig(beam_width=12, lm_weight=0.6, word_insertion_bonus=0.5)
+    batch = mixed_batch(rng, 24, 150, VOCAB.size, min_frames=100)
+    real = _Prefixes.collect
+    sizes = []
+
+    def checked(self, pid, live, room):
+        before = [_read(self, p) for p in pid[live].tolist()]
+        real(self, pid, live, room)
+        kept = set(range(len(batch))).union(*(_lineage(self, p) for p in pid[live].tolist()))
+        assert kept == set(range(self.size))
+        assert [_read(self, p) for p in pid[live].tolist()] == before
+        kids = np.arange(len(batch), self.size)
+        keys = self.parent[kids].astype(np.int64) * VOCAB.size + self.symbol[kids]
+        assert self.children.get(keys).tolist() == kids.tolist()
+        sizes.append(self.size)
+
+    monkeypatch.setattr(_Prefixes, "collect", checked)
+    assert (beam_decode(batch, lm, cfg, VOCAB)
+            == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
+    assert len(sizes) >= 3 and max(sizes) > len(batch)
 
 
 def test_lm_queried_through_its_method(monkeypatch):

@@ -9,6 +9,7 @@ import inspect
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -111,3 +112,39 @@ def test_span_hook_reads_the_parameter_it_means(span):
             f"ekd.{span} argument {pos} is no longer {name!r}")
         assert params[pos].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
         assert reads[pos] in (None, name), f"{BENCH_SPANS.name} looks up {reads[pos]!r}"
+
+
+def test_evaluate_passes_beam_decode_what_the_span_hooks_read(tmp_path, monkeypatch):
+    # spans._beam_counts adds np.shape(args[0])[0] per beam.beam_decode call
+    # and _variant splits the calls by args[1]: each call must get one
+    # posterior per utterance it decodes, and the LM or None, by position.
+    from conftest import compact_config
+    from ekd import pipeline
+    from ekd.lm import NgramLm
+
+    cfg = compact_config(str(tmp_path))
+    seed = cfg.seeds[0]
+    paths = pipeline.SeedPaths(tmp_path, seed)
+    for stage in WORKLOADS["eval_stages"][0]:
+        pipeline.run_stage(stage, cfg, seed, paths)
+    real, calls = pipeline.beam_decode, []
+
+    def recording(*args, **kwargs):
+        words = real(*args, **kwargs)
+        calls.append((args, kwargs, len(words)))
+        return words
+
+    monkeypatch.setattr(pipeline, "beam_decode", recording)
+    pipeline.stage_evaluate(cfg, seed, paths, **STAGE_KWARGS["evaluate"])
+    n_models = len(cfg.teacher_domains) + len(cfg.strategies)
+    lm_on = sorted(args[1] is not None for args, _, _ in calls)
+    assert lm_on == [False] * n_models + [True] * n_models
+    utterances = {True: 0, False: 0}
+    for args, kwargs, n_utts in calls:
+        assert not kwargs and len(args) == 4
+        assert np.shape(args[0])[0] == n_utts
+        assert args[1] is None or isinstance(args[1], NgramLm)
+        utterances[args[1] is not None] += n_utts
+    per_mode = (len(cfg.teacher_domains) * sum(r.test_size for r in cfg.all_domains())
+                + len(cfg.strategies) * cfg.student_domain.test_size)
+    assert utterances == {True: per_mode, False: per_mode}

@@ -144,13 +144,62 @@ def test_failed_evaluate_cell_is_retried(finished_run, monkeypatch):
     assert not cell.exists()
     pl.stage_evaluate(cfg, seed, paths, lm_mode="off")
     assert cell.read_bytes() == before
-    assert len(calls) == 2  # every other cell exists and is skipped
+    # The unit is the model: only the student whose cell is missing is
+    # evaluated again; every other model has all its cells and is skipped.
+    assert len(calls) == 2
 
 
 def _copy_run(finished_run, tmp_path):
     cfg, root, _ = finished_run
     shutil.copytree(root, tmp_path / "copy")
     return cfg, SeedPaths(tmp_path / "copy", cfg.seeds[0])
+
+
+def _cell_stamps(paths):
+    """Each cell file's (inode, mtime); a rewrite replaces the file."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in paths.eval_cells.iterdir()}
+
+
+def test_deleted_teacher_cell_reevaluates_only_that_teacher(finished_run, tmp_path, monkeypatch):
+    # One decode per LM flag over all of the teacher's test sets; no other
+    # model's cell is written.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    teacher = f"teacher_{cfg.teacher_domains[1].name}"
+    before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
+    stamps = _cell_stamps(paths)
+    paths.cell_path(teacher, f"{cfg.teacher_domains[0].name}_test", False).unlink()
+    import ekd.pipeline as pl
+
+    real = pl.evaluate_model
+    calls = []
+
+    def recording(corpora, posteriors, lm, config):
+        calls.append(([corpus.name for corpus in corpora], lm is not None))
+        return real(corpora, posteriors, lm, config)
+
+    monkeypatch.setattr(pl, "evaluate_model", recording)
+    pl.stage_evaluate(cfg, cfg.seeds[0], paths)
+    domains = [r.name for r in cfg.all_domains()]
+    assert calls == [(domains, False), (domains, True)]
+    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
+    rewritten = {name for name, stamp in _cell_stamps(paths).items() if stamp != stamps[name]}
+    assert rewritten == {name for name in before if name.startswith(f"{teacher}--")}
+    assert len(rewritten) == 2 * len(domains)
+
+
+def test_lm_off_then_on_writes_the_cells_of_both(finished_run, tmp_path):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    both = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
+    shutil.rmtree(paths.eval_cells)
+    paths.ensure()
+    from ekd.pipeline import stage_evaluate
+
+    stage_evaluate(cfg, cfg.seeds[0], paths, lm_mode="off")
+    assert sorted(p.name for p in paths.eval_cells.iterdir()) == sorted(
+        name for name in both if name.endswith("--lm_off.tsv"))
+    stage_evaluate(cfg, cfg.seeds[0], paths, lm_mode="on")
+    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == both
+    assert len(both) == 30
 
 
 def test_select_rejects_dumps_of_different_utterances(finished_run, tmp_path):
