@@ -24,8 +24,8 @@ the same fixed set of numpy calls over the whole block:
 * the ``beam_width`` best candidates of each utterance survive
   (``argpartition``), and those that extend a prefix by a new symbol are
   interned in one batch: a prefix is its parent's id and symbol, found again
-  through a sorted (parent, symbol) index, and with an LM also a partial
-  word id, LM contexts and the word's LM term.
+  through the parent's ``child`` row, and with an LM also a partial word
+  id, LM contexts and the word's LM term.
 
 The key fixes partial word, context and word count, so tied duplicates are
 identical and order within a beam never matters. Python runs only to query
@@ -38,11 +38,11 @@ the parent links.
 Most prefixes die within a frame of being interned, so the prefix columns
 are collected when an extension would overflow them: only the utterances'
 roots and the ancestors of live hypotheses (found by walking the parent
-links from the occupied slots) are kept, compacted in id order, with parent
-and slot ids renumbered and the child index rebuilt. The capacity doubles
-only if the survivors plus one frame's worst case of new prefixes (a full
-beam for every running utterance) would still fill more than half of it;
-without that margin a batch whose live set grows with its frames would be
+links from the occupied slots) are kept, compacted in id order, with
+parent, child and slot ids renumbered. The capacity doubles only if the
+survivors plus one frame's worst case of new prefixes (a full beam for
+every running utterance) would still fill more than half of it; without
+that margin a batch whose live set grows with its frames would be
 collected almost every frame. Ids never rank hypotheses, so collection
 cannot change the words.
 
@@ -76,35 +76,6 @@ class BeamConfig:
             raise ValueError("beam_width must be >= 1")
         if self.lm_weight < 0:
             raise ValueError("lm_weight must be >= 0")
-
-
-class _Index:
-    """A sorted map from int64 keys to ids; memory grows with the entries,
-    not with the key range."""
-
-    def __init__(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """The map of each of the distinct ``keys`` to its id."""
-        order = np.argsort(keys)
-        # A sentinel above every key, so that a lookup always lands on an entry.
-        self.keys = np.concatenate((keys[order], [np.iinfo(np.int64).max]))
-        self.ids = np.concatenate((ids[order], [-1])).astype(np.int32)
-
-    def get(self, keys: np.ndarray) -> np.ndarray:
-        """The id of each key, or -1."""
-        at = np.searchsorted(self.keys, keys)
-        return np.where(self.keys[at] == keys, self.ids[at], -1)
-
-    def add(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Add new, distinct keys."""
-        order = np.argsort(keys)
-        new = np.searchsorted(self.keys, keys[order]) + np.arange(len(keys))
-        old = np.ones(len(self.keys) + len(keys), bool)
-        old[new] = False
-        for name, values in (("keys", keys[order]), ("ids", ids[order])):
-            merged = np.empty(len(old), getattr(self, name).dtype)
-            merged[new] = values
-            merged[old] = getattr(self, name)
-            setattr(self, name, merged)
 
 
 class _WordTerms:
@@ -186,8 +157,8 @@ class _Prefixes:
     empty prefixes. A parent's id is below its children's. A prefix holds
     its parent and last symbol (NO_LAST for a root); with an LM also its
     partial word (a ``_WordTerms`` word id, 0 for none), the LM contexts
-    before and after that word, and the word's LM term. ``children`` maps
-    ``parent * z + symbol`` to the child's id; ``slots[p]`` maps p's beam
+    before and after that word, and the word's LM term. ``child[p, g]`` is
+    the id of p extended by symbol g, or -1; ``slots[p]`` maps p's beam
     hypotheses (last none, last symbol) to their flat slot during a frame's
     merge, else -1. A separator adds the bonus to a prefix whose last symbol
     is a letter: ``sep_bonus[symbol]``, whose last entry serves NO_LAST."""
@@ -199,16 +170,15 @@ class _Prefixes:
         self.z, self.sep = vocab.size, vocab.word_separator_index
         self.sep_bonus = np.full(vocab.size + 1, config.word_insertion_bonus)
         self.sep_bonus[[self.sep, NO_LAST]] = 0.0
-        self.columns = {"parent": -1, "symbol": NO_LAST, "slots": -1}
+        self.columns = {"parent": -1, "symbol": NO_LAST, "child": -1, "slots": -1}
         if fuse:
             self.columns.update(word=0, context=0, end=0, lm_add=0.0)
         self.n_roots = self.size = n_roots
         for name in self.columns:
             setattr(self, name, self._column(name, 2 * n_roots))
-        self.children = _Index(np.empty(0, np.int64), np.empty(0, np.int32))
 
     def _column(self, name: str, capacity: int) -> np.ndarray:
-        shape = (capacity, 2) if name == "slots" else capacity
+        shape = {"child": (capacity, self.z), "slots": (capacity, 2)}.get(name, capacity)
         return np.full(shape, self.columns[name], float if name == "lm_add" else np.int32)
 
     @property
@@ -218,7 +188,7 @@ class _Prefixes:
     def collect(self, pid: np.ndarray, live: np.ndarray, room: int) -> None:
         """Keep only the roots and the ancestors of the live hypotheses
         (``pid[live]``, themselves included), in id order, and renumber
-        ``parent``, the child index and ``pid[live]``; the ids in dead slots
+        ``parent``, ``child`` and ``pid[live]``; the ids in dead slots
         go stale, as a dead slot's prefix is never read. The capacity
         doubles until the survivors plus ``room`` new prefixes fill at most
         half of it."""
@@ -231,6 +201,8 @@ class _Prefixes:
             found = found[~keep[found]]
         renumber = np.cumsum(keep) - 1
         self.size = int(renumber[-1]) + 1
+        # Each old id's new id, -1 if dropped; the last entry keeps -1 at -1.
+        new_id = np.append(np.where(keep, renumber, -1), -1)
         capacity = self.capacity
         while 2 * (self.size + room) > capacity:
             capacity *= 2
@@ -238,20 +210,19 @@ class _Prefixes:
             column = self._column(name, capacity)
             column[:self.size] = getattr(self, name)[:len(keep)][keep]
             setattr(self, name, column)
-        kids = slice(self.n_roots, self.size)
-        self.parent[kids] = renumber[self.parent[kids]]
-        self.children = _Index(self.parent[kids].astype(np.int64) * self.z + self.symbol[kids],
-                               np.arange(self.n_roots, self.size))
-        pid[live] = renumber[pid[live]]
+        self.parent[:self.size] = new_id[self.parent[:self.size]]
+        self.child[:self.size] = new_id[self.child[:self.size]]
+        pid[live] = new_id[pid[live]]
 
     def extend(self, parents: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Intern each parent extended by its symbol; returns the new ids.
-        The caller makes room first (``collect``)."""
+        """Intern each parent extended by its symbol, in the parent's
+        ``child`` row; returns the new ids. The caller makes room first
+        (``collect``)."""
         ids = np.arange(self.size, self.size + len(parents))
         self.size += len(parents)
         self.parent[ids] = parents
         self.symbol[ids] = symbols
-        self.children.add(parents * self.z + symbols, ids)
+        self.child[parents, symbols] = ids
         if self.lm is not None:
             # A separator closes the parent's word; a letter extends it.
             letter = symbols != self.sep
@@ -362,7 +333,7 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
         src = top // z + rows * width
         src_pid, src_last = flat_pid[src], flat_last[src]
         extended = (g != blank) & (g != src_last)
-        kid = prefixes.children.get(src_pid * z + g)
+        kid = prefixes.child[src_pid, g]
         fresh = extended & (kid < 0) & ~np.isnan(new_score)
         score[:n] = new_score
         last[:n] = np.where(g == blank, NO_LAST, g)

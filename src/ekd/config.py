@@ -157,6 +157,9 @@ class ExperimentConfig:
         unknown = [s for s in self.strategies if s not in known]
         if unknown:
             raise ValueError(f"unknown strategies {unknown}; choose from {known}")
+        repeated = sorted({s for s in self.strategies if self.strategies.count(s) > 1})
+        if repeated:
+            raise ValueError(f"config key 'strategies' lists {repeated} more than once")
         if Strategy.ELITIST.value not in self.strategies:
             raise ValueError("strategies must include 'elitist': the svcca stage analyses "
                              "the elitist student's snapshots")

@@ -128,8 +128,10 @@ def test_matches_object_decoder(width, lm, bonus):
             == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
 
 
-def test_matches_object_decoder_on_default_vocabulary(rng):
-    vocab = default_vocabulary()
+@pytest.mark.parametrize("vocab", [default_vocabulary(),
+                                   default_vocabulary("abcdefghijklmnopqrstuvwxyz")],
+                         ids=["z10", "z28"])
+def test_matches_object_decoder_on_default_vocabulary(rng, vocab):
     lm = train_lm([["abc", "de"], ["fgh", "abc"], ["de", "ha", "abc"], ["bad"]], order=3)
     cfg = BeamConfig()
     batch = mixed_batch(rng, 20, 60, vocab.size, min_frames=20)
@@ -170,7 +172,8 @@ def test_collection_keeps_exactly_the_live_prefixes(lm, monkeypatch):
     # A batch long enough to collect the prefix table several times. Right
     # after each collection the table holds the roots and the ancestors of
     # the live hypotheses and nothing else, every live hypothesis reads the
-    # same symbols as before it, and the child index finds every prefix.
+    # same symbols as before it, and the child column holds exactly the
+    # survivors, each under its parent and symbol.
     rng = np.random.default_rng(7)
     cfg = BeamConfig(beam_width=12, lm_weight=0.6, word_insertion_bonus=0.5)
     batch = mixed_batch(rng, 24, 150, VOCAB.size, min_frames=100)
@@ -184,8 +187,8 @@ def test_collection_keeps_exactly_the_live_prefixes(lm, monkeypatch):
         assert kept == set(range(self.size))
         assert [_read(self, p) for p in pid[live].tolist()] == before
         kids = np.arange(len(batch), self.size)
-        keys = self.parent[kids].astype(np.int64) * VOCAB.size + self.symbol[kids]
-        assert self.children.get(keys).tolist() == kids.tolist()
+        assert self.child[self.parent[kids], self.symbol[kids]].tolist() == kids.tolist()
+        assert np.count_nonzero(self.child != -1) == len(kids)
         sizes.append(self.size)
 
     monkeypatch.setattr(_Prefixes, "collect", checked)

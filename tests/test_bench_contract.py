@@ -114,19 +114,29 @@ def test_span_hook_reads_the_parameter_it_means(span):
         assert reads[pos] in (None, name), f"{BENCH_SPANS.name} looks up {reads[pos]!r}"
 
 
-def test_evaluate_passes_beam_decode_what_the_span_hooks_read(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def eval_setup(tmp_path_factory):
+    """(config, seed, paths) of a compact run after the eval_stages set-up."""
+    from conftest import compact_config
+    from ekd import pipeline
+
+    root = tmp_path_factory.mktemp("eval_setup")
+    cfg = compact_config(str(root))
+    seed = cfg.seeds[0]
+    paths = pipeline.SeedPaths(root, seed)
+    for stage in WORKLOADS["eval_stages"][0]:
+        pipeline.run_stage(stage, cfg, seed, paths)
+    return cfg, seed, paths
+
+
+def test_evaluate_passes_beam_decode_what_the_span_hooks_read(eval_setup, monkeypatch):
     # spans._beam_counts adds np.shape(args[0])[0] per beam.beam_decode call
     # and _variant splits the calls by args[1]: each call must get one
     # posterior per utterance it decodes, and the LM or None, by position.
-    from conftest import compact_config
     from ekd import pipeline
     from ekd.lm import NgramLm
 
-    cfg = compact_config(str(tmp_path))
-    seed = cfg.seeds[0]
-    paths = pipeline.SeedPaths(tmp_path, seed)
-    for stage in WORKLOADS["eval_stages"][0]:
-        pipeline.run_stage(stage, cfg, seed, paths)
+    cfg, seed, paths = eval_setup
     real, calls = pipeline.beam_decode, []
 
     def recording(*args, **kwargs):
@@ -148,3 +158,29 @@ def test_evaluate_passes_beam_decode_what_the_span_hooks_read(tmp_path, monkeypa
     per_mode = (len(cfg.teacher_domains) * sum(r.test_size for r in cfg.all_domains())
                 + len(cfg.strategies) * cfg.student_domain.test_size)
     assert utterances == {True: per_mode, False: per_mode}
+
+
+def test_report_api_the_benchmark_checks_outputs_with(eval_setup):
+    # run.check_outputs and run.elitist_wer read the eval_stages results.tsv
+    # through these names of ekd.report.
+    from ekd import pipeline
+    from ekd.report import ResultTable
+
+    cfg, seed, paths = eval_setup
+    for stage in WORKLOADS["eval_stages"][1]:
+        fn = getattr(pipeline, "stage_" + stage.replace("-", "_"))
+        fn(cfg, seed, paths, **STAGE_KWARGS.get(stage, {}))
+    table = ResultTable.from_tsv((paths.report / "results.tsv").read_text())
+    assert len(table.cells) == 2 * (len(cfg.teacher_domains) * len(cfg.all_domains())
+                                    + len(cfg.strategies))
+    keys = table.ordered_keys()
+    assert len(keys) == len(table.cells)
+    for key in keys:
+        cell = table.cells[key]
+        assert cell.status == "ok" and cell.breakdown is not None
+        assert table.get(key.test_set, key.model, key.lm_on) is cell
+    test_set = f"{cfg.student_domain.name}_test"
+    assert "elitist" in cfg.strategies and len(cfg.strategies) > 1
+    for strategy in cfg.strategies:
+        wer = table.get(test_set, f"student_{strategy}", True).breakdown.wer
+        assert isinstance(wer, float) and wer >= 0.0

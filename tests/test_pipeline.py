@@ -428,6 +428,20 @@ def test_unknown_strategy_rejected_before_any_stage(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_strategy_rejected_before_any_stage(tmp_path, capsys):
+    # A repeated strategy would list its student twice in the evaluate
+    # matrix, train it twice and print its win counts twice.
+    from ekd.cli import main
+
+    out = tmp_path / "out"
+    rc = main(["gen-data", "--output-root", str(out),
+               "--set", "strategies=[elitist, elitist, teacher_average]"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'strategies'" in err and "['elitist'] more than once" in err
+    assert not out.exists()
+
+
 def test_config_without_elitist_rejected(tmp_path):
     with pytest.raises(ValueError, match="elitist"):
         dataclasses.replace(compact_config(str(tmp_path / "out")),
