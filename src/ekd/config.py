@@ -151,6 +151,10 @@ class ExperimentConfig:
             raise ValueError("config key 'probe_wer_threshold' must be null or >= 0")
         if self.lm_order < 1:
             raise ValueError("lm_order must be >= 1")
+        for key, value in (("model.seed", self.model.seed), ("train.seed", self.train.seed)):
+            if value != 0:
+                raise ValueError(f"config key {key!r} must be 0: every run derives its model "
+                                 "and training seeds from 'seeds'")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         known = [s.value for s in Strategy]

@@ -30,7 +30,6 @@ class NgramLm:
     vocabulary: frozenset[str]                     # predictable tokens (words, </s>, <unk>)
     log_probs: dict[tuple[str, ...], float]        # n-gram -> log10 conditional prob
     backoffs: dict[tuple[str, ...], float]         # context -> log10 back-off weight
-    ngram_counts: tuple[int, ...] = ()
 
     def _canon(self, token: str) -> str:
         return token if (token in self.vocabulary or token == BOS) else UNK
@@ -139,9 +138,7 @@ def train_lm(transcripts: list[list[str]], order: int = 3) -> NgramLm:
         linear_lower.update(level_linear)
 
     vocabulary = frozenset(g[0] for g in uni) | {UNK}
-    entry_counts = tuple(len(e) for e in _entry_grams(log_probs, backoffs, order))
-    return NgramLm(order=order, vocabulary=vocabulary, log_probs=log_probs,
-                   backoffs=backoffs, ngram_counts=entry_counts)
+    return NgramLm(order=order, vocabulary=vocabulary, log_probs=log_probs, backoffs=backoffs)
 
 
 def perplexity(lm: NgramLm, transcripts: list[list[str]]) -> float:
@@ -178,37 +175,50 @@ def save_arpa(lm: NgramLm, path) -> None:
 
 
 def load_arpa(path) -> NgramLm:
+    """The model in a file that ``save_arpa`` wrote. ValueError naming the
+    file if it is malformed or truncated: a section whose entry count is not
+    the one ``\\data\\`` declares, or no ``\\end\\`` line."""
     text = Path(path).read_text()
     log_probs: dict[tuple[str, ...], float] = {}
     backoffs: dict[tuple[str, ...], float] = {}
-    ngram_counts: list[int] = []
+    declared: list[int] = []
+    found: dict[int | None, int] = {}  # entries per section
     section: int | str | None = None
+    ended = False
     for raw in text.splitlines():
-        line = raw.strip("\n").strip()
+        line = raw.strip()
         if not line:
             continue
         if line == "\\data\\":
             section = "data"
             continue
         if line == "\\end\\":
+            ended = True
             break
         if line.startswith("\\") and line.endswith("-grams:"):
             section = int(line[1:].split("-")[0])
+            found.setdefault(section, 0)
             continue
         if section == "data":
             if line.startswith("ngram"):
-                ngram_counts.append(int(line.split("=")[1]))
+                declared.append(int(line.split("=")[1]))
             continue
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise ValueError(f"{path}: malformed entry {line!r}")
+        found[section] = found.get(section, 0) + 1
         gram = tuple(parts[1].split(" "))
         if gram[-1] != BOS:  # <s>-final grams are back-off-weight carriers only
             log_probs[gram] = float(parts[0])
         if len(parts) == 3:
             backoffs[gram] = float(parts[2])
-    if not ngram_counts:
+    if not declared:
         raise ValueError(f"{path}: missing \\data\\ section")
+    if found != {k + 1: n for k, n in enumerate(declared)}:
+        raise ValueError(f"{path}: entries per section {found} differ from the \\data\\ "
+                         f"counts {declared} (truncated file?)")
+    if not ended:
+        raise ValueError(f"{path}: missing \\end\\ (truncated file?)")
     vocabulary = frozenset(g[0] for g in log_probs if len(g) == 1)
-    return NgramLm(order=len(ngram_counts), vocabulary=vocabulary, log_probs=log_probs,
-                   backoffs=backoffs, ngram_counts=tuple(ngram_counts))
+    return NgramLm(order=len(declared), vocabulary=vocabulary, log_probs=log_probs,
+                   backoffs=backoffs)

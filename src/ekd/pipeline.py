@@ -146,14 +146,20 @@ def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path
     return todo
 
 
+def _check_vocabulary(path: Path, vocabulary_hash: str, config: ExperimentConfig) -> None:
+    """A PipelineError naming ``path`` if ``vocabulary_hash``, the one it
+    records, is not the config's. Every artifact takes its vocabulary from
+    the corpora, so only rebuilding from gen-data on helps."""
+    if vocabulary_hash != config.vocabulary().content_hash():
+        raise PipelineError(f"{path} was built for another vocabulary; re-run 'pipeline' "
+                            "with --force, or use a new output root")
+
+
 def _load_checked(load: Callable, path: Path, config: ExperimentConfig):
-    """The artifact that ``load`` returns with its header; a PipelineError
-    naming ``path`` and its stage if it records another vocabulary than the
-    config's."""
+    """The artifact that ``load`` returns with its header, checked by
+    ``_check_vocabulary``."""
     header, artifact = load(path)
-    if header["vocabulary_hash"] != config.vocabulary().content_hash():
-        raise PipelineError(f"{path} was built for another vocabulary; "
-                            f"re-run '{_PRODUCERS[path.parent.name]}' with --force")
+    _check_vocabulary(path, header["vocabulary_hash"], config)
     return artifact
 
 
@@ -200,8 +206,12 @@ def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
     outputs = [paths.corpus_path(r.name, part)
                for r in config.all_domains() for part in ("train", "test")]
     if not _run_units("gen-data", [_Unit("corpora and LM", [*outputs, lm_path], build)], force):
-        # The corpora exist already, perhaps from a config with fewer svcca frames.
-        require_svcca_frames(load_corpus(paths.corpus_path(config.student_domain.name, "train")))
+        # The corpora exist already, perhaps from a config with another
+        # vocabulary or fewer svcca frames.
+        student_train = paths.corpus_path(config.student_domain.name, "train")
+        corpus = load_corpus(student_train)
+        _check_vocabulary(student_train, corpus.vocabulary.content_hash(), config)
+        require_svcca_frames(corpus)
 
 
 def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,

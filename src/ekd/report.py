@@ -19,26 +19,24 @@ class CellKey:
 
 @dataclass
 class CellResult:
-    breakdown: WerBreakdown | None   # None marks a failed / missing cell
-    status: str = "ok"
+    breakdown: WerBreakdown
+    # Every cell is complete: evaluate writes a cell only once it is scored.
+    # results.tsv keeps its status column, which always reads this.
+    status = "ok"
 
     @property
     def wer_text(self) -> str:
-        if self.breakdown is None or not self.breakdown.wer_defined:
-            return "---"
         return f"{100.0 * self.breakdown.wer:.2f}"
 
 
 class ResultTable:
-    """Ordered mapping of evaluation cells; every configured cell is present,
-    either with a breakdown or explicitly marked failed."""
+    """Ordered mapping of evaluation cells, each with its WER breakdown."""
 
     def __init__(self) -> None:
         self.cells: dict[CellKey, CellResult] = {}
 
-    def set(self, test_set: str, model: str, lm_on: bool, breakdown: WerBreakdown | None,
-            status: str = "ok") -> None:
-        self.cells[CellKey(test_set, model, lm_on)] = CellResult(breakdown, status)
+    def set(self, test_set: str, model: str, lm_on: bool, breakdown: WerBreakdown) -> None:
+        self.cells[CellKey(test_set, model, lm_on)] = CellResult(breakdown)
 
     def get(self, test_set: str, model: str, lm_on: bool) -> CellResult:
         return self.cells[CellKey(test_set, model, lm_on)]
@@ -51,14 +49,9 @@ class ResultTable:
         for key in self.ordered_keys():
             cell = self.cells[key]
             b = cell.breakdown
-            if b is None:
-                lines.append(f"{key.test_set}\t{key.model}\t{'on' if key.lm_on else 'off'}"
-                             f"\t\t\t\t\t\t{cell.status}")
-            else:
-                lines.append(
-                    f"{key.test_set}\t{key.model}\t{'on' if key.lm_on else 'off'}"
-                    f"\t{b.wer!r}\t{b.substitutions}\t{b.insertions}\t{b.deletions}"
-                    f"\t{b.reference_words}\t{cell.status}")
+            lines.append(f"{key.test_set}\t{key.model}\t{'on' if key.lm_on else 'off'}"
+                         f"\t{b.wer!r}\t{b.substitutions}\t{b.insertions}\t{b.deletions}"
+                         f"\t{b.reference_words}\t{cell.status}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -85,12 +78,12 @@ class ResultTable:
         lines = [ln for ln in text.splitlines() if ln]
         for ln in lines[1:]:
             parts = ln.split("\t")
-            test_set, model, lm, wer_s, sub, ins, dele, refw, status = parts
-            if wer_s == "":
-                table.set(test_set, model, lm == "on", None, status)
-            else:
-                table.set(test_set, model, lm == "on",
-                          WerBreakdown(int(sub), int(ins), int(dele), int(refw)), status)
+            test_set, model, lm, _, sub, ins, dele, refw, status = parts
+            if status != CellResult.status:
+                raise ValueError(f"cell {model} on {test_set} (lm {lm}) has status "
+                                 f"{status!r}; delete it and re-run 'evaluate'")
+            table.set(test_set, model, lm == "on",
+                      WerBreakdown(int(sub), int(ins), int(dele), int(refw)))
         return table
 
     @classmethod
@@ -108,17 +101,7 @@ def summarize(per_seed: dict[int, ResultTable]) -> str:
     keys = set.intersection(*[set(per_seed[s].cells) for s in seeds]) if seeds else set()
     lines = ["test_set\tmodel\tlm\tmean_wer\tstd_wer\tn_seeds\tper_seed_wer"]
     for key in sorted(keys, key=lambda k: (k.test_set, k.model, k.lm_on)):
-        wers = []
-        for s in seeds:
-            b = per_seed[s].cells[key].breakdown
-            if b is None or not b.wer_defined:
-                wers = None
-                break
-            wers.append(b.wer)
-        if wers is None:
-            lines.append(f"{key.test_set}\t{key.model}\t{'on' if key.lm_on else 'off'}"
-                         f"\t\t\t0\tfailed")
-            continue
+        wers = [per_seed[s].cells[key].breakdown.wer for s in seeds]
         arr = np.asarray(wers)
         per_seed_text = ",".join(repr(w) for w in wers)
         lines.append(f"{key.test_set}\t{key.model}\t{'on' if key.lm_on else 'off'}"

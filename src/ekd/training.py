@@ -73,16 +73,22 @@ def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: Model
                   cfg: TrainConfig, snapshot_hook=None, **meta) -> ModelCheckpoint:
     """The one deterministic loop: a fresh model fitted on ``utterances`` of
     ``corpus`` with the weighted CTC loss, with its ``training_meta`` (plus
-    the caller's ``meta`` keys) set. ``targets[i]``, the CTC target of
-    ``utterances[i]``, must be scorable (see :func:`~ekd.ctc.target_error`);
-    ``weights[i]`` scales its loss.
+    the caller's ``meta`` keys) set. ``targets[i]`` is the CTC target of
+    ``utterances[i]`` and ``weights[i]`` scales its loss; a target that
+    cannot be scored (see :func:`~ekd.ctc.target_error`) is a ValueError
+    naming the corpus and utterance, raised before the first step.
 
     A minibatch runs every forward pass, then advances all its lattices in
     one :func:`~ekd.ctc.ctc_lattices` call, then scores and back-propagates
     each utterance in index order. Batch reduction is the mean over the
     minibatch, summed in utterance-index order."""
     if not utterances:
-        raise ValueError(f"corpus {corpus.name!r}: no utterance can be scored")
+        raise ValueError(f"corpus {corpus.name!r}: no utterance to train on")
+    for utt, target in zip(utterances, targets):
+        error = target_error(target, utt.num_frames)
+        if error is not None:
+            raise ValueError(f"corpus {corpus.name!r}: transcript of {utt.id} cannot be "
+                             f"scored: {error}")
     vocab = corpus.vocabulary
     blank = vocab.blank_index
     model = init_model(model_cfg, corpus.feature_dim, vocab.size, vocab.content_hash())
@@ -149,11 +155,6 @@ def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig
     if not all(u.has_transcript for u in corpus.utterances):
         raise ValueError(f"corpus {corpus.name!r} is missing transcripts")
     targets = [u.transcript for u in corpus.utterances]
-    for utt, target in zip(corpus.utterances, targets):
-        error = target_error(target, utt.num_frames)
-        if error is not None:
-            raise ValueError(f"corpus {corpus.name!r}: transcript of {utt.id} cannot be "
-                             f"scored: {error}")
     return _run_training(corpus, corpus.utterances, targets, [1.0] * len(targets), model_cfg,
                          train_cfg, snapshot_hook, objective="ctc")
 
@@ -163,27 +164,24 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
                   snapshot_hook=None) -> ModelCheckpoint:
     """Distillation training on teacher-selected soft labels only.
 
-    The target corpus must arrive with transcripts stripped; the loop never
-    reads a target label (auditable via ``corpus.transcript_read_count``).
+    Trains on the utterances of ``target_corpus`` that an outcome names, in
+    corpus order; every such pseudo-transcript must be scorable, as
+    :func:`~ekd.selection.select_corpus` ensures. The target corpus must
+    arrive with transcripts stripped; the loop never reads a target label
+    (auditable via ``corpus.transcript_read_count``).
     """
     if any(u.has_transcript for u in target_corpus.utterances):
         raise ValueError("target corpus still carries transcripts; strip them before "
                          "student training")
     by_id = {o.utterance_id: o for o in selections}
     hard = kd_cfg.soft_label_mode is SoftLabelMode.HARD_PSEUDO_LABEL
-    covered, targets, weights = [], [], []
-    for utt in target_corpus.utterances:
-        outcome = by_id.get(utt.id)
-        if outcome is None:
-            logger.warning("no selection for utterance %s; skipping", utt.id)
-            continue
-        error = target_error(outcome.pseudo_transcript, utt.num_frames)
-        if error is not None:
-            logger.warning("unscorable pseudo-transcript for %s (%s); skipping", utt.id, error)
-            continue
-        covered.append(utt)
-        targets.append(outcome.pseudo_transcript)
-        weights.append(1.0 if hard else outcome.sequence_confidence)
+    covered = [u for u in target_corpus.utterances if u.id in by_id]
+    if len(covered) < len(target_corpus.utterances):
+        logger.warning("corpus %r: %d utterances have no selection; skipping them",
+                       target_corpus.name, len(target_corpus.utterances) - len(covered))
+    outcomes = [by_id[u.id] for u in covered]
+    targets = [o.pseudo_transcript for o in outcomes]
+    weights = [1.0 if hard else o.sequence_confidence for o in outcomes]
     return _run_training(target_corpus, covered, targets, weights, model_cfg, train_cfg,
                          snapshot_hook,
                          objective=f"soft_ctc_kd/{kd_cfg.soft_label_mode.value}",

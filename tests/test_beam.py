@@ -11,6 +11,7 @@ from oracles import exhaustive_beam_best, object_beam_decode
 
 VOCAB = default_vocabulary("ab")
 TRANSCRIPTS = [["a", "b"], ["ab", "a"], ["b", "ab"], ["a"], ["ab", "b", "a"], ["ba", "ab"]]
+LM1 = train_lm(TRANSCRIPTS, order=1)
 LM = train_lm(TRANSCRIPTS, order=2)
 LM3 = train_lm(TRANSCRIPTS, order=3)
 
@@ -117,7 +118,7 @@ def mixed_batch(rng, n, max_frames, z, min_frames=1):
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 12])
-@pytest.mark.parametrize("lm", [None, LM, LM3], ids=["no_lm", "bigram", "trigram"])
+@pytest.mark.parametrize("lm", [None, LM1, LM, LM3], ids=["no_lm", "unigram", "bigram", "trigram"])
 @pytest.mark.parametrize("bonus", [0.5, -0.3])
 def test_matches_object_decoder(width, lm, bonus):
     # One batch of mixed lengths against the per-utterance reference decoder.

@@ -138,7 +138,11 @@ def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
     ("svcca.variance_fraction=0", "'svcca.variance_fraction' must lie in (0, 1]"),
     ("probe_wer_threshold=-0.1", "'probe_wer_threshold' must be null or >= 0"),
     ("word_length=[5,2]", "'word_length' must be [min, max] with 1 <= min <= max"),
-    ("word_length=[0,3]", "'word_length' must be [min, max] with 1 <= min <= max")])
+    ("word_length=[0,3]", "'word_length' must be [min, max] with 1 <= min <= max"),
+    ("model.seed=7", "'model.seed' must be 0: every run derives its model and training "
+                     "seeds from 'seeds'"),
+    ("train.seed=99", "'train.seed' must be 0: every run derives its model and training "
+                      "seeds from 'seeds'")])
 def test_infeasible_config_value_is_a_cli_error(tmp_path, capsys, override, message):
     """A value no stage can use is refused when the config loads, naming its
     key, not after the teachers and students have trained."""

@@ -82,7 +82,6 @@ def test_arpa_round_trip(tmp_path, lm):
     assert loaded.log_probs == lm.log_probs
     assert loaded.backoffs == lm.backoffs
     assert loaded.vocabulary == lm.vocabulary
-    assert loaded.ngram_counts == lm.ngram_counts
 
 
 def test_arpa_layout(tmp_path):
@@ -95,7 +94,25 @@ def test_arpa_layout(tmp_path):
     assert text.rstrip().endswith("\\end\\")
     header_counts = [int(line.split("=")[1]) for line in text.splitlines()
                      if line.startswith("ngram")]
-    assert tuple(header_counts) == model.ngram_counts
+    sections = text.split("\n\n")[1:-1]  # after the \data\ block, before \end\
+    assert [s.splitlines()[0] for s in sections] == ["\\1-grams:", "\\2-grams:"]
+    assert header_counts == [len(s.splitlines()) - 1 for s in sections]
+
+
+@pytest.mark.parametrize("cut", ["half", "last_entry", "end_line"])
+def test_truncated_arpa_is_refused(tmp_path, cut):
+    path = tmp_path / "model.arpa"
+    save_arpa(train_lm(CORPUS, order=3), path)
+    text = path.read_text()
+    body, end = text.rsplit("\n\n", 1)  # end: the \end\ line
+    assert end == "\\end\\\n"
+    cuts = {"half": text[:text.index("\n", len(text) // 2) + 1],
+            "last_entry": body.rsplit("\n", 1)[0] + "\n\n" + end,
+            "end_line": body + "\n\n"}
+    path.write_text(cuts[cut])
+    reason = "missing \\\\end\\\\" if cut == "end_line" else "differ from the \\\\data\\\\ counts"
+    with pytest.raises(ValueError, match=f"{path.name}: .*{reason}"):
+        load_arpa(path)
 
 
 def test_arpa_queries_survive_round_trip(tmp_path):

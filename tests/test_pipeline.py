@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import shutil
 
@@ -13,7 +14,7 @@ from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, output_
                           run_pipeline, run_seed, stage_decode, stage_gen_data, stage_report,
                           stage_select, stage_svcca, stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
-from ekd.selection import load_posteriors, save_posteriors
+from ekd.selection import load_posteriors, load_selection, save_posteriors
 from ekd.training import greedy_corpus_wer
 
 from conftest import compact_config
@@ -56,8 +57,6 @@ def test_report_command_matches_pipeline_table(finished_run):
 
 def test_win_counts_sum_to_corpus_size(finished_run):
     cfg, root, _ = finished_run
-    from ekd.selection import load_selection
-
     paths = SeedPaths(root, cfg.seeds[0])
     _, selection = load_selection(paths.selection_path("elitist"))
     assert sum(selection.win_counts) == cfg.student_domain.train_size - len(selection.skipped)
@@ -66,6 +65,15 @@ def test_win_counts_sum_to_corpus_size(finished_run):
     # the selection files are the select stage's only outputs
     assert sorted(p.name for p in paths.select.iterdir()) == sorted(
         f"{s}.ekds" for s in cfg.strategies)
+
+
+def test_each_student_trains_on_its_selection(finished_run):
+    cfg, root, _ = finished_run
+    paths = SeedPaths(root, cfg.seeds[0])
+    for strategy in cfg.strategies:
+        _, selection = load_selection(paths.selection_path(strategy))
+        meta = load_checkpoint(paths.student_path(strategy)).training_meta
+        assert meta["covered_utterances"] == len(selection.outcomes)
 
 
 def test_checkpoints_name_their_domain(finished_run):
@@ -218,16 +226,21 @@ def test_stages_refuse_artifacts_of_another_vocabulary(finished_run, tmp_path):
     # Same size, other order: every index means another grapheme.
     cfg, paths = _copy_run(finished_run, tmp_path)
     permuted = dataclasses.replace(cfg, vocabulary_letters=cfg.vocabulary_letters[::-1])
-    dump = re.escape(str(paths.posteriors_path(cfg.teacher_domains[0].name)))
-    with pytest.raises(PipelineError, match=f"{dump} was built for another vocabulary; "
-                                            "re-run 'decode' with --force"):
-        stage_select(permuted, paths.seed, paths, force=True)
-    selection = re.escape(str(paths.selection_path(cfg.strategies[0])))
-    refused = f"{selection} was built for another vocabulary; re-run 'select' with --force"
-    with pytest.raises(PipelineError, match=refused):
-        stage_train_student(permuted, paths.seed, paths, force=True)
-    with pytest.raises(PipelineError, match=refused):
-        stage_report(permuted, paths.seed, paths)
+    remedy = ("was built for another vocabulary; re-run 'pipeline' with --force, "
+              "or use a new output root")
+    selection = paths.selection_path(cfg.strategies[0])
+    for stage, path in ((stage_gen_data, paths.corpus_path(cfg.student_domain.name, "train")),
+                        (functools.partial(stage_select, force=True),
+                         paths.posteriors_path(cfg.teacher_domains[0].name)),
+                        (functools.partial(stage_train_student, force=True), selection),
+                        (stage_report, selection)):
+        with pytest.raises(PipelineError, match=f"{re.escape(str(path))} {re.escape(remedy)}"):
+            stage(permuted, paths.seed, paths)
+    # The remedy works: every artifact is rebuilt on the new vocabulary.
+    table = run_pipeline(permuted, str(paths.base.parent), force=True)
+    assert len(table.cells) == len(finished_run[2].cells)
+    stage_select(permuted, paths.seed, paths, force=True)
+    assert stage_report(permuted, paths.seed, paths).to_tsv() == table.to_tsv()
 
 
 def test_gen_data_refuses_more_svcca_frames_than_the_student_split_has(tmp_path):

@@ -1,3 +1,5 @@
+import pytest
+
 from ekd.report import ResultTable, summarize
 from ekd.wer import WerBreakdown
 
@@ -18,14 +20,14 @@ def test_tsv_round_trip():
     assert cell.breakdown.wer == 0.25
 
 
-def test_failed_cell_marked():
-    t = make_table()
-    t.set("d_test", "student_y", False, None, status="failed: boom")
-    tsv = t.to_tsv()
-    assert "failed: boom" in tsv
-    again = ResultTable.from_tsv(tsv)
-    assert again.get("d_test", "student_y", False).breakdown is None
-    assert "---" in t.to_text()
+def test_cell_not_ok_is_refused():
+    # A failed cell an older evaluate wrote is reported, not shown as "---".
+    header, *rows = make_table().to_tsv().splitlines()
+    failed = "d_test\tstudent_y\toff\t\t\t\t\t\tfailed: boom"
+    with pytest.raises(ValueError, match="cell student_y on d_test \\(lm off\\) has status "
+                                         "'failed: boom'; delete it and re-run 'evaluate'"):
+        ResultTable.from_tsv("\n".join([header, *rows, failed]) + "\n")
+    assert all(cell.status == "ok" for cell in make_table().cells.values())
 
 
 def test_text_table_lists_models_by_test_set():

@@ -7,7 +7,7 @@ import pytest
 from ekd.config import build_transform
 from ekd.corpus import Corpus, DomainSpec, Utterance, generate_corpus, transcript_read_count
 from ekd import training
-from ekd.ctc import ctc_lattices, ctc_loss, log_softmax
+from ekd.ctc import PosteriorSequence, ctc_lattices, ctc_loss, log_softmax
 from ekd.kd import KdConfig, SoftLabelMode
 from ekd.model import ModelConfig, forward_features, init_model
 from ekd.selection import Strategy, TeacherBundle, select_corpus
@@ -82,7 +82,7 @@ def test_missing_transcripts_rejected(corpus):
 def test_unscorable_teacher_transcript_fails_before_training(spec, monkeypatch):
     small = generate_corpus(spec, VOCAB, 4, seed=21)
     bad = small.utterances[2]
-    monkeypatch.setattr(training, "_run_training",
+    monkeypatch.setattr(training, "init_model",
                         lambda *args, **kwargs: pytest.fail("training started"))
     for transcript, reason in (([], "target must be non-empty"),
                                ([1, 2] * bad.num_frames,
@@ -222,6 +222,8 @@ def test_coverage_gap_skipped(teacher, corpus, caplog):
                               dataclasses.replace(TRAIN_CFG, epochs=1), KdConfig())
     assert "no selection" in caplog.text
     assert model.training_meta["covered_utterances"] == len(corpus) - 3
+    with pytest.raises(ValueError, match=f"corpus {corpus.name!r}: no utterance to train on"):
+        train_student([], unlabeled, MODEL_CFG, TRAIN_CFG, KdConfig())
 
 
 def test_training_meta_of_teacher_and_student(teacher, corpus):
@@ -284,36 +286,56 @@ def test_batched_lattices_train_bit_identical_models(teacher, corpus, monkeypatc
         assert all(np.array_equal(g, w) for g, w in zip(got.weights, want.weights))
 
 
-def test_unscorable_pseudo_transcripts_count_as_absent(teacher, spec, caplog):
-    """An empty and an infeasible pseudo-transcript are each warned about
-    once, not once per epoch, and the student trains exactly as if their
-    selection outcomes were missing."""
-    small = generate_corpus(spec, VOCAB, 8, seed=21)
-    cfg = dataclasses.replace(TRAIN_CFG, epochs=3, batch_size=4)
-    empty, infeasible = small.utterances[3], small.utterances[5]
-    outcomes = [dataclasses.replace(
-        o, pseudo_transcript=[] if o.utterance_id == empty.id
-        else [1, 2] * infeasible.num_frames if o.utterance_id == infeasible.id
-        else o.pseudo_transcript) for o in make_selection(teacher, small).outcomes]
-    unlabeled = small.without_transcripts()
+def _posteriors(labels, top, uid):
+    """Posteriors whose every frame puts ``top`` on its label of ``labels``."""
+    probs = np.full((len(labels), VOCAB.size), (1.0 - top) / (VOCAB.size - 1))
+    probs[np.arange(len(labels)), labels] = top
+    return PosteriorSequence(probs, uid)
+
+
+def test_select_records_an_unscorable_winner_as_skipped(caplog):
+    """An all-blank winner leaves no CTC target: select records the utterance
+    under ``skipped`` with the reason, warns once and counts no win."""
+    blank = VOCAB.blank_index
+    a, b = [k for k in range(VOCAB.size) if k != blank][:2]
+    spoken, silent = [a, blank, b, b, blank], [blank] * 5
+    bundles = [TeacherBundle(uid, [_posteriors(first, p, uid), _posteriors(second, q, uid)])
+               for uid, first, p, second, q in (("u0", spoken, 0.9, spoken, 0.8),
+                                                ("u1", spoken, 0.6, silent, 0.9),
+                                                ("u2", spoken, 0.7, spoken, 0.8))]
     with caplog.at_level("WARNING"):
-        model = train_student(outcomes, unlabeled, MODEL_CFG, cfg, KdConfig())
+        result = select_corpus(Strategy.ELITIST, bundles, blank)
+    assert [o.utterance_id for o in result.outcomes] == ["u0", "u2"]
+    assert result.skipped == [("u1", "target must be non-empty")]
+    assert result.win_counts == [1, 1]
+    assert "utterances skipped: 1" in result.summary_text()
     assert [r.getMessage() for r in caplog.records] == [
-        f"unscorable pseudo-transcript for {empty.id} (target must be non-empty); skipping",
-        f"unscorable pseudo-transcript for {infeasible.id} (target of length "
-        f"{2 * infeasible.num_frames} needs {2 * infeasible.num_frames} frames, "
-        f"got {infeasible.num_frames}); skipping"]
-    absent = [o for o in outcomes if o.utterance_id not in (empty.id, infeasible.id)]
-    want = train_student(absent, unlabeled, MODEL_CFG, cfg, KdConfig())
-    assert model.training_meta["covered_utterances"] == want.training_meta["covered_utterances"] == 6
-    assert np.array_equal(model.training_meta["loss_curve"], want.training_meta["loss_curve"])
-    assert all(np.array_equal(g, w) for g, w in zip(model.weights, want.weights))
+        "selection failed for u1: target must be non-empty"]
+
+
+@pytest.mark.parametrize("unscorable", ["empty", "infeasible"])
+def test_unscorable_pseudo_transcript_fails_before_training(teacher, spec, monkeypatch,
+                                                            unscorable):
+    small = generate_corpus(spec, VOCAB, 8, seed=21)
+    bad = small.utterances[3]
+    transcript, reason = (([], "target must be non-empty") if unscorable == "empty" else
+                          ([1, 2] * bad.num_frames,
+                           f"needs {2 * bad.num_frames} frames, got {bad.num_frames}"))
+    outcomes = [dataclasses.replace(o, pseudo_transcript=transcript) if o.utterance_id == bad.id
+                else o for o in make_selection(teacher, small).outcomes]
+    monkeypatch.setattr(training, "init_model",
+                        lambda *args, **kwargs: pytest.fail("training started"))
+    with pytest.raises(ValueError, match=f"corpus {small.name!r}: transcript of {bad.id} "
+                                         f"cannot be scored: .*{reason}"):
+        train_student(outcomes, small.without_transcripts(), MODEL_CFG, TRAIN_CFG, KdConfig())
 
 
 def test_student_with_nothing_scorable_names_the_corpus(teacher, corpus):
     outcomes = [dataclasses.replace(o, pseudo_transcript=[])
                 for o in make_selection(teacher, corpus).outcomes]
-    with pytest.raises(ValueError, match=f"corpus {corpus.name!r}: no utterance can be scored"):
+    first = corpus.utterances[0].id
+    with pytest.raises(ValueError, match=f"corpus {corpus.name!r}: transcript of {first} "
+                                         "cannot be scored: target must be non-empty"):
         train_student(outcomes, corpus.without_transcripts(), MODEL_CFG, TRAIN_CFG, KdConfig())
 
 
