@@ -12,8 +12,15 @@ frame loop over one packed ``[T_max, W]`` array. Each utterance owns a block
 columns (S = 2L+1 blank-extended states), so every label state sits on an
 odd column and the skip transition only touches the odd columns of a row.
 ``ctc_loss`` reads one utterance's loss and logit gradient from its block.
-Every cell sees the same IEEE operations, in the same order, as separate
-alpha and beta passes over that utterance alone.
+
+``prepare_target`` checks a target once and lays out its block: the
+blank-extended states, the skip rule and, per half, each state's horizon,
+the last frame from which it can still reach a final state. Training
+prepares every target once per run. A cell past its horizon is dead: no
+complete path runs through it, and it only feeds dead cells, so
+``ctc_lattices`` starts it at ``-inf``. Every live cell sees the same IEEE
+operations, in the same order, as separate alpha and beta passes over that
+utterance alone, and every loss and gradient bit is theirs.
 """
 from __future__ import annotations
 
@@ -122,17 +129,49 @@ def _extend_target(target: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
-def _checked(log_probs: np.ndarray, target, blank: int) -> tuple[np.ndarray, np.ndarray]:
-    """``log_probs`` as float64 and ``target`` as int64, or the ValueError
-    that makes the pair unscorable."""
-    lp = np.asarray(log_probs, dtype=np.float64)
-    if lp.ndim != 2 or lp.shape[0] < 1:
-        raise ValueError("log_probs must be [T>=1, z]")
-    if np.any(np.isnan(lp)):
-        raise ValueError("NaN in log posteriors")
+def _half(states: np.ndarray, blank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per state of one packed half: whether it may inherit from s-2 (it is
+    a new label distinct from the one two slots back, skipping the blank
+    between), and ``need``, the fewest further frames to a final state.
+    Label j-1 to label j takes one frame, or two through the blank when
+    they repeat; a blank first moves onto its label."""
+    skip = np.zeros(states.size, dtype=bool)
+    skip[2:] = (states[2:] != blank) & (states[2:] != states[:-2])
+    labels = states[1::2]
+    cost = np.ones(labels.size, dtype=np.int64)
+    cost[1:] += labels[1:] == labels[:-1]
+    to_end = np.cumsum(cost[::-1])[::-1] - cost   # frames from label j to the last label
+    need = np.zeros(states.size, dtype=np.int64)
+    need[1::2] = to_end
+    need[:-1:2] = to_end + 1
+    return skip, need
+
+
+class CtcTarget(NamedTuple):
+    """A CTC target checked against its utterance's ``[n_frames, vocab_size]``
+    posteriors and laid out as one block of :func:`ctc_lattices`:
+    ``[pad pad | alpha | pad pad pad | reversed beta | pad]``, ``2S + 6``
+    columns. ``skip`` marks the block columns whose state may inherit from
+    two columns left; ``horizon`` is the last frame at which a column's
+    state can still reach a final state of its half, ``n_frames - 1 -
+    need[s]``, and -1 on the pads."""
+
+    states: np.ndarray      # [S] blank-extended target, S = 2L+1
+    n_frames: int
+    vocab_size: int
+    skip: np.ndarray        # [2S+6] bool
+    horizon: np.ndarray     # [2S+6] int64
+
+
+def prepare_target(target, n_frames: int, z: int, blank: int) -> CtcTarget:
+    """``target`` ready for :func:`ctc_lattices` over ``n_frames`` frames of
+    ``z`` output symbols, or the ValueError that makes it unscorable: it is
+    empty, holds an index outside ``[0, z)`` or the blank, or needs more
+    frames than there are (InfeasibleTargetError). The beta half runs on
+    reversed states, which are the blank-extended reversed target, so both
+    halves follow the same rule."""
     target = np.asarray(target, dtype=np.int64)
-    T, z = lp.shape
-    unfit = target_error(target, T)
+    unfit = target_error(target, n_frames)
     if target.size == 0:
         raise unfit
     if target.min() < 0 or target.max() >= z:
@@ -141,7 +180,24 @@ def _checked(log_probs: np.ndarray, target, blank: int) -> tuple[np.ndarray, np.
         raise ValueError("target must not contain the blank symbol")
     if unfit is not None:
         raise unfit
-    return lp, target
+    states = _extend_target(target, blank)
+    S = states.size
+    skip = np.zeros(2 * S + 6, dtype=bool)
+    horizon = np.full(2 * S + 6, -1)
+    for first, half in ((2, states), (S + 5, states[::-1])):
+        skip[first:first + S], need = _half(half, blank)
+        horizon[first:first + S] = n_frames - 1 - need
+    return CtcTarget(states, n_frames, z, skip, horizon)
+
+
+def _log_probs(log_probs: np.ndarray) -> np.ndarray:
+    """``log_probs`` as float64, or the ValueError that makes it unscorable."""
+    lp = np.asarray(log_probs, dtype=np.float64)
+    if lp.ndim != 2 or lp.shape[0] < 1:
+        raise ValueError("log_probs must be [T>=1, z]")
+    if np.any(np.isnan(lp)):
+        raise ValueError("NaN in log posteriors")
+    return lp
 
 
 class CtcLattice(NamedTuple):
@@ -152,9 +208,10 @@ class CtcLattice(NamedTuple):
     beta: np.ndarray
 
 
-def ctc_lattices(log_probs_list: Sequence[np.ndarray], targets: Sequence,
-                 blank: int) -> list[CtcLattice]:
-    """Alpha and beta of every ``(log_probs, target)`` pair of a minibatch.
+def ctc_lattices(log_probs_list: Sequence[np.ndarray],
+                 prepared: Sequence[CtcTarget]) -> list[CtcLattice]:
+    """Alpha and beta of every ``(log_probs, prepared target)`` pair of a
+    minibatch.
 
     One ``[T_max, W]`` array holds a block per utterance, side by side:
     ``[pad pad | alpha[k] | pad pad pad | beta[T-1-k] reversed | pad]`` in
@@ -162,42 +219,59 @@ def ctc_lattices(log_probs_list: Sequence[np.ndarray], targets: Sequence,
     previous row, and beta's recursion on reversed states is alpha's with
     the skip rule reversed, so one row update advances every block. The
     array starts as the emissions, with row 0 cut to the four start cells
-    per block; pads and the rows past an utterance's end have ``-inf``
-    emissions and stay ``-inf``. Each frame is one stay+step ``logaddexp``
-    into a scratch row, a masked skip copy and a second ``logaddexp`` on the
-    odd (label) columns only, where a skip can be allowed, and one
-    ``np.add`` of the scratch row onto the emissions. A skip that is not
-    allowed is ``-inf``, and ``logaddexp(x, -inf)`` is ``x``, so every cell
-    gets the bits a per-utterance loop gives it.
+    per block. Each frame is one stay+step ``logaddexp`` into a scratch
+    row, a masked skip copy and a second ``logaddexp`` on the odd (label)
+    columns only, where a skip can be allowed, and one ``np.add`` of the
+    scratch row onto the emissions. A skip that is not allowed is ``-inf``,
+    and ``logaddexp(x, -inf)`` is ``x``.
 
-    Raises the first unscorable pair's ValueError (InfeasibleTargetError
-    when its target needs more frames than it has).
+    Dead cells start at ``-inf``: their emission is written as ``-inf``
+    (one broadcast compare against the prepared ``horizon``). Cell (k, s)
+    of a half is dead when ``k + need[s] > T - 1``: from state s at frame
+    k no path reaches a final state of the half by its last frame. Beta's
+    half applies the rule to its reversed states, whose final states are
+    alpha's start states. Pads and the rows past an utterance's end are
+    dead too. A transition s -> s' takes one frame, so ``need[s] <= 1 +
+    need[s']`` and the successors of a dead cell are dead: a dead cell
+    never feeds a live one, and every live cell gets the bits of separate
+    alpha and beta passes over its utterance alone. A dead cell's
+    occupancy is 0 either way, because no complete path runs through it,
+    so the other half is ``-inf`` there too; every loss and gradient bit
+    is kept. What changes is the cost: a stay+step pair of dead cells is a
+    ``-inf`` pair, which ``logaddexp`` returns several times faster than
+    a finite one.
+
+    Checks only the matrices (2-D, no NaN, ``[n_frames, vocab_size]`` of
+    their target); :func:`prepare_target` has checked the targets.
     """
-    checked = [_checked(lp, target, blank) for lp, target in zip(log_probs_list, targets)]
-    if not checked:
+    if len(log_probs_list) != len(prepared):
+        raise ValueError(f"{len(log_probs_list)} log_probs for {len(prepared)} targets")
+    lps = [_log_probs(lp) for lp in log_probs_list]
+    for lp, target in zip(lps, prepared):
+        if lp.shape != (target.n_frames, target.vocab_size):
+            raise ValueError(f"log_probs are {lp.shape}, the target is prepared for "
+                             f"({target.n_frames}, {target.vocab_size})")
+    if not lps:
         return []
-    exts = [_extend_target(target, blank) for _, target in checked]
-    offsets = np.cumsum([0] + [2 * ext.size + 6 for ext in exts])
-    T_max = max(lp.shape[0] for lp, _ in checked)
+    skip_mask = np.concatenate([target.skip for target in prepared])
+    horizon = np.concatenate([target.horizon for target in prepared])
+    offsets = np.cumsum([0] + [target.skip.size for target in prepared])
+    T_max = max(lp.shape[0] for lp in lps)
     W = int(offsets[-1])
-    rows = np.full((T_max, W), NEG_INF)
-    skip_mask = np.zeros(W, dtype=bool)
+    # Every cell left unwritten here (a pad, or a row past its utterance's
+    # end) is dead, so the dead mask sets it to -inf.
+    rows = np.empty((T_max, W))
     start = []
     blocks = []
-    for (lp, _), ext, off in zip(checked, exts, offsets):
-        T, S = lp.shape[0], ext.size
-        a, b = off + 2, off + S + 5   # first alpha column, first reversed-beta column
-        lp_ext = lp[:, ext]
+    for lp, target, off in zip(lps, prepared, offsets):
+        T, S = lp.shape[0], target.states.size
+        a, b = off + 2, off + S + 5   # first alpha and reversed-beta columns, as prepared
+        lp_ext = lp[:, target.states]
         rows[:T, a:a + S] = lp_ext
         rows[:T, b:b + S] = lp_ext[::-1, ::-1]
-        # A state may inherit from s-2 when it is a new label distinct from
-        # the one two slots back (skipping the blank in between).
-        skip_ok = np.zeros(S, dtype=bool)
-        skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-        skip_mask[a:a + S] = skip_ok
-        skip_mask[b + 2:b + S] = skip_ok[::-1][:-2]   # the same rule on reversed states
         start += [a, a + 1, b, b + 1]
         blocks.append((T, S, a, b))
+    np.copyto(rows, NEG_INF, where=np.arange(T_max)[:, None] > horizon)
     first = rows[0, start]
     rows[0] = NEG_INF
     rows[0, start] = first
@@ -226,16 +300,17 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int,
     valid for any logits whose softmax equals ``exp(log_probs)``.
 
     ``lattice`` is this pair's entry of :func:`ctc_lattices` over a
-    minibatch; without one, a minibatch of this pair alone is advanced. In
+    minibatch; without one, the target is prepared and a minibatch of this
+    pair alone is advanced (a bad matrix is refused before a bad target). In
     the lattice's block every label state sits on an odd column, which is
     where the skip transition runs (see :func:`ctc_lattices`). The
     occupancy scatter onto the z output symbols is one ``bincount``, which
     adds in input order: states in increasing ``s``, as a per-state loop
     would.
     """
-    if lattice is None:
-        (lattice,) = ctc_lattices([log_probs], [target], blank)
     lp = np.asarray(log_probs, dtype=np.float64)
+    if lattice is None:
+        (lattice,) = ctc_lattices([lp], [prepare_target(target, *_log_probs(lp).shape, blank)])
     ext = _extend_target(np.asarray(target, dtype=np.int64), blank)
     T, z = lp.shape
     S = ext.size

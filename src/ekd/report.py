@@ -73,24 +73,35 @@ class ResultTable:
         return "\n".join(lines)
 
     @classmethod
-    def from_tsv(cls, text: str) -> "ResultTable":
+    def from_tsv(cls, text: str, source: str = "the results table") -> "ResultTable":
+        """The table ``to_tsv`` wrote. A row that does not parse, or a cell
+        whose status is not ``ok``, is a ValueError naming ``source`` and
+        the line."""
         table = cls()
-        lines = [ln for ln in text.splitlines() if ln]
-        for ln in lines[1:]:
+        rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln][1:]
+        for lineno, ln in rows:
             parts = ln.split("\t")
-            test_set, model, lm, _, sub, ins, dele, refw, status = parts
-            if status != CellResult.status:
-                raise ValueError(f"cell {model} on {test_set} (lm {lm}) has status "
-                                 f"{status!r}; delete it and re-run 'evaluate'")
-            table.set(test_set, model, lm == "on",
-                      WerBreakdown(int(sub), int(ins), int(dele), int(refw)))
+            try:
+                if len(parts) != 9:
+                    raise ValueError(f"{len(parts)} fields, expected 9")
+                test_set, model, lm, _, sub, ins, dele, refw, status = parts
+                if status != CellResult.status:
+                    raise ValueError(f"cell {model} on {test_set} (lm {lm}) has status "
+                                     f"{status!r}")
+                if lm not in ("on", "off"):
+                    raise ValueError(f"lm is {lm!r}, not 'on' or 'off'")
+                breakdown = WerBreakdown(int(sub), int(ins), int(dele), int(refw))
+            except ValueError as error:
+                raise ValueError(f"{source} line {lineno}: {error}; delete {source} and "
+                                 "re-run 'evaluate'") from None
+            table.set(test_set, model, lm == "on", breakdown)
         return table
 
     @classmethod
     def from_cell_files(cls, paths: list[Path]) -> "ResultTable":
         table = cls()
         for p in sorted(paths):
-            sub = cls.from_tsv(Path(p).read_text())
+            sub = cls.from_tsv(Path(p).read_text(), str(p))
             table.cells.update(sub.cells)
         return table
 

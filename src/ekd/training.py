@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .ctc import PosteriorSequence, ctc_lattices, greedy_decode, log_softmax, softmax, target_error
+from .ctc import (PosteriorSequence, ctc_lattices, greedy_decode, log_softmax, prepare_target,
+                  softmax)
 from .kd import KdConfig, SoftLabelMode, soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
@@ -74,23 +75,29 @@ def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: Model
     """The one deterministic loop: a fresh model fitted on ``utterances`` of
     ``corpus`` with the weighted CTC loss, with its ``training_meta`` (plus
     the caller's ``meta`` keys) set. ``targets[i]`` is the CTC target of
-    ``utterances[i]`` and ``weights[i]`` scales its loss; a target that
-    cannot be scored (see :func:`~ekd.ctc.target_error`) is a ValueError
-    naming the corpus and utterance, raised before the first step.
+    ``utterances[i]`` and ``weights[i]`` scales its loss.
+
+    Every target is prepared once, before the first step (see
+    :func:`~ekd.ctc.prepare_target`); one that cannot be scored (empty, out
+    of the vocabulary, holding the blank, or longer than its utterance
+    allows) is a ValueError naming the corpus and utterance.
 
     A minibatch runs every forward pass, then advances all its lattices in
-    one :func:`~ekd.ctc.ctc_lattices` call, then scores and back-propagates
-    each utterance in index order. Batch reduction is the mean over the
-    minibatch, summed in utterance-index order."""
+    one :func:`~ekd.ctc.ctc_lattices` call over the prepared targets, then
+    scores and back-propagates each utterance in index order. Batch
+    reduction is the mean over the minibatch, summed in utterance-index
+    order."""
     if not utterances:
         raise ValueError(f"corpus {corpus.name!r}: no utterance to train on")
-    for utt, target in zip(utterances, targets):
-        error = target_error(target, utt.num_frames)
-        if error is not None:
-            raise ValueError(f"corpus {corpus.name!r}: transcript of {utt.id} cannot be "
-                             f"scored: {error}")
     vocab = corpus.vocabulary
     blank = vocab.blank_index
+    prepared = []
+    for utt, target in zip(utterances, targets):
+        try:
+            prepared.append(prepare_target(target, utt.num_frames, vocab.size, blank))
+        except ValueError as error:
+            raise ValueError(f"corpus {corpus.name!r}: transcript of {utt.id} cannot be "
+                             f"scored: {error}") from error
     model = init_model(model_cfg, corpus.feature_dim, vocab.size, vocab.content_hash())
     opt = _Optimizer(cfg, model.weights)
     shuffle_rng = np.random.default_rng(cfg.seed)
@@ -107,7 +114,7 @@ def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: Model
                                                     with_cache=True)
                 caches.append(cache)
                 log_probs.append(log_softmax(logits))
-            lattices = ctc_lattices(log_probs, [targets[idx] for idx in batch], blank)
+            lattices = ctc_lattices(log_probs, [prepared[idx] for idx in batch])
             grads = [np.zeros_like(w) for w in model.weights]
             for idx, lp, cache, lattice in zip(batch, log_probs, caches, lattices):
                 result = soft_ctc_kd_loss(lp, targets[idx], weights[idx], blank, lattice)

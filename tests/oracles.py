@@ -101,11 +101,10 @@ def fd_ctc_gradient(logits: np.ndarray, target, blank: int, eps: float = 1e-5) -
     return grad
 
 
-def two_pass_ctc_loss(log_probs: np.ndarray, target, blank: int) -> tuple[float, np.ndarray]:
-    """CTC loss and logit gradient by separate alpha and beta passes, each
-    frame built with concatenate/where, and a per-state gamma loop: the
-    arithmetic ``ekd.ctc.ctc_loss`` must repeat bit for bit. Raises
-    ValueError with ``ctc_loss``'s messages on the same inputs."""
+def two_pass_lattice(log_probs: np.ndarray, target, blank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alpha and beta, ``[T, S]`` each, by separate passes with each frame
+    built with concatenate/where. Raises ValueError with ``ctc_loss``'s
+    messages for an unscorable pair."""
     lp = np.asarray(log_probs, dtype=np.float64)
     if lp.ndim != 2 or lp.shape[0] < 1:
         raise ValueError("log_probs must be [T>=1, z]")
@@ -141,10 +140,6 @@ def two_pass_ctc_loss(log_probs: np.ndarray, target, blank: int) -> tuple[float,
         skip = np.where(skip_ok, skip, neg_inf)
         alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) + lp_ext[t]
 
-    log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
-    if not np.isfinite(log_p):
-        raise ValueError("target has zero probability under the given posteriors")
-
     beta = np.full((T, S), neg_inf)
     beta[T - 1, S - 1] = lp_ext[T - 1, S - 1]
     beta[T - 1, S - 2] = lp_ext[T - 1, S - 2]
@@ -156,6 +151,24 @@ def two_pass_ctc_loss(log_probs: np.ndarray, target, blank: int) -> tuple[float,
         skip = np.concatenate((nxt[2:], [neg_inf, neg_inf]))
         skip = np.where(skip_fwd, skip, neg_inf)
         beta[t] = np.logaddexp(np.logaddexp(nxt, step), skip) + lp_ext[t]
+    return alpha, beta
+
+
+def two_pass_ctc_loss(log_probs: np.ndarray, target, blank: int) -> tuple[float, np.ndarray]:
+    """CTC loss and logit gradient from :func:`two_pass_lattice` and a
+    per-state gamma loop: the arithmetic ``ekd.ctc.ctc_loss`` must repeat
+    bit for bit. Raises ValueError with ``ctc_loss``'s messages on the same
+    inputs."""
+    alpha, beta = two_pass_lattice(log_probs, target, blank)
+    lp = np.asarray(log_probs, dtype=np.float64)
+    T, z = lp.shape
+    S = alpha.shape[1]
+    ext = np.full(S, blank, dtype=np.int64)
+    ext[1::2] = target
+    lp_ext = lp[:, ext]
+    log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
+    if not np.isfinite(log_p):
+        raise ValueError("target has zero probability under the given posteriors")
 
     ab = alpha + beta
     with np.errstate(invalid="ignore", over="ignore"):

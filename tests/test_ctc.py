@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from ekd.ctc import (InfeasibleTargetError, PosteriorSequence, collapse_alignment,
                      ctc_lattices, ctc_loss, greedy_decode, log_softmax, min_frames_for_target,
-                     softmax)
+                     prepare_target, softmax)
 
 from conftest import random_posteriors
-from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss
+from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss, two_pass_lattice
 
 
 # -- softmax -------------------------------------------------------------------
@@ -231,13 +231,21 @@ def _spoil(kind, lp, target, z, blank):
     return lp, target
 
 
+def _lattices(pairs, z, blank, frames=None):
+    """``ctc_lattices`` of ``pairs`` with targets prepared for ``frames``
+    (default: each pair's own frame count)."""
+    frames = frames or [len(lp) for lp, _ in pairs]
+    prepared = [prepare_target(t, T, z, blank) for (_, t), T in zip(pairs, frames)]
+    return ctc_lattices([lp for lp, _ in pairs], prepared)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_batched_lattices_are_bit_identical_per_utterance(data):
     """Ragged minibatches: every utterance's loss and gradient read from its
     lattice are the bits of ``ctc_loss`` alone and of the two-pass
-    reference, and an unscorable pair anywhere in the batch raises what it
-    raises alone."""
+    reference, and an unscorable pair anywhere in the batch raises, on
+    preparing its target or on advancing the batch, what it raises alone."""
     z = data.draw(st.integers(2, 12), label="z")
     blank = data.draw(st.integers(0, z - 1), label="blank")
     B = data.draw(st.integers(1, 16), label="B")
@@ -246,15 +254,16 @@ def test_batched_lattices_are_bit_identical_per_utterance(data):
                                      "infeasible"]), label="bad")
     if bad is not None:
         at = data.draw(st.integers(0, B - 1), label="bad_at")
+        frames = [len(lp) for lp, _ in pairs]
         pairs[at] = _spoil(bad, *pairs[at], z, blank)
         with pytest.raises(ValueError) as alone:
             ctc_loss(*pairs[at], blank)
         with pytest.raises(ValueError) as batched:
-            ctc_lattices([lp for lp, _ in pairs], [t for _, t in pairs], blank)
+            _lattices(pairs, z, blank, frames)
         assert type(batched.value) is type(alone.value)
         assert str(batched.value) == str(alone.value)
         return
-    lattices = ctc_lattices([lp for lp, _ in pairs], [t for _, t in pairs], blank)
+    lattices = _lattices(pairs, z, blank)
     for (lp, target), lattice in zip(pairs, lattices):
         try:
             want_loss, want_grad = two_pass_ctc_loss(lp, target, blank)
@@ -269,11 +278,43 @@ def test_batched_lattices_are_bit_identical_per_utterance(data):
             assert np.array_equal(got.grad_logits, want_grad)
 
 
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_live_cells_match_two_pass_and_dead_cells_are_neg_inf(data):
+    """Ragged minibatches: a cell of alpha (beta) on which no path can still
+    finish (start) is dead and -inf; every other cell has the bits of
+    separate alpha and beta passes. Liveness comes from the reference run
+    on all-zero log posteriors, where a cell is finite iff a path reaches
+    it at all."""
+    z = data.draw(st.integers(2, 12), label="z")
+    blank = data.draw(st.integers(0, z - 1), label="blank")
+    pairs = [_draw_pair(data, z, blank) for _ in range(data.draw(st.integers(1, 16), label="B"))]
+    for (lp, target), (alpha, beta) in zip(pairs, _lattices(pairs, z, blank)):
+        want_alpha, want_beta = two_pass_lattice(lp, target, blank)
+        can_start, can_finish = (np.isfinite(x) for x in two_pass_lattice(np.zeros_like(lp),
+                                                                          target, blank))
+        assert alpha.shape == beta.shape == want_alpha.shape
+        for got, want, live in ((alpha, want_alpha, can_finish), (beta, want_beta, can_start)):
+            assert np.array_equal(got[live], want[live])
+            assert np.all(got[~live] == -np.inf)
+
+
 def test_lattice_of_another_pair_rejected():
     uniform = np.log(np.full((5, 3), 1 / 3))
-    (lattice,) = ctc_lattices([uniform[:4]], [[0, 1]], blank=2)
+    (lattice,) = ctc_lattices([uniform[:4]], [prepare_target([0, 1], 4, 3, blank=2)])
     with pytest.raises(ValueError, match="lattice"):
         ctc_loss(uniform, [0, 1], blank=2, lattice=lattice)
+
+
+@pytest.mark.parametrize("lp", [np.zeros((5, 3)), np.zeros((4, 4))], ids=["frames", "symbols"])
+def test_log_probs_of_another_shape_rejected(lp):
+    with pytest.raises(ValueError, match=r"the target is prepared for \(4, 3\)"):
+        ctc_lattices([lp], [prepare_target([0, 1], 4, 3, blank=2)])
+
+
+def test_lattices_need_one_target_per_matrix():
+    with pytest.raises(ValueError, match="2 log_probs for 1 targets"):
+        ctc_lattices([np.zeros((4, 3))] * 2, [prepare_target([0, 1], 4, 3, blank=2)])
 
 
 def test_packed_recursion_matches_two_pass_on_exact_zeros():

@@ -24,10 +24,27 @@ def test_cell_not_ok_is_refused():
     # A failed cell an older evaluate wrote is reported, not shown as "---".
     header, *rows = make_table().to_tsv().splitlines()
     failed = "d_test\tstudent_y\toff\t\t\t\t\t\tfailed: boom"
-    with pytest.raises(ValueError, match="cell student_y on d_test \\(lm off\\) has status "
-                                         "'failed: boom'; delete it and re-run 'evaluate'"):
+    with pytest.raises(ValueError, match="line 5: cell student_y on d_test \\(lm off\\) has "
+                                         "status 'failed: boom'; delete the results table "
+                                         "and re-run 'evaluate'"):
         ResultTable.from_tsv("\n".join([header, *rows, failed]) + "\n")
     assert all(cell.status == "ok" for cell in make_table().cells.values())
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("d_test\tteacher_a\toff\t0.25\t1", "5 fields, expected 9"),
+    ("d_test\tteacher_a\toff\t0.25\t1\tx\t0\t8\tok", "invalid literal for int"),
+    ("d_test\tteacher_a\tyes\t0.25\t1\t1\t0\t8\tok", "lm is 'yes', not 'on' or 'off'")],
+    ids=["short-row", "non-integer-count", "bad-lm"])
+def test_unparsable_cell_file_names_file_and_line(tmp_path, row, problem):
+    header, good = make_table().to_tsv().splitlines()[:2]
+    ok, bad = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    ok.write_text(f"{header}\n{good}\n")
+    bad.write_text(f"{header}\n\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        ResultTable.from_cell_files([ok, bad])
+    assert str(err.value).startswith(f"{bad} line 3: {problem}")
+    assert str(err.value).endswith(f"; delete {bad} and re-run 'evaluate'")
 
 
 def test_text_table_lists_models_by_test_set():

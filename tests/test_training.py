@@ -7,7 +7,7 @@ import pytest
 from ekd.config import build_transform
 from ekd.corpus import Corpus, DomainSpec, Utterance, generate_corpus, transcript_read_count
 from ekd import training
-from ekd.ctc import PosteriorSequence, ctc_lattices, ctc_loss, log_softmax
+from ekd.ctc import PosteriorSequence, ctc_lattices, ctc_loss, log_softmax, prepare_target
 from ekd.kd import KdConfig, SoftLabelMode
 from ekd.model import ModelConfig, forward_features, init_model
 from ekd.selection import Strategy, TeacherBundle, select_corpus
@@ -266,8 +266,8 @@ def test_snapshot_hook_cadence(corpus):
 
 # -- minibatch lattices -----------------------------------------------------------
 
-def _one_at_a_time(log_probs_list, targets, blank):
-    return [ctc_lattices([lp], [t], blank)[0] for lp, t in zip(log_probs_list, targets)]
+def _one_at_a_time(log_probs_list, prepared):
+    return [ctc_lattices([lp], [t])[0] for lp, t in zip(log_probs_list, prepared)]
 
 
 def test_batched_lattices_train_bit_identical_models(teacher, corpus, monkeypatch):
@@ -284,6 +284,18 @@ def test_batched_lattices_train_bit_identical_models(teacher, corpus, monkeypatc
     for got, want in zip(both(), batched):
         assert got.training_meta["loss_curve"] == want.training_meta["loss_curve"]
         assert all(np.array_equal(g, w) for g, w in zip(got.weights, want.weights))
+
+
+def test_each_target_is_prepared_once_per_run(corpus, monkeypatch):
+    prepared = []
+
+    def counting(target, n_frames, z, blank):
+        prepared.append((tuple(target), n_frames))
+        return prepare_target(target, n_frames, z, blank)
+
+    monkeypatch.setattr(training, "prepare_target", counting)
+    train_teacher(corpus, MODEL_CFG, dataclasses.replace(TRAIN_CFG, epochs=3))
+    assert prepared == [(tuple(u.transcript), u.num_frames) for u in corpus.utterances]
 
 
 def _posteriors(labels, top, uid):
@@ -313,14 +325,20 @@ def test_select_records_an_unscorable_winner_as_skipped(caplog):
         "selection failed for u1: target must be non-empty"]
 
 
-@pytest.mark.parametrize("unscorable", ["empty", "infeasible"])
+@pytest.mark.parametrize("transcript, reason", [
+    ([], "target must be non-empty"),
+    ("too long", "needs {} frames, got {}"),
+    ([1, VOCAB.size], "target index out of range"),
+    ([-1, 1], "target index out of range"),
+    ([1, VOCAB.blank_index], "target must not contain the blank symbol")],
+    ids=["empty", "infeasible", "out-of-range", "negative", "blank"])
 def test_unscorable_pseudo_transcript_fails_before_training(teacher, spec, monkeypatch,
-                                                            unscorable):
+                                                            transcript, reason):
     small = generate_corpus(spec, VOCAB, 8, seed=21)
     bad = small.utterances[3]
-    transcript, reason = (([], "target must be non-empty") if unscorable == "empty" else
-                          ([1, 2] * bad.num_frames,
-                           f"needs {2 * bad.num_frames} frames, got {bad.num_frames}"))
+    if transcript == "too long":
+        transcript, reason = [1, 2] * bad.num_frames, reason.format(2 * bad.num_frames,
+                                                                    bad.num_frames)
     outcomes = [dataclasses.replace(o, pseudo_transcript=transcript) if o.utterance_id == bad.id
                 else o for o in make_selection(teacher, small).outcomes]
     monkeypatch.setattr(training, "init_model",
