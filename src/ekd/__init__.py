@@ -1,7 +1,7 @@
 """Ensemble knowledge distillation for CTC sequence models.
 
 Library surface: synthetic multi-domain corpora, CTC loss/decoding, the
-distillation objectives, ensemble teacher selection strategies, an n-gram LM
+weighted distillation loss, ensemble teacher selection strategies, an n-gram LM
 with beam decoding and WER scoring, a small trainable acoustic model, and
 SVCCA representation analysis. The ``ekd`` CLI orchestrates the full
 experiment pipeline.
@@ -12,7 +12,7 @@ from .corpus import (Corpus, DomainSpec, Utterance, generate_corpus, load_corpus
                      save_corpus, split_corpus, transcript_read_count)
 from .ctc import (CtcLossResult, InfeasibleTargetError, PosteriorSequence, collapse_alignment,
                   ctc_loss, greedy_decode, softmax)
-from .kd import KdConfig, SoftLabelMode, soft_ctc_kd_loss
+from .kd import soft_ctc_kd_loss
 from .lm import NgramLm, load_arpa, save_arpa, train_lm
 from .model import ModelCheckpoint, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import run_pipeline

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,6 @@ import yaml
 
 from .beam import BeamConfig
 from .corpus import DomainSpec
-from .kd import KdConfig
 from .model import ModelConfig
 from .selection import Strategy
 from .training import TrainConfig
@@ -127,7 +125,6 @@ class ExperimentConfig:
     word_length: tuple[int, int] = (2, 5)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    kd: KdConfig = field(default_factory=KdConfig)
     beam: BeamConfig = field(default_factory=BeamConfig)
     lm_order: int = 3
     strategies: list[str] = field(default_factory=lambda: [
@@ -235,12 +232,12 @@ class ExperimentConfig:
 
 def _plain(value):
     """YAML-ready data for a config value: a dataclass becomes a mapping of its
-    fields, a tuple or list a list, an enum its value."""
+    fields, a tuple or list a list."""
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    return value.value if isinstance(value, Enum) else value
+    return value
 
 
 def _build(cls, mapping, key: str = ""):
@@ -286,7 +283,7 @@ def _field(tp, value, key: str):
             args = (args[0],) * len(value)
         items = [_field(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value))]
         return tuple(items) if origin is tuple else items
-    if tp in _SCALARS:  # enum fields are checked by their dataclass
+    if tp in _SCALARS:
         accepts, name = _SCALARS[tp]
         if not isinstance(value, accepts) or (isinstance(value, bool) and tp is not bool):
             raise ValueError(f"config key {key!r} must be {name}")

@@ -110,19 +110,6 @@ def min_frames_for_target(target: np.ndarray) -> int:
     return int(target.size + repeats)
 
 
-def target_error(target, n_frames: int) -> ValueError | None:
-    """Why ``target`` cannot be scored over ``n_frames`` frames (it is empty,
-    or needs more frames than there are: InfeasibleTargetError), or None."""
-    target = np.asarray(target, dtype=np.int64)
-    if target.size == 0:
-        return ValueError("target must be non-empty")
-    need = min_frames_for_target(target)
-    if n_frames < need:
-        return InfeasibleTargetError(
-            f"target of length {target.size} needs {need} frames, got {n_frames}")
-    return None
-
-
 def _extend_target(target: np.ndarray, blank: int) -> np.ndarray:
     ext = np.full(2 * target.size + 1, blank, dtype=np.int64)
     ext[1::2] = target
@@ -171,15 +158,16 @@ def prepare_target(target, n_frames: int, z: int, blank: int) -> CtcTarget:
     reversed states, which are the blank-extended reversed target, so both
     halves follow the same rule."""
     target = np.asarray(target, dtype=np.int64)
-    unfit = target_error(target, n_frames)
     if target.size == 0:
-        raise unfit
+        raise ValueError("target must be non-empty")
     if target.min() < 0 or target.max() >= z:
         raise ValueError("target index out of range")
     if np.any(target == blank):
         raise ValueError("target must not contain the blank symbol")
-    if unfit is not None:
-        raise unfit
+    need = min_frames_for_target(target)
+    if n_frames < need:
+        raise InfeasibleTargetError(
+            f"target of length {target.size} needs {need} frames, got {n_frames}")
     states = _extend_target(target, blank)
     S = states.size
     skip = np.zeros(2 * S + 6, dtype=bool)

@@ -1,30 +1,16 @@
-"""Distillation objective: the weighted sequence-level CTC loss. Students
+"""The distillation loss: the weighted sequence-level CTC loss. Students
 weight each pseudo-transcript by the teacher's confidence in it; teachers
-train on reference transcripts with weight 1."""
-from __future__ import annotations
+train on reference transcripts with weight 1.
 
-from dataclasses import dataclass
-from enum import Enum
+This module is only ``weight * ctc_loss``. It still exists because the
+benchmark (``perfbench/run.py``) requires ``kd.soft_ctc_kd_loss`` by name
+as a traced layer; folding it into the training loop waits until the
+benchmark no longer does."""
+from __future__ import annotations
 
 import numpy as np
 
 from .ctc import CtcLattice, CtcLossResult, ctc_loss
-
-
-class SoftLabelMode(str, Enum):
-    POSTERIOR_WEIGHTED_CTC = "posterior_weighted_ctc"
-    HARD_PSEUDO_LABEL = "hard_pseudo_label"
-
-
-@dataclass
-class KdConfig:
-    """Distillation settings. The student never sees target labels, so its
-    loss is the distillation loss alone."""
-
-    soft_label_mode: SoftLabelMode = SoftLabelMode.POSTERIOR_WEIGHTED_CTC
-
-    def __post_init__(self) -> None:
-        self.soft_label_mode = SoftLabelMode(self.soft_label_mode)
 
 
 def soft_ctc_kd_loss(student_log_probs: np.ndarray, target, weight: float, blank: int,

@@ -321,7 +321,7 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
         stale = paths.snapshot_dir(f"student_{strat}")
         if hook is None and stale.is_dir():
             shutil.rmtree(stale)
-        model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg, config.kd,
+        model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg,
                               snapshot_hook=hook)
         save_checkpoint(model, paths.student_path(strat))
         logger.info("trained student (%s), final loss: mean %.4f, sum %.2f", strat,
@@ -421,7 +421,10 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
         binio.atomic_write_text(out_txt, report.to_text())
         binio.atomic_write_text(out_diffs, report.diffs_text())
 
-    units = [_Unit("reference run", [original_dir], reference_run),
+    # _run_training always snapshots its last epoch, so an interrupted run
+    # lacks that file and is rebuilt on resume.
+    last = original_dir / f"epoch_{config.train.epochs:04d}.ekdm"
+    units = [_Unit("reference run", [original_dir, last], reference_run),
              _Unit("report", [out_txt, out_diffs], build_report)]
     _run_units("svcca", units, force, needs=[student_train, pseudo_dir],
                load=lambda: load_corpus(student_train))

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import binio
-from .ctc import PosteriorSequence, greedy_decode, target_error
+from .ctc import PosteriorSequence, greedy_decode, prepare_target
 
 logger = logging.getLogger(__name__)
 
@@ -150,7 +150,7 @@ class CorpusSelection:
 def select_corpus(strategy: Strategy | str, bundles: list[TeacherBundle],
                   blank: int) -> CorpusSelection:
     """Apply one strategy to every bundle. An utterance that fails, or whose
-    pseudo-transcript cannot be scored (see :func:`~ekd.ctc.target_error`),
+    pseudo-transcript cannot be scored (see :func:`~ekd.ctc.prepare_target`),
     is skipped and reported rather than aborting the run, so ``skipped``
     names every utterance the student will not train on."""
     strategy = Strategy(strategy)
@@ -167,9 +167,8 @@ def select_corpus(strategy: Strategy | str, bundles: list[TeacherBundle],
             if bundle.per_teacher_posteriors[0].vocab_size != z:
                 raise ValueError("vocabulary size differs across bundles")
             outcome = fn(bundle, blank)
-            error = target_error(outcome.pseudo_transcript, outcome.selected_posteriors.num_frames)
-            if error is not None:
-                raise error
+            prepare_target(outcome.pseudo_transcript, outcome.selected_posteriors.num_frames, z,
+                           blank)
         except ValueError as e:
             logger.warning("selection failed for %s: %s", bundle.utterance_id, e)
             skipped.append((bundle.utterance_id, str(e)))

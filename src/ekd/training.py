@@ -11,7 +11,7 @@ import numpy as np
 from .corpus import Corpus
 from .ctc import (PosteriorSequence, ctc_lattices, greedy_decode, log_softmax, prepare_target,
                   softmax)
-from .kd import KdConfig, SoftLabelMode, soft_ctc_kd_loss
+from .kd import soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
 from .svcca import ActivationMatrix
@@ -167,31 +167,31 @@ def train_teacher(corpus: Corpus, model_cfg: ModelConfig, train_cfg: TrainConfig
 
 
 def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
-                  model_cfg: ModelConfig, train_cfg: TrainConfig, kd_cfg: KdConfig,
+                  model_cfg: ModelConfig, train_cfg: TrainConfig,
                   snapshot_hook=None) -> ModelCheckpoint:
     """Distillation training on teacher-selected soft labels only.
 
     Trains on the utterances of ``target_corpus`` that an outcome names, in
-    corpus order; every such pseudo-transcript must be scorable, as
-    :func:`~ekd.selection.select_corpus` ensures. The target corpus must
-    arrive with transcripts stripped; the loop never reads a target label
-    (auditable via ``corpus.transcript_read_count``).
+    corpus order, each with its pseudo-transcript's loss weighted by the
+    outcome's ``sequence_confidence``; every such pseudo-transcript must be
+    scorable, as :func:`~ekd.selection.select_corpus` ensures. The target
+    corpus must arrive with transcripts stripped; the loop never reads a
+    target label (auditable via ``corpus.transcript_read_count``).
     """
     if any(u.has_transcript for u in target_corpus.utterances):
         raise ValueError("target corpus still carries transcripts; strip them before "
                          "student training")
     by_id = {o.utterance_id: o for o in selections}
-    hard = kd_cfg.soft_label_mode is SoftLabelMode.HARD_PSEUDO_LABEL
     covered = [u for u in target_corpus.utterances if u.id in by_id]
     if len(covered) < len(target_corpus.utterances):
         logger.warning("corpus %r: %d utterances have no selection; skipping them",
                        target_corpus.name, len(target_corpus.utterances) - len(covered))
     outcomes = [by_id[u.id] for u in covered]
     targets = [o.pseudo_transcript for o in outcomes]
-    weights = [1.0 if hard else o.sequence_confidence for o in outcomes]
+    weights = [o.sequence_confidence for o in outcomes]
+    # Earlier checkpoints record this objective; keeping it keeps their bytes.
     return _run_training(target_corpus, covered, targets, weights, model_cfg, train_cfg,
-                         snapshot_hook,
-                         objective=f"soft_ctc_kd/{kd_cfg.soft_label_mode.value}",
+                         snapshot_hook, objective="soft_ctc_kd/posterior_weighted_ctc",
                          covered_utterances=len(covered))
 
 

@@ -276,7 +276,6 @@ def test_criterion_10_layer_difference_trend(default_run):
 
 
 def test_criterion_11_label_free_student(tmp_path):
-    from ekd.kd import KdConfig
     from ekd.corpus import generate_corpus
     from ekd.selection import select_corpus
     from ekd.training import corpus_posteriors, train_student, train_teacher
@@ -292,7 +291,7 @@ def test_criterion_11_label_free_student(tmp_path):
     selection = select_corpus(Strategy.ELITIST, bundles, vocab.blank_index)
     unlabeled = student_corpus.without_transcripts()
     before = transcript_read_count()
-    train_student(selection.outcomes, unlabeled, cfg.model, cfg.train, KdConfig())
+    train_student(selection.outcomes, unlabeled, cfg.model, cfg.train)
     reads = transcript_read_count() - before
     record(11, "instrumented target-transcript reads during student training equal zero",
            reads == 0, f"reads {reads}")

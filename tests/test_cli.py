@@ -6,7 +6,6 @@ import yaml
 from ekd.beam import BeamConfig
 from ekd.cli import main
 from ekd.config import DomainRecipe, SvccaSettings, default_config, load_config, save_config
-from ekd.kd import KdConfig, SoftLabelMode
 from ekd.model import ModelConfig
 from ekd.training import TrainConfig
 
@@ -87,10 +86,13 @@ def test_bad_override_reports_error(tmp_path):
         load_config(out, overrides=["no-equals-sign"])
 
 
-@pytest.mark.parametrize("override, key", [("kd.alpha=0", "kd.alpha"), ("bogus=1", "bogus"),
+@pytest.mark.parametrize("override, key", [("beam.alpha=0", "beam.alpha"), ("bogus=1", "bogus"),
                                            # students train with `train`
                                            ("student_train.epochs=3",
                                             "unknown config key(s): student_train"),
+                                           # students always weight by confidence
+                                           ("kd.soft_label_mode=hard_pseudo_label",
+                                            "unknown config key(s): kd"),
                                            # wrong-shaped values of known keys
                                            ("teacher_domains=null", "teacher_domains"),
                                            # empty values are refused, not the defaults
@@ -131,6 +133,17 @@ def test_unknown_config_key_is_a_cli_error(tmp_path, capsys, override, key):
     assert not out.exists()
 
 
+def test_config_file_with_kd_section_is_a_cli_error(tmp_path, capsys):
+    # What an older `ekd init-config` wrote; the fix is to delete the section.
+    data = default_config().to_dict()
+    data["kd"] = {"soft_label_mode": "posterior_weighted_ctc"}
+    cfg_path, out = tmp_path / "old.yaml", tmp_path / "out"
+    cfg_path.write_text(yaml.safe_dump(data))
+    assert main(["gen-data", "-c", str(cfg_path), "--output-root", str(out)]) == 1
+    assert "error: unknown config key(s): kd\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, message", [
     ("svcca.n_frames=1", "'svcca.n_frames' must be >= 2"),
     ("svcca.n_frames=-1", "'svcca.n_frames' must be >= 2"),
@@ -167,7 +180,6 @@ def test_partial_domain_recipe_names_first_required_key(tmp_path, capsys, overri
 _PARTIAL_SECTIONS = {
     "model": (ModelConfig, {"hidden_sizes": [8]}),
     "train": (TrainConfig, {"epochs": 2}),
-    "kd": (KdConfig, {"soft_label_mode": "hard_pseudo_label"}),
     "beam": (BeamConfig, {"beam_width": 3}),
     "svcca": (SvccaSettings, {"n_frames": 100}),
     "student_domain": (DomainRecipe, {
@@ -201,7 +213,6 @@ def test_non_default_config_round_trips(tmp_path):
     cfg.shared_lexicon_size = 14
     cfg.shared_lexicon_seed = 7
     cfg.word_length = (3, 4)
-    cfg.kd = KdConfig(SoftLabelMode.HARD_PSEUDO_LABEL)
     cfg.lm_order = 2
     cfg.strategies = ["elitist", "teacher_average"]
     cfg.allow_indomain = True

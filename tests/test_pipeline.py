@@ -346,6 +346,40 @@ def test_forced_svcca_applies_new_settings(finished_run, tmp_path):
     assert (paths.svcca / "trajectory.txt").read_bytes() != before
 
 
+def test_interrupted_svcca_reference_run_is_rebuilt(finished_run, tmp_path, monkeypatch):
+    # The snapshot directory exists from the first snapshot on, so only the
+    # final epoch's snapshot tells a finished reference run from a cut one.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    before = (paths.svcca / "trajectory.txt").read_bytes()
+    reference = paths.snapshot_dir("student_original_labels")
+    shutil.rmtree(reference)
+    for name in ("trajectory.txt", "layer_diffs.tsv"):
+        (paths.svcca / name).unlink()
+    import ekd.pipeline as pl
+
+    real = pl._snapshots_into
+
+    def cut_after_first(snap_dir):
+        hook = real(snap_dir)
+
+        def snapshot_then_stop(epoch, ckpt):
+            hook(epoch, ckpt)
+            raise KeyboardInterrupt
+
+        return snapshot_then_stop
+
+    monkeypatch.setattr(pl, "_snapshots_into", cut_after_first)
+    with pytest.raises(KeyboardInterrupt):
+        stage_svcca(cfg, paths.seed, paths)
+    first = cfg.train.eval_every
+    assert sorted(p.name for p in reference.iterdir()) == [f"epoch_{first:04d}.ekdm"]
+    monkeypatch.undo()
+    stage_svcca(cfg, paths.seed, paths)
+    epochs = range(first, cfg.train.epochs + 1, first)
+    assert sorted(p.name for p in reference.iterdir()) == [f"epoch_{e:04d}.ekdm" for e in epochs]
+    assert (paths.svcca / "trajectory.txt").read_bytes() == before
+
+
 def test_resume_touches_nothing(finished_run):
     cfg, root, _ = finished_run
     paths = SeedPaths(root, cfg.seeds[0])

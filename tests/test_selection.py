@@ -7,7 +7,6 @@ from ekd import binio
 from ekd.config import build_transform
 from ekd.corpus import DomainSpec, generate_corpus
 from ekd.ctc import PosteriorSequence, greedy_decode
-from ekd.kd import KdConfig
 from ekd.model import ModelConfig
 from ekd.selection import (SELECTION_FORMAT_VERSION, SelectionOutcome, Strategy, TeacherBundle,
                            elitist_scores, elitist_select, framewise_max, load_posteriors,
@@ -310,7 +309,7 @@ def test_student_trains_the_same_on_a_loaded_selection(tmp_path, rng):
 
     def train(outcomes):
         return train_student(outcomes, corpus, ModelConfig(hidden_sizes=(8,), seed=1),
-                             TrainConfig(epochs=2, batch_size=4, seed=2), KdConfig())
+                             TrainConfig(epochs=2, batch_size=4, seed=2))
 
     in_memory, loaded = train(selection.outcomes), train(load_selection(path)[1].outcomes)
     assert all(np.array_equal(a, b) for a, b in zip(in_memory.weights, loaded.weights))

@@ -8,7 +8,6 @@ from ekd.config import build_transform
 from ekd.corpus import Corpus, DomainSpec, Utterance, generate_corpus, transcript_read_count
 from ekd import training
 from ekd.ctc import PosteriorSequence, ctc_lattices, ctc_loss, log_softmax, prepare_target
-from ekd.kd import KdConfig, SoftLabelMode
 from ekd.model import ModelConfig, forward_features, init_model
 from ekd.selection import Strategy, TeacherBundle, select_corpus
 from ekd.training import (TrainConfig, activation_frame_indices, corpus_posteriors,
@@ -170,7 +169,7 @@ def test_student_never_reads_labels(teacher, corpus):
     unlabeled = corpus.without_transcripts()
     before = transcript_read_count()
     train_student(selection.outcomes, unlabeled, MODEL_CFG,
-                  dataclasses.replace(TRAIN_CFG, epochs=2), KdConfig())
+                  dataclasses.replace(TRAIN_CFG, epochs=2))
     assert transcript_read_count() - before == 0
 
 
@@ -186,7 +185,7 @@ def test_posteriors_refuse_another_vocabulary(teacher, corpus):
 def test_student_requires_stripped_corpus(teacher, corpus):
     selection = make_selection(teacher, corpus)
     with pytest.raises(ValueError, match="strip"):
-        train_student(selection.outcomes, corpus, MODEL_CFG, TRAIN_CFG, KdConfig())
+        train_student(selection.outcomes, corpus, MODEL_CFG, TRAIN_CFG)
 
 
 def test_zero_confidence_freezes_weights(teacher, corpus):
@@ -195,22 +194,10 @@ def test_zero_confidence_freezes_weights(teacher, corpus):
         o.sequence_confidence = 0.0
     unlabeled = corpus.without_transcripts()
     model = train_student(selection.outcomes, unlabeled, MODEL_CFG,
-                          dataclasses.replace(TRAIN_CFG, epochs=2), KdConfig())
+                          dataclasses.replace(TRAIN_CFG, epochs=2))
     fresh = init_model(MODEL_CFG, corpus.feature_dim, VOCAB.size, VOCAB.content_hash())
     for w, f in zip(model.weights, fresh.weights):
         assert np.array_equal(w, f)
-
-
-def test_hard_pseudo_label_mode_ignores_confidence(teacher, corpus):
-    selection = make_selection(teacher, corpus)
-    for o in selection.outcomes:
-        o.sequence_confidence = 0.0
-    unlabeled = corpus.without_transcripts()
-    cfg = dataclasses.replace(TRAIN_CFG, epochs=2)
-    hard = train_student(selection.outcomes, unlabeled, MODEL_CFG, cfg,
-                         KdConfig(soft_label_mode=SoftLabelMode.HARD_PSEUDO_LABEL))
-    fresh = init_model(MODEL_CFG, corpus.feature_dim, VOCAB.size, VOCAB.content_hash())
-    assert any(not np.array_equal(w, f) for w, f in zip(hard.weights, fresh.weights))
 
 
 def test_coverage_gap_skipped(teacher, corpus, caplog):
@@ -219,11 +206,11 @@ def test_coverage_gap_skipped(teacher, corpus, caplog):
     unlabeled = corpus.without_transcripts()
     with caplog.at_level("WARNING"):
         model = train_student(partial, unlabeled, MODEL_CFG,
-                              dataclasses.replace(TRAIN_CFG, epochs=1), KdConfig())
+                              dataclasses.replace(TRAIN_CFG, epochs=1))
     assert "no selection" in caplog.text
     assert model.training_meta["covered_utterances"] == len(corpus) - 3
     with pytest.raises(ValueError, match=f"corpus {corpus.name!r}: no utterance to train on"):
-        train_student([], unlabeled, MODEL_CFG, TRAIN_CFG, KdConfig())
+        train_student([], unlabeled, MODEL_CFG, TRAIN_CFG)
 
 
 def test_training_meta_of_teacher_and_student(teacher, corpus):
@@ -235,12 +222,11 @@ def test_training_meta_of_teacher_and_student(teacher, corpus):
     assert meta["final_sum_loss"] == meta["final_mean_loss"] * len(corpus)
     partial = make_selection(teacher, corpus).outcomes[:-3]
     student = train_student(partial, corpus.without_transcripts(), MODEL_CFG,
-                            dataclasses.replace(TRAIN_CFG, epochs=2),
-                            KdConfig(soft_label_mode=SoftLabelMode.HARD_PSEUDO_LABEL))
+                            dataclasses.replace(TRAIN_CFG, epochs=2))
     meta = student.training_meta
     assert meta.keys() == shared | {"covered_utterances"}
     assert (meta["corpus"], meta["epochs"], meta["objective"], meta["covered_utterances"]) == (
-        corpus.name, 2, "soft_ctc_kd/hard_pseudo_label", len(corpus) - 3)
+        corpus.name, 2, "soft_ctc_kd/posterior_weighted_ctc", len(corpus) - 3)
     assert len(meta["loss_curve"]) == 2
     assert meta["final_mean_loss"] == meta["loss_curve"][-1]
     assert meta["final_sum_loss"] == meta["final_mean_loss"] * (len(corpus) - 3)
@@ -250,7 +236,7 @@ def test_student_learns_from_good_teacher(teacher, corpus, spec):
     selection = make_selection(teacher, corpus)
     unlabeled = corpus.without_transcripts()
     student = train_student(selection.outcomes, unlabeled, MODEL_CFG,
-                            dataclasses.replace(TRAIN_CFG, epochs=10), KdConfig())
+                            dataclasses.replace(TRAIN_CFG, epochs=10))
     held_out = generate_corpus(spec, VOCAB, 16, seed=123)
     teacher_wer = greedy_corpus_wer(teacher, held_out)
     student_wer = greedy_corpus_wer(student, held_out)
@@ -277,7 +263,7 @@ def test_batched_lattices_train_bit_identical_models(teacher, corpus, monkeypatc
 
     def both():
         return (train_teacher(corpus, MODEL_CFG, cfg),
-                train_student(selection.outcomes, unlabeled, MODEL_CFG, cfg, KdConfig()))
+                train_student(selection.outcomes, unlabeled, MODEL_CFG, cfg))
 
     batched = both()
     monkeypatch.setattr(training, "ctc_lattices", _one_at_a_time)
@@ -345,7 +331,7 @@ def test_unscorable_pseudo_transcript_fails_before_training(teacher, spec, monke
                         lambda *args, **kwargs: pytest.fail("training started"))
     with pytest.raises(ValueError, match=f"corpus {small.name!r}: transcript of {bad.id} "
                                          f"cannot be scored: .*{reason}"):
-        train_student(outcomes, small.without_transcripts(), MODEL_CFG, TRAIN_CFG, KdConfig())
+        train_student(outcomes, small.without_transcripts(), MODEL_CFG, TRAIN_CFG)
 
 
 def test_student_with_nothing_scorable_names_the_corpus(teacher, corpus):
@@ -354,7 +340,7 @@ def test_student_with_nothing_scorable_names_the_corpus(teacher, corpus):
     first = corpus.utterances[0].id
     with pytest.raises(ValueError, match=f"corpus {corpus.name!r}: transcript of {first} "
                                          "cannot be scored: target must be non-empty"):
-        train_student(outcomes, corpus.without_transcripts(), MODEL_CFG, TRAIN_CFG, KdConfig())
+        train_student(outcomes, corpus.without_transcripts(), MODEL_CFG, TRAIN_CFG)
 
 
 # -- activation dumps --------------------------------------------------------------
