@@ -45,8 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         if name == "report":
             p.add_argument("--summary", action="store_true",
                            help="cross-seed summary instead of one seed")
-            p.add_argument("--win-counts", action="store_true",
-                           help="print per-teacher win counts")
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -77,9 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             table = run_stage(args.command, config, seed, paths, force=args.force, **kwargs)
             if table is not None:
                 print(table.to_text())
-        if args.command == "report" and args.win_counts:
-            print((paths.report / "win_counts.txt").read_text(), end="")
-    except (PipelineError, ValueError, FileNotFoundError) as e:
+    except (PipelineError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -133,7 +133,6 @@ class ExperimentConfig:
     output_root: str = "runs/default"
     probe_wer_threshold: float | None = 0.15
     svcca: SvccaSettings = field(default_factory=SvccaSettings)
-    allow_indomain: bool = False
 
     def __post_init__(self) -> None:
         if not self.teacher_domains:
@@ -174,8 +173,7 @@ class ExperimentConfig:
         return default_vocabulary(self.vocabulary_letters)
 
     def validate_ood(self) -> None:
-        """The student domain must differ from every teacher domain unless
-        in-domain runs were explicitly allowed."""
+        """The student domain must differ from every teacher domain."""
         self.expand_domains()
 
     def expand_domains(self) -> dict[str, DomainSpec]:
@@ -215,10 +213,8 @@ class ExperimentConfig:
         student = self.student_domain.name
         for t in teachers:
             if not specs[student].differs_from(specs[t]):
-                if not self.allow_indomain:
-                    raise ValueError(
-                        f"student domain {student!r} does not differ from teacher domain "
-                        f"{t!r}; set config key 'allow_indomain' to true to override")
+                raise ValueError(f"student domain {student!r} does not differ from teacher "
+                                 f"domain {t!r}")
         return specs
 
     # -- (de)serialization -------------------------------------------------
@@ -308,7 +304,10 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             node = node[p]
             if not isinstance(node, dict):
                 raise ValueError(f"override {item!r}: {p!r} is not a mapping")
-        node[parts[-1]] = yaml.safe_load(raw)
+        try:
+            node[parts[-1]] = yaml.safe_load(raw)
+        except yaml.YAMLError as e:
+            raise ValueError(f"override {item!r}: the value is not valid YAML ({e})") from None
     return data
 
 
@@ -318,7 +317,10 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
     data = {}
     if path is not None:
         with open(path) as f:
-            data = yaml.safe_load(f) or {}
+            try:
+                data = yaml.safe_load(f) or {}
+            except yaml.YAMLError as e:
+                raise ValueError(f"{path}: not valid YAML ({e})") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config root must be a mapping")
     return ExperimentConfig.from_dict(apply_overrides(data, overrides or []))

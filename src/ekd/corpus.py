@@ -1,7 +1,6 @@
 """Utterance/corpus data model, synthetic domain generation, and persistence."""
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -223,8 +222,7 @@ def save_corpus(corpus: Corpus, path) -> None:
 def load_corpus(path) -> Corpus:
     """The corpus saved at ``path``. Header and record keys it does not read,
     such as the ``domain_tag`` and ``generation_seed`` of older files, are
-    ignored, and an older file's split name ``<domain>/split<N>`` is read as
-    ``<domain>``."""
+    ignored."""
     header, records = binio.read_container(path, "corpus", CORPUS_FORMAT_VERSION)
     vocab = Vocabulary(**header["vocabulary"])
     if vocab.content_hash() != header["vocabulary_hash"]:
@@ -234,8 +232,7 @@ def load_corpus(path) -> Corpus:
     for meta, features in binio.decode_records(path, records, widths):
         transcript = None if meta["transcript"] is None else np.asarray(meta["transcript"], dtype=np.int64)
         utterances.append(Utterance(meta["id"], features, transcript))
-    name = re.sub(r"/split\d+\Z", "", header["name"])
-    return Corpus(name=name, vocabulary=vocab, utterances=utterances)
+    return Corpus(name=header["name"], vocabulary=vocab, utterances=utterances)
 
 
 def split_corpus(corpus: Corpus, n_first: int, seed: int) -> tuple[Corpus, Corpus]:

@@ -88,8 +88,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def collapse_alignment(path, blank: int) -> np.ndarray:
     """CTC collapse: drop consecutive repeats, then drop blanks."""
     path = np.asarray(path, dtype=np.int64)
-    if path.size == 0:
-        return path
     keep = np.ones(path.size, dtype=bool)
     keep[1:] = path[1:] != path[:-1]
     dedup = path[keep]
@@ -104,8 +102,6 @@ def greedy_decode(posteriors: PosteriorSequence, blank: int) -> np.ndarray:
 def min_frames_for_target(target: np.ndarray) -> int:
     """Shortest path length: one frame per label plus a blank between repeats."""
     target = np.asarray(target, dtype=np.int64)
-    if target.size == 0:
-        return 0
     repeats = int(np.sum(target[1:] == target[:-1]))
     return int(target.size + repeats)
 

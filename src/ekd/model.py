@@ -78,8 +78,6 @@ def init_model(config: ModelConfig, feature_dim: int, vocab_size: int,
 
 def context_expand(features: np.ndarray, window: int) -> np.ndarray:
     """Concatenate each frame with its +-window neighbours (zero padding)."""
-    if window == 0:
-        return features
     T, F = features.shape
     padded = np.zeros((T + 2 * window, F))
     padded[window:window + T] = features

@@ -317,10 +317,6 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
     def build(strat, unlabeled) -> None:
         selection = _load_checked(load_selection, paths.selection_path(strat), config)
         hook = _snapshots_into(snap_dir) if strat == analysed else None
-        # Older runs kept snapshots of every student; nothing reads the others.
-        stale = paths.snapshot_dir(f"student_{strat}")
-        if hook is None and stale.is_dir():
-            shutil.rmtree(stale)
         model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg,
                               snapshot_hook=hook)
         save_checkpoint(model, paths.student_path(strat))
@@ -426,7 +422,10 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
     last = original_dir / f"epoch_{config.train.epochs:04d}.ekdm"
     units = [_Unit("reference run", [original_dir, last], reference_run),
              _Unit("report", [out_txt, out_diffs], build_report)]
-    _run_units("svcca", units, force, needs=[student_train, pseudo_dir],
+    # The elitist checkpoint is saved after its last snapshot, so an
+    # interrupted train-student leaves it missing and pseudo_dir incomplete.
+    _run_units("svcca", units, force,
+               needs=[student_train, pseudo_dir, paths.student_path(Strategy.ELITIST.value)],
                load=lambda: load_corpus(student_train))
 
 

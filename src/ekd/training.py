@@ -212,8 +212,6 @@ def activation_frame_indices(total_frames: int, n_frames: int, seed: int) -> np.
     """Deterministic frame subsample, shared across models and checkpoints."""
     if n_frames > total_frames:
         raise ValueError(f"n_frames {n_frames} exceeds total frames {total_frames}")
-    if n_frames == total_frames:
-        return np.arange(total_frames)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(total_frames, size=n_frames, replace=False))
 

@@ -38,12 +38,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.graphemes)
 
-    def index_of(self, symbol: str) -> int:
-        try:
-            return self.graphemes.index(symbol)
-        except ValueError:
-            raise KeyError(f"unknown grapheme {symbol!r}") from None
-
     def content_hash(self) -> str:
         """SHA-256 over the ordered symbols and the special indices."""
         h = hashlib.sha256()
@@ -67,15 +61,6 @@ class Vocabulary:
                 raise ValueError(f"word {word!r} contains the blank symbol")
             out.append(idx)
         return out
-
-    def words_to_indices(self, words: list[str]) -> np.ndarray:
-        """Encode a word sequence as symbol indices with separators between words."""
-        seq: list[int] = []
-        for k, w in enumerate(words):
-            if k > 0:
-                seq.append(self.word_separator_index)
-            seq.extend(self.word_to_indices(w))
-        return np.asarray(seq, dtype=np.int64)
 
     def indices_to_words(self, seq) -> list[str]:
         """Split a (blank-free) symbol-index sequence into word strings."""

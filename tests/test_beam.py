@@ -209,7 +209,7 @@ def test_lm_queried_through_its_method(monkeypatch):
         return original(self, word, context)
 
     monkeypatch.setattr(NgramLm, "log10_prob", counting)
-    a, b, sep = VOCAB.index_of("a"), VOCAB.index_of("b"), VOCAB.word_separator_index
+    a, b, sep = VOCAB.graphemes.index("a"), VOCAB.graphemes.index("b"), VOCAB.word_separator_index
     probs = np.full((4, VOCAB.size), 0.1)
     for t, g in enumerate((a, sep, b, sep)):
         probs[t, g] = 1.0 - 0.1 * (VOCAB.size - 1)

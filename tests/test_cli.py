@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -37,10 +39,9 @@ def cli_run(tmp_path_factory):
 
 def test_report_after_stages(cli_run, capsys):
     cfg, cfg_path, out, seed = cli_run
-    assert main(["report", "-c", str(cfg_path), "--seed", str(seed), "--win-counts"]) == 0
-    printed = capsys.readouterr().out
-    assert "test set:" in printed
-    assert "win counts" in printed
+    assert main(["report", "-c", str(cfg_path), "--seed", str(seed)]) == 0
+    assert "test set:" in capsys.readouterr().out
+    assert "win counts" in (out / f"seed_{seed}" / "report" / "win_counts.txt").read_text()
 
 
 def test_report_summary_across_seeds(cli_run, capsys):
@@ -215,7 +216,6 @@ def test_non_default_config_round_trips(tmp_path):
     cfg.word_length = (3, 4)
     cfg.lm_order = 2
     cfg.strategies = ["elitist", "teacher_average"]
-    cfg.allow_indomain = True
     default = default_config()
     assert all(getattr(cfg, f.name) != getattr(default, f.name)
                for f in dataclasses.fields(cfg))
@@ -253,10 +253,12 @@ def test_missing_artifact_is_a_cli_error(tmp_path, capsys):
                                   ["train-student", "--strategy", "elitist"],
                                   ["evaluate", "--models", "student_elitist"],
                                   ["gen-data", "--allow-indomain"],
-                                  ["pipeline", "--allow-indomain"]], ids=" ".join)
+                                  ["pipeline", "--allow-indomain"],
+                                  ["report", "--win-counts"]], ids=" ".join)
 def test_removed_flag_is_a_usage_error(tmp_path, capsys, argv):
     """Stage filters are gone (delete a unit's outputs and re-run its stage
-    to rebuild only that unit), and so is the flag form of allow_indomain."""
+    to rebuild only that unit), and so are the flag form of allow_indomain
+    and the printing of report/win_counts.txt."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--output-root", str(out)])
@@ -280,6 +282,55 @@ def test_indomain_guard_via_cli(tmp_path, capsys):
     cfg_path = tmp_path / "c.yaml"
     save_config(cfg, cfg_path)
     assert main(["gen-data", "-c", str(cfg_path)]) == 1
-    assert "set config key 'allow_indomain' to true" in capsys.readouterr().err
-    # the config key lets the in-domain experiment proceed
-    assert main(["gen-data", "-c", str(cfg_path), "--set", "allow_indomain=true"]) == 0
+    assert capsys.readouterr().err == ("error: student domain 'delta' does not differ from "
+                                       "teacher domain 'alpha'\n")
+    # no setting lets the in-domain experiment proceed
+    assert main(["gen-data", "-c", str(cfg_path), "--set", "allow_indomain=true"]) == 1
+    assert capsys.readouterr().err == "error: unknown config key(s): allow_indomain\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_file_with_allow_indomain_is_a_cli_error(tmp_path, capsys):
+    # What an older `ekd init-config` wrote; the fix is to delete the line.
+    data = default_config().to_dict()
+    data["allow_indomain"] = False
+    cfg_path, out = tmp_path / "old.yaml", tmp_path / "out"
+    cfg_path.write_text(yaml.safe_dump(data))
+    assert main(["gen-data", "-c", str(cfg_path), "--output-root", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown config key(s): allow_indomain\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["file", "override", "directory"])
+def test_malformed_config_is_a_cli_error(tmp_path, capsys, source):
+    """Unparsable YAML, in a file or a --set value, and a config path that
+    is a directory end in an error line naming the input, not a traceback."""
+    out, bad = tmp_path / "out", tmp_path / "bad.yaml"
+    bad.write_text("seeds: [1, 2\n")
+    argv = {"file": ["-c", str(bad)], "override": ["--set", "seeds=[1,2"],
+            "directory": ["-c", str(tmp_path)]}[source]
+    assert main(["gen-data", "--output-root", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert {"file": str(bad), "override": "seeds=[1,2", "directory": str(tmp_path)}[source] in err
+    assert not out.exists()
+
+
+def _schema_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config schema", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_schema_matches_the_config():
+    """The README's schema lists every config key and no other: the
+    top-level keys, those of each section and those of a domain recipe. It
+    abbreviates `student_domain` to its name."""
+    text = re.sub(r"[ \t]*#.*", "", _schema_block())
+    shown = yaml.safe_load(text.replace(", ...", ""))
+    config = default_config().to_dict()
+    assert shown.keys() == config.keys()
+    for section in ("model", "train", "beam", "svcca"):
+        assert shown[section].keys() == config[section].keys(), section
+    assert [d.keys() for d in shown["teacher_domains"]] == [config["teacher_domains"][0].keys()]
+    assert shown["student_domain"].keys() == {"name"}

@@ -34,9 +34,9 @@ def test_zero_noise_single_frames_exact(vocab):
     utt = corpus.utterances[0]
     protos = symbol_prototypes(vocab, spec.feature_dim) @ spec.feature_scale.T + spec.feature_bias
     assert utt.num_frames == 2
-    assert np.array_equal(utt.features[0], protos[vocab.index_of("a")])
-    assert np.array_equal(utt.features[1], protos[vocab.index_of("b")])
-    assert list(utt.transcript) == [vocab.index_of("a"), vocab.index_of("b")]
+    assert np.array_equal(utt.features[0], protos[vocab.graphemes.index("a")])
+    assert np.array_equal(utt.features[1], protos[vocab.graphemes.index("b")])
+    assert list(utt.transcript) == [vocab.graphemes.index("a"), vocab.graphemes.index("b")]
 
 
 def test_generation_deterministic(vocab):
@@ -120,10 +120,9 @@ def test_round_trip_hash_regression(tmp_path, vocab):
 
 def test_file_with_domain_tags_still_loads(tmp_path, vocab):
     # Files written before the domain tags were dropped carry "domain_tag" and
-    # "generation_seed" in the header and "domain_tag" in every record, and
-    # are named by their split, "<domain>/split<N>".
+    # "generation_seed" in the header and "domain_tag" in every record.
     corpus = generate_corpus(make_spec(), vocab, 3, seed=1)
-    header = {"name": f"{corpus.name}/split1", "domain_tag": corpus.name, "generation_seed": 1,
+    header = {"name": corpus.name, "domain_tag": corpus.name, "generation_seed": 1,
               "vocabulary": dataclasses.asdict(vocab), "vocabulary_hash": vocab.content_hash(),
               "feature_dim": corpus.feature_dim, "n_utterances": len(corpus)}
     records = [binio.encode_record({"id": u.id, "domain_tag": corpus.name,
@@ -131,7 +130,6 @@ def test_file_with_domain_tags_still_loads(tmp_path, vocab):
                for u in corpus.utterances]
     path = tmp_path / "old.ekdc"
     binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
-    assert load_corpus(path).name == corpus.name
     assert load_corpus(path) == corpus
 
 

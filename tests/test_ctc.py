@@ -38,9 +38,17 @@ def test_softmax_rejects_nonfinite():
 # -- collapse / greedy ----------------------------------------------------------
 
 def test_collapse_examples():
+    assert collapse_alignment([], blank=0).tolist() == []
+    assert collapse_alignment([], blank=0).dtype == np.int64
     assert list(collapse_alignment([0], blank=0)) == []
     assert list(collapse_alignment([1, 1, 2], blank=0)) == [1, 2]
     assert list(collapse_alignment([1, 0, 0, 1, 2, 2], blank=0)) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("target, frames", [([], 0), ([1], 1), ([1, 2], 2), ([1, 1], 3),
+                                             ([2, 2, 2], 5), ([1, 2, 1], 3)])
+def test_min_frames_for_target(target, frames):
+    assert min_frames_for_target(target) == frames
 
 
 def test_greedy_examples():

@@ -70,6 +70,7 @@ def test_context_expand_zero_padding():
     assert np.array_equal(x[0, :2], [0.0, 0.0])      # left pad
     assert np.array_equal(x[0, 2:4], feats[0])
     assert np.array_equal(x[-1, 4:], [0.0, 0.0])     # right pad
+    assert np.array_equal(context_expand(feats, 0), feats)
 
 
 def test_dimension_mismatch(rng):

@@ -281,17 +281,6 @@ def test_forced_student_and_svcca_drop_stale_snapshots(finished_run, tmp_path):
     assert _trajectory_steps(paths) == [2, 3]
 
 
-def test_forced_student_drops_snapshots_of_unanalysed_strategies(finished_run, tmp_path):
-    # Older runs kept per-epoch snapshots of every student.
-    cfg, paths = _copy_run(finished_run, tmp_path)
-    stale = paths.snapshot_dir("student_framewise_max")
-    shutil.copytree(paths.snapshot_dir("student_elitist"), stale)
-    stage_train_student(cfg, paths.seed, paths, force=True)
-    assert not stale.exists()
-    assert sorted(p.name for p in (paths.base / "snapshots").iterdir()) == [
-        "student_elitist", "student_original_labels"]
-
-
 def test_only_the_analysed_student_keeps_snapshots(finished_run):
     cfg, root, _ = finished_run
     paths = SeedPaths(root, cfg.seeds[0])
@@ -346,15 +335,8 @@ def test_forced_svcca_applies_new_settings(finished_run, tmp_path):
     assert (paths.svcca / "trajectory.txt").read_bytes() != before
 
 
-def test_interrupted_svcca_reference_run_is_rebuilt(finished_run, tmp_path, monkeypatch):
-    # The snapshot directory exists from the first snapshot on, so only the
-    # final epoch's snapshot tells a finished reference run from a cut one.
-    cfg, paths = _copy_run(finished_run, tmp_path)
-    before = (paths.svcca / "trajectory.txt").read_bytes()
-    reference = paths.snapshot_dir("student_original_labels")
-    shutil.rmtree(reference)
-    for name in ("trajectory.txt", "layer_diffs.tsv"):
-        (paths.svcca / name).unlink()
+def _cut_after_first_snapshot(monkeypatch):
+    """Make every training run with snapshots stop right after its first one."""
     import ekd.pipeline as pl
 
     real = pl._snapshots_into
@@ -369,6 +351,18 @@ def test_interrupted_svcca_reference_run_is_rebuilt(finished_run, tmp_path, monk
         return snapshot_then_stop
 
     monkeypatch.setattr(pl, "_snapshots_into", cut_after_first)
+
+
+def test_interrupted_svcca_reference_run_is_rebuilt(finished_run, tmp_path, monkeypatch):
+    # The snapshot directory exists from the first snapshot on, so only the
+    # final epoch's snapshot tells a finished reference run from a cut one.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    before = (paths.svcca / "trajectory.txt").read_bytes()
+    reference = paths.snapshot_dir("student_original_labels")
+    shutil.rmtree(reference)
+    for name in ("trajectory.txt", "layer_diffs.tsv"):
+        (paths.svcca / name).unlink()
+    _cut_after_first_snapshot(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         stage_svcca(cfg, paths.seed, paths)
     first = cfg.train.eval_every
@@ -378,6 +372,30 @@ def test_interrupted_svcca_reference_run_is_rebuilt(finished_run, tmp_path, monk
     epochs = range(first, cfg.train.epochs + 1, first)
     assert sorted(p.name for p in reference.iterdir()) == [f"epoch_{e:04d}.ekdm" for e in epochs]
     assert (paths.svcca / "trajectory.txt").read_bytes() == before
+
+
+def test_svcca_refuses_an_interrupted_elitist_student(finished_run, tmp_path, monkeypatch):
+    # A cut elitist run leaves a snapshot directory with only its first
+    # epochs; svcca must wait for train-student instead of comparing them.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    before = (paths.svcca / "layer_diffs.tsv").read_bytes()
+    student, pseudo = paths.student_path("elitist"), paths.snapshot_dir("student_elitist")
+    student.unlink()
+    shutil.rmtree(pseudo)
+    for name in ("trajectory.txt", "layer_diffs.tsv"):
+        (paths.svcca / name).unlink()
+    _cut_after_first_snapshot(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        stage_train_student(cfg, paths.seed, paths)
+    assert sorted(p.name for p in pseudo.iterdir()) == [f"epoch_{cfg.train.eval_every:04d}.ekdm"]
+    monkeypatch.undo()
+    with pytest.raises(PipelineError,
+                       match=f"{re.escape(str(student))}; run 'train-student' first"):
+        stage_svcca(cfg, paths.seed, paths)
+    assert not (paths.svcca / "layer_diffs.tsv").exists()
+    stage_train_student(cfg, paths.seed, paths)
+    stage_svcca(cfg, paths.seed, paths)
+    assert (paths.svcca / "layer_diffs.tsv").read_bytes() == before
 
 
 def test_resume_touches_nothing(finished_run):
@@ -448,10 +466,9 @@ def _make_indomain(cfg):
 
 def test_ood_guard_refuses_matching_domains(tmp_path):
     cfg = _make_indomain(compact_config(str(tmp_path / "out")))
-    with pytest.raises(ValueError, match="set config key 'allow_indomain' to true"):
+    with pytest.raises(ValueError, match="student domain 'delta' does not differ from teacher "
+                                         "domain 'alpha'$"):
         cfg.validate_ood()
-    cfg.allow_indomain = True
-    cfg.validate_ood()
 
 
 def test_identical_domains_rejected(tmp_path):

@@ -350,6 +350,8 @@ def test_activation_indices_shared(corpus):
     b = activation_frame_indices(1000, 64, seed=5)
     assert np.array_equal(a, b)
     assert len(np.unique(a)) == 64
+    for n in (1, 7, 10709):  # a full sample is every frame, in order
+        assert np.array_equal(activation_frame_indices(n, n, seed=5), np.arange(n))
 
 
 def test_dump_all_frames(teacher, corpus):

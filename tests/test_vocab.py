@@ -44,11 +44,12 @@ def test_hash_sensitive_to_order():
 
 def test_words_round_trip():
     v = default_vocabulary("abc")
-    seq = v.words_to_indices(["ab", "ca"])
-    assert v.indices_to_words(seq) == ["ab", "ca"]
-    # separator sits between words only
-    assert list(seq) == [v.index_of("a"), v.index_of("b"), v.word_separator_index,
-                         v.index_of("c"), v.index_of("a")]
+    a, b, c, sep = 1, 2, 3, v.word_separator_index
+    assert v.graphemes[a] + v.graphemes[b] + v.graphemes[c] == "abc"
+    assert v.word_to_indices("ab") == [a, b]
+    # separators split words; leading, trailing and doubled ones add none
+    assert v.indices_to_words([a, b, sep, c, a]) == ["ab", "ca"]
+    assert v.indices_to_words([sep, a, b, sep, sep, c, a, sep]) == ["ab", "ca"]
 
 
 def test_word_with_blank_rejected():
