@@ -49,12 +49,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
-    if args.command == "init-config":
-        save_config(default_config(), args.out)
-        print(f"wrote {args.out}")
-        return 0
-
     try:
+        if args.command == "init-config":
+            save_config(default_config(), args.out)
+            print(f"wrote {args.out}")
+            return 0
         config = load_config(args.config, args.overrides)
         config.validate_ood()
         if args.command == "pipeline":

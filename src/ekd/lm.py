@@ -141,18 +141,6 @@ def train_lm(transcripts: list[list[str]], order: int = 3) -> NgramLm:
     return NgramLm(order=order, vocabulary=vocabulary, log_probs=log_probs, backoffs=backoffs)
 
 
-def perplexity(lm: NgramLm, transcripts: list[list[str]]) -> float:
-    """Per-token perplexity over the words plus the end-of-sentence token."""
-    total = 0.0
-    n = 0
-    for words in transcripts:
-        total += lm.sentence_log10_prob(words)
-        n += len(words) + 1
-    if n == 0:
-        raise ValueError("no tokens to score")
-    return 10.0 ** (-total / n)
-
-
 # -- textual back-off format --------------------------------------------------
 
 def save_arpa(lm: NgramLm, path) -> None:

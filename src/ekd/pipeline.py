@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import logging
 import shutil
 from pathlib import Path
@@ -29,7 +28,7 @@ from .corpus import Corpus, generate_corpus, load_corpus, save_corpus, split_cor
 from .ctc import PosteriorSequence
 from .lm import NgramLm, load_arpa, save_arpa, train_lm
 from .model import ModelCheckpoint, load_checkpoint, save_checkpoint
-from .report import ResultTable, summarize
+from .report import CellKey, ResultTable, summarize
 from .selection import (Strategy, TeacherBundle, load_posteriors, load_selection,
                         save_posteriors, save_selection, select_corpus)
 from .svcca import ActivationMatrix, correlation_trajectory
@@ -90,8 +89,9 @@ class SeedPaths:
     def snapshot_dir(self, run_name: str) -> Path:
         return self.base / "snapshots" / run_name
 
-    def cell_path(self, model: str, test_set: str, lm_on: bool) -> Path:
-        return self.eval_cells / f"{model}--{test_set}--lm_{'on' if lm_on else 'off'}.tsv"
+    def cell_path(self, model: str, lm_on: bool) -> Path:
+        """The evaluate cells of ``model`` in one LM mode: its row for each test set."""
+        return self.eval_cells / f"{model}--lm_{'on' if lm_on else 'off'}.tsv"
 
 
 # -- the resume rule ------------------------------------------------------------
@@ -331,16 +331,17 @@ def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
                load=lambda: load_corpus(student_train).without_transcripts())
 
 
-def _eval_matrix(config: ExperimentConfig, paths: SeedPaths) -> list[tuple[str, Path, str, Path]]:
-    """(model name, checkpoint, test set, test corpus) rows: teachers on every
-    domain's test set, students on the student-domain test set."""
+def _eval_matrix(config: ExperimentConfig,
+                 paths: SeedPaths) -> list[tuple[str, Path, list[tuple[str, Path]]]]:
+    """(model name, checkpoint, [(test set, test corpus), ...]) of every model:
+    teachers on every domain's test set, students on the student-domain one."""
     domains = [r.name for r in config.all_domains()]
     models = [(f"teacher_{r.name}", paths.teacher_path(r.name), domains)
               for r in config.teacher_domains]
     models += [(f"student_{s}", paths.student_path(s), [config.student_domain.name])
                for s in config.strategies]
-    return [(name, ckpt, f"{d}_test", paths.corpus_path(d, "test"))
-            for name, ckpt, test_domains in models for d in test_domains]
+    return [(name, ckpt, [(f"{d}_test", paths.corpus_path(d, "test")) for d in test_domains])
+            for name, ckpt, test_domains in models]
 
 
 def evaluate_model(corpora: Sequence[Corpus], posteriors: Sequence[list[PosteriorSequence]],
@@ -371,25 +372,20 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
         corpora = [test_corpus(corpus_path) for _, corpus_path in test_sets]
         posteriors = [corpus_posteriors(model, corpus) for corpus in corpora]
         for lm_on in lm_flags:
-            # A failure propagates before this flag's cells are written, and a
-            # model with a missing cell is evaluated again on resume.
+            # A failure propagates before this mode's file is written, and a
+            # model with a missing file is evaluated again on resume.
             breakdowns = evaluate_model(corpora, posteriors, lm if lm_on else None, config)
+            table = ResultTable()
             for (test_set, _), breakdown in zip(test_sets, breakdowns):
-                table = ResultTable()
                 table.set(test_set, model_name, lm_on, breakdown)
-                binio.atomic_write_text(paths.cell_path(model_name, test_set, lm_on),
-                                        table.to_tsv())
                 logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
                             "on" if lm_on else "off", 100 * breakdown.wer)
+            binio.atomic_write_text(paths.cell_path(model_name, lm_on), table.to_tsv())
 
-    units = []
-    for (name, ckpt), rows in itertools.groupby(_eval_matrix(config, paths),
-                                                key=lambda row: row[:2]):
-        test_sets = [(test_set, corpus_path) for _, _, test_set, corpus_path in rows]
-        units.append(_Unit(name, [paths.cell_path(name, test_set, lm_on)
-                                  for test_set, _ in test_sets for lm_on in lm_flags],
-                           functools.partial(build, name, ckpt, test_sets),
-                           [ckpt, *(corpus_path for _, corpus_path in test_sets)]))
+    units = [_Unit(name, [paths.cell_path(name, lm_on) for lm_on in lm_flags],
+                   functools.partial(build, name, ckpt, test_sets),
+                   [ckpt, *(corpus_path for _, corpus_path in test_sets)])
+             for name, ckpt, test_sets in _eval_matrix(config, paths)]
     _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
                load=lambda: load_arpa(lm_path) if True in lm_flags else None)
 
@@ -432,12 +428,19 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
 def stage_report(config: ExperimentConfig, seed: int, paths: SeedPaths,
                  force: bool = False) -> ResultTable:
     """assemble result tables from a run directory"""
-    cells = [_require(paths.cell_path(name, test_set, lm_on))
-             for name, _, test_set, _ in _eval_matrix(config, paths) for lm_on in (False, True)]
+    cells = [(_require(paths.cell_path(name, lm_on)), name, lm_on, test_sets)
+             for name, _, test_sets in _eval_matrix(config, paths) for lm_on in (False, True)]
     selections = [_require(paths.selection_path(strat)) for strat in config.strategies]
     win_counts = "\n".join(_load_checked(load_selection, path, config).summary_text()
                            for path in selections)
-    table = ResultTable.from_cell_files(cells)
+    table = ResultTable()
+    for path, name, lm_on, test_sets in cells:
+        held = ResultTable.from_tsv(path.read_text(), str(path)).cells
+        if held.keys() != {CellKey(test_set, name, lm_on) for test_set, _ in test_sets}:
+            raise PipelineError(f"{path} does not hold the cells of {name} "
+                                f"(lm {'on' if lm_on else 'off'}); delete it and re-run "
+                                "'evaluate'")
+        table.cells.update(held)
     binio.atomic_write_text(paths.report / "results.tsv", table.to_tsv())
     binio.atomic_write_text(paths.report / "results.txt", table.to_text())
     binio.atomic_write_text(paths.report / "win_counts.txt", win_counts)

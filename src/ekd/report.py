@@ -3,7 +3,6 @@ aligned text table and a machine-readable TSV."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,9 +73,9 @@ class ResultTable:
 
     @classmethod
     def from_tsv(cls, text: str, source: str = "the results table") -> "ResultTable":
-        """The table ``to_tsv`` wrote. A row that does not parse, or a cell
-        whose status is not ``ok``, is a ValueError naming ``source`` and
-        the line."""
+        """The table ``to_tsv`` wrote. A row that does not parse, a cell
+        whose status is not ``ok``, or a cell already read is a ValueError
+        naming ``source`` and the line."""
         table = cls()
         rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln][1:]
         for lineno, ln in rows:
@@ -90,19 +89,13 @@ class ResultTable:
                                      f"{status!r}")
                 if lm not in ("on", "off"):
                     raise ValueError(f"lm is {lm!r}, not 'on' or 'off'")
+                if CellKey(test_set, model, lm == "on") in table.cells:
+                    raise ValueError(f"cell {model} on {test_set} (lm {lm}) is repeated")
                 breakdown = WerBreakdown(int(sub), int(ins), int(dele), int(refw))
             except ValueError as error:
                 raise ValueError(f"{source} line {lineno}: {error}; delete {source} and "
                                  "re-run 'evaluate'") from None
             table.set(test_set, model, lm == "on", breakdown)
-        return table
-
-    @classmethod
-    def from_cell_files(cls, paths: list[Path]) -> "ResultTable":
-        table = cls()
-        for p in sorted(paths):
-            sub = cls.from_tsv(Path(p).read_text(), str(p))
-            table.cells.update(sub.cells)
         return table
 
 

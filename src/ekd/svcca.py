@@ -136,13 +136,15 @@ def correlation_trajectory(acts_a: dict[int, dict[str, ActivationMatrix]],
 
     For each run, every step is correlated against that run's final step;
     the report also carries the difference between the two runs'
-    trajectories. Steps missing from either run are skipped with a warning.
+    trajectories. Both runs must hold the same steps: a step that only one
+    run holds is a ValueError naming it.
     """
-    steps = sorted(set(acts_a) & set(acts_b))
-    for step in sorted(set(acts_a) ^ set(acts_b)):
-        logger.warning("checkpoint step %d present in only one run; skipped", step)
+    unshared = sorted(set(acts_a) ^ set(acts_b))
+    if unshared:
+        raise ValueError(f"checkpoint steps {unshared} are in only one run")
+    steps = sorted(acts_a)
     if not steps:
-        raise ValueError("runs share no checkpoint steps")
+        raise ValueError("runs hold no checkpoint steps")
     final = steps[-1]
     rho_a: dict[tuple[str, int], float] = {}
     rho_b: dict[tuple[str, int], float] = {}

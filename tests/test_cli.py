@@ -58,10 +58,10 @@ def test_evaluate_populates_both_lm_columns(cli_run):
     from ekd.report import ResultTable
 
     paths = SeedPaths(out, seed)
-    table = ResultTable.from_cell_files(sorted(paths.eval_cells.iterdir()))
     student_test = f"{cfg.student_domain.name}_test"
-    assert table.get(student_test, "student_elitist", False).breakdown is not None
-    assert table.get(student_test, "student_elitist", True).breakdown is not None
+    for lm_on in (False, True):
+        table = ResultTable.from_tsv(paths.cell_path("student_elitist", lm_on).read_text())
+        assert table.get(student_test, "student_elitist", lm_on).breakdown is not None
 
 
 def test_init_config_round_trips(tmp_path):
@@ -69,6 +69,15 @@ def test_init_config_round_trips(tmp_path):
     assert main(["init-config", "-o", str(out)]) == 0
     cfg = load_config(out)
     assert cfg.seeds and cfg.teacher_domains
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_init_config_is_a_cli_error(tmp_path, capsys, target):
+    out = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "x.yaml"}[target]
+    assert main(["init-config", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_config_overrides(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,35 @@ def test_svcca_outputs_exist(finished_run):
     assert sorted(p.name for p in paths.svcca.iterdir()) == ["layer_diffs.tsv", "trajectory.txt"]
 
 
+def _readme_layout() -> list[str]:
+    """The ``<root>/...`` entries of the README's run directory layout."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Run directory layout", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    return [line.split()[0] for line in block.splitlines() if line.startswith("<root>/")]
+
+
+def _layout_pattern(entry: str) -> re.Pattern:
+    """``entry`` as a pattern over paths under the root: ``*`` and each
+    ``<...>`` stand for part of one path segment, and a trailing ``/``
+    covers everything under the directory."""
+    parts = re.split(r"(\*|<[^>]*>)", entry.removeprefix("<root>/"))
+    body = "".join("[^/]+" if part.startswith("<") else "[^/]*" if part == "*"
+                   else re.escape(part) for part in parts)
+    return re.compile(body + (".+" if entry.endswith("/") else ""))
+
+
+def test_readme_layout_matches_a_run(finished_run):
+    """Every file a run writes matches exactly one entry of the README's run
+    directory layout, and every entry matches some file."""
+    _, root, _ = finished_run
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    entries = {entry: _layout_pattern(entry) for entry in _readme_layout()}
+    unmatched = [f for f in files if sum(bool(pat.fullmatch(f)) for pat in entries.values()) != 1]
+    unwritten = [e for e, pat in entries.items() if not any(pat.fullmatch(f) for f in files)]
+    assert (unmatched, unwritten) == ([], [])
+
+
 def test_svcca_resume_from_dumps(finished_run):
     cfg, root, _ = finished_run
     seed = cfg.seeds[0]
@@ -132,7 +162,7 @@ def test_failed_evaluate_cell_is_retried(finished_run, monkeypatch):
     cfg, root, _ = finished_run
     seed = cfg.seeds[0]
     paths = SeedPaths(root, seed)
-    cell = paths.cell_path("student_elitist", f"{cfg.student_domain.name}_test", False)
+    cell = paths.cell_path("student_elitist", False)
     before = cell.read_bytes()
     cell.unlink()
     import ekd.pipeline as pl
@@ -152,8 +182,8 @@ def test_failed_evaluate_cell_is_retried(finished_run, monkeypatch):
     assert not cell.exists()
     pl.stage_evaluate(cfg, seed, paths, lm_mode="off")
     assert cell.read_bytes() == before
-    # The unit is the model: only the student whose cell is missing is
-    # evaluated again; every other model has all its cells and is skipped.
+    # The unit is the model: only the student whose file is missing is
+    # evaluated again; every other model has all its files and is skipped.
     assert len(calls) == 2
 
 
@@ -170,12 +200,12 @@ def _cell_stamps(paths):
 
 def test_deleted_teacher_cell_reevaluates_only_that_teacher(finished_run, tmp_path, monkeypatch):
     # One decode per LM flag over all of the teacher's test sets; no other
-    # model's cell is written.
+    # model's file is written.
     cfg, paths = _copy_run(finished_run, tmp_path)
     teacher = f"teacher_{cfg.teacher_domains[1].name}"
     before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
     stamps = _cell_stamps(paths)
-    paths.cell_path(teacher, f"{cfg.teacher_domains[0].name}_test", False).unlink()
+    paths.cell_path(teacher, False).unlink()
     import ekd.pipeline as pl
 
     real = pl.evaluate_model
@@ -191,8 +221,10 @@ def test_deleted_teacher_cell_reevaluates_only_that_teacher(finished_run, tmp_pa
     assert calls == [(domains, False), (domains, True)]
     assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
     rewritten = {name for name, stamp in _cell_stamps(paths).items() if stamp != stamps[name]}
-    assert rewritten == {name for name in before if name.startswith(f"{teacher}--")}
-    assert len(rewritten) == 2 * len(domains)
+    assert rewritten == {f"{teacher}--lm_off.tsv", f"{teacher}--lm_on.tsv"}
+    # Each file holds the teacher's row for every test set.
+    held = ResultTable.from_tsv(paths.cell_path(teacher, True).read_text())
+    assert {k.test_set for k in held.cells} == {f"{d}_test" for d in domains}
 
 
 def test_lm_off_then_on_writes_the_cells_of_both(finished_run, tmp_path):
@@ -207,7 +239,7 @@ def test_lm_off_then_on_writes_the_cells_of_both(finished_run, tmp_path):
         name for name in both if name.endswith("--lm_off.tsv"))
     stage_evaluate(cfg, cfg.seeds[0], paths, lm_mode="on")
     assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == both
-    assert len(both) == 30
+    assert len(both) == 2 * (len(cfg.teacher_domains) + len(cfg.strategies)) == 12
 
 
 def test_select_rejects_dumps_of_different_utterances(finished_run, tmp_path):
@@ -324,6 +356,24 @@ def test_report_requires_every_selection(finished_run, tmp_path):
     missing.unlink()
     with pytest.raises(PipelineError, match=f"{re.escape(str(missing))}; run 'select' first"):
         stage_report(cfg, paths.seed, paths)
+
+
+@pytest.mark.parametrize("model, damage", [
+    ("student_elitist", lambda lines, paths: lines[:1]),  # cut to its header
+    ("teacher_alpha", lambda lines, paths: lines[:2] + lines[3:]),  # one row deleted
+    ("student_elitist",  # another model's row
+     lambda lines, paths: paths.cell_path("student_framewise_max", True).read_text().splitlines())],
+    ids=["header-only", "row-deleted", "other-model"])
+def test_report_refuses_a_cell_file_without_its_cells(finished_run, tmp_path, model, damage):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    cell = paths.cell_path(model, True)
+    cell.write_text("\n".join(damage(cell.read_text().splitlines(), paths)) + "\n")
+    results = (paths.report / "results.tsv").read_bytes()
+    with pytest.raises(PipelineError, match=re.escape(
+            f"{cell} does not hold the cells of {model} (lm on); delete it and re-run "
+            "'evaluate'")):
+        stage_report(cfg, paths.seed, paths)
+    assert (paths.report / "results.tsv").read_bytes() == results
 
 
 def test_forced_svcca_applies_new_settings(finished_run, tmp_path):

@@ -36,15 +36,19 @@ def test_cell_not_ok_is_refused():
     ("d_test\tteacher_a\toff\t0.25\t1\tx\t0\t8\tok", "invalid literal for int"),
     ("d_test\tteacher_a\tyes\t0.25\t1\t1\t0\t8\tok", "lm is 'yes', not 'on' or 'off'")],
     ids=["short-row", "non-integer-count", "bad-lm"])
-def test_unparsable_cell_file_names_file_and_line(tmp_path, row, problem):
-    header, good = make_table().to_tsv().splitlines()[:2]
-    ok, bad = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    ok.write_text(f"{header}\n{good}\n")
-    bad.write_text(f"{header}\n\n{row}\n")
+def test_unparsable_cell_file_names_file_and_line(row, problem):
+    header = make_table().to_tsv().splitlines()[0]
     with pytest.raises(ValueError) as err:
-        ResultTable.from_cell_files([ok, bad])
-    assert str(err.value).startswith(f"{bad} line 3: {problem}")
-    assert str(err.value).endswith(f"; delete {bad} and re-run 'evaluate'")
+        ResultTable.from_tsv(f"{header}\n\n{row}\n", "cells/b.tsv")
+    assert str(err.value).startswith(f"cells/b.tsv line 3: {problem}")
+    assert str(err.value).endswith("; delete cells/b.tsv and re-run 'evaluate'")
+
+
+def test_repeated_cell_is_refused():
+    header, first, *rows = make_table().to_tsv().splitlines()
+    with pytest.raises(ValueError, match="cells/b.tsv line 5: cell student_x on d_test "
+                                         "\\(lm off\\) is repeated"):
+        ResultTable.from_tsv("\n".join([header, first, *rows, first]) + "\n", "cells/b.tsv")
 
 
 def test_text_table_lists_models_by_test_set():

@@ -179,13 +179,11 @@ def test_trajectory_row_count(rng):
         assert report.rho_b[(layer, 3)] == pytest.approx(1.0)
 
 
-def test_trajectory_skips_unshared_steps(rng, caplog):
+def test_trajectory_refuses_unshared_steps(rng):
     run_a = _fake_run(rng, [1, 2, 3], drift=1.0)
     run_b = _fake_run(rng, [2, 3, 4], drift=2.0)
-    with caplog.at_level("WARNING"):
-        report = correlation_trajectory(run_a, run_b, ["hidden_0"])
-    assert report.steps == [2, 3]
-    assert "skipped" in caplog.text
+    with pytest.raises(ValueError, match=r"checkpoint steps \[1, 4\] are in only one run"):
+        correlation_trajectory(run_a, run_b, ["hidden_0"])
 
 
 def test_report_text_shape(rng):
