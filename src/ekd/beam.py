@@ -46,8 +46,28 @@ that margin a batch whose live set grows with its frames would be
 collected almost every frame. Ids never rank hypotheses, so collection
 cannot change the words.
 
-With beam_width=1, no LM and zero bonus this reduces exactly to greedy
-decoding (the single kept state always extends by the frame argmax).
+Without a fused LM and with a zero bonus, the best path is certified
+before any search. Every hypothesis then scores the float sum, from 0.0 in
+frame order, of one path's log posteriors: the zero bonus adds are exact,
+and a merge keeps one of the merged sums. Let ``a_t`` be frame t's largest
+log posterior and ``gap`` the least, over frames, of ``a_t`` minus the
+frame's runner-up; let ``B = sum_t |a_t|`` and ``g = T*u / (1 - T*u)`` for
+``T`` frames and ``u = 2**-53``. By Higham's bound on recursive summation,
+a float sum of at most T terms lies within ``g * sum |x|`` of the exact
+sum. Every log posterior is <= 0, so a path that leaves the argmax at some
+frame up to t has an exact prefix sum lower by some ``D >= gap`` than the
+argmax path's ``A``, and a ``sum |x|`` of at most ``B + D``: its float sum
+is at most ``A - D + g*(B + D)``, and the argmax path's is at least ``A -
+g*B``. So when ``gap > 2*g*B / (1 - g)``, the argmax path's state is the
+strict best candidate at every frame and at the end (a path through a zero
+posterior sums to -inf, and the argmax path is finite, as each row sums to
+one): it is never pruned or tied, and the beam returns its collapse, the
+greedy decoding, at any width. Each frame's argmax is then strict in the
+log posteriors, hence also in the posteriors. ``beam_decode`` checks this
+certificate on the same log posteriors the frame loop reads, with the
+margin doubled so that the check's own rounding cannot matter, and decodes
+the certified utterances greedily; the others (exact or near ties, NaN)
+run the frame loop as one smaller batch.
 """
 from __future__ import annotations
 
@@ -57,12 +77,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import PosteriorSequence
+from .ctc import PosteriorSequence, greedy_decode
 from .lm import BOS, EOS, UNK, NgramLm
 from .vocab import Vocabulary
 
 LN10 = math.log(10.0)
 NO_LAST = -1
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -288,21 +309,51 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
                              f"{posts.vocab_size} does not match vocabulary size {vocab.size}")
     if not posteriors:
         return []
-    z, blank, sep = vocab.size, vocab.blank_index, vocab.word_separator_index
-    width = config.beam_width
     # Longest first, so the utterances still running are a leading block.
     lengths = np.array([posts.num_frames for posts in posteriors])
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
-    running = np.searchsorted(-lengths, -np.arange(lengths[0]))
     starts = np.cumsum(lengths) - lengths
     # Filled in place, with the bits of PosteriorSequence.log_probs().
-    log_probs = np.empty((lengths.sum(), z))
+    log_probs = np.empty((lengths.sum(), vocab.size))
     with np.errstate(divide="ignore"):
         for i, start, T in zip(order.tolist(), starts.tolist(), lengths.tolist()):
             np.log(posteriors[i].probs, out=log_probs[start:start + T])
 
-    n_utts = len(posteriors)
+    out: list[list[str]] = [[] for _ in posteriors]
+    search = np.ones(len(order), bool)
+    if (lm is None or config.lm_weight == 0) and config.word_insertion_bonus == 0:
+        search = ~_best_path_certified(log_probs, starts, lengths)
+        for i in order[~search].tolist():
+            out[i] = vocab.indices_to_words(greedy_decode(posteriors[i], vocab.blank_index))
+    if search.any():
+        words = _frame_loop(log_probs, starts[search], lengths[search], lm, config, vocab)
+        for i, best in zip(order[search].tolist(), words):
+            out[i] = best
+    return out
+
+
+def _best_path_certified(log_probs: np.ndarray, starts: np.ndarray,
+                         lengths: np.ndarray) -> np.ndarray:
+    """Whether each utterance (rows ``starts[i]`` on, ``lengths[i]`` of them)
+    passes the module docstring's certificate: its argmax path outscores
+    every other path at every frame, whatever the rounding."""
+    top = np.partition(log_probs, -2, axis=1)[:, -2:]
+    gap = np.minimum.reduceat(top[:, 1] - top[:, 0], starts)
+    total = np.add.reduceat(np.abs(top[:, 1]), starts)
+    g = lengths * UNIT_ROUNDOFF / (1 - lengths * UNIT_ROUNDOFF)
+    return gap > 2 * (2 * g * total / (1 - g))
+
+
+def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                lm: NgramLm | None, config: BeamConfig, vocab: Vocabulary) -> list[list[str]]:
+    """The beam search of the utterances whose log posteriors are the rows
+    ``starts[i]`` on, ``lengths[i]`` of them, longest first; their words in
+    that order."""
+    z, blank, sep = vocab.size, vocab.blank_index, vocab.word_separator_index
+    width = config.beam_width
+    running = np.searchsorted(-lengths, -np.arange(lengths[0]))
+    n_utts = len(lengths)
     prefixes = _Prefixes(n_utts, lm, config, vocab)
     score = np.full((n_utts, width), np.nan)
     score[:, 0] = 0.0
@@ -352,14 +403,14 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
         final[live] += prefixes.lm.terms(np.full_like(ends, prefixes.lm.eos), ends)[0]
     final[~live] = np.nan
     best = np.fmax.reduce(final, axis=1)
-    out: list[list[str]] = [[] for _ in posteriors]
-    for r, i in enumerate(order.tolist()):
+    out: list[list[str]] = [[] for _ in range(n_utts)]
+    for r in range(n_utts):
         if best[r] == -np.inf:
             continue
         tied = np.flatnonzero(final[r] == best[r]).tolist()
         w = tied[0] if len(tied) == 1 else min(
             tied, key=lambda w: prefixes.state(pid[r, w], last[r, w]))
-        out[i] = vocab.indices_to_words(prefixes.state(pid[r, w], 0)[0])
+        out[r] = vocab.indices_to_words(prefixes.state(pid[r, w], 0)[0])
     return out
 
 

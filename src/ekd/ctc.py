@@ -47,11 +47,15 @@ class PosteriorSequence:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 2 or self.probs.shape[0] < 1:
             raise ValueError("posteriors must be [T>=1, z]")
+        where = f"utterance {self.utterance_id!r}"
+        # The checks below compare, and every comparison with NaN is false.
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError(f"{where}: posterior entries must be finite")
         if np.any(self.probs < -1e-12) or np.any(self.probs > 1 + 1e-9):
-            raise ValueError("posterior entries must lie in [0, 1]")
+            raise ValueError(f"{where}: posterior entries must lie in [0, 1]")
         sums = self.probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError("posterior rows must sum to 1 within 1e-6")
+            raise ValueError(f"{where}: posterior rows must sum to 1 within 1e-6")
 
     @property
     def num_frames(self) -> int:

@@ -34,6 +34,7 @@ from .selection import (Strategy, TeacherBundle, load_posteriors, load_selection
 from .svcca import ActivationMatrix, correlation_trajectory
 from .training import (corpus_posteriors, dump_activations, greedy_corpus_wer, train_student,
                        train_teacher)
+from .vocab import Vocabulary
 from .wer import WerBreakdown, accumulate, wer
 
 logger = logging.getLogger(__name__)
@@ -344,18 +345,18 @@ def _eval_matrix(config: ExperimentConfig,
             for name, ckpt, test_domains in models]
 
 
-def evaluate_model(corpora: Sequence[Corpus], posteriors: Sequence[list[PosteriorSequence]],
-                   lm: NgramLm | None, config: ExperimentConfig) -> list[WerBreakdown]:
-    """The WER breakdown of one model on each corpus, from its posteriors on
-    each (``posteriors[i]`` on ``corpora[i]``), decoded as one batch."""
-    vocab = corpora[0].vocabulary  # the model's, checked by corpus_posteriors
+def evaluate_model(references: Sequence[list[list[str]]],
+                   posteriors: Sequence[list[PosteriorSequence]], lm: NgramLm | None,
+                   config: ExperimentConfig, vocab: Vocabulary) -> list[WerBreakdown]:
+    """The WER breakdown of one model on each test set, from its posteriors
+    and the reference words on each (``posteriors[i]`` against
+    ``references[i]``), decoded as one batch."""
     # The word bonus exists to offset the LM's per-word cost; without an LM
     # the acoustic score stands alone.
     beam_cfg = config.beam if lm is not None else dataclasses.replace(
         config.beam, lm_weight=0.0, word_insertion_bonus=0.0)
     hyps = iter(beam_decode([p for posts in posteriors for p in posts], lm, beam_cfg, vocab))
-    return [accumulate([wer(vocab.indices_to_words(utt.transcript), next(hyps))
-                        for utt in corpus.utterances]) for corpus in corpora]
+    return [accumulate([wer(words, next(hyps)) for words in refs]) for refs in references]
 
 
 def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
@@ -371,10 +372,14 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
         model = load_checkpoint(checkpoint)
         corpora = [test_corpus(corpus_path) for _, corpus_path in test_sets]
         posteriors = [corpus_posteriors(model, corpus) for corpus in corpora]
+        vocab = corpora[0].vocabulary  # the model's, checked by corpus_posteriors
+        references = [[vocab.indices_to_words(utt.transcript) for utt in corpus.utterances]
+                      for corpus in corpora]
         for lm_on in lm_flags:
             # A failure propagates before this mode's file is written, and a
             # model with a missing file is evaluated again on resume.
-            breakdowns = evaluate_model(corpora, posteriors, lm if lm_on else None, config)
+            breakdowns = evaluate_model(references, posteriors, lm if lm_on else None, config,
+                                        vocab)
             table = ResultTable()
             for (test_set, _), breakdown in zip(test_sets, breakdowns):
                 table.set(test_set, model_name, lm_on, breakdown)

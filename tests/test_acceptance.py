@@ -2,24 +2,30 @@
 pass/fail line (run with ``pytest -v -s tests/test_acceptance.py``).
 
 Criteria 7-10 share a single five-seed run of the default experiment config
-(session fixture); the determinism criterion re-runs a compact config twice.
+(session fixture), and so does the check of LM-off decoding's certified best
+paths; the determinism criterion re-runs a compact config twice.
 """
+import dataclasses
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
 
+from ekd import beam
 from ekd.beam import BeamConfig, beam_decode
 from ekd.config import default_config
-from ekd.corpus import transcript_read_count
+from ekd.corpus import load_corpus, transcript_read_count
 from ekd.ctc import (PosteriorSequence, ctc_loss, greedy_decode, min_frames_for_target,
                      softmax)
-from ekd.pipeline import SeedPaths, run_pipeline
+from ekd.model import load_checkpoint
+from ekd.pipeline import SeedPaths, _eval_matrix, run_pipeline
 from ekd.report import ResultTable
 from ekd.selection import (Strategy, TeacherBundle, elitist_scores, elitist_select,
                            framewise_max, teacher_average)
 from ekd.svcca import ActivationMatrix, cca, svcca
+from ekd.training import corpus_posteriors
 from ekd.vocab import default_vocabulary
 from ekd.wer import wer
 
@@ -253,6 +259,37 @@ def test_criterion_09_lm_effect(default_run):
             ok = False
     record(9, "decoding with the out-of-domain LM does not hurt (>=4 of 5 seeds, "
               "every model, student-domain test)", ok, " ".join(details))
+
+
+def test_lm_off_certified_best_paths_equal_the_frame_loop(default_run, monkeypatch):
+    # Every model of the first seed, decoded as evaluate decodes it without
+    # the LM: the certified utterances' best paths give the words of the
+    # frame loop run on every utterance.
+    cfg, root, _, _ = default_run
+    lm_off = dataclasses.replace(cfg.beam, lm_weight=0.0, word_insertion_bonus=0.0)
+    real, searched = beam._frame_loop, []
+
+    def spy(log_probs, starts, *args):
+        searched.append(len(starts))
+        return real(log_probs, starts, *args)
+
+    monkeypatch.setattr(beam, "_frame_loop", spy)
+    test_corpus = functools.cache(load_corpus)
+    total = certified = 0
+    for _, checkpoint, test_sets in _eval_matrix(cfg, SeedPaths(root, cfg.seeds[0])):
+        model = load_checkpoint(checkpoint)
+        corpora = [test_corpus(path) for _, path in test_sets]
+        batch = [posts for corpus in corpora for posts in corpus_posteriors(model, corpus)]
+        searched.clear()
+        words = beam_decode(batch, None, lm_off, corpora[0].vocabulary)
+        total += len(batch)
+        certified += len(batch) - sum(searched)
+        with monkeypatch.context() as m:
+            m.setattr(beam, "_best_path_certified",
+                      lambda log_probs, starts, lengths: np.zeros(len(starts), bool))
+            assert beam_decode(batch, None, lm_off, corpora[0].vocabulary) == words
+    print(f"\nLM-off utterances certified, seed {cfg.seeds[0]}: {certified} of {total}")
+    assert certified > 0
 
 
 def test_criterion_10_layer_difference_trend(default_run):

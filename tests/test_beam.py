@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ekd import beam
 from ekd.beam import BeamConfig, _Prefixes, beam_decode
 from ekd.ctc import PosteriorSequence, greedy_decode
 from ekd.lm import NgramLm, train_lm
@@ -149,6 +150,104 @@ def test_batch_matches_batches_of_one(width):
     for lm in (None, LM3):
         assert (beam_decode(batch, lm, cfg, VOCAB)
                 == [words for posts in batch for words in beam_decode([posts], lm, cfg, VOCAB)])
+
+
+# -- the certified best path of LM-off decoding --------------------------------
+
+@pytest.fixture
+def loop_sizes(monkeypatch):
+    """The number of utterances of each frame-loop run."""
+    real, sizes = beam._frame_loop, []
+
+    def spy(log_probs, starts, lengths, *args):
+        sizes.append(len(starts))
+        return real(log_probs, starts, lengths, *args)
+
+    monkeypatch.setattr(beam, "_frame_loop", spy)
+    return sizes
+
+
+@pytest.fixture
+def uncertified(monkeypatch):
+    """The certificate refuses every utterance, so LM-off decoding runs the
+    frame loop."""
+    monkeypatch.setattr(beam, "_best_path_certified",
+                        lambda log_probs, starts, lengths: np.zeros(len(starts), bool))
+
+
+@pytest.mark.parametrize("width", [1, 3, 12])
+def test_certified_and_searched_utterances_match_object_decoder(width, loop_sizes):
+    # The quantised posteriors have exact ties, which the certificate
+    # refuses; the random ones pass it.
+    rng = np.random.default_rng([width, 26])
+    cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.0)
+    batch = mixed_batch(rng, 60, 60, VOCAB.size)
+    assert (beam_decode(batch, None, cfg, VOCAB)
+            == [object_beam_decode(posts, None, cfg, VOCAB) for posts in batch])
+    assert len(loop_sizes) == 1 and 0 < loop_sizes[0] < len(batch)
+
+
+def _margin(log_probs):
+    """The certificate's margin, as the module docstring states it."""
+    T = len(log_probs)
+    g = T * 2.0 ** -53 / (1 - T * 2.0 ** -53)
+    return 2 * (2 * g * np.abs(log_probs.max(axis=1)).sum() / (1 - g))
+
+
+def test_near_tie_either_side_of_the_margin(loop_sizes):
+    # Frame 0's two best posteriors are a hair apart; the smallest gap above
+    # the margin is certified, the largest at or below it is searched.
+    a, b = VOCAB.graphemes.index("a"), VOCAB.graphemes.index("b")
+    probs = np.full((3, VOCAB.size), 0.1 / (VOCAB.size - 2))
+    probs[1:, :] = 0.3 / (VOCAB.size - 1)
+    probs[1:, a] = probs[2, b] = 0.7
+    probs[2, a] = probs[1, b]
+    probs[0, a] = probs[0, b] = 0.45
+
+    def near(x):
+        p = probs.copy()
+        p[0, b] = x
+        return p
+
+    x = 0.45
+    while np.log(x) - np.log(0.45) <= _margin(np.log(near(x))):
+        below, x = x, np.nextafter(x, 1.0)
+    assert 0 < np.log(below) - np.log(0.45) <= _margin(np.log(near(below)))
+    cfg = BeamConfig(beam_width=3, lm_weight=0.0, word_insertion_bonus=0.0)
+    for p, searched in ((near(x), []), (near(below), [1])):
+        loop_sizes.clear()
+        posts = PosteriorSequence(p)
+        assert beam_decode([posts], None, cfg, VOCAB) == [object_beam_decode(posts, None, cfg, VOCAB)]
+        assert loop_sizes == searched
+
+
+def test_zero_lm_weight_takes_the_shortcut_and_a_bonus_never_does(rng, loop_sizes):
+    batch = batch_of(rng, 40, 9)
+    want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
+    assert beam_decode(batch, LM, BeamConfig(4, 0.0, 0.0), VOCAB) == want
+    assert loop_sizes == []
+    for lm, cfg in ((None, BeamConfig(4, 0.0, 0.3)), (LM, BeamConfig(4, 0.0, -0.2)),
+                    (LM, BeamConfig(4, 0.5, 0.0))):
+        loop_sizes.clear()
+        assert (beam_decode(batch, lm, cfg, VOCAB)
+                == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
+        assert loop_sizes == [len(batch)]
+
+
+def test_frame_loop_width_one_no_lm_equals_greedy(rng, uncertified, loop_sizes):
+    cfg = BeamConfig(beam_width=1, lm_weight=0.4, word_insertion_bonus=0.0)
+    batch = batch_of(rng, 200, 15)
+    want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
+    assert beam_decode(batch, None, cfg, VOCAB) == want
+    assert loop_sizes == [len(batch)]
+
+
+def test_frame_loop_matches_exhaustive_oracle_no_lm(rng, uncertified, loop_sizes):
+    cfg = BeamConfig(beam_width=4096, lm_weight=0.0, word_insertion_bonus=0.0)
+    batch = batch_of(rng, 40, 5)
+    want = [exhaustive_beam_best(posts.probs, None, 0.0, 0.0, VOCAB) for posts in batch]
+    assert beam_decode(batch, None, cfg, VOCAB) == want
+    assert loop_sizes == [len(batch)]
 
 
 def _lineage(prefixes, p):

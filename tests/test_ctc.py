@@ -62,6 +62,19 @@ def test_greedy_examples():
     assert list(greedy_decode(PosteriorSequence(aba), blank=1)) == [0, 0]
 
 
+def test_posteriors_refuse_nan():
+    # Every range and row-sum check compares, and a comparison with NaN is false.
+    with pytest.raises(ValueError, match="'bad'.*finite"):
+        PosteriorSequence(np.full((3, 4), np.nan), "bad")
+
+
+def test_posteriors_refuse_inf():
+    probs = np.full((2, 3), 1.0 / 3)
+    probs[1] = [np.inf, 0.0, 0.0]
+    with pytest.raises(ValueError, match="'worse'.*finite"):
+        PosteriorSequence(probs, "worse")
+
+
 @given(st.lists(st.integers(0, 3), min_size=0, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_collapse_output_blank_free_and_no_longer(path):

@@ -9,11 +9,12 @@ import pytest
 
 from ekd import binio
 from ekd.config import SvccaSettings, derive_seed
-from ekd.corpus import generate_corpus
+from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
 from ekd.model import load_checkpoint
 from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, output_root,
-                          run_pipeline, run_seed, stage_decode, stage_gen_data, stage_report,
-                          stage_select, stage_svcca, stage_train_student, stage_train_teacher)
+                          run_pipeline, run_seed, stage_decode, stage_evaluate, stage_gen_data,
+                          stage_report, stage_select, stage_svcca, stage_train_student,
+                          stage_train_teacher)
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, load_selection, save_posteriors
 from ekd.training import greedy_corpus_wer
@@ -211,20 +212,36 @@ def test_deleted_teacher_cell_reevaluates_only_that_teacher(finished_run, tmp_pa
     real = pl.evaluate_model
     calls = []
 
-    def recording(corpora, posteriors, lm, config):
-        calls.append(([corpus.name for corpus in corpora], lm is not None))
-        return real(corpora, posteriors, lm, config)
+    def recording(references, posteriors, lm, config, vocab):
+        calls.append(([len(words) for words in references],
+                      [[p.utterance_id for p in posts] for posts in posteriors], lm is not None))
+        return real(references, posteriors, lm, config, vocab)
 
     monkeypatch.setattr(pl, "evaluate_model", recording)
     pl.stage_evaluate(cfg, cfg.seeds[0], paths)
     domains = [r.name for r in cfg.all_domains()]
-    assert calls == [(domains, False), (domains, True)]
+    test_ids = [[u.id for u in load_corpus(paths.corpus_path(d, "test")).utterances]
+                for d in domains]
+    sizes = [len(ids) for ids in test_ids]
+    assert calls == [(sizes, test_ids, False), (sizes, test_ids, True)]
     assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
     rewritten = {name for name, stamp in _cell_stamps(paths).items() if stamp != stamps[name]}
     assert rewritten == {f"{teacher}--lm_off.tsv", f"{teacher}--lm_on.tsv"}
     # Each file holds the teacher's row for every test set.
     held = ResultTable.from_tsv(paths.cell_path(teacher, True).read_text())
     assert {k.test_set for k in held.cells} == {f"{d}_test" for d in domains}
+
+
+def test_evaluate_reads_each_reference_once_per_model(finished_run, tmp_path):
+    # Both LM modes score against one list of reference words per model.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
+    reads = transcript_read_count()
+    stage_evaluate(cfg, cfg.seeds[0], paths, force=True)
+    per_model = (len(cfg.teacher_domains) * sum(r.test_size for r in cfg.all_domains())
+                 + len(cfg.strategies) * cfg.student_domain.test_size)
+    assert transcript_read_count() - reads == per_model
+    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
 
 
 def test_lm_off_then_on_writes_the_cells_of_both(finished_run, tmp_path):

@@ -251,6 +251,15 @@ def test_posteriors_round_trip(tmp_path, rng):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_load_posteriors_refuses_non_finite_entries(tmp_path, rng):
+    posts = [random_posteriors(rng, 3, 4, f"u{i}") for i in range(3)]
+    posts[1].probs[2, 0] = np.nan
+    path = tmp_path / "p.ekdp"
+    save_posteriors(path, posts, "teacher_x", "hash123")
+    with pytest.raises(ValueError, match="'u1'.*finite"):
+        load_posteriors(path)
+
+
 def test_selection_round_trip(tmp_path, rng):
     bundles = [make_bundle(rng, K=3, uid=f"u{i}") for i in range(6)]
     bundles.append(make_bundle(rng, K=2, uid="bad"))
