@@ -35,16 +35,11 @@ published tie rule; and to finish each utterance, where the first strict
 maximum in (prefix, last) order wins and its prefix is read back through
 the parent links.
 
-Most prefixes die within a frame of being interned, so the prefix columns
-are collected when an extension would overflow them: only the utterances'
-roots and the ancestors of live hypotheses (found by walking the parent
-links from the occupied slots) are kept, compacted in id order, with
-parent, child and slot ids renumbered. The capacity doubles only if the
-survivors plus one frame's worst case of new prefixes (a full beam for
-every running utterance) would still fill more than half of it; without
-that margin a batch whose live set grows with its frames would be
-collected almost every frame. Ids never rank hypotheses, so collection
-cannot change the words.
+A prefix keeps its id for the whole call, and no prefix is ever dropped:
+when an extension would overflow the prefix columns, they double and the
+used rows are copied. Most prefixes die within a frame of being interned,
+so a call's prefix table grows with its batch and its frames; callers keep
+a batch to one model's test sets.
 
 Without a fused LM and with a zero bonus, the best path is certified
 before any search. Every hypothesis then scores the float sum, from 0.0 in
@@ -173,10 +168,9 @@ def _grown(table: np.ndarray, fill) -> np.ndarray:
 
 class _Prefixes:
     """The collapsed prefixes of one call, in columns indexed by prefix id:
-    the columns have room for ``capacity`` prefixes, of which the ids below
-    ``size`` are in use, and those below ``n_roots`` are the utterances'
-    empty prefixes. A parent's id is below its children's. A prefix holds
-    its parent and last symbol (NO_LAST for a root); with an LM also its
+    the ids below ``size`` are in use, the rows past it are room, and the
+    first ``n_utts`` are the utterances' empty prefixes. A parent's id is below its children's. A prefix holds its
+    parent and last symbol (NO_LAST for a root); with an LM also its
     partial word (a ``_WordTerms`` word id, 0 for none), the LM contexts
     before and after that word, and the word's LM term. ``child[p, g]`` is
     the id of p extended by symbol g, or -1; ``slots[p]`` maps p's beam
@@ -184,7 +178,7 @@ class _Prefixes:
     merge, else -1. A separator adds the bonus to a prefix whose last symbol
     is a letter: ``sep_bonus[symbol]``, whose last entry serves NO_LAST."""
 
-    def __init__(self, n_roots: int, lm: NgramLm | None, config: BeamConfig,
+    def __init__(self, n_utts: int, lm: NgramLm | None, config: BeamConfig,
                  vocab: Vocabulary):
         fuse = lm is not None and config.lm_weight > 0
         self.lm = _WordTerms(lm, config.lm_weight * LN10, vocab) if fuse else None
@@ -194,51 +188,30 @@ class _Prefixes:
         self.columns = {"parent": -1, "symbol": NO_LAST, "child": -1, "slots": -1}
         if fuse:
             self.columns.update(word=0, context=0, end=0, lm_add=0.0)
-        self.n_roots = self.size = n_roots
+        self.size = n_utts
         for name in self.columns:
-            setattr(self, name, self._column(name, 2 * n_roots))
+            setattr(self, name, self._column(name, 2 * n_utts))
 
     def _column(self, name: str, capacity: int) -> np.ndarray:
         shape = {"child": (capacity, self.z), "slots": (capacity, 2)}.get(name, capacity)
         return np.full(shape, self.columns[name], float if name == "lm_add" else np.int32)
 
-    @property
-    def capacity(self) -> int:
-        return len(self.parent)
-
-    def collect(self, pid: np.ndarray, live: np.ndarray, room: int) -> None:
-        """Keep only the roots and the ancestors of the live hypotheses
-        (``pid[live]``, themselves included), in id order, and renumber
-        ``parent``, ``child`` and ``pid[live]``; the ids in dead slots
-        go stale, as a dead slot's prefix is never read. The capacity
-        doubles until the survivors plus ``room`` new prefixes fill at most
-        half of it."""
-        keep = np.zeros(self.size, bool)
-        keep[:self.n_roots] = True
-        found = pid[live]
-        while len(found):
-            keep[found] = True
-            found = self.parent[found[found >= self.n_roots]]
-            found = found[~keep[found]]
-        renumber = np.cumsum(keep) - 1
-        self.size = int(renumber[-1]) + 1
-        # Each old id's new id, -1 if dropped; the last entry keeps -1 at -1.
-        new_id = np.append(np.where(keep, renumber, -1), -1)
-        capacity = self.capacity
-        while 2 * (self.size + room) > capacity:
+    def _grow(self, room: int) -> None:
+        """Double the capacity until ``room`` more prefixes fit, copying the
+        used rows; every id stays."""
+        capacity = len(self.parent)
+        while self.size + room > capacity:
             capacity *= 2
         for name in self.columns:
             column = self._column(name, capacity)
-            column[:self.size] = getattr(self, name)[:len(keep)][keep]
+            column[:self.size] = getattr(self, name)[:self.size]
             setattr(self, name, column)
-        self.parent[:self.size] = new_id[self.parent[:self.size]]
-        self.child[:self.size] = new_id[self.child[:self.size]]
-        pid[live] = new_id[pid[live]]
 
     def extend(self, parents: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         """Intern each parent extended by its symbol, in the parent's
-        ``child`` row; returns the new ids. The caller makes room first
-        (``collect``)."""
+        ``child`` row; returns the new ids."""
+        if self.size + len(parents) > len(self.parent):
+            self._grow(len(parents))
         ids = np.arange(self.size, self.size + len(parents))
         self.size += len(parents)
         self.parent[ids] = parents
@@ -391,8 +364,6 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         # A fresh prefix's slot holds its parent until the prefix is interned.
         pid[:n] = np.where(extended & ~fresh, kid, src_pid)
         if fresh.any():
-            if prefixes.size + np.count_nonzero(fresh) > prefixes.capacity:
-                prefixes.collect(pid, ~np.isnan(score), n * width)
             pid[:n][fresh] = prefixes.extend(pid[:n][fresh], g[fresh])
 
     live = ~np.isnan(score)

@@ -110,12 +110,6 @@ def min_frames_for_target(target: np.ndarray) -> int:
     return int(target.size + repeats)
 
 
-def _extend_target(target: np.ndarray, blank: int) -> np.ndarray:
-    ext = np.full(2 * target.size + 1, blank, dtype=np.int64)
-    ext[1::2] = target
-    return ext
-
-
 def _half(states: np.ndarray, blank: int) -> tuple[np.ndarray, np.ndarray]:
     """Per state of one packed half: whether it may inherit from s-2 (it is
     a new label distinct from the one two slots back, skipping the blank
@@ -168,8 +162,9 @@ def prepare_target(target, n_frames: int, z: int, blank: int) -> CtcTarget:
     if n_frames < need:
         raise InfeasibleTargetError(
             f"target of length {target.size} needs {need} frames, got {n_frames}")
-    states = _extend_target(target, blank)
-    S = states.size
+    S = 2 * target.size + 1
+    states = np.full(S, blank, dtype=np.int64)
+    states[1::2] = target
     skip = np.zeros(2 * S + 6, dtype=bool)
     horizon = np.full(2 * S + 6, -1)
     for first, half in ((2, states), (S + 5, states[::-1])):
@@ -190,10 +185,12 @@ def _log_probs(log_probs: np.ndarray) -> np.ndarray:
 
 class CtcLattice(NamedTuple):
     """Forward and backward variables of one utterance, ``[T, S]`` each
-    (views into the packed array of its minibatch)."""
+    (views into the packed array of its minibatch), and the blank-extended
+    target they were advanced for (the prepared ``states``)."""
 
     alpha: np.ndarray
     beta: np.ndarray
+    states: np.ndarray
 
 
 def ctc_lattices(log_probs_list: Sequence[np.ndarray],
@@ -274,8 +271,8 @@ def ctc_lattices(log_probs_list: Sequence[np.ndarray],
         np.logaddexp(cur_labels, skip, out=cur_labels)
         np.add(cur, row[2:], out=row[2:])
 
-    return [CtcLattice(rows[:T, a:a + S], rows[T - 1::-1, b:b + S][:, ::-1])
-            for T, S, a, b in blocks]
+    return [CtcLattice(rows[:T, a:a + S], rows[T - 1::-1, b:b + S][:, ::-1], target.states)
+            for (T, S, a, b), target in zip(blocks, prepared)]
 
 
 def ctc_loss(log_probs: np.ndarray, target, blank: int,
@@ -288,7 +285,9 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int,
     valid for any logits whose softmax equals ``exp(log_probs)``.
 
     ``lattice`` is this pair's entry of :func:`ctc_lattices` over a
-    minibatch; without one, the target is prepared and a minibatch of this
+    minibatch, and its prepared ``states`` are the blank-extended target
+    read here; a lattice of another target, blank or frame count is
+    refused. Without one, the target is prepared and a minibatch of this
     pair alone is advanced (a bad matrix is refused before a bad target). In
     the lattice's block every label state sits on an odd column, which is
     where the skip transition runs (see :func:`ctc_lattices`). The
@@ -299,11 +298,12 @@ def ctc_loss(log_probs: np.ndarray, target, blank: int,
     lp = np.asarray(log_probs, dtype=np.float64)
     if lattice is None:
         (lattice,) = ctc_lattices([lp], [prepare_target(target, *_log_probs(lp).shape, blank)])
-    ext = _extend_target(np.asarray(target, dtype=np.int64), blank)
+    alpha, beta, ext = lattice
+    if not (np.array_equal(ext[1::2], np.asarray(target)) and ext[0] == blank):
+        raise ValueError("lattice was prepared for another target or blank")
     T, z = lp.shape
     S = ext.size
-    alpha, beta = lattice
-    if alpha.shape != (T, S) or beta.shape != (T, S):
+    if alpha.shape != (T, S):
         raise ValueError(f"lattice is {alpha.shape}, expected ({T}, {S})")
     log_p = np.logaddexp(alpha[T - 1, S - 1], alpha[T - 1, S - 2])
     if not np.isfinite(log_p):

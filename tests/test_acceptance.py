@@ -2,8 +2,9 @@
 pass/fail line (run with ``pytest -v -s tests/test_acceptance.py``).
 
 Criteria 7-10 share a single five-seed run of the default experiment config
-(session fixture), and so does the check of LM-off decoding's certified best
-paths; the determinism criterion re-runs a compact config twice.
+(session fixture), and so do the check of LM-off decoding's certified best
+paths and the check of seed 11's files against their pinned digests; the
+determinism criterion re-runs a compact config twice.
 """
 import dataclasses
 import functools
@@ -29,6 +30,7 @@ from ekd.training import corpus_posteriors
 from ekd.vocab import default_vocabulary
 from ekd.wer import wer
 
+import golden_digests
 from conftest import compact_config, random_posteriors
 from oracles import (brute_cca, brute_ctc, fd_ctc_gradient, recursive_edit_distance,
                      two_pass_confidence)
@@ -310,6 +312,21 @@ def test_criterion_10_layer_difference_trend(default_run):
     record(10, "original-vs-pseudo-label SVCCA difference is smaller at the first "
                "hidden layer than at the last (>=4 of 5 seeds)",
            wins >= 4, f"{wins}/5 seeds: " + " ".join(pairs))
+
+
+def test_seed_11_outputs_match_the_pinned_digests(default_run):
+    # Every output byte of default seed 11, against tests/golden/seed_11.sha256.
+    # Another Python, NumPy or BLAS may round differently: the test then
+    # skips, and never re-pins the file (the README says how to).
+    cfg, root, _, _ = default_run
+    pinned_env, pinned = golden_digests.read(golden_digests.PINNED.read_text())
+    env = golden_digests.environment()
+    if env != pinned_env:
+        pytest.skip(f"digests pinned under {pinned_env}; this environment is {env}")
+    assert 11 in cfg.seeds
+    diff = golden_digests.compare(golden_digests.digests(SeedPaths(root, 11).base), pinned)
+    assert not any(diff.values()), (f"seed_11 differs from {golden_digests.PINNED.name}: "
+                                    + "; ".join(f"{kind}: {paths}" for kind, paths in diff.items()))
 
 
 def test_criterion_11_label_free_student(tmp_path):

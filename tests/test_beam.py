@@ -250,51 +250,41 @@ def test_frame_loop_matches_exhaustive_oracle_no_lm(rng, uncertified, loop_sizes
     assert loop_sizes == [len(batch)]
 
 
-def _lineage(prefixes, p):
-    """Prefix ``p`` and its ancestors, up to its root, through the parent
-    links; a parent precedes its child, so the walk ends."""
-    out = [p]
-    while prefixes.parent[p] >= 0:
-        assert prefixes.parent[p] < p
-        p = int(prefixes.parent[p])
-        out.append(p)
-    return out
-
-
-def _read(prefixes, p):
-    """(root id, symbols) of prefix ``p``."""
-    *kids, root = _lineage(prefixes, p)
-    return root, [int(prefixes.symbol[k]) for k in reversed(kids)]
-
-
-@pytest.mark.parametrize("lm", [None, LM3], ids=["no_lm", "trigram"])
-def test_collection_keeps_exactly_the_live_prefixes(lm, monkeypatch):
-    # A batch long enough to collect the prefix table several times. Right
-    # after each collection the table holds the roots and the ancestors of
-    # the live hypotheses and nothing else, every live hypothesis reads the
-    # same symbols as before it, and the child column holds exactly the
-    # survivors, each under its parent and symbol.
+@pytest.mark.parametrize("lm, bonus, refuse", [(None, 0.5, False), (LM3, 0.5, False),
+                                               (None, 0.0, True)],
+                         ids=["no_lm", "trigram", "lm_off_uncertified"])
+def test_prefix_table_grows_and_keeps_every_id(lm, bonus, refuse, monkeypatch, loop_sizes,
+                                               request):
+    # A batch long enough to grow the prefix table several times. Each grow
+    # keeps every used row as it was, and at the end every interned prefix
+    # sits in the child column under its parent and its symbol, and nothing
+    # else does. With the certificate refused, LM-off decoding runs the
+    # frame loop on the whole batch.
     rng = np.random.default_rng(7)
-    cfg = BeamConfig(beam_width=12, lm_weight=0.6, word_insertion_bonus=0.5)
+    cfg = BeamConfig(beam_width=12, lm_weight=0.6, word_insertion_bonus=bonus)
     batch = mixed_batch(rng, 24, 150, VOCAB.size, min_frames=100)
-    real = _Prefixes.collect
-    sizes = []
+    if refuse:
+        request.getfixturevalue("uncertified")
+    real, tables = _Prefixes._grow, []
 
-    def checked(self, pid, live, room):
-        before = [_read(self, p) for p in pid[live].tolist()]
-        real(self, pid, live, room)
-        kept = set(range(len(batch))).union(*(_lineage(self, p) for p in pid[live].tolist()))
-        assert kept == set(range(self.size))
-        assert [_read(self, p) for p in pid[live].tolist()] == before
-        kids = np.arange(len(batch), self.size)
-        assert self.child[self.parent[kids], self.symbol[kids]].tolist() == kids.tolist()
-        assert np.count_nonzero(self.child != -1) == len(kids)
-        sizes.append(self.size)
+    def checked(self, room):
+        before = {name: getattr(self, name)[:self.size].copy() for name in self.columns}
+        real(self, room)
+        assert self.size + room <= len(self.parent)
+        for name, rows in before.items():
+            assert np.array_equal(getattr(self, name)[:self.size], rows)
+        tables.append(self)
 
-    monkeypatch.setattr(_Prefixes, "collect", checked)
+    monkeypatch.setattr(_Prefixes, "_grow", checked)
     assert (beam_decode(batch, lm, cfg, VOCAB)
             == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
-    assert len(sizes) >= 3 and max(sizes) > len(batch)
+    assert loop_sizes == [len(batch)]
+    assert len(tables) >= 3 and all(table is tables[0] for table in tables)
+    prefixes = tables[0]
+    kids = np.arange(len(batch), prefixes.size)
+    assert np.all(prefixes.parent[kids] < kids)
+    assert prefixes.child[prefixes.parent[kids], prefixes.symbol[kids]].tolist() == kids.tolist()
+    assert np.count_nonzero(prefixes.child != -1) == len(kids)
 
 
 def test_lm_queried_through_its_method(monkeypatch):

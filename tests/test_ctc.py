@@ -310,7 +310,7 @@ def test_live_cells_match_two_pass_and_dead_cells_are_neg_inf(data):
     z = data.draw(st.integers(2, 12), label="z")
     blank = data.draw(st.integers(0, z - 1), label="blank")
     pairs = [_draw_pair(data, z, blank) for _ in range(data.draw(st.integers(1, 16), label="B"))]
-    for (lp, target), (alpha, beta) in zip(pairs, _lattices(pairs, z, blank)):
+    for (lp, target), (alpha, beta, _) in zip(pairs, _lattices(pairs, z, blank)):
         want_alpha, want_beta = two_pass_lattice(lp, target, blank)
         can_start, can_finish = (np.isfinite(x) for x in two_pass_lattice(np.zeros_like(lp),
                                                                           target, blank))
@@ -325,6 +325,16 @@ def test_lattice_of_another_pair_rejected():
     (lattice,) = ctc_lattices([uniform[:4]], [prepare_target([0, 1], 4, 3, blank=2)])
     with pytest.raises(ValueError, match="lattice"):
         ctc_loss(uniform, [0, 1], blank=2, lattice=lattice)
+
+
+@pytest.mark.parametrize("target, blank", [([1, 0], 2), ([0], 2), ([0, 1, 0], 2), ([0, 1], 1)],
+                         ids=["labels", "shorter", "longer", "blank"])
+def test_lattice_of_another_target_rejected(target, blank):
+    uniform = np.log(np.full((5, 3), 1 / 3))
+    (lattice,) = ctc_lattices([uniform], [prepare_target([0, 1], 5, 3, blank=2)])
+    assert np.array_equal(lattice.states, [2, 0, 2, 1, 2])
+    with pytest.raises(ValueError, match="prepared for another target or blank"):
+        ctc_loss(uniform, target, blank=blank, lattice=lattice)
 
 
 @pytest.mark.parametrize("lp", [np.zeros((5, 3)), np.zeros((4, 4))], ids=["frames", "symbols"])
