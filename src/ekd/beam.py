@@ -7,10 +7,16 @@ supplied, ``lm_weight * ln p_lm`` for every completed word and a per-word
 insertion bonus. Word boundaries are the vocabulary's separator symbol; the
 trailing partial word and the sentence end are scored at finalization.
 
+A batch may hold any utterances, of one model or of several. It runs
+longest first in chunks of at most ``_CHUNK`` utterances; each chunk has its
+own log posteriors and prefix table, and all chunks share one LM table, so
+each (token, context) pair is queried once per call. An utterance's words
+never depend on the others in its batch or chunk.
+
 Each utterance keeps ``beam_width`` slots of (score, prefix id, last symbol);
-an empty slot scores NaN. Utterances run longest first, so those still
-running are a leading block, and every frame advances all their beams with
-the same fixed set of numpy calls over the whole block:
+an empty slot scores NaN. Within a chunk, those still running are a leading
+block, and every frame advances all their beams with the same fixed set of
+numpy calls over the whole block:
 
 * every extension is scored as ``score + log_probs[t]`` (the same IEEE
   additions as extending one hypothesis at a time), and a separator that
@@ -21,25 +27,29 @@ the same fixed set of numpy calls over the whole block:
   none) and (p, p's last symbol), extend alike by every symbol but that
   last one; and the repeat of (p, g) is also the extension of p's parent by
   g. Both are merged by slot position, without comparing keys;
-* the ``beam_width`` best candidates of each utterance survive
-  (``argpartition``), and those that extend a prefix by a new symbol are
-  interned in one batch: a prefix is its parent's id and symbol, found again
-  through the parent's ``child`` row, and with an LM also a partial word
-  id, LM contexts and the word's LM term.
+* the ``beam_width`` best candidates of each utterance survive. One
+  partition of the scores finds each utterance's cut-off, its
+  ``beam_width``-th best score, and the candidates at or above it are kept:
+  exactly ``beam_width`` of them in almost every row; more when some tie
+  at the cut-off, ranked then by (prefix, last), the published tie rule; and
+  with fewer than ``beam_width`` candidates (as at the first frames) the
+  cut-off is NaN and ``argpartition`` keeps them all. Survivors that extend
+  a prefix by a new symbol are interned in one batch: a prefix is its
+  parent's id and symbol, found again through the parent's ``child`` row,
+  and with an LM also a partial word id, LM contexts and the word's LM term.
 
 The key fixes partial word, context and word count, so tied duplicates are
 identical and order within a beam never matters. Python runs only to query
 the LM, once per (token, context) pair and call; to rank the rare
-candidates tied at an utterance's cut-off score by (prefix, last), the
-published tie rule; and to finish each utterance, where the first strict
-maximum in (prefix, last) order wins and its prefix is read back through
-the parent links.
+candidates tied at an utterance's cut-off; and to finish each utterance,
+where the first strict maximum in (prefix, last) order wins and its prefix
+is read back through the parent links.
 
-A prefix keeps its id for the whole call, and no prefix is ever dropped:
+A prefix keeps its id for the whole chunk, and no prefix is ever dropped:
 when an extension would overflow the prefix columns, they double and the
 used rows are copied. Most prefixes die within a frame of being interned,
-so a call's prefix table grows with its batch and its frames; callers keep
-a batch to one model's test sets.
+so a chunk's prefix table grows with its utterances and its frames, and
+``_CHUNK`` bounds it.
 
 Without a fused LM and with a zero bonus, the best path is certified
 before any search. Every hypothesis then scores the float sum, from 0.0 in
@@ -61,8 +71,8 @@ greedy decoding, at any width. Each frame's argmax is then strict in the
 log posteriors, hence also in the posteriors. ``beam_decode`` checks this
 certificate on the same log posteriors the frame loop reads, with the
 margin doubled so that the check's own rounding cannot matter, and decodes
-the certified utterances greedily; the others (exact or near ties, NaN)
-run the frame loop as one smaller batch.
+the certified utterances of each chunk greedily; the others (exact or
+near ties, NaN) run the frame loop as one smaller batch.
 """
 from __future__ import annotations
 
@@ -79,6 +89,10 @@ from .vocab import Vocabulary
 LN10 = math.log(10.0)
 NO_LAST = -1
 UNIT_ROUNDOFF = 2.0 ** -53
+# Utterances per chunk: about one teacher's test sets, which keeps a chunk's
+# log posteriors and prefix table small while each frame's numpy calls
+# advance many beams.
+_CHUNK = 160
 
 
 @dataclass
@@ -95,12 +109,13 @@ class BeamConfig:
 
 
 class _WordTerms:
-    """The LM side of one call: partial words, the LM contexts met, and the
-    LM term of each (token, context) pair, queried once per call. A word
-    outside the LM's vocabulary is scored as ``<unk>``, so partial words are
-    told apart only while they can still grow into an LM token: they are the
-    prefixes of the tokens (0 is the empty word), and every other word is
-    the one word ``DEAD``, whose extensions stay dead."""
+    """The LM side of one call, shared by its chunks: partial words, the LM
+    contexts met, and the LM term of each (token, context) pair, queried
+    once per call. A word outside the LM's vocabulary is scored as
+    ``<unk>``, so partial words are told apart only while they can still
+    grow into an LM token: they are the prefixes of the tokens (0 is the
+    empty word), and every other word is the one word ``DEAD``, whose
+    extensions stay dead."""
 
     DEAD = 1
 
@@ -167,26 +182,26 @@ def _grown(table: np.ndarray, fill) -> np.ndarray:
 
 
 class _Prefixes:
-    """The collapsed prefixes of one call, in columns indexed by prefix id:
+    """The collapsed prefixes of one chunk, in columns indexed by prefix id:
     the ids below ``size`` are in use, the rows past it are room, and the
-    first ``n_utts`` are the utterances' empty prefixes. A parent's id is below its children's. A prefix holds its
-    parent and last symbol (NO_LAST for a root); with an LM also its
-    partial word (a ``_WordTerms`` word id, 0 for none), the LM contexts
-    before and after that word, and the word's LM term. ``child[p, g]`` is
+    first ``n_utts`` are the utterances' empty prefixes. A parent's id is
+    below its children's. A prefix holds its parent and last symbol
+    (NO_LAST for a root); with the call's ``_WordTerms`` also its partial
+    word (a ``_WordTerms`` word id, 0 for none), the LM contexts before and
+    after that word, and the word's LM term. ``child[p, g]`` is
     the id of p extended by symbol g, or -1; ``slots[p]`` maps p's beam
     hypotheses (last none, last symbol) to their flat slot during a frame's
     merge, else -1. A separator adds the bonus to a prefix whose last symbol
     is a letter: ``sep_bonus[symbol]``, whose last entry serves NO_LAST."""
 
-    def __init__(self, n_utts: int, lm: NgramLm | None, config: BeamConfig,
+    def __init__(self, n_utts: int, terms: _WordTerms | None, config: BeamConfig,
                  vocab: Vocabulary):
-        fuse = lm is not None and config.lm_weight > 0
-        self.lm = _WordTerms(lm, config.lm_weight * LN10, vocab) if fuse else None
+        self.lm = terms
         self.z, self.sep = vocab.size, vocab.word_separator_index
         self.sep_bonus = np.full(vocab.size + 1, config.word_insertion_bonus)
         self.sep_bonus[[self.sep, NO_LAST]] = 0.0
         self.columns = {"parent": -1, "symbol": NO_LAST, "child": -1, "slots": -1}
-        if fuse:
+        if terms is not None:
             self.columns.update(word=0, context=0, end=0, lm_add=0.0)
         self.size = n_utts
         for name in self.columns:
@@ -280,29 +295,33 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
         if posts.vocab_size != vocab.size:
             raise ValueError(f"utterance {posts.utterance_id!r}: posterior width "
                              f"{posts.vocab_size} does not match vocabulary size {vocab.size}")
-    if not posteriors:
-        return []
-    # Longest first, so the utterances still running are a leading block.
+    fuse = lm is not None and config.lm_weight > 0
+    terms = _WordTerms(lm, config.lm_weight * LN10, vocab) if fuse else None
+    certify = not fuse and config.word_insertion_bonus == 0
+    # Longest first, so the utterances still running are a leading block of
+    # each chunk.
     lengths = np.array([posts.num_frames for posts in posteriors])
     order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    starts = np.cumsum(lengths) - lengths
-    # Filled in place, with the bits of PosteriorSequence.log_probs().
-    log_probs = np.empty((lengths.sum(), vocab.size))
-    with np.errstate(divide="ignore"):
-        for i, start, T in zip(order.tolist(), starts.tolist(), lengths.tolist()):
-            np.log(posteriors[i].probs, out=log_probs[start:start + T])
-
     out: list[list[str]] = [[] for _ in posteriors]
-    search = np.ones(len(order), bool)
-    if (lm is None or config.lm_weight == 0) and config.word_insertion_bonus == 0:
-        search = ~_best_path_certified(log_probs, starts, lengths)
-        for i in order[~search].tolist():
-            out[i] = vocab.indices_to_words(greedy_decode(posteriors[i], vocab.blank_index))
-    if search.any():
-        words = _frame_loop(log_probs, starts[search], lengths[search], lm, config, vocab)
-        for i, best in zip(order[search].tolist(), words):
-            out[i] = best
+    for first in range(0, len(order), _CHUNK):
+        chunk = order[first:first + _CHUNK]
+        chunk_lengths = lengths[chunk]
+        starts = np.cumsum(chunk_lengths) - chunk_lengths
+        # Filled in place, with the bits of PosteriorSequence.log_probs().
+        log_probs = np.empty((chunk_lengths.sum(), vocab.size))
+        with np.errstate(divide="ignore"):
+            for i, start, T in zip(chunk.tolist(), starts.tolist(), chunk_lengths.tolist()):
+                np.log(posteriors[i].probs, out=log_probs[start:start + T])
+        search = np.ones(len(chunk), bool)
+        if certify:
+            search = ~_best_path_certified(log_probs, starts, chunk_lengths)
+            for i in chunk[~search].tolist():
+                out[i] = vocab.indices_to_words(greedy_decode(posteriors[i], vocab.blank_index))
+        if search.any():
+            words = _frame_loop(log_probs, starts[search], chunk_lengths[search], terms, config,
+                                vocab)
+            for i, best in zip(chunk[search].tolist(), words):
+                out[i] = best
     return out
 
 
@@ -319,15 +338,17 @@ def _best_path_certified(log_probs: np.ndarray, starts: np.ndarray,
 
 
 def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                lm: NgramLm | None, config: BeamConfig, vocab: Vocabulary) -> list[list[str]]:
+                terms: _WordTerms | None, config: BeamConfig,
+                vocab: Vocabulary) -> list[list[str]]:
     """The beam search of the utterances whose log posteriors are the rows
-    ``starts[i]`` on, ``lengths[i]`` of them, longest first; their words in
-    that order."""
+    ``starts[i]`` on, ``lengths[i]`` of them, longest first, with the call's
+    LM table ``terms`` (None without a fused LM); their words in that
+    order."""
     z, blank, sep = vocab.size, vocab.blank_index, vocab.word_separator_index
     width = config.beam_width
     running = np.searchsorted(-lengths, -np.arange(lengths[0]))
     n_utts = len(lengths)
-    prefixes = _Prefixes(n_utts, lm, config, vocab)
+    prefixes = _Prefixes(n_utts, terms, config, vocab)
     score = np.full((n_utts, width), np.nan)
     score[:, 0] = 0.0
     pid = np.full((n_utts, width), -1, np.int64)
@@ -343,15 +364,15 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         prefixes.merge_duplicates(cand.reshape(-1, z), flat_pid, flat_last,
                                   np.flatnonzero(~np.isnan(score[:n])))
         cand = cand.reshape(n, width * z)
-        top = np.argpartition(-cand, width - 1, axis=1)[:, :width]
-        # Candidates tied with the cut-off beyond the kept ones: rank by (prefix, last).
-        rows = np.arange(n)[:, None]
-        cutoff = cand[rows, top[:, -1:]]
-        for r in np.flatnonzero(np.count_nonzero(cand >= cutoff, axis=1) > width).tolist():
-            tied = np.flatnonzero(cand[r] >= cutoff[r]).tolist()
-            top[r] = sorted(tied, key=lambda c: (-cand[r, c], *_candidate_state(
+
+        def rank(r: int, kept: list[int]) -> list[int]:
+            # Candidates tied at the cut-off: by score, then (prefix, last).
+            return sorted(kept, key=lambda c: (-cand[r, c], *_candidate_state(
                 prefixes, flat_pid[r * width + c // z], flat_last[r * width + c // z],
-                c % z, blank)))[:width]
+                c % z, blank)))
+
+        top = _survivors(cand, width, rank)
+        rows = np.arange(n)[:, None]
         new_score = cand[rows, top]
         g = top % z
         src = top // z + rows * width
@@ -383,6 +404,33 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
             tied, key=lambda w: prefixes.state(pid[r, w], last[r, w]))
         out[r] = vocab.indices_to_words(prefixes.state(pid[r, w], 0)[0])
     return out
+
+
+def _survivors(cand: np.ndarray, width: int, rank) -> np.ndarray:
+    """The columns of each row's ``width`` best candidates (NaN is none).
+    One partition finds each row's cut-off, its ``width``-th best score, and
+    ``kept = cand >= cutoff`` the candidates at or above it. A row with
+    exactly ``width`` kept takes them; a row with more (ties at the cut-off)
+    takes the first ``width`` of ``rank(row, kept columns)``; a row with
+    fewer than ``width`` candidates has a NaN cut-off, keeps none, and takes
+    them all from ``argpartition``, padded with empty columns."""
+    n, m = cand.shape
+    cutoff = -np.partition(-cand, width - 1, axis=1)[:, width - 1:width]
+    kept = cand >= cutoff
+    # A row with a cut-off keeps at least ``width``, so n * width kept and no
+    # NaN cut-off mean exactly ``width`` in every row.
+    if np.count_nonzero(kept) == n * width and not np.isnan(cutoff).any():
+        return np.flatnonzero(kept).reshape(n, width) % m
+    n_kept = np.count_nonzero(kept, axis=1)
+    exact = n_kept == width
+    top = np.empty((n, width), np.intp)
+    top[exact] = np.flatnonzero(kept[exact]).reshape(-1, width) % m
+    short = n_kept < width
+    if short.any():
+        top[short] = np.argpartition(-cand[short], width - 1, axis=1)[:, :width]
+    for r in np.flatnonzero(n_kept > width).tolist():
+        top[r] = rank(r, np.flatnonzero(kept[r]).tolist())[:width]
+    return top
 
 
 def _candidate_state(prefixes: _Prefixes, p: int, last: int, g: int,

@@ -128,12 +128,12 @@ def backward_features(model: ModelCheckpoint, cache, grad_logits: np.ndarray) ->
     d = grad_logits
     grads[2 * n_hidden] = inputs[n_hidden].T @ d
     grads[2 * n_hidden + 1] = d.sum(axis=0)
-    d = d @ model.weights[2 * n_hidden].T
     for i in range(n_hidden - 1, -1, -1):
-        d = d * _activate_grad(pres[i], inputs[i + 1], act)
+        # d(loss)/d(layer i's output), then through its activation; the
+        # input layer's own input gradient is never needed.
+        d = (d @ model.weights[2 * i + 2].T) * _activate_grad(pres[i], inputs[i + 1], act)
         grads[2 * i] = inputs[i].T @ d
         grads[2 * i + 1] = d.sum(axis=0)
-        d = d @ model.weights[2 * i].T
     return grads  # type: ignore[return-value]
 
 

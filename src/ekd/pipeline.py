@@ -348,9 +348,9 @@ def _eval_matrix(config: ExperimentConfig,
 def evaluate_model(references: Sequence[list[list[str]]],
                    posteriors: Sequence[list[PosteriorSequence]], lm: NgramLm | None,
                    config: ExperimentConfig, vocab: Vocabulary) -> list[WerBreakdown]:
-    """The WER breakdown of one model on each test set, from its posteriors
-    and the reference words on each (``posteriors[i]`` against
-    ``references[i]``), decoded as one batch."""
+    """The WER breakdown of each test set of one or more models, from the
+    model's posteriors and the reference words on it (``posteriors[i]``
+    against ``references[i]``), decoded as one batch."""
     # The word bonus exists to offset the LM's per-word cost; without an LM
     # the acoustic score stands alone.
     beam_cfg = config.beam if lm is not None else dataclasses.replace(
@@ -366,33 +366,43 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
         raise PipelineError(f"lm mode must be on/off/both, got {lm_mode!r}")
     lm_flags = [False, True] if lm_mode == "both" else [lm_mode == "on"]
     lm_path = paths.lm / "ngram.arpa"
+    load_lm = functools.cache(lambda: load_arpa(lm_path) if True in lm_flags else None)
     test_corpus = functools.cache(load_corpus)
+    # (model, test set, test corpus, posteriors) of each test set of every
+    # model built, in _eval_matrix order: one beam_decode batch per LM mode.
+    batch: list[tuple[str, str, Corpus, list[PosteriorSequence]]] = []
 
-    def build(model_name, checkpoint, test_sets, lm) -> None:
+    def build(model_name, checkpoint, test_sets, _) -> None:
         model = load_checkpoint(checkpoint)
-        corpora = [test_corpus(corpus_path) for _, corpus_path in test_sets]
-        posteriors = [corpus_posteriors(model, corpus) for corpus in corpora]
-        vocab = corpora[0].vocabulary  # the model's, checked by corpus_posteriors
-        references = [[vocab.indices_to_words(utt.transcript) for utt in corpus.utterances]
-                      for corpus in corpora]
-        for lm_on in lm_flags:
-            # A failure propagates before this mode's file is written, and a
-            # model with a missing file is evaluated again on resume.
-            breakdowns = evaluate_model(references, posteriors, lm if lm_on else None, config,
-                                        vocab)
-            table = ResultTable()
-            for (test_set, _), breakdown in zip(test_sets, breakdowns):
-                table.set(test_set, model_name, lm_on, breakdown)
-                logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
-                            "on" if lm_on else "off", 100 * breakdown.wer)
-            binio.atomic_write_text(paths.cell_path(model_name, lm_on), table.to_tsv())
+        for test_set, corpus_path in test_sets:
+            corpus = test_corpus(corpus_path)
+            batch.append((model_name, test_set, corpus, corpus_posteriors(model, corpus)))
 
     units = [_Unit(name, [paths.cell_path(name, lm_on) for lm_on in lm_flags],
                    functools.partial(build, name, ckpt, test_sets),
                    [ckpt, *(corpus_path for _, corpus_path in test_sets)])
              for name, ckpt, test_sets in _eval_matrix(config, paths)]
-    _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
-               load=lambda: load_arpa(lm_path) if True in lm_flags else None)
+    if not _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
+                      load=load_lm):
+        return
+    # The test corpora's one vocabulary, that of every model (checked by
+    # corpus_posteriors).
+    vocab = batch[0][2].vocabulary
+    references = [[vocab.indices_to_words(utt.transcript) for utt in corpus.utterances]
+                  for _, _, corpus, _ in batch]
+    for lm_on in lm_flags:
+        # A failure propagates before this mode's files are written, and a
+        # model with a missing file is evaluated again on resume.
+        breakdowns = evaluate_model(references, [posts for *_, posts in batch],
+                                    load_lm() if lm_on else None, config, vocab)
+        tables: dict[str, ResultTable] = {}
+        for (model_name, test_set, _, _), breakdown in zip(batch, breakdowns):
+            tables.setdefault(model_name, ResultTable()).set(test_set, model_name, lm_on,
+                                                             breakdown)
+            logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
+                        "on" if lm_on else "off", 100 * breakdown.wer)
+        for model_name, table in tables.items():
+            binio.atomic_write_text(paths.cell_path(model_name, lm_on), table.to_tsv())
 
 
 def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,

@@ -4,8 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class WerBreakdown:
@@ -43,33 +41,28 @@ def wer(reference: list[str], hypothesis: list[str]) -> WerBreakdown:
     On cost ties the backtrace prefers substitution over deletion over
     insertion; that choice shapes the breakdown, never the total.
     """
-    r = list(reference)
-    h = list(hypothesis)
+    r, h = list(reference), list(hypothesis)
     R, H = len(r), len(h)
-    d = np.zeros((R + 1, H + 1), dtype=np.int64)
-    d[:, 0] = np.arange(R + 1)
-    d[0, :] = np.arange(H + 1)
+    d = [list(range(H + 1))]
     for i in range(1, R + 1):
+        prev, row, word = d[-1], [i], r[i - 1]
         for j in range(1, H + 1):
-            sub = d[i - 1, j - 1] + (r[i - 1] != h[j - 1])
-            dele = d[i - 1, j] + 1
-            ins = d[i, j - 1] + 1
-            d[i, j] = min(sub, dele, ins)
+            row.append(min(prev[j - 1] + (word != h[j - 1]), prev[j] + 1, row[j - 1] + 1))
+        d.append(row)
 
     subs = ins = dels = 0
     i, j = R, H
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + (r[i - 1] != h[j - 1]):
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (r[i - 1] != h[j - 1]):
             subs += r[i - 1] != h[j - 1]
             i, j = i - 1, j - 1
-        elif i > 0 and d[i, j] == d[i - 1, j] + 1:
+        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
             dels += 1
             i -= 1
         else:
             ins += 1
             j -= 1
-    return WerBreakdown(substitutions=int(subs), insertions=ins, deletions=dels,
-                        reference_words=R)
+    return WerBreakdown(substitutions=subs, insertions=ins, deletions=dels, reference_words=R)
 
 
 def accumulate(parts: list[WerBreakdown]) -> WerBreakdown:

@@ -4,9 +4,11 @@ Nothing here shares code with the production package: CTC is an explicit
 sum over every frame-level path, or separate alpha and beta passes for the
 bit-exact check of the packed recursion; CCA is a generalized eigenproblem,
 edit distance is the textbook recursion, and the decoder oracle scores every
-collapsed label sequence exhaustively. ``object_beam_decode`` is the beam
-search as first written, one object per hypothesis, kept as the bit-exact
-reference for the array-backed decoder. ``stacked_dump_activations`` is
+collapsed label sequence exhaustively. ``numpy_wer`` is the word alignment
+as first written, on an ``np.int64`` matrix, kept as the reference for the
+error breakdown. ``object_beam_decode`` is the beam search as first
+written, one object per hypothesis, kept as the bit-exact reference for the
+array-backed decoder. ``stacked_dump_activations`` is
 the activation sampler as first written, stacking every frame of the corpus
 before it indexes the sample; it reuses the model's forward pass and frame
 subsample and is the bit-exact reference for the per-utterance sampler.
@@ -215,6 +217,34 @@ def recursive_edit_distance(r, h) -> int:
         return 1 + min(go(i + 1, j + 1), go(i + 1, j), go(i, j + 1))
 
     return go(0, 0)
+
+
+def numpy_wer(reference, hypothesis) -> tuple[int, int, int]:
+    """(substitutions, insertions, deletions) from an ``np.int64`` edit
+    matrix with numpy-scalar indexing, backtraced with substitution over
+    deletion over insertion on cost ties: ``ekd.wer.wer`` as first written."""
+    r, h = list(reference), list(hypothesis)
+    R, H = len(r), len(h)
+    d = np.zeros((R + 1, H + 1), dtype=np.int64)
+    d[:, 0] = np.arange(R + 1)
+    d[0, :] = np.arange(H + 1)
+    for i in range(1, R + 1):
+        for j in range(1, H + 1):
+            d[i, j] = min(d[i - 1, j - 1] + (r[i - 1] != h[j - 1]), d[i - 1, j] + 1,
+                          d[i, j - 1] + 1)
+    subs = ins = dels = 0
+    i, j = R, H
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and d[i, j] == d[i - 1, j - 1] + (r[i - 1] != h[j - 1]):
+            subs += r[i - 1] != h[j - 1]
+            i, j = i - 1, j - 1
+        elif i > 0 and d[i, j] == d[i - 1, j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return int(subs), ins, dels
 
 
 # -- CCA -----------------------------------------------------------------------

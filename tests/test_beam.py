@@ -152,6 +152,97 @@ def test_batch_matches_batches_of_one(width):
                 == [words for posts in batch for words in beam_decode([posts], lm, cfg, VOCAB)])
 
 
+def models_batches(rng, z):
+    """Three "models'" test utterances: random, quantised (exact ties) and
+    sharp posteriors (near one-hot, as a trained model's)."""
+    sharp = []
+    for i, T in enumerate(rng.integers(1, 40, size=9).tolist()):
+        probs = np.full((T, z), 0.02)
+        probs[np.arange(T), rng.integers(0, z, size=T)] = 1.0
+        sharp.append(PosteriorSequence(probs / probs.sum(axis=1, keepdims=True), f"s{i}"))
+    return [batch_of(rng, 7, 40, z), [quantised_posteriors(rng, int(T), z)
+                                      for T in rng.integers(1, 40, size=8)], sharp]
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+@pytest.mark.parametrize("width", [1, 3, 12])
+def test_one_call_over_several_models_matches_per_model_calls(width, chunk, monkeypatch):
+    # One call decodes every model's utterances longest first in chunks that
+    # mix the models; each utterance's words are those of its own model's
+    # call and of the reference decoder, LM on (fused, with a bonus) and off
+    # (as evaluate decodes it: no LM, no bonus, so the certificate runs).
+    rng = np.random.default_rng([width, chunk])
+    monkeypatch.setattr(beam, "_CHUNK", chunk)
+    models = models_batches(rng, VOCAB.size)
+    batch = [posts for model in models for posts in model]
+    for lm, bonus in ((LM3, 0.5), (None, 0.0)):
+        cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=bonus)
+        want = [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch]
+        assert beam_decode(batch, lm, cfg, VOCAB) == want
+        assert [words for model in models for words in beam_decode(model, lm, cfg, VOCAB)] == want
+
+
+def test_lm_queried_once_per_pair_across_chunks(rng, monkeypatch):
+    # The chunks of one call share its LM table.
+    cfg = BeamConfig(beam_width=6, lm_weight=0.6, word_insertion_bonus=0.5)
+    batch = mixed_batch(rng, 30, 30, VOCAB.size)
+    want = [object_beam_decode(posts, LM3, cfg, VOCAB) for posts in batch]
+    queried = []
+    original = NgramLm.log10_prob
+
+    def counting(self, word, context=()):
+        queried.append((word, tuple(context)))
+        return original(self, word, context)
+
+    monkeypatch.setattr(NgramLm, "log10_prob", counting)
+    monkeypatch.setattr(beam, "_CHUNK", 3)
+    assert beam_decode(batch, LM3, cfg, VOCAB) == want
+    assert queried and len(set(queried)) == len(queried)
+
+
+@pytest.mark.parametrize("width", [5, 12])
+def test_survivors_takes_every_cut_off_path(width, monkeypatch):
+    # Quantised posteriors tie at the cut-off, and a width above the
+    # vocabulary size leaves the first frame's rows short of candidates.
+    # Each row is classed by its cut-off, found here by a full sort: exactly
+    # ``width`` at or above it, more (ranked ties), or a NaN cut-off.
+    real, seen = beam._survivors, {"exact": 0, "tied": 0, "short": 0}
+
+    def spy(cand, w, rank):
+        ranked = set()
+
+        def ranking(r, kept):
+            ranked.add(r)
+            return rank(r, kept)
+
+        top = real(cand, w, ranking)
+        cutoff = -np.sort(-cand, axis=1)[:, w - 1]
+        for r, row in enumerate(top.tolist()):
+            kept = set(np.flatnonzero(cand[r] >= cutoff[r]).tolist())
+            if np.isnan(cutoff[r]):
+                seen["short"] += 1
+                assert set(np.flatnonzero(~np.isnan(cand[r])).tolist()) <= set(row)
+            elif len(kept) == w:
+                seen["exact"] += 1
+                assert set(row) == kept
+            else:
+                seen["tied"] += 1
+                assert r in ranked and set(row) <= kept
+            assert len(set(row)) == w
+        assert ranked == {r for r in range(len(cand))
+                          if np.count_nonzero(cand[r] >= cutoff[r]) > w}
+        return top
+
+    monkeypatch.setattr(beam, "_survivors", spy)
+    rng = np.random.default_rng(width)
+    batch = [quantised_posteriors(rng, int(T), VOCAB.size) for T in rng.integers(1, 30, size=40)]
+    for lm in (None, LM3):
+        cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.5)
+        assert (beam_decode(batch, lm, cfg, VOCAB)
+                == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
+    assert all(seen.values()), seen
+
+
 # -- the certified best path of LM-off decoding --------------------------------
 
 @pytest.fixture
@@ -239,7 +330,8 @@ def test_frame_loop_width_one_no_lm_equals_greedy(rng, uncertified, loop_sizes):
     batch = batch_of(rng, 200, 15)
     want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
     assert beam_decode(batch, None, cfg, VOCAB) == want
-    assert loop_sizes == [len(batch)]
+    # Every utterance runs the frame loop, in chunks of at most _CHUNK.
+    assert loop_sizes == [beam._CHUNK, len(batch) - beam._CHUNK]
 
 
 def test_frame_loop_matches_exhaustive_oracle_no_lm(rng, uncertified, loop_sizes):

@@ -232,6 +232,37 @@ def test_deleted_teacher_cell_reevaluates_only_that_teacher(finished_run, tmp_pa
     assert {k.test_set for k in held.cells} == {f"{d}_test" for d in domains}
 
 
+def test_models_to_evaluate_share_one_decode_per_lm_mode(finished_run, tmp_path, monkeypatch):
+    # A teacher missing its LM-on file and a student missing its LM-off file
+    # are both evaluated again in both modes, each mode one beam_decode call
+    # over both models' test utterances; the other models are skipped.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    teacher, student = f"teacher_{cfg.teacher_domains[0].name}", "student_elitist"
+    before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
+    stamps = _cell_stamps(paths)
+    paths.cell_path(teacher, True).unlink()
+    paths.cell_path(student, False).unlink()
+    import ekd.pipeline as pl
+
+    real = pl.beam_decode
+    calls = []
+
+    def recording(posteriors, lm, config, vocab):
+        calls.append(([p.utterance_id for p in posteriors], lm is not None))
+        return real(posteriors, lm, config, vocab)
+
+    monkeypatch.setattr(pl, "beam_decode", recording)
+    pl.stage_evaluate(cfg, cfg.seeds[0], paths)
+    test_ids = {d: [u.id for u in load_corpus(paths.corpus_path(d, "test")).utterances]
+                for d in [r.name for r in cfg.all_domains()]}
+    batch = [*(i for ids in test_ids.values() for i in ids), *test_ids[cfg.student_domain.name]]
+    assert calls == [(batch, False), (batch, True)]
+    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
+    rewritten = {name for name, stamp in _cell_stamps(paths).items() if stamp != stamps[name]}
+    assert rewritten == {f"{model}--lm_{mode}.tsv" for model in (teacher, student)
+                         for mode in ("on", "off")}
+
+
 def test_evaluate_reads_each_reference_once_per_model(finished_run, tmp_path):
     # Both LM modes score against one list of reference words per model.
     cfg, paths = _copy_run(finished_run, tmp_path)

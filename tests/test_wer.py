@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ekd.wer import accumulate, wer
 
-from oracles import recursive_edit_distance
+from oracles import numpy_wer, recursive_edit_distance
 
 words = st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=0, max_size=6)
 
@@ -44,6 +44,25 @@ def test_empty_both():
 @settings(max_examples=300, deadline=None)
 def test_total_matches_recursive_oracle(r, h):
     assert wer(r, h).total_errors == recursive_edit_distance(r, h)
+
+
+@given(words, words)
+@settings(max_examples=300, deadline=None)
+def test_breakdown_matches_numpy_oracle(r, h):
+    # Substitutions, insertions and deletions each, not just their total:
+    # the backtrace's tie order shapes the split.
+    b = wer(r, h)
+    assert (b.substitutions, b.insertions, b.deletions) == numpy_wer(r, h)
+    assert all(type(n) is int for n in (b.substitutions, b.insertions, b.deletions))
+
+
+def test_breakdown_matches_numpy_oracle_on_long_sequences(rng):
+    pool = ["a", "b", "c", "d"]
+    for _ in range(100):
+        r = [pool[i] for i in rng.integers(0, 4, size=rng.integers(0, 30))]
+        h = [pool[i] for i in rng.integers(0, 4, size=rng.integers(0, 30))]
+        b = wer(r, h)
+        assert (b.substitutions, b.insertions, b.deletions) == numpy_wer(r, h)
 
 
 @given(words, words)
