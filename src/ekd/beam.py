@@ -39,11 +39,14 @@ numpy calls over the whole block:
   and with an LM also a partial word id, LM contexts and the word's LM term.
 
 The key fixes partial word, context and word count, so tied duplicates are
-identical and order within a beam never matters. Python runs only to query
-the LM, once per (token, context) pair and call; to rank the rare
-candidates tied at an utterance's cut-off; and to finish each utterance,
-where the first strict maximum in (prefix, last) order wins and its prefix
-is read back through the parent links.
+identical and order within a beam never matters. A chunk finishes in one
+step: the sentence end is scored, each utterance's winner is its best
+final score, found as a frame finds its cut-off with a width of one (tied
+maxima go to the first in (prefix, last) order), and the prefixes of all
+winners are read back together through the parent links, one numpy step
+per symbol. Python runs only to query the LM, once per (token, context)
+pair and call, and to rank the rare candidates tied at a cut-off or at an
+utterance's best final score.
 
 A prefix keeps its id for the whole chunk, and no prefix is ever dropped:
 when an extension would overflow the prefix columns, they double and the
@@ -142,19 +145,23 @@ class _WordTerms:
                contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each word extended by its symbol: (word ids, LM terms in their
         contexts, the contexts once the words are in)."""
-        words = self.child[words, symbols]
-        return (words, *self.terms(self.token[words], contexts))
+        words = self.child.take(words * self.child.shape[1] + symbols)
+        return (words, *self.terms(self.token.take(words), contexts))
 
     def terms(self, tokens: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lm_weight * ln p(token | context), the context after the token)
         for each pair of token and context ids."""
-        terms = self.term[tokens, contexts]
-        if np.isnan(terms).any():
+        keys = tokens * self.term.shape[1] + contexts
+        terms = self.term.take(keys)
+        missing = np.isnan(terms)
+        if missing.any():
             n_ctx = self.term.shape[1]
-            for key in _distinct((tokens * n_ctx + contexts)[np.isnan(terms)]).tolist():
+            for key in _distinct(keys[missing]).tolist():
                 self._query(*divmod(key, n_ctx))
-            terms = self.term[tokens, contexts]
-        return terms, self.end[tokens, contexts]
+            # A query may have widened the table.
+            keys = tokens * self.term.shape[1] + contexts
+            terms = self.term.take(keys)
+        return terms, self.end.take(keys)
 
     def _query(self, token: int, cid: int) -> None:
         lm, word, context = self.lm, self.tokens[token], self.contexts[cid]
@@ -227,20 +234,22 @@ class _Prefixes:
         ``child`` row; returns the new ids."""
         if self.size + len(parents) > len(self.parent):
             self._grow(len(parents))
-        ids = np.arange(self.size, self.size + len(parents))
-        self.size += len(parents)
-        self.parent[ids] = parents
-        self.symbol[ids] = symbols
+        new = slice(self.size, self.size + len(parents))
+        ids = np.arange(new.start, new.stop)
+        self.size = new.stop
+        self.parent[new] = parents
+        self.symbol[new] = symbols
         self.child[parents, symbols] = ids
         if self.lm is not None:
             # A separator closes the parent's word; a letter extends it.
             letter = symbols != self.sep
-            context = np.where(letter, self.context[parents], self.end[parents])
-            self.context[ids] = context
-            self.end[ids] = context
-            if letter.any():
-                self.word[ids[letter]], self.lm_add[ids[letter]], self.end[ids[letter]] = (
-                    self.lm.extend(self.word[parents[letter]], symbols[letter], context[letter]))
+            context = np.where(letter, self.context.take(parents), self.end.take(parents))
+            self.context[new] = context
+            self.end[new] = context
+            at = letter.nonzero()[0]
+            if len(at):
+                (self.word[new][at], self.lm_add[new][at], self.end[new][at]) = self.lm.extend(
+                    self.word.take(parents.take(at)), symbols.take(at), context.take(at))
         return ids
 
     def state(self, p: int, last: int) -> tuple[tuple[int, ...], int]:
@@ -251,39 +260,64 @@ class _Prefixes:
             p = self.parent[p]
         return tuple(reversed(out)), last
 
+    def spell(self, ids: np.ndarray) -> list[list[int]]:
+        """The symbols of each prefix, first to last, read back through the
+        parent links of all of them together, one step per symbol."""
+        steps = []
+        while True:
+            symbols = self.symbol.take(ids)
+            going = symbols != NO_LAST
+            if not going.any():
+                break
+            steps.append(symbols)
+            ids = np.where(going, self.parent.take(ids), ids)
+        # Row i: NO_LAST as often as prefix i is shorter than the longest,
+        # then its symbols.
+        table = np.array(steps, np.int64).reshape(len(steps), len(ids)).T[:, ::-1]
+        lengths = np.count_nonzero(table != NO_LAST, axis=1)
+        return [row[len(steps) - k:] for row, k in zip(table.tolist(), lengths.tolist())]
+
     def merge_duplicates(self, scores: np.ndarray, pid: np.ndarray, last: np.ndarray,
                          live: np.ndarray) -> None:
         """Merge candidates of equal (prefix, last) key into one by maximum
         score; the others become NaN. ``scores`` is [slots, z]; ``pid`` and
         ``last`` give each slot's hypothesis and ``live`` the occupied slots."""
-        p, g = pid[live], last[live]
-        rep = (g != NO_LAST).astype(np.intp)
-        self.slots[p, rep] = live
+        p, g = pid.take(live), last.take(live)
+        rep = g != NO_LAST
+        # slots[2p + rep] is the slot of hypothesis (p, none) or (p, symbol).
+        keys = 2 * p + rep
+        slots = self.slots.reshape(-1)
+        slots[keys] = live
+        flat, z = scores.reshape(-1), scores.shape[1]
         # (p, none) and (p, p's last symbol) reach the same key with every
         # symbol but that last one: blank keeps p, others extend p alike.
-        first = live[rep == 0]
-        second = self.slots[p[rep == 0], 1]
+        none = (~rep).nonzero()[0]
+        second = slots.take(keys.take(none) + 1)
         paired = second >= 0
         if paired.any():
-            a, b = first[paired], second[paired]
-            alike = np.arange(scores.shape[1]) != last[b][:, None]
-            scores[a] = np.where(alike, np.fmax(scores[a], scores[b]), scores[a])
-            scores[b] = np.where(alike, np.nan, scores[b])
+            a, b = live.take(none[paired]), second[paired]
+            # Each keeps its own entry of b's last symbol.
+            own = np.array((a, b)) * z + last.take(b)
+            held = flat.take(own)
+            scores[a] = np.fmax(scores[a], scores[b])
+            scores[b] = np.nan
+            flat[own] = held
         # The repeat of (p, g) is the extension of p's parent by g, held by
         # the parent's (q, none) hypothesis, or else by (q, q's last symbol)
         # unless g repeats that symbol.
-        hit = live[rep == 1]
-        g = g[rep == 1]
-        q = self.parent[p[rep == 1]]
-        source = self.slots[q, 0]
+        at = rep.nonzero()[0]
+        hit, g = live.take(at), g.take(at)
+        q = self.parent.take(p.take(at))
+        source = slots.take(2 * q)
         source = np.where(source >= 0, source,
-                          np.where(g != self.symbol[q], self.slots[q, 1], -1))
-        found = source >= 0
-        if found.any():
-            hit, g, source = hit[found], g[found], source[found]
-            scores[hit, g] = np.fmax(scores[hit, g], scores[source, g])
-            scores[source, g] = np.nan
-        self.slots[p, rep] = -1
+                          np.where(g != self.symbol.take(q), slots.take(2 * q + 1), -1))
+        found = (source >= 0).nonzero()[0]
+        if len(found):
+            g = g.take(found)
+            into, out = hit.take(found) * z + g, source.take(found) * z + g
+            flat[into] = np.fmax(flat.take(into), flat.take(out))
+            flat[out] = np.nan
+        slots[keys] = -1
 
 
 def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
@@ -354,6 +388,8 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     pid = np.full((n_utts, width), -1, np.int64)
     pid[:, 0] = np.arange(n_utts)
     last = np.full((n_utts, width), NO_LAST, np.int64)
+    # Row r's first candidate in the flattened [n, width * z] candidates.
+    offsets = np.arange(n_utts)[:, None] * (width * z)
     for t, n in enumerate(running.tolist()):
         p = pid[:n]
         cand = score[:n, :, None] + log_probs[starts[:n] + t][:, None, :]
@@ -371,39 +407,40 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                 prefixes, flat_pid[r * width + c // z], flat_last[r * width + c // z],
                 c % z, blank)))
 
-        top = _survivors(cand, width, rank)
-        rows = np.arange(n)[:, None]
-        new_score = cand[rows, top]
-        g = top % z
-        src = top // z + rows * width
-        src_pid, src_last = flat_pid[src], flat_last[src]
+        flat = _survivors(cand, width, rank) + offsets[:n]
+        new_score = cand.take(flat)
+        src, g = np.divmod(flat, z)
+        src_pid, src_last = flat_pid.take(src), flat_last.take(src)
         extended = (g != blank) & (g != src_last)
-        kid = prefixes.child[src_pid, g]
-        fresh = extended & (kid < 0) & ~np.isnan(new_score)
+        kid = prefixes.child.take(src_pid * z + g)
+        fresh = np.flatnonzero(extended & (kid < 0) & ~np.isnan(new_score))
         score[:n] = new_score
         last[:n] = np.where(g == blank, NO_LAST, g)
-        # A fresh prefix's slot holds its parent until the prefix is interned.
-        pid[:n] = np.where(extended & ~fresh, kid, src_pid)
-        if fresh.any():
-            pid[:n][fresh] = prefixes.extend(pid[:n][fresh], g[fresh])
+        # A fresh prefix is interned below.
+        pid[:n] = np.where(extended, kid, src_pid)
+        if len(fresh):
+            pid[:n].reshape(-1)[fresh] = prefixes.extend(src_pid.take(fresh), g.take(fresh))
 
-    live = ~np.isnan(score)
     final = score + prefixes.sep_bonus[prefixes.symbol[pid]]
     if prefixes.lm is not None:
         final += prefixes.lm_add[pid]
+        live = ~np.isnan(score)
         ends = prefixes.end[pid[live]]
         final[live] += prefixes.lm.terms(np.full_like(ends, prefixes.lm.eos), ends)[0]
-    final[~live] = np.nan
-    best = np.fmax.reduce(final, axis=1)
-    out: list[list[str]] = [[] for _ in range(n_utts)]
-    for r in range(n_utts):
-        if best[r] == -np.inf:
-            continue
-        tied = np.flatnonzero(final[r] == best[r]).tolist()
-        w = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda w: prefixes.state(pid[r, w], last[r, w]))
-        out[r] = vocab.indices_to_words(prefixes.state(pid[r, w], 0)[0])
-    return out
+    return _finish(final, pid, last, prefixes, vocab)
+
+
+def _finish(final: np.ndarray, pid: np.ndarray, last: np.ndarray, prefixes: _Prefixes,
+            vocab: Vocabulary) -> list[list[str]]:
+    """The words of each row's winner among its slots' ``final`` scores
+    (NaN is empty): its strict maximum, or the first of tied maxima in
+    (prefix, last) order; no words when every path scores -inf."""
+    win = _survivors(final, 1, lambda r, tied: sorted(
+        tied, key=lambda w: prefixes.state(pid[r, w], last[r, w])))[:, 0]
+    rows = np.arange(len(final))
+    spelled = prefixes.spell(pid[rows, win])
+    return [vocab.indices_to_words(symbols) if best > -np.inf else []
+            for symbols, best in zip(spelled, final[rows, win].tolist())]
 
 
 def _survivors(cand: np.ndarray, width: int, rank) -> np.ndarray:
@@ -415,7 +452,10 @@ def _survivors(cand: np.ndarray, width: int, rank) -> np.ndarray:
     fewer than ``width`` candidates has a NaN cut-off, keeps none, and takes
     them all from ``argpartition``, padded with empty columns."""
     n, m = cand.shape
-    cutoff = -np.partition(-cand, width - 1, axis=1)[:, width - 1:width]
+    # Negated, NaN sorts last; partitioned in place.
+    neg = -cand
+    neg.partition(width - 1, axis=1)
+    cutoff = -neg[:, width - 1:width]
     kept = cand >= cutoff
     # A row with a cut-off keeps at least ``width``, so n * width kept and no
     # NaN cut-off mean exactly ``width`` in every row.

@@ -47,15 +47,15 @@ class PosteriorSequence:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 2 or self.probs.shape[0] < 1:
             raise ValueError("posteriors must be [T>=1, z]")
-        where = f"utterance {self.utterance_id!r}"
-        # The checks below compare, and every comparison with NaN is false.
-        if not np.all(np.isfinite(self.probs)):
-            raise ValueError(f"{where}: posterior entries must be finite")
-        if np.any(self.probs < -1e-12) or np.any(self.probs > 1 + 1e-9):
-            raise ValueError(f"{where}: posterior entries must lie in [0, 1]")
-        sums = self.probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError(f"{where}: posterior rows must sum to 1 within 1e-6")
+        _check_posteriors(self.probs, [0, len(self.probs)], [self.utterance_id])
+
+    @classmethod
+    def _checked(cls, probs: np.ndarray, utterance_id: str) -> PosteriorSequence:
+        """One whose float64 ``probs`` passed :func:`_check_posteriors`, kept
+        as they are (a view stays a view)."""
+        posts = cls.__new__(cls)
+        posts.probs, posts.utterance_id = probs, utterance_id
+        return posts
 
     @property
     def num_frames(self) -> int:
@@ -76,12 +76,60 @@ class CtcLossResult:
     grad_logits: np.ndarray     # [T, z], d(loss)/d(pre-softmax logits)
 
 
+def _refuse_first(bounds: Sequence[int], utterance_ids: Sequence[str],
+                  checks: Sequence[tuple[str, np.ndarray]]) -> None:
+    """A ValueError naming the first utterance with a failed row and the
+    first check it fails. Utterance i has rows ``bounds[i]`` to
+    ``bounds[i + 1]``; a check is a message and a failure flag per row."""
+    failed = np.logical_or.reduce([rows for _, rows in checks])
+    if failed.any():
+        i = int(np.searchsorted(bounds, failed.argmax(), side="right")) - 1
+        message = next(message for message, rows in checks
+                       if rows[bounds[i]:bounds[i + 1]].any())
+        raise ValueError(f"utterance {utterance_ids[i]!r}: {message}")
+
+
+def _check_posteriors(probs: np.ndarray, bounds: Sequence[int],
+                      utterance_ids: Sequence[str]) -> None:
+    """Every entry finite and in [0, 1] and every row summing to 1 within
+    1e-6, for the posterior rows of utterances laid out as
+    :func:`_refuse_first` reads them."""
+    # The range and sum checks compare, and every comparison with NaN is
+    # false, so a NaN fails only the first check.
+    _refuse_first(bounds, utterance_ids, [
+        ("posterior entries must be finite", ~np.isfinite(probs).all(axis=1)),
+        ("posterior entries must lie in [0, 1]",
+         ((probs < -1e-12) | (probs > 1 + 1e-9)).any(axis=1)),
+        ("posterior rows must sum to 1 within 1e-6", np.abs(probs.sum(axis=1) - 1.0) > 1e-6)])
+
+
 def softmax(logits: np.ndarray, utterance_id: str = "") -> PosteriorSequence:
     """Row-wise softmax of ``[T, z]`` logits."""
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return PosteriorSequence(e / e.sum(axis=1, keepdims=True), utterance_id)
+    return softmax_utterances([logits], [utterance_id])[0]
+
+
+def softmax_utterances(logits: Sequence[np.ndarray],
+                       utterance_ids: Sequence[str]) -> list[PosteriorSequence]:
+    """The row-wise softmax of each utterance's ``[T, z]`` logits, computed
+    and checked once over their concatenation. Row-wise max and sum give
+    every row the bits of a softmax of its utterance alone, and each
+    utterance's posteriors are a view into the one block. A ValueError
+    names the first utterance with non-finite logits or bad posteriors."""
+    lengths = [len(rows) for rows in logits]
+    if not lengths:
+        return []
+    bounds = np.cumsum([0, *lengths])
+    block = np.concatenate(logits, dtype=np.float64)
+    if block.ndim != 2 or min(lengths) < 1:
+        raise ValueError("posteriors must be [T>=1, z]")
+    _refuse_first(bounds, utterance_ids, [("non-finite logits", ~np.isfinite(block).all(axis=1))])
+    # In place: the block is this function's own copy.
+    block -= block.max(axis=1, keepdims=True)
+    probs = np.exp(block, out=block)
+    probs /= probs.sum(axis=1, keepdims=True)
+    _check_posteriors(probs, bounds, utterance_ids)
+    return [PosteriorSequence._checked(probs[start:end], uid)
+            for start, end, uid in zip(bounds[:-1].tolist(), bounds[1:].tolist(), utterance_ids)]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .ctc import (PosteriorSequence, ctc_lattices, greedy_decode, log_softmax, prepare_target,
-                  softmax)
+                  softmax_utterances)
 from .kd import soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
@@ -197,15 +197,19 @@ def train_student(selections: list[SelectionOutcome], target_corpus: Corpus,
 
 def corpus_posteriors(model: ModelCheckpoint, corpus: Corpus) -> list[PosteriorSequence]:
     """Softmax outputs for every utterance, in corpus order. ValueError if the
-    model was trained on another vocabulary than the corpus's."""
+    model was trained on another vocabulary than the corpus's.
+
+    The forward pass runs once per utterance, since a row-stacked matmul
+    may round differently. The softmax and the posterior checks run once
+    over the whole corpus (:func:`~ekd.ctc.softmax_utterances`), with the
+    bits of a per-utterance softmax; a failed check names the first bad
+    utterance."""
     if model.vocabulary_hash != corpus.vocabulary.content_hash():
         raise ValueError(f"corpus {corpus.name!r}: vocabulary differs from the one the "
                          "model was trained on")
-    out = []
-    for utt in corpus.utterances:
-        logits, _ = forward_features(model, utt.features)
-        out.append(softmax(logits, utt.id))
-    return out
+    return softmax_utterances([forward_features(model, utt.features)[0]
+                               for utt in corpus.utterances],
+                              [utt.id for utt in corpus.utterances])
 
 
 def activation_frame_indices(total_frames: int, n_frames: int, seed: int) -> np.ndarray:

@@ -66,8 +66,7 @@ class Vocabulary:
         """Split a (blank-free) symbol-index sequence into word strings."""
         words: list[str] = []
         current: list[str] = []
-        for idx in np.asarray(seq, dtype=np.int64):
-            i = int(idx)
+        for i in np.asarray(seq, dtype=np.int64).tolist():
             if i == self.word_separator_index:
                 if current:
                     words.append("".join(current))

@@ -243,6 +243,35 @@ def test_survivors_takes_every_cut_off_path(width, monkeypatch):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("width", [1, 3, 12])
+@pytest.mark.parametrize("lm", [None, LM3], ids=["no_lm", "trigram"])
+def test_finish_ranks_tied_final_scores(width, lm, monkeypatch):
+    # Quantised posteriors tie final scores exactly. A row whose best final
+    # score is tied takes the first tied slot in (prefix, last) order, read
+    # back here one utterance at a time through the parent links.
+    real, tied = beam._finish, []
+
+    def spy(final, pid, last, prefixes, vocab):
+        words = real(final, pid, last, prefixes, vocab)
+        best = np.fmax.reduce(final, axis=1)
+        for r in np.flatnonzero(np.count_nonzero(final == best[:, None], axis=1) > 1).tolist():
+            if best[r] > -np.inf:
+                w = min(np.flatnonzero(final[r] == best[r]).tolist(),
+                        key=lambda w: prefixes.state(pid[r, w], last[r, w]))
+                assert words[r] == vocab.indices_to_words(prefixes.state(pid[r, w], 0)[0])
+                tied.append(r)
+        return words
+
+    monkeypatch.setattr(beam, "_finish", spy)
+    rng = np.random.default_rng([width, 29])
+    batch = [quantised_posteriors(rng, int(T), VOCAB.size) for T in rng.integers(1, 30, size=40)]
+    cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.5)
+    assert (beam_decode(batch, lm, cfg, VOCAB)
+            == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
+    # One slot per row cannot tie.
+    assert bool(tied) == (width > 1)
+
+
 # -- the certified best path of LM-off decoding --------------------------------
 
 @pytest.fixture

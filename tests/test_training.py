@@ -6,8 +6,9 @@ import pytest
 
 from ekd.config import build_transform
 from ekd.corpus import Corpus, DomainSpec, Utterance, generate_corpus, transcript_read_count
-from ekd import training
-from ekd.ctc import PosteriorSequence, ctc_lattices, ctc_loss, log_softmax, prepare_target
+from ekd import ctc, training
+from ekd.ctc import (PosteriorSequence, ctc_lattices, ctc_loss, log_softmax, prepare_target,
+                     softmax)
 from ekd.model import ModelConfig, forward_features, init_model
 from ekd.selection import Strategy, TeacherBundle, select_corpus
 from ekd.training import (TrainConfig, activation_frame_indices, corpus_posteriors,
@@ -180,6 +181,53 @@ def test_posteriors_refuse_another_vocabulary(teacher, corpus):
         corpus_posteriors(teacher, relabelled)
     with pytest.raises(ValueError, match="vocabulary differs"):
         greedy_corpus_wer(teacher, relabelled)
+
+
+def test_corpus_posteriors_match_a_softmax_per_utterance(teacher, corpus):
+    # One softmax over the whole corpus gives every row the bits of a
+    # softmax of its utterance alone.
+    assert len({u.num_frames for u in corpus.utterances}) > 1
+    posts = corpus_posteriors(teacher, corpus)
+    assert [p.utterance_id for p in posts] == [u.id for u in corpus.utterances]
+    for p, u in zip(posts, corpus.utterances):
+        alone = softmax(forward_features(teacher, u.features)[0], u.id)
+        assert np.array_equal(p.probs, alone.probs)
+
+
+def test_non_finite_logits_name_their_utterance(teacher, corpus, monkeypatch):
+    third = corpus.utterances[2]
+    real = training.forward_features
+
+    def forward(model, features, *args, **kwargs):
+        logits, acts = real(model, features, *args, **kwargs)
+        if features is third.features:
+            logits = logits.copy()
+            logits[1, 0] = np.nan
+        return logits, acts
+
+    monkeypatch.setattr(training, "forward_features", forward)
+    with pytest.raises(ValueError, match=f"^utterance {third.id!r}: non-finite logits$"):
+        corpus_posteriors(teacher, corpus)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda row: row.__setitem__(0, np.nan), "posterior entries must be finite"),
+    (lambda row: row.__setitem__(0, -0.5), r"posterior entries must lie in \[0, 1\]"),
+    (lambda row: row.__imul__(0.5), "posterior rows must sum to 1 within 1e-6")])
+def test_a_bad_posterior_row_names_its_utterance(teacher, corpus, monkeypatch, spoil, message):
+    # The third utterance gets a bad row and the fifth a NaN: the error names
+    # the first utterance that fails, with the first check it fails.
+    real = ctc._check_posteriors
+
+    def spoiled(probs, bounds, utterance_ids):
+        probs = probs.copy()
+        spoil(probs[bounds[2] + 1])
+        probs[bounds[4], 0] = np.nan
+        real(probs, bounds, utterance_ids)
+
+    monkeypatch.setattr(ctc, "_check_posteriors", spoiled)
+    with pytest.raises(ValueError, match=f"^utterance {corpus.utterances[2].id!r}: {message}$"):
+        corpus_posteriors(teacher, corpus)
 
 
 def test_student_requires_stripped_corpus(teacher, corpus):
