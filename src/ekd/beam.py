@@ -8,10 +8,11 @@ insertion bonus. Word boundaries are the vocabulary's separator symbol; the
 trailing partial word and the sentence end are scored at finalization.
 
 A batch may hold any utterances, of one model or of several. It runs
-longest first in chunks of at most ``_CHUNK`` utterances; each chunk has its
-own log posteriors and prefix table, and all chunks share one LM table, so
-each (token, context) pair is queried once per call. An utterance's words
-never depend on the others in its batch or chunk.
+longest first in chunks of at most ``_CHUNK`` utterances; each chunk takes
+one log of its concatenated posteriors. All chunks share one LM table, so
+each (token, context) pair is queried once per call, and one prefix table,
+reset between chunks. An utterance's words never depend on the others in
+its batch or chunk.
 
 Each utterance keeps ``beam_width`` slots of (score, prefix id, last symbol);
 an empty slot scores NaN. Within a chunk, those still running are a leading
@@ -48,11 +49,13 @@ per symbol. Python runs only to query the LM, once per (token, context)
 pair and call, and to rank the rare candidates tied at a cut-off or at an
 utterance's best final score.
 
-A prefix keeps its id for the whole chunk, and no prefix is ever dropped:
-when an extension would overflow the prefix columns, they double and the
-used rows are copied. Most prefixes die within a frame of being interned,
-so a chunk's prefix table grows with its utterances and its frames, and
-``_CHUNK`` bounds it.
+A prefix keeps its id for the whole chunk, and no prefix is dropped within
+a chunk: when an extension would overflow the prefix columns, they double
+and the used rows are copied. Most prefixes die within a frame of being
+interned, so a chunk's prefixes grow with its utterances and its frames,
+and ``_CHUNK`` bounds them. The next chunk resets only the rows in use and
+keeps the grown columns, so the table grows again only when a chunk needs
+more rows than every chunk before it.
 
 Without a fused LM and with a zero bonus, the best path is certified
 before any search. Every hypothesis then scores the float sum, from 0.0 in
@@ -74,8 +77,10 @@ greedy decoding, at any width. Each frame's argmax is then strict in the
 log posteriors, hence also in the posteriors. ``beam_decode`` checks this
 certificate on the same log posteriors the frame loop reads, with the
 margin doubled so that the check's own rounding cannot matter, and decodes
-the certified utterances of each chunk greedily; the others (exact or
-near ties, NaN) run the frame loop as one smaller batch.
+the certified utterances of each chunk greedily, all together: one argmax
+over the chunk's log posteriors, whose index is ``greedy_decode``'s, and
+one collapse mask. The others (exact or near ties, NaN) run the frame loop
+as one smaller batch.
 """
 from __future__ import annotations
 
@@ -85,7 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import PosteriorSequence, greedy_decode
+from .ctc import PosteriorSequence
 from .lm import BOS, EOS, UNK, NgramLm
 from .vocab import Vocabulary
 
@@ -189,9 +194,10 @@ def _grown(table: np.ndarray, fill) -> np.ndarray:
 
 
 class _Prefixes:
-    """The collapsed prefixes of one chunk, in columns indexed by prefix id:
-    the ids below ``size`` are in use, the rows past it are room, and the
-    first ``n_utts`` are the utterances' empty prefixes. A parent's id is
+    """The collapsed prefixes of one call, in columns indexed by prefix id,
+    holding one chunk at a time (``reset`` starts the next): the ids below
+    ``size`` are in use, the rows past it are room and hold the fill values,
+    and the first ``n_utts`` are the chunk's empty prefixes. A parent's id is
     below its children's. A prefix holds its parent and last symbol
     (NO_LAST for a root); with the call's ``_WordTerms`` also its partial
     word (a ``_WordTerms`` word id, 0 for none), the LM contexts before and
@@ -201,8 +207,7 @@ class _Prefixes:
     merge, else -1. A separator adds the bonus to a prefix whose last symbol
     is a letter: ``sep_bonus[symbol]``, whose last entry serves NO_LAST."""
 
-    def __init__(self, n_utts: int, terms: _WordTerms | None, config: BeamConfig,
-                 vocab: Vocabulary):
+    def __init__(self, terms: _WordTerms | None, config: BeamConfig, vocab: Vocabulary):
         self.lm = terms
         self.z, self.sep = vocab.size, vocab.word_separator_index
         self.sep_bonus = np.full(vocab.size + 1, config.word_insertion_bonus)
@@ -210,9 +215,21 @@ class _Prefixes:
         self.columns = {"parent": -1, "symbol": NO_LAST, "child": -1, "slots": -1}
         if terms is not None:
             self.columns.update(word=0, context=0, end=0, lm_add=0.0)
-        self.size = n_utts
+        self.size = 0
         for name in self.columns:
-            setattr(self, name, self._column(name, 2 * n_utts))
+            setattr(self, name, self._column(name, 0))
+
+    def reset(self, n_utts: int) -> None:
+        """Empty the table for a chunk of ``n_utts`` utterances. The used
+        rows get their fill values back; the columns are only replaced, by
+        twice ``n_utts`` rows, when they are shorter than that."""
+        if len(self.parent) < 2 * n_utts:
+            for name in self.columns:
+                setattr(self, name, self._column(name, 2 * n_utts))
+        else:
+            for name, fill in self.columns.items():
+                getattr(self, name)[:self.size] = fill
+        self.size = n_utts
 
     def _column(self, name: str, capacity: int) -> np.ndarray:
         shape = {"child": (capacity, self.z), "slots": (capacity, 2)}.get(name, capacity)
@@ -337,23 +354,26 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
     lengths = np.array([posts.num_frames for posts in posteriors])
     order = np.argsort(-lengths, kind="stable")
     out: list[list[str]] = [[] for _ in posteriors]
+    prefixes = _Prefixes(terms, config, vocab)
     for first in range(0, len(order), _CHUNK):
         chunk = order[first:first + _CHUNK]
         chunk_lengths = lengths[chunk]
         starts = np.cumsum(chunk_lengths) - chunk_lengths
-        # Filled in place, with the bits of PosteriorSequence.log_probs().
-        log_probs = np.empty((chunk_lengths.sum(), vocab.size))
+        # One log in place, with the bits of PosteriorSequence.log_probs().
+        log_probs = np.concatenate([posteriors[i].probs for i in chunk.tolist()])
         with np.errstate(divide="ignore"):
-            for i, start, T in zip(chunk.tolist(), starts.tolist(), chunk_lengths.tolist()):
-                np.log(posteriors[i].probs, out=log_probs[start:start + T])
+            np.log(log_probs, out=log_probs)
         search = np.ones(len(chunk), bool)
         if certify:
-            search = ~_best_path_certified(log_probs, starts, chunk_lengths)
-            for i in chunk[~search].tolist():
-                out[i] = vocab.indices_to_words(greedy_decode(posteriors[i], vocab.blank_index))
+            certified = _best_path_certified(log_probs, starts, chunk_lengths)
+            search = ~certified
+            if certified.any():
+                words = _greedy_words(log_probs, starts, chunk_lengths, certified, vocab)
+                for i, best in zip(chunk[certified].tolist(), words):
+                    out[i] = best
         if search.any():
-            words = _frame_loop(log_probs, starts[search], chunk_lengths[search], terms, config,
-                                vocab)
+            words = _frame_loop(log_probs, starts[search], chunk_lengths[search], prefixes,
+                                config, vocab)
             for i, best in zip(chunk[search].tolist(), words):
                 out[i] = best
     return out
@@ -371,18 +391,34 @@ def _best_path_certified(log_probs: np.ndarray, starts: np.ndarray,
     return gap > 2 * (2 * g * total / (1 - g))
 
 
+def _greedy_words(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                  certified: np.ndarray, vocab: Vocabulary) -> list[list[str]]:
+    """The greedy decoding of each ``certified`` utterance (rows
+    ``starts[i]`` on, ``lengths[i]`` of them), in order: one argmax over
+    every row, strict in a certified utterance and so ``greedy_decode``'s
+    index, and one collapse mask that drops repeats within an utterance,
+    blanks and the rows of the others."""
+    best = log_probs.argmax(axis=1)
+    keep = np.ones(len(best), bool)
+    keep[1:] = best[1:] != best[:-1]
+    keep[starts] = True
+    keep &= (best != vocab.blank_index) & np.repeat(certified, lengths)
+    symbols = best[keep]
+    ends = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp)[certified]).tolist()
+    return [vocab.indices_to_words(symbols[start:end]) for start, end in zip([0, *ends], ends)]
+
+
 def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                terms: _WordTerms | None, config: BeamConfig,
+                prefixes: _Prefixes, config: BeamConfig,
                 vocab: Vocabulary) -> list[list[str]]:
     """The beam search of the utterances whose log posteriors are the rows
-    ``starts[i]`` on, ``lengths[i]`` of them, longest first, with the call's
-    LM table ``terms`` (None without a fused LM); their words in that
-    order."""
+    ``starts[i]`` on, ``lengths[i]`` of them, longest first, in the call's
+    prefix table (reset here); their words in that order."""
     z, blank, sep = vocab.size, vocab.blank_index, vocab.word_separator_index
     width = config.beam_width
     running = np.searchsorted(-lengths, -np.arange(lengths[0]))
     n_utts = len(lengths)
-    prefixes = _Prefixes(n_utts, terms, config, vocab)
+    prefixes.reset(n_utts)
     score = np.full((n_utts, width), np.nan)
     score[:, 0] = 0.0
     pid = np.full((n_utts, width), -1, np.int64)

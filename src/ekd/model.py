@@ -77,11 +77,16 @@ def init_model(config: ModelConfig, feature_dim: int, vocab_size: int,
 
 
 def context_expand(features: np.ndarray, window: int) -> np.ndarray:
-    """Concatenate each frame with its +-window neighbours (zero padding)."""
+    """Concatenate each frame with its +-window neighbours (zero padding).
+    Each shifted copy of the frames is written once into one zeroed array,
+    block k of row r holding frame r - 2 * window + k; its middle T rows
+    are the result, and what no copy reaches is the padding."""
     T, F = features.shape
-    padded = np.zeros((T + 2 * window, F))
-    padded[window:window + T] = features
-    return np.concatenate([padded[k:k + T] for k in range(2 * window + 1)], axis=1)
+    width = 2 * window + 1
+    out = np.zeros((T + 2 * window, width, F))
+    for k in range(width):
+        out[2 * window - k:2 * window - k + T, k] = features
+    return out[window:window + T].reshape(T, width * F)
 
 
 def _activate(x: np.ndarray, kind: str) -> np.ndarray:
@@ -107,13 +112,15 @@ def forward_features(model: ModelCheckpoint, features: np.ndarray,
     h = x
     for i in range(n_hidden):
         W, b = model.weights[2 * i], model.weights[2 * i + 1]
-        pre = h @ W + b
+        pre = h @ W
+        pre += b
         h = _activate(pre, act)
         pres.append(pre)
         inputs.append(h)
         activations[f"hidden_{i}"] = h
     Wout, bout = model.weights[2 * n_hidden], model.weights[2 * n_hidden + 1]
-    logits = h @ Wout + bout
+    logits = h @ Wout
+    logits += bout
     if with_cache:
         return logits, activations, (inputs, pres)
     return logits, activations

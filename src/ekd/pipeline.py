@@ -388,8 +388,13 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
     # The test corpora's one vocabulary, that of every model (checked by
     # corpus_posteriors).
     vocab = batch[0][2].vocabulary
-    references = [[vocab.indices_to_words(utt.transcript) for utt in corpus.utterances]
-                  for _, _, corpus, _ in batch]
+    # Each test corpus's reference words, built once for all its models.
+    words: dict[str, list[list[str]]] = {}
+    for _, test_set, corpus, _ in batch:
+        if test_set not in words:
+            words[test_set] = [vocab.indices_to_words(utt.transcript)
+                               for utt in corpus.utterances]
+    references = [words[test_set] for _, test_set, _, _ in batch]
     for lm_on in lm_flags:
         # A failure propagates before this mode's files are written, and a
         # model with a missing file is evaluated again on resume.

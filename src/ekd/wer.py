@@ -40,8 +40,27 @@ def wer(reference: list[str], hypothesis: list[str]) -> WerBreakdown:
 
     On cost ties the backtrace prefers substitution over deletion over
     insertion; that choice shapes the breakdown, never the total.
+
+    Words the two share at either end never reach the table: identical
+    sequences have no errors, and the common suffix, then the common
+    prefix, is stripped first. A shared last word is the backtrace's first
+    step, a free diagonal. With a common prefix of length k, the cells from
+    row and column k on equal the table of the rest, and a backtrace that
+    reaches row or column k costs its length difference from there, all
+    insertions or all deletions, as in the table of the rest.
     """
     r, h = list(reference), list(hypothesis)
+    n_ref, n_hyp = len(r), len(h)
+    if r == h:
+        return WerBreakdown(0, 0, 0, n_ref)
+    shared = min(n_ref, n_hyp)
+    end = 0
+    while end < shared and r[-1 - end] == h[-1 - end]:
+        end += 1
+    start = 0
+    while start < shared - end and r[start] == h[start]:
+        start += 1
+    r, h = r[start:n_ref - end], h[start:n_hyp - end]
     R, H = len(r), len(h)
     d = [list(range(H + 1))]
     for i in range(1, R + 1):
@@ -62,7 +81,8 @@ def wer(reference: list[str], hypothesis: list[str]) -> WerBreakdown:
         else:
             ins += 1
             j -= 1
-    return WerBreakdown(substitutions=subs, insertions=ins, deletions=dels, reference_words=R)
+    return WerBreakdown(substitutions=subs, insertions=ins, deletions=dels,
+                        reference_words=n_ref)
 
 
 def accumulate(parts: list[WerBreakdown]) -> WerBreakdown:

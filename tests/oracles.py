@@ -12,6 +12,8 @@ array-backed decoder. ``stacked_dump_activations`` is
 the activation sampler as first written, stacking every frame of the corpus
 before it indexes the sample; it reuses the model's forward pass and frame
 subsample and is the bit-exact reference for the per-utterance sampler.
+``padded_context_expand`` is the context window as first written, a zero-
+padded copy of the features sliced once per offset and concatenated.
 """
 from __future__ import annotations
 
@@ -425,6 +427,17 @@ def nearest_prototype_transcript(features: np.ndarray, transformed_protos: np.nd
             out.append(s)
         prev = s
     return tuple(out)
+
+
+# -- model ---------------------------------------------------------------------
+
+def padded_context_expand(features: np.ndarray, window: int) -> np.ndarray:
+    """Each frame with its +-window neighbours, from a zero-padded copy:
+    ``ekd.model.context_expand`` must return the same array."""
+    T, F = features.shape
+    padded = np.zeros((T + 2 * window, F))
+    padded[window:window + T] = features
+    return np.concatenate([padded[k:k + T] for k in range(2 * window + 1)], axis=1)
 
 
 # -- activation sampling ------------------------------------------------------

@@ -307,6 +307,51 @@ def test_certified_and_searched_utterances_match_object_decoder(width, loop_size
     assert len(loop_sizes) == 1 and 0 < loop_sizes[0] < len(batch)
 
 
+def sharp_posteriors(path, z=VOCAB.size):
+    """Near one-hot posteriors whose argmax path is ``path``: certified."""
+    probs = np.full((len(path), z), 0.02)
+    probs[np.arange(len(path)), path] = 1.0
+    return PosteriorSequence(probs / probs.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", [1, 12])
+def test_certified_utterances_of_a_chunk_decode_greedily_together(width, monkeypatch,
+                                                                  loop_sizes):
+    # One chunk mixes certified utterances (random, or near one-hot: two
+    # single frames of one symbol, adjacent in the chunk, so an utterance
+    # start must end a run; a path of blanks and separators only; repeats
+    # split by a blank) with refused ones (quantised, exact ties). The certified
+    # ones take the one-argmax path and return greedy_decode's words; every
+    # utterance's words are the reference decoder's.
+    a, b = VOCAB.graphemes.index("a"), VOCAB.graphemes.index("b")
+    blank, sep = VOCAB.blank_index, VOCAB.word_separator_index
+    rng = np.random.default_rng([width, 30])
+    batch = mixed_batch(rng, 16, 20, VOCAB.size)
+    batch[3:3] = [sharp_posteriors([a]), sharp_posteriors([a]), sharp_posteriors([blank]),
+                  sharp_posteriors([blank, sep, sep, blank, sep]),
+                  sharp_posteriors([a, a, blank, a, sep, b, b, sep, sep, a, blank])]
+    real, certified = beam._greedy_words, []
+
+    def spy(log_probs, starts, lengths, ok, vocab):
+        words = real(log_probs, starts, lengths, ok, vocab)
+        assert 0 < len(words) == np.count_nonzero(ok) < len(ok)
+        certified.append(words)
+        return words
+
+    monkeypatch.setattr(beam, "_greedy_words", spy)
+    cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.0)
+    got = beam_decode(batch, None, cfg, VOCAB)
+    assert got == [object_beam_decode(posts, None, cfg, VOCAB) for posts in batch]
+    # The chunk's certified utterances, longest first, each certified alone.
+    ok = [i for i in np.argsort([-p.num_frames for p in batch], kind="stable").tolist()
+          if beam._best_path_certified(batch[i].log_probs(), np.array([0]),
+                                       np.array([batch[i].num_frames]))[0]]
+    greedy = [VOCAB.indices_to_words(greedy_decode(posts, blank)) for posts in batch]
+    assert certified == [[greedy[i] for i in ok]] and {3, 4, 5, 6, 7} <= set(ok)
+    assert loop_sizes == [len(batch) - len(ok)]
+    assert got[3:8] == [["a"], ["a"], [], [], ["aa", "b", "a"]]
+
+
 def _margin(log_probs):
     """The certificate's margin, as the module docstring states it."""
     T = len(log_probs)
@@ -371,41 +416,76 @@ def test_frame_loop_matches_exhaustive_oracle_no_lm(rng, uncertified, loop_sizes
     assert loop_sizes == [len(batch)]
 
 
-@pytest.mark.parametrize("lm, bonus, refuse", [(None, 0.5, False), (LM3, 0.5, False),
-                                               (None, 0.0, True)],
-                         ids=["no_lm", "trigram", "lm_off_uncertified"])
-def test_prefix_table_grows_and_keeps_every_id(lm, bonus, refuse, monkeypatch, loop_sizes,
-                                               request):
+PREFIX_TABLE_CASES = {"no_lm": (None, 0.5, False), "trigram": (LM3, 0.5, False),
+                      "lm_off_uncertified": (None, 0.0, True)}
+
+
+@pytest.mark.parametrize("lm, bonus, refuse, n_utts, chunk",
+                         [pytest.param(*case, 24, None, id=name)
+                          for name, case in PREFIX_TABLE_CASES.items()]
+                         + [pytest.param(*case, 17, 5, id=f"{name}-chunks_of_5")
+                            for name, case in PREFIX_TABLE_CASES.items()])
+def test_prefix_table_grows_and_keeps_every_id(lm, bonus, refuse, n_utts, chunk, monkeypatch,
+                                               loop_sizes, request):
     # A batch long enough to grow the prefix table several times. Each grow
-    # keeps every used row as it was, and at the end every interned prefix
-    # sits in the child column under its parent and its symbol, and nothing
-    # else does. With the certificate refused, LM-off decoding runs the
-    # frame loop on the whole batch.
+    # keeps every used row as it was, and at the end of each chunk every
+    # prefix it interned sits in the child column under its parent and its
+    # symbol, and nothing else does. One table serves the whole call: a
+    # reset between chunks gives every row its fill value back and keeps the
+    # columns unless the chunk needs more rows. With the certificate
+    # refused, LM-off decoding runs the frame loop on the whole batch.
     rng = np.random.default_rng(7)
     cfg = BeamConfig(beam_width=12, lm_weight=0.6, word_insertion_bonus=bonus)
-    batch = mixed_batch(rng, 24, 150, VOCAB.size, min_frames=100)
+    batch = mixed_batch(rng, n_utts, 150, VOCAB.size, min_frames=100)
     if refuse:
         request.getfixturevalue("uncertified")
-    real, tables = _Prefixes._grow, []
+    if chunk is not None:
+        monkeypatch.setattr(beam, "_CHUNK", chunk)
+    tables, grown, resets, finished = [], [], [], []
+    real_init, real_grow, real_reset, real_finish = (
+        _Prefixes.__init__, _Prefixes._grow, _Prefixes.reset, beam._finish)
 
-    def checked(self, room):
+    def init(self, *args):
+        real_init(self, *args)
+        tables.append(self)
+
+    def grow(self, room):
         before = {name: getattr(self, name)[:self.size].copy() for name in self.columns}
-        real(self, room)
+        real_grow(self, room)
         assert self.size + room <= len(self.parent)
         for name, rows in before.items():
             assert np.array_equal(getattr(self, name)[:self.size], rows)
-        tables.append(self)
+        grown.append(self)
 
-    monkeypatch.setattr(_Prefixes, "_grow", checked)
+    def reset(self, n):
+        columns = self.parent
+        real_reset(self, n)
+        assert self.size == n and len(self.parent) >= 2 * n
+        assert (self.parent is columns) == (len(columns) >= 2 * n)
+        for name, fill in self.columns.items():
+            assert np.all(getattr(self, name) == fill), name
+        resets.append(n)
+
+    def finish(final, pid, last, prefixes, vocab):
+        kids = np.arange(len(final), prefixes.size)
+        assert np.all(prefixes.parent[kids] < kids)
+        assert (prefixes.child[prefixes.parent[kids], prefixes.symbol[kids]].tolist()
+                == kids.tolist())
+        assert np.count_nonzero(prefixes.child != -1) == len(kids)
+        finished.append(len(kids))
+        return real_finish(final, pid, last, prefixes, vocab)
+
+    monkeypatch.setattr(_Prefixes, "__init__", init)
+    monkeypatch.setattr(_Prefixes, "_grow", grow)
+    monkeypatch.setattr(_Prefixes, "reset", reset)
+    monkeypatch.setattr(beam, "_finish", finish)
     assert (beam_decode(batch, lm, cfg, VOCAB)
             == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
-    assert loop_sizes == [len(batch)]
-    assert len(tables) >= 3 and all(table is tables[0] for table in tables)
-    prefixes = tables[0]
-    kids = np.arange(len(batch), prefixes.size)
-    assert np.all(prefixes.parent[kids] < kids)
-    assert prefixes.child[prefixes.parent[kids], prefixes.symbol[kids]].tolist() == kids.tolist()
-    assert np.count_nonzero(prefixes.child != -1) == len(kids)
+    sizes = [n_utts] if chunk is None else [5, 5, 5, 2]
+    assert loop_sizes == resets == sizes and len(finished) == len(sizes)
+    assert len(tables) == 1 and len(grown) >= 3 and all(t is tables[0] for t in grown)
+    # Every chunk interned prefixes, so every later reset had rows to clear.
+    assert all(finished)
 
 
 def test_lm_queried_through_its_method(monkeypatch):

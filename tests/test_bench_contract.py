@@ -2,9 +2,11 @@
 exist with the signatures it calls, and the arguments its span hooks
 (perfbench/spans.py) read by position are still the parameters they mean,
 checked in seconds instead of after a traced run. The benchmark files are
-parsed, not imported."""
+parsed, not imported, except by the one test that runs the eval_stages
+timed part under the benchmark's own tracer."""
 import ast
 import importlib
+import importlib.util
 import inspect
 from collections import defaultdict
 from pathlib import Path
@@ -157,6 +159,29 @@ def test_evaluate_passes_beam_decode_what_the_span_hooks_read(eval_setup, monkey
     per_mode = (len(cfg.teacher_domains) * sum(r.test_size for r in cfg.all_domains())
                 + len(cfg.strategies) * cfg.student_domain.test_size)
     assert utterances == {True: per_mode, False: per_mode}
+
+
+def test_eval_stages_call_every_required_layer(eval_setup):
+    # A traced eval_stages run fails when its tracer (perfbench/spans.py)
+    # records no call of a REQUIRED_LAYERS entry; the same tracer watches the
+    # same timed stages here, on the compact run.
+    from ekd import pipeline
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    cfg, seed, paths = eval_setup
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for stage in WORKLOADS["eval_stages"][1]:
+            fn = getattr(pipeline, "stage_" + stage.replace("-", "_"))
+            fn(cfg, seed, paths, **STAGE_KWARGS.get(stage, {}))
+    finally:
+        tracer.uninstall()
+    required, probe_only = REQUIRED_LAYERS["eval_stages"]
+    assert required and not probe_only
+    assert [layer for layer in required if not spans.called(tracer, layer)] == []
 
 
 def test_report_api_the_benchmark_checks_outputs_with(eval_setup):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekd.ctc import softmax
 from ekd.model import (ModelCheckpoint, ModelConfig, context_expand, forward_features,
                        init_model, layer_shapes, load_checkpoint, save_checkpoint)
+
+from oracles import padded_context_expand
 
 
 def make_model(seed=0, F=5, z=4, hidden=(8, 6), window=1):
@@ -71,6 +74,36 @@ def test_context_expand_zero_padding():
     assert np.array_equal(x[0, 2:4], feats[0])
     assert np.array_equal(x[-1, 4:], [0.0, 0.0])     # right pad
     assert np.array_equal(context_expand(feats, 0), feats)
+
+
+@given(T=st.integers(0, 7), F=st.integers(1, 3), window=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_context_expand_matches_padded_definition(T, F, window, seed):
+    # T < window leaves some offsets no frame at all: a naive slice there
+    # has mismatched shapes.
+    features = np.random.default_rng(seed).normal(size=(T, F))
+    got = context_expand(features, window)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, padded_context_expand(features, window))
+
+
+@pytest.mark.parametrize("window", [0, 1, 3])
+def test_forward_matches_padded_context_and_bias_after_matmul(rng, window):
+    # The forward pass as first written, bit for bit: the padded context
+    # window, then each layer's matmul plus its bias out of place.
+    model = make_model(seed=5, window=window)
+    for w in model.weights[1::2]:
+        w[:] = rng.normal(size=w.shape)
+    features = rng.normal(size=(9, 5))
+    logits, acts, (inputs, pres) = forward_features(model, features, with_cache=True)
+    h = padded_context_expand(features, window)
+    assert np.array_equal(inputs[0], h)
+    for i in range(len(model.config.hidden_sizes)):
+        pre = h @ model.weights[2 * i] + model.weights[2 * i + 1]
+        h = np.tanh(pre)
+        assert np.array_equal(pres[i], pre) and np.array_equal(acts[f"hidden_{i}"], h)
+    assert np.array_equal(logits, h @ model.weights[-2] + model.weights[-1])
 
 
 def test_dimension_mismatch(rng):

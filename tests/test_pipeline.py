@@ -263,15 +263,14 @@ def test_models_to_evaluate_share_one_decode_per_lm_mode(finished_run, tmp_path,
                          for mode in ("on", "off")}
 
 
-def test_evaluate_reads_each_reference_once_per_model(finished_run, tmp_path):
-    # Both LM modes score against one list of reference words per model.
+def test_evaluate_reads_each_reference_once_per_test_corpus(finished_run, tmp_path):
+    # Every model and both LM modes score against one list of reference
+    # words per test corpus.
     cfg, paths = _copy_run(finished_run, tmp_path)
     before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
     reads = transcript_read_count()
     stage_evaluate(cfg, cfg.seeds[0], paths, force=True)
-    per_model = (len(cfg.teacher_domains) * sum(r.test_size for r in cfg.all_domains())
-                 + len(cfg.strategies) * cfg.student_domain.test_size)
-    assert transcript_read_count() - reads == per_model
+    assert transcript_read_count() - reads == sum(r.test_size for r in cfg.all_domains())
     assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
 
 

@@ -56,6 +56,29 @@ def test_breakdown_matches_numpy_oracle(r, h):
     assert all(type(n) is int for n in (b.substitutions, b.insertions, b.deletions))
 
 
+@given(words)
+@settings(max_examples=100, deadline=None)
+def test_identical_pairs_match_numpy_oracle(r):
+    b = wer(r, list(r))
+    assert (b.substitutions, b.insertions, b.deletions) == numpy_wer(r, r) == (0, 0, 0)
+    assert b.reference_words == len(r)
+
+
+@given(words, words, words, words, st.booleans(), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_shared_prefix_and_suffix_match_numpy_oracle(mid_r, mid_h, prefix, suffix,
+                                                     with_prefix, with_suffix):
+    # The words shared at either end never reach the table; the breakdown
+    # must still be the full table's, whatever the middles share with the
+    # ends.
+    head, tail = prefix if with_prefix else [], suffix if with_suffix else []
+    r, h = head + mid_r + tail, head + mid_h + tail
+    b = wer(r, h)
+    assert (b.substitutions, b.insertions, b.deletions) == numpy_wer(r, h)
+    assert b.reference_words == len(r)
+    assert all(type(n) is int for n in (b.substitutions, b.insertions, b.deletions))
+
+
 def test_breakdown_matches_numpy_oracle_on_long_sequences(rng):
     pool = ["a", "b", "c", "d"]
     for _ in range(100):
