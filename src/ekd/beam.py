@@ -6,6 +6,9 @@ best-alignment acoustic log probability plus, when a language model is
 supplied, ``lm_weight * ln p_lm`` for every completed word and a per-word
 insertion bonus. Word boundaries are the vocabulary's separator symbol; the
 trailing partial word and the sentence end are scored at finalization.
+Without an LM and with a zero bonus, the best hypothesis is the best path,
+the per-frame argmax collapsed, which ``ctc.greedy_decode`` finds directly
+and LM-off evaluation uses; the search still takes ``lm=None``.
 
 A batch may hold any utterances, of one model or of several. It runs
 longest first in chunks of at most ``_CHUNK`` utterances; each chunk takes
@@ -56,31 +59,6 @@ interned, so a chunk's prefixes grow with its utterances and its frames,
 and ``_CHUNK`` bounds them. The next chunk resets only the rows in use and
 keeps the grown columns, so the table grows again only when a chunk needs
 more rows than every chunk before it.
-
-Without a fused LM and with a zero bonus, the best path is certified
-before any search. Every hypothesis then scores the float sum, from 0.0 in
-frame order, of one path's log posteriors: the zero bonus adds are exact,
-and a merge keeps one of the merged sums. Let ``a_t`` be frame t's largest
-log posterior and ``gap`` the least, over frames, of ``a_t`` minus the
-frame's runner-up; let ``B = sum_t |a_t|`` and ``g = T*u / (1 - T*u)`` for
-``T`` frames and ``u = 2**-53``. By Higham's bound on recursive summation,
-a float sum of at most T terms lies within ``g * sum |x|`` of the exact
-sum. Every log posterior is <= 0, so a path that leaves the argmax at some
-frame up to t has an exact prefix sum lower by some ``D >= gap`` than the
-argmax path's ``A``, and a ``sum |x|`` of at most ``B + D``: its float sum
-is at most ``A - D + g*(B + D)``, and the argmax path's is at least ``A -
-g*B``. So when ``gap > 2*g*B / (1 - g)``, the argmax path's state is the
-strict best candidate at every frame and at the end (a path through a zero
-posterior sums to -inf, and the argmax path is finite, as each row sums to
-one): it is never pruned or tied, and the beam returns its collapse, the
-greedy decoding, at any width. Each frame's argmax is then strict in the
-log posteriors, hence also in the posteriors. ``beam_decode`` checks this
-certificate on the same log posteriors the frame loop reads, with the
-margin doubled so that the check's own rounding cannot matter, and decodes
-the certified utterances of each chunk greedily, all together: one argmax
-over the chunk's log posteriors, whose index is ``greedy_decode``'s, and
-one collapse mask. The others (exact or near ties, NaN) run the frame loop
-as one smaller batch.
 """
 from __future__ import annotations
 
@@ -96,7 +74,6 @@ from .vocab import Vocabulary
 
 LN10 = math.log(10.0)
 NO_LAST = -1
-UNIT_ROUNDOFF = 2.0 ** -53
 # Utterances per chunk: about one teacher's test sets, which keeps a chunk's
 # log posteriors and prefix table small while each frame's numpy calls
 # advance many beams.
@@ -348,7 +325,6 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
                              f"{posts.vocab_size} does not match vocabulary size {vocab.size}")
     fuse = lm is not None and config.lm_weight > 0
     terms = _WordTerms(lm, config.lm_weight * LN10, vocab) if fuse else None
-    certify = not fuse and config.word_insertion_bonus == 0
     # Longest first, so the utterances still running are a leading block of
     # each chunk.
     lengths = np.array([posts.num_frames for posts in posteriors])
@@ -363,49 +339,10 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
         log_probs = np.concatenate([posteriors[i].probs for i in chunk.tolist()])
         with np.errstate(divide="ignore"):
             np.log(log_probs, out=log_probs)
-        search = np.ones(len(chunk), bool)
-        if certify:
-            certified = _best_path_certified(log_probs, starts, chunk_lengths)
-            search = ~certified
-            if certified.any():
-                words = _greedy_words(log_probs, starts, chunk_lengths, certified, vocab)
-                for i, best in zip(chunk[certified].tolist(), words):
-                    out[i] = best
-        if search.any():
-            words = _frame_loop(log_probs, starts[search], chunk_lengths[search], prefixes,
-                                config, vocab)
-            for i, best in zip(chunk[search].tolist(), words):
-                out[i] = best
+        words = _frame_loop(log_probs, starts, chunk_lengths, prefixes, config, vocab)
+        for i, best in zip(chunk.tolist(), words):
+            out[i] = best
     return out
-
-
-def _best_path_certified(log_probs: np.ndarray, starts: np.ndarray,
-                         lengths: np.ndarray) -> np.ndarray:
-    """Whether each utterance (rows ``starts[i]`` on, ``lengths[i]`` of them)
-    passes the module docstring's certificate: its argmax path outscores
-    every other path at every frame, whatever the rounding."""
-    top = np.partition(log_probs, -2, axis=1)[:, -2:]
-    gap = np.minimum.reduceat(top[:, 1] - top[:, 0], starts)
-    total = np.add.reduceat(np.abs(top[:, 1]), starts)
-    g = lengths * UNIT_ROUNDOFF / (1 - lengths * UNIT_ROUNDOFF)
-    return gap > 2 * (2 * g * total / (1 - g))
-
-
-def _greedy_words(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                  certified: np.ndarray, vocab: Vocabulary) -> list[list[str]]:
-    """The greedy decoding of each ``certified`` utterance (rows
-    ``starts[i]`` on, ``lengths[i]`` of them), in order: one argmax over
-    every row, strict in a certified utterance and so ``greedy_decode``'s
-    index, and one collapse mask that drops repeats within an utterance,
-    blanks and the rows of the others."""
-    best = log_probs.argmax(axis=1)
-    keep = np.ones(len(best), bool)
-    keep[1:] = best[1:] != best[:-1]
-    keep[starts] = True
-    keep &= (best != vocab.blank_index) & np.repeat(certified, lengths)
-    symbols = best[keep]
-    ends = np.cumsum(np.add.reduceat(keep, starts, dtype=np.intp)[certified]).tolist()
-    return [vocab.indices_to_words(symbols[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,

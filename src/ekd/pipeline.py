@@ -25,7 +25,7 @@ from . import binio
 from .beam import beam_decode
 from .config import ExperimentConfig, derive_seed, save_config
 from .corpus import Corpus, generate_corpus, load_corpus, save_corpus, split_corpus
-from .ctc import PosteriorSequence
+from .ctc import PosteriorSequence, greedy_decode
 from .lm import NgramLm, load_arpa, save_arpa, train_lm
 from .model import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .report import CellKey, ResultTable, summarize
@@ -350,12 +350,15 @@ def evaluate_model(references: Sequence[list[list[str]]],
                    config: ExperimentConfig, vocab: Vocabulary) -> list[WerBreakdown]:
     """The WER breakdown of each test set of one or more models, from the
     model's posteriors and the reference words on it (``posteriors[i]``
-    against ``references[i]``), decoded as one batch."""
-    # The word bonus exists to offset the LM's per-word cost; without an LM
-    # the acoustic score stands alone.
-    beam_cfg = config.beam if lm is not None else dataclasses.replace(
-        config.beam, lm_weight=0.0, word_insertion_bonus=0.0)
-    hyps = iter(beam_decode([p for posts in posteriors for p in posts], lm, beam_cfg, vocab))
+    against ``references[i]``). With the LM, every utterance is decoded in
+    one beam search. Without it, each is decoded greedily: the acoustic
+    score stands alone (the word bonus exists to offset the LM's per-word
+    cost), and the best CTC hypothesis is then the best path."""
+    batch = [p for posts in posteriors for p in posts]
+    if lm is None:
+        hyps = (vocab.indices_to_words(greedy_decode(p, vocab.blank_index)) for p in batch)
+    else:
+        hyps = iter(beam_decode(batch, lm, config.beam, vocab))
     return [accumulate([wer(words, next(hyps)) for words in refs]) for refs in references]
 
 
@@ -369,7 +372,7 @@ def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
     load_lm = functools.cache(lambda: load_arpa(lm_path) if True in lm_flags else None)
     test_corpus = functools.cache(load_corpus)
     # (model, test set, test corpus, posteriors) of each test set of every
-    # model built, in _eval_matrix order: one beam_decode batch per LM mode.
+    # model built, in _eval_matrix order: one evaluate_model batch per LM mode.
     batch: list[tuple[str, str, Corpus, list[PosteriorSequence]]] = []
 
     def build(model_name, checkpoint, test_sets, _) -> None:

@@ -63,10 +63,11 @@ class Vocabulary:
         return out
 
     def indices_to_words(self, seq) -> list[str]:
-        """Split a (blank-free) symbol-index sequence into word strings."""
+        """Split a (blank-free) symbol-index sequence, an integer array or a
+        sequence of ints, into word strings."""
         words: list[str] = []
         current: list[str] = []
-        for i in np.asarray(seq, dtype=np.int64).tolist():
+        for i in seq.tolist() if isinstance(seq, np.ndarray) else seq:
             if i == self.word_separator_index:
                 if current:
                     words.append("".join(current))

@@ -2,8 +2,8 @@
 pass/fail line (run with ``pytest -v -s tests/test_acceptance.py``).
 
 Criteria 7-10 share a single five-seed run of the default experiment config
-(session fixture), and so do the check of LM-off decoding's certified best
-paths and the check of seed 11's files against their pinned digests; the
+(session fixture), and so do the check that LM-off greedy decoding gives the
+beam's words and the check of seed 11's files against their pinned digests; the
 determinism criterion re-runs a compact config twice.
 """
 import dataclasses
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from ekd import beam
+from ekd import pipeline
 from ekd.beam import BeamConfig, beam_decode
 from ekd.config import default_config
 from ekd.corpus import load_corpus, transcript_read_count
@@ -264,34 +264,34 @@ def test_criterion_09_lm_effect(default_run):
 
 
 def test_lm_off_certified_best_paths_equal_the_frame_loop(default_run, monkeypatch):
-    # Every model of the first seed, decoded as evaluate decodes it without
-    # the LM: the certified utterances' best paths give the words of the
-    # frame loop run on every utterance.
+    # Every model of the first seed: the greedy words that evaluate scores
+    # without the LM are the words of the beam's frame loop (no LM, zero
+    # bonus) on every utterance, so decoding LM-off greedily changes no word.
     cfg, root, _, _ = default_run
-    lm_off = dataclasses.replace(cfg.beam, lm_weight=0.0, word_insertion_bonus=0.0)
-    real, searched = beam._frame_loop, []
-
-    def spy(log_probs, starts, *args):
-        searched.append(len(starts))
-        return real(log_probs, starts, *args)
-
-    monkeypatch.setattr(beam, "_frame_loop", spy)
     test_corpus = functools.cache(load_corpus)
-    total = certified = 0
+    references, posteriors = [], []
     for _, checkpoint, test_sets in _eval_matrix(cfg, SeedPaths(root, cfg.seeds[0])):
         model = load_checkpoint(checkpoint)
-        corpora = [test_corpus(path) for _, path in test_sets]
-        batch = [posts for corpus in corpora for posts in corpus_posteriors(model, corpus)]
-        searched.clear()
-        words = beam_decode(batch, None, lm_off, corpora[0].vocabulary)
-        total += len(batch)
-        certified += len(batch) - sum(searched)
-        with monkeypatch.context() as m:
-            m.setattr(beam, "_best_path_certified",
-                      lambda log_probs, starts, lengths: np.zeros(len(starts), bool))
-            assert beam_decode(batch, None, lm_off, corpora[0].vocabulary) == words
-    print(f"\nLM-off utterances certified, seed {cfg.seeds[0]}: {certified} of {total}")
-    assert certified > 0
+        for _, path in test_sets:
+            corpus = test_corpus(path)
+            references.append([corpus.vocabulary.indices_to_words(utt.transcript)
+                               for utt in corpus.utterances])
+            posteriors.append(corpus_posteriors(model, corpus))
+    vocab = cfg.vocabulary()
+    greedy = []
+
+    def scoring(reference, hypothesis):
+        greedy.append(hypothesis)
+        return wer(reference, hypothesis)
+
+    monkeypatch.setattr(pipeline, "wer", scoring)
+    pipeline.evaluate_model(references, posteriors, None, cfg, vocab)
+    no_lm = dataclasses.replace(cfg.beam, word_insertion_bonus=0.0)
+    searched = beam_decode([p for posts in posteriors for p in posts], None, no_lm, vocab)
+    same = sum(g == s for g, s in zip(greedy, searched))
+    print(f"\nLM-off greedy words equal to the frame loop's, seed {cfg.seeds[0]}: "
+          f"{same} of {len(searched)}")
+    assert len(greedy) == len(searched) and same == len(searched) > 0
 
 
 def test_criterion_10_layer_difference_trend(default_run):

@@ -170,7 +170,7 @@ def test_one_call_over_several_models_matches_per_model_calls(width, chunk, monk
     # One call decodes every model's utterances longest first in chunks that
     # mix the models; each utterance's words are those of its own model's
     # call and of the reference decoder, LM on (fused, with a bonus) and off
-    # (as evaluate decodes it: no LM, no bonus, so the certificate runs).
+    # (no LM, no bonus).
     rng = np.random.default_rng([width, chunk])
     monkeypatch.setattr(beam, "_CHUNK", chunk)
     models = models_batches(rng, VOCAB.size)
@@ -272,8 +272,6 @@ def test_finish_ranks_tied_final_scores(width, lm, monkeypatch):
     assert bool(tied) == (width > 1)
 
 
-# -- the certified best path of LM-off decoding --------------------------------
-
 @pytest.fixture
 def loop_sizes(monkeypatch):
     """The number of utterances of each frame-loop run."""
@@ -287,158 +285,27 @@ def loop_sizes(monkeypatch):
     return sizes
 
 
-@pytest.fixture
-def uncertified(monkeypatch):
-    """The certificate refuses every utterance, so LM-off decoding runs the
-    frame loop."""
-    monkeypatch.setattr(beam, "_best_path_certified",
-                        lambda log_probs, starts, lengths: np.zeros(len(starts), bool))
+# (lm, bonus); "lm_off_uncertified" is LM-free with a zero bonus.
+PREFIX_TABLE_CASES = {"no_lm": (None, 0.5), "trigram": (LM3, 0.5),
+                      "lm_off_uncertified": (None, 0.0)}
 
 
-@pytest.mark.parametrize("width", [1, 3, 12])
-def test_certified_and_searched_utterances_match_object_decoder(width, loop_sizes):
-    # The quantised posteriors have exact ties, which the certificate
-    # refuses; the random ones pass it.
-    rng = np.random.default_rng([width, 26])
-    cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.0)
-    batch = mixed_batch(rng, 60, 60, VOCAB.size)
-    assert (beam_decode(batch, None, cfg, VOCAB)
-            == [object_beam_decode(posts, None, cfg, VOCAB) for posts in batch])
-    assert len(loop_sizes) == 1 and 0 < loop_sizes[0] < len(batch)
-
-
-def sharp_posteriors(path, z=VOCAB.size):
-    """Near one-hot posteriors whose argmax path is ``path``: certified."""
-    probs = np.full((len(path), z), 0.02)
-    probs[np.arange(len(path)), path] = 1.0
-    return PosteriorSequence(probs / probs.sum(axis=1, keepdims=True))
-
-
-@pytest.mark.parametrize("width", [1, 12])
-def test_certified_utterances_of_a_chunk_decode_greedily_together(width, monkeypatch,
-                                                                  loop_sizes):
-    # One chunk mixes certified utterances (random, or near one-hot: two
-    # single frames of one symbol, adjacent in the chunk, so an utterance
-    # start must end a run; a path of blanks and separators only; repeats
-    # split by a blank) with refused ones (quantised, exact ties). The certified
-    # ones take the one-argmax path and return greedy_decode's words; every
-    # utterance's words are the reference decoder's.
-    a, b = VOCAB.graphemes.index("a"), VOCAB.graphemes.index("b")
-    blank, sep = VOCAB.blank_index, VOCAB.word_separator_index
-    rng = np.random.default_rng([width, 30])
-    batch = mixed_batch(rng, 16, 20, VOCAB.size)
-    batch[3:3] = [sharp_posteriors([a]), sharp_posteriors([a]), sharp_posteriors([blank]),
-                  sharp_posteriors([blank, sep, sep, blank, sep]),
-                  sharp_posteriors([a, a, blank, a, sep, b, b, sep, sep, a, blank])]
-    real, certified = beam._greedy_words, []
-
-    def spy(log_probs, starts, lengths, ok, vocab):
-        words = real(log_probs, starts, lengths, ok, vocab)
-        assert 0 < len(words) == np.count_nonzero(ok) < len(ok)
-        certified.append(words)
-        return words
-
-    monkeypatch.setattr(beam, "_greedy_words", spy)
-    cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.0)
-    got = beam_decode(batch, None, cfg, VOCAB)
-    assert got == [object_beam_decode(posts, None, cfg, VOCAB) for posts in batch]
-    # The chunk's certified utterances, longest first, each certified alone.
-    ok = [i for i in np.argsort([-p.num_frames for p in batch], kind="stable").tolist()
-          if beam._best_path_certified(batch[i].log_probs(), np.array([0]),
-                                       np.array([batch[i].num_frames]))[0]]
-    greedy = [VOCAB.indices_to_words(greedy_decode(posts, blank)) for posts in batch]
-    assert certified == [[greedy[i] for i in ok]] and {3, 4, 5, 6, 7} <= set(ok)
-    assert loop_sizes == [len(batch) - len(ok)]
-    assert got[3:8] == [["a"], ["a"], [], [], ["aa", "b", "a"]]
-
-
-def _margin(log_probs):
-    """The certificate's margin, as the module docstring states it."""
-    T = len(log_probs)
-    g = T * 2.0 ** -53 / (1 - T * 2.0 ** -53)
-    return 2 * (2 * g * np.abs(log_probs.max(axis=1)).sum() / (1 - g))
-
-
-def test_near_tie_either_side_of_the_margin(loop_sizes):
-    # Frame 0's two best posteriors are a hair apart; the smallest gap above
-    # the margin is certified, the largest at or below it is searched.
-    a, b = VOCAB.graphemes.index("a"), VOCAB.graphemes.index("b")
-    probs = np.full((3, VOCAB.size), 0.1 / (VOCAB.size - 2))
-    probs[1:, :] = 0.3 / (VOCAB.size - 1)
-    probs[1:, a] = probs[2, b] = 0.7
-    probs[2, a] = probs[1, b]
-    probs[0, a] = probs[0, b] = 0.45
-
-    def near(x):
-        p = probs.copy()
-        p[0, b] = x
-        return p
-
-    x = 0.45
-    while np.log(x) - np.log(0.45) <= _margin(np.log(near(x))):
-        below, x = x, np.nextafter(x, 1.0)
-    assert 0 < np.log(below) - np.log(0.45) <= _margin(np.log(near(below)))
-    cfg = BeamConfig(beam_width=3, lm_weight=0.0, word_insertion_bonus=0.0)
-    for p, searched in ((near(x), []), (near(below), [1])):
-        loop_sizes.clear()
-        posts = PosteriorSequence(p)
-        assert beam_decode([posts], None, cfg, VOCAB) == [object_beam_decode(posts, None, cfg, VOCAB)]
-        assert loop_sizes == searched
-
-
-def test_zero_lm_weight_takes_the_shortcut_and_a_bonus_never_does(rng, loop_sizes):
-    batch = batch_of(rng, 40, 9)
-    want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
-    assert beam_decode(batch, LM, BeamConfig(4, 0.0, 0.0), VOCAB) == want
-    assert loop_sizes == []
-    for lm, cfg in ((None, BeamConfig(4, 0.0, 0.3)), (LM, BeamConfig(4, 0.0, -0.2)),
-                    (LM, BeamConfig(4, 0.5, 0.0))):
-        loop_sizes.clear()
-        assert (beam_decode(batch, lm, cfg, VOCAB)
-                == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
-        assert loop_sizes == [len(batch)]
-
-
-def test_frame_loop_width_one_no_lm_equals_greedy(rng, uncertified, loop_sizes):
-    cfg = BeamConfig(beam_width=1, lm_weight=0.4, word_insertion_bonus=0.0)
-    batch = batch_of(rng, 200, 15)
-    want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
-    assert beam_decode(batch, None, cfg, VOCAB) == want
-    # Every utterance runs the frame loop, in chunks of at most _CHUNK.
-    assert loop_sizes == [beam._CHUNK, len(batch) - beam._CHUNK]
-
-
-def test_frame_loop_matches_exhaustive_oracle_no_lm(rng, uncertified, loop_sizes):
-    cfg = BeamConfig(beam_width=4096, lm_weight=0.0, word_insertion_bonus=0.0)
-    batch = batch_of(rng, 40, 5)
-    want = [exhaustive_beam_best(posts.probs, None, 0.0, 0.0, VOCAB) for posts in batch]
-    assert beam_decode(batch, None, cfg, VOCAB) == want
-    assert loop_sizes == [len(batch)]
-
-
-PREFIX_TABLE_CASES = {"no_lm": (None, 0.5, False), "trigram": (LM3, 0.5, False),
-                      "lm_off_uncertified": (None, 0.0, True)}
-
-
-@pytest.mark.parametrize("lm, bonus, refuse, n_utts, chunk",
+@pytest.mark.parametrize("lm, bonus, n_utts, chunk",
                          [pytest.param(*case, 24, None, id=name)
                           for name, case in PREFIX_TABLE_CASES.items()]
                          + [pytest.param(*case, 17, 5, id=f"{name}-chunks_of_5")
                             for name, case in PREFIX_TABLE_CASES.items()])
-def test_prefix_table_grows_and_keeps_every_id(lm, bonus, refuse, n_utts, chunk, monkeypatch,
-                                               loop_sizes, request):
+def test_prefix_table_grows_and_keeps_every_id(lm, bonus, n_utts, chunk, monkeypatch,
+                                               loop_sizes):
     # A batch long enough to grow the prefix table several times. Each grow
     # keeps every used row as it was, and at the end of each chunk every
     # prefix it interned sits in the child column under its parent and its
     # symbol, and nothing else does. One table serves the whole call: a
     # reset between chunks gives every row its fill value back and keeps the
-    # columns unless the chunk needs more rows. With the certificate
-    # refused, LM-off decoding runs the frame loop on the whole batch.
+    # columns unless the chunk needs more rows.
     rng = np.random.default_rng(7)
     cfg = BeamConfig(beam_width=12, lm_weight=0.6, word_insertion_bonus=bonus)
     batch = mixed_batch(rng, n_utts, 150, VOCAB.size, min_frames=100)
-    if refuse:
-        request.getfixturevalue("uncertified")
     if chunk is not None:
         monkeypatch.setattr(beam, "_CHUNK", chunk)
     tables, grown, resets, finished = [], [], [], []

@@ -10,6 +10,7 @@ import pytest
 from ekd import binio
 from ekd.config import SvccaSettings, derive_seed
 from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
+from ekd.ctc import greedy_decode
 from ekd.model import load_checkpoint
 from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, output_root,
                           run_pipeline, run_seed, stage_decode, stage_evaluate, stage_gen_data,
@@ -17,7 +18,8 @@ from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, output_
                           stage_train_teacher)
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, load_selection, save_posteriors
-from ekd.training import greedy_corpus_wer
+from ekd.training import corpus_posteriors, greedy_corpus_wer
+from ekd.wer import accumulate, wer
 
 from conftest import compact_config
 
@@ -234,8 +236,9 @@ def test_deleted_teacher_cell_reevaluates_only_that_teacher(finished_run, tmp_pa
 
 def test_models_to_evaluate_share_one_decode_per_lm_mode(finished_run, tmp_path, monkeypatch):
     # A teacher missing its LM-on file and a student missing its LM-off file
-    # are both evaluated again in both modes, each mode one beam_decode call
-    # over both models' test utterances; the other models are skipped.
+    # are both evaluated again in both modes: LM on in one beam_decode call
+    # over both models' test utterances, LM off greedily, with no beam
+    # search; the other models are skipped.
     cfg, paths = _copy_run(finished_run, tmp_path)
     teacher, student = f"teacher_{cfg.teacher_domains[0].name}", "student_elitist"
     before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
@@ -256,11 +259,43 @@ def test_models_to_evaluate_share_one_decode_per_lm_mode(finished_run, tmp_path,
     test_ids = {d: [u.id for u in load_corpus(paths.corpus_path(d, "test")).utterances]
                 for d in [r.name for r in cfg.all_domains()]}
     batch = [*(i for ids in test_ids.values() for i in ids), *test_ids[cfg.student_domain.name]]
-    assert calls == [(batch, False), (batch, True)]
+    assert calls == [(batch, True)]
     assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
     rewritten = {name for name, stamp in _cell_stamps(paths).items() if stamp != stamps[name]}
     assert rewritten == {f"{model}--lm_{mode}.tsv" for model in (teacher, student)
                          for mode in ("on", "off")}
+
+
+def test_lm_off_evaluate_scores_the_greedy_words(finished_run, tmp_path, monkeypatch):
+    # Without the LM the best CTC hypothesis is the best path: each LM-off
+    # row is the WER of every utterance's greedy decoding, and no beam
+    # search runs.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    import ekd.pipeline as pl
+
+    real, calls = pl.beam_decode, []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pl, "beam_decode", recording)
+    pl.stage_evaluate(cfg, cfg.seeds[0], paths, lm_mode="off", force=True)
+    assert calls == []
+    rows = 0
+    for name, checkpoint, test_sets in pl._eval_matrix(cfg, paths):
+        model = load_checkpoint(checkpoint)
+        held = ResultTable.from_tsv(paths.cell_path(name, False).read_text())
+        for test_set, corpus_path in test_sets:
+            corpus = load_corpus(corpus_path)
+            vocab = corpus.vocabulary
+            want = accumulate([
+                wer(vocab.indices_to_words(utt.transcript),
+                    vocab.indices_to_words(greedy_decode(posts, vocab.blank_index)))
+                for utt, posts in zip(corpus.utterances, corpus_posteriors(model, corpus))])
+            assert held.get(test_set, name, False).breakdown == want
+            rows += 1
+    assert rows == len(cfg.teacher_domains) * len(cfg.all_domains()) + len(cfg.strategies)
 
 
 def test_evaluate_reads_each_reference_once_per_test_corpus(finished_run, tmp_path):

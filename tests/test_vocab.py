@@ -52,6 +52,15 @@ def test_words_round_trip():
     assert v.indices_to_words([sep, a, b, sep, sep, c, a, sep]) == ["ab", "ca"]
 
 
+def test_words_of_a_list_a_tuple_and_an_array_agree():
+    v = default_vocabulary("abc")
+    seq = [v.word_separator_index, 1, 2, v.word_separator_index, 3, 1]
+    want = v.indices_to_words(seq)
+    assert want == ["ab", "ca"]
+    assert v.indices_to_words(tuple(seq)) == want
+    assert v.indices_to_words(np.array(seq, np.int64)) == want
+
+
 def test_word_with_blank_rejected():
     v = default_vocabulary("abc")
     with pytest.raises(ValueError, match="blank"):
