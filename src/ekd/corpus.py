@@ -33,9 +33,13 @@ class Utterance:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError(f"utterance {id!r}: features must be [T>=1, F]")
+        if transcript is not None:
+            transcript = np.asarray(transcript, dtype=np.int64)
+            if transcript.ndim != 1:
+                raise ValueError(f"utterance {id!r}: transcript must be 1-D")
         self.id = id
         self.features = features
-        self._transcript = None if transcript is None else np.asarray(transcript, dtype=np.int64)
+        self._transcript = transcript
 
     @property
     def transcript(self) -> np.ndarray | None:
@@ -85,17 +89,30 @@ class Corpus:
     utterances: list[Utterance]
 
     def __post_init__(self) -> None:
-        if self.utterances:
-            f = self.utterances[0].feature_dim
-            for u in self.utterances:
-                if u.feature_dim != f:
-                    raise ValueError(f"corpus {self.name!r}: inconsistent feature dims")
-                if u._transcript is not None:
-                    t = u._transcript
-                    if t.size and (t.min() < 0 or t.max() >= self.vocabulary.size):
-                        raise ValueError(f"utterance {u.id!r}: transcript index out of range")
-                    if t.size and np.any(t == self.vocabulary.blank_index):
-                        raise ValueError(f"utterance {u.id!r}: transcript contains blank")
+        """Refuse the first bad utterance, in corpus order, by its first
+        failing check: feature dims, then transcript range, then blank."""
+        n = len(self.utterances)
+        if not n:
+            return
+        dims = np.array([u.feature_dim for u in self.utterances])
+        transcripts = [u._transcript for u in self.utterances]
+        labelled = [t for t in transcripts if t is not None]
+        symbols = np.concatenate(labelled) if labelled else np.zeros(0, dtype=np.int64)
+        owners = np.repeat(np.arange(n), [0 if t is None else t.size for t in transcripts])
+
+        def per_utterance(symbol_fails: np.ndarray) -> np.ndarray:
+            return np.bincount(owners[symbol_fails], minlength=n) > 0
+
+        failing = np.stack([dims != dims[0],
+                            per_utterance((symbols < 0) | (symbols >= self.vocabulary.size)),
+                            per_utterance(symbols == self.vocabulary.blank_index)])
+        bad = np.flatnonzero(failing.any(axis=0))
+        if bad.size:
+            first = self.utterances[bad[0]].id
+            raise ValueError((f"corpus {self.name!r}: inconsistent feature dims",
+                              f"utterance {first!r}: transcript index out of range",
+                              f"utterance {first!r}: transcript contains blank",
+                              )[int(np.argmax(failing[:, bad[0]]))])
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -162,7 +179,13 @@ def generate_corpus(spec: DomainSpec, vocab: Vocabulary, n_utterances: int,
     """Synthesize a corpus: sampled lexicon words rendered as noisy prototype frames.
 
     Deterministic: identical (spec, vocab, n_utterances, seed) yields a
-    byte-identical corpus.
+    byte-identical corpus. One generator, seeded by ``seed``, is drawn in
+    this order, and the order fixes the bytes. Per utterance: the word
+    count, then the word picks. Then per symbol of its transcript: the frame
+    count, then that symbol's ``(count, F)`` noise block (none at zero
+    noise). An utterance's features are its symbols' transformed prototypes,
+    each repeated for its frame count, plus the noise blocks stacked in
+    order.
     """
     if n_utterances < 1:
         raise ValueError("n_utterances must be >= 1")
@@ -178,6 +201,8 @@ def generate_corpus(spec: DomainSpec, vocab: Vocabulary, n_utterances: int,
     word_indices = [vocab.word_to_indices(w) for w in spec.lexicon]
     flo, fhi = spec.frames_per_symbol
     wlo, whi = spec.utterance_length_range
+    std = spec.emission_noise_std
+    F = spec.feature_dim
 
     utterances = []
     for i in range(n_utterances):
@@ -188,18 +213,21 @@ def generate_corpus(spec: DomainSpec, vocab: Vocabulary, n_utterances: int,
             if k > 0:
                 transcript.append(vocab.word_separator_index)
             transcript.extend(word_indices[int(wi)])
-        frames = []
-        for sym in transcript:
+        counts = []
+        noise = []
+        for _ in transcript:
             count = int(rng.integers(flo, fhi + 1))
-            block = np.tile(transformed[sym], (count, 1))
-            if spec.emission_noise_std > 0:
-                block = block + rng.normal(0.0, spec.emission_noise_std, size=block.shape)
-            frames.append(block)
-        features = np.concatenate(frames, axis=0)
+            counts.append(count)
+            if std > 0:
+                noise.append(rng.normal(0.0, std, size=(count, F)))
+        labels = np.asarray(transcript, dtype=np.int64)
+        features = np.repeat(transformed[labels], counts, axis=0)
+        if noise:
+            features += np.concatenate(noise)
         utterances.append(Utterance(
             id=f"{spec.name}-{seed}-{i:05d}",
             features=features,
-            transcript=np.asarray(transcript, dtype=np.int64),
+            transcript=labels,
         ))
     return Corpus(name=spec.name, vocabulary=vocab, utterances=utterances)
 
@@ -214,7 +242,7 @@ def save_corpus(corpus: Corpus, path) -> None:
     }
     records = [binio.encode_record({
         "id": u.id,
-        "transcript": None if u._transcript is None else [int(x) for x in u._transcript],
+        "transcript": None if u._transcript is None else u._transcript.tolist(),
     }, u.features) for u in corpus.utterances]
     binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
 

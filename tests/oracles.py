@@ -14,6 +14,9 @@ before it indexes the sample; it reuses the model's forward pass and frame
 subsample and is the bit-exact reference for the per-utterance sampler.
 ``padded_context_expand`` is the context window as first written, a zero-
 padded copy of the features sliced once per offset and concatenated.
+``tiled_generate_corpus`` is the corpus generator as first written, one
+tiled and noised block per symbol; it is the bit-exact reference for the
+whole-utterance generator.
 """
 from __future__ import annotations
 
@@ -24,10 +27,12 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+from ekd.corpus import Corpus, Utterance
 from ekd.lm import BOS, EOS, UNK
 from ekd.model import forward_features
 from ekd.svcca import ActivationMatrix
 from ekd.training import activation_frame_indices
+from ekd.vocab import symbol_prototypes
 
 
 # -- CTC ----------------------------------------------------------------------
@@ -404,6 +409,49 @@ def expected_mean_frames(spec) -> float:
     mean_symbols = mean_words * mean_word_len + (mean_words - 1)  # separators
     mean_frames_per_symbol = (spec.frames_per_symbol[0] + spec.frames_per_symbol[1]) / 2
     return mean_symbols * mean_frames_per_symbol
+
+
+def tiled_generate_corpus(spec, vocab, n_utterances: int, seed: int) -> Corpus:
+    """One ``np.tile`` of the symbol's prototype per symbol, plus its noise
+    block. ``ekd.corpus.generate_corpus`` must return the same corpus."""
+    if n_utterances < 1:
+        raise ValueError("n_utterances must be >= 1")
+    if not spec.lexicon:
+        raise ValueError(f"domain {spec.name!r}: empty lexicon")
+    if np.linalg.matrix_rank(spec.feature_scale) < spec.feature_dim:
+        raise ValueError(f"domain {spec.name!r}: degenerate (non-invertible) feature transform")
+
+    protos = symbol_prototypes(vocab, spec.feature_dim)
+    transformed = protos @ spec.feature_scale.T + spec.feature_bias
+
+    rng = np.random.default_rng(seed)
+    word_indices = [vocab.word_to_indices(w) for w in spec.lexicon]
+    flo, fhi = spec.frames_per_symbol
+    wlo, whi = spec.utterance_length_range
+
+    utterances = []
+    for i in range(n_utterances):
+        n_words = int(rng.integers(wlo, whi + 1))
+        picks = rng.integers(0, len(spec.lexicon), size=n_words)
+        transcript: list[int] = []
+        for k, wi in enumerate(picks):
+            if k > 0:
+                transcript.append(vocab.word_separator_index)
+            transcript.extend(word_indices[int(wi)])
+        frames = []
+        for sym in transcript:
+            count = int(rng.integers(flo, fhi + 1))
+            block = np.tile(transformed[sym], (count, 1))
+            if spec.emission_noise_std > 0:
+                block = block + rng.normal(0.0, spec.emission_noise_std, size=block.shape)
+            frames.append(block)
+        features = np.concatenate(frames, axis=0)
+        utterances.append(Utterance(
+            id=f"{spec.name}-{seed}-{i:05d}",
+            features=features,
+            transcript=np.asarray(transcript, dtype=np.int64),
+        ))
+    return Corpus(name=spec.name, vocabulary=vocab, utterances=utterances)
 
 
 def nearest_prototype_transcript(features: np.ndarray, transformed_protos: np.ndarray,

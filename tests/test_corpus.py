@@ -10,7 +10,7 @@ from ekd.corpus import (CORPUS_FORMAT_VERSION, Corpus, DomainSpec, Utterance, ge
                         load_corpus, save_corpus, split_corpus, transcript_read_count)
 from ekd.vocab import default_vocabulary, symbol_prototypes
 
-from oracles import expected_mean_frames, nearest_prototype_transcript
+from oracles import expected_mean_frames, nearest_prototype_transcript, tiled_generate_corpus
 
 # Regression pin: SHA-256 of the serialized reference corpus below. Any change
 # to the generator's random stream or the file format must be deliberate.
@@ -38,6 +38,30 @@ def test_zero_noise_single_frames_exact(vocab):
     assert np.array_equal(utt.features[1], protos[vocab.graphemes.index("b")])
     assert list(utt.transcript) == [vocab.graphemes.index("a"), vocab.graphemes.index("b")]
 
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.25])
+@pytest.mark.parametrize("frames", [(1, 1), (2, 4)])
+@pytest.mark.parametrize("words", [(1, 1), (6, 6)])
+def test_generation_matches_the_per_symbol_oracle(vocab, noise, frames, words):
+    spec = make_spec(noise=noise, frames=frames, words=words)
+    for seed in (0, 7, 2024):
+        got = generate_corpus(spec, vocab, 12, seed)
+        want = tiled_generate_corpus(spec, vocab, 12, seed)
+        assert [u.id for u in got.utterances] == [u.id for u in want.utterances]
+        for g, w in zip(got.utterances, want.utterances, strict=True):
+            assert g.features.dtype == w.features.dtype and g.features.shape == w.features.shape
+            assert g.features.tobytes() == w.features.tobytes()
+            assert g.transcript.dtype == w.transcript.dtype
+            assert np.array_equal(g.transcript, w.transcript)
+
+
+def test_default_domains_match_the_per_symbol_oracle():
+    cfg = default_config()
+    for name, spec in cfg.expand_domains().items():
+        got = generate_corpus(spec, cfg.vocabulary(), 8, seed=5)
+        want = tiled_generate_corpus(spec, cfg.vocabulary(), 8, seed=5)
+        assert got == want, name
 
 def test_generation_deterministic(vocab):
     spec = make_spec()
@@ -229,3 +253,41 @@ def test_transcript_with_blank_rejected(vocab):
     utt = Utterance("u", np.zeros((2, 3)), transcript=np.array([vocab.blank_index]))
     with pytest.raises(ValueError, match="blank"):
         Corpus("c", vocab, [utt])
+
+
+def test_transcript_out_of_range_rejected(vocab):
+    for index in (-1, vocab.size):
+        utt = Utterance("u", np.zeros((2, 3)), transcript=np.array([1, index]))
+        with pytest.raises(ValueError, match=r"utterance 'u': transcript index out of range"):
+            Corpus("c", vocab, [utt])
+
+
+def test_inconsistent_feature_dims_rejected(vocab):
+    utts = [Utterance("u0", np.zeros((2, 3))), Utterance("u1", np.zeros((2, 4)))]
+    with pytest.raises(ValueError, match=r"corpus 'c': inconsistent feature dims"):
+        Corpus("c", vocab, utts)
+
+
+def test_first_bad_utterance_named_by_its_first_failing_check(vocab):
+    good = Utterance("ok", np.zeros((2, 3)), transcript=np.array([1, 2]))
+    blank = Utterance("blank", np.zeros((2, 3)), transcript=np.array([vocab.blank_index]))
+    blank_and_range = Utterance("both", np.zeros((2, 3)),
+                                transcript=np.array([vocab.blank_index, vocab.size]))
+    wide = Utterance("wide", np.zeros((2, 4)), transcript=np.array([vocab.blank_index]))
+    cases = [
+        ([good, blank, blank_and_range, wide], r"utterance 'blank': transcript contains blank"),
+        ([good, blank_and_range, blank, wide], r"utterance 'both': transcript index out of range"),
+        ([good, wide, blank_and_range], r"corpus 'c': inconsistent feature dims"),
+        ([good, Utterance("unlabelled", np.zeros((2, 4))), blank],
+         r"corpus 'c': inconsistent feature dims"),
+    ]
+    for utts, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Corpus("c", vocab, utts)
+    assert len(Corpus("c", vocab, [good, Utterance("unlabelled", np.zeros((1, 3)))])) == 2
+
+
+def test_transcript_must_be_one_dimensional():
+    for transcript in (np.array([[1, 2], [3, 4]]), np.array(3)):
+        with pytest.raises(ValueError, match=r"utterance 'u': transcript must be 1-D"):
+            Utterance("u", np.zeros((2, 3)), transcript=transcript)
