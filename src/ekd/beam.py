@@ -2,20 +2,18 @@
 for a batch of utterances at once.
 
 Hypotheses are (collapsed prefix, last path symbol) states scored by the
-best-alignment acoustic log probability plus, when a language model is
-supplied, ``lm_weight * ln p_lm`` for every completed word and a per-word
-insertion bonus. Word boundaries are the vocabulary's separator symbol; the
-trailing partial word and the sentence end are scored at finalization.
-Without an LM and with a zero bonus, the best hypothesis is the best path,
-the per-frame argmax collapsed, which ``ctc.greedy_decode`` finds directly
-and LM-off evaluation uses; the search still takes ``lm=None``.
+best-alignment acoustic log probability plus ``lm_weight * ln p_lm`` for
+every completed word and a per-word insertion bonus. Word boundaries are the
+vocabulary's separator symbol; the trailing partial word and the sentence
+end are scored at finalization. At ``lm_weight = 0`` every LM term is ±0.0,
+which changes no score, so the search ranks by acoustics and bonus alone.
 
 A batch may hold any utterances, of one model or of several. It runs
 longest first in chunks of at most ``_CHUNK`` utterances; each chunk takes
-one log of its concatenated posteriors. All chunks share one LM table, so
-each (token, context) pair is queried once per call, and one prefix table,
-reset between chunks. An utterance's words never depend on the others in
-its batch or chunk.
+one log of its concatenated posteriors and has its own prefix table. All
+chunks share one LM table, so each (token, context) pair is queried once
+per call. An utterance's words never depend on the others in its batch or
+chunk.
 
 Each utterance keeps ``beam_width`` slots of (score, prefix id, last symbol);
 an empty slot scores NaN. Within a chunk, those still running are a leading
@@ -40,7 +38,7 @@ numpy calls over the whole block:
   cut-off is NaN and ``argpartition`` keeps them all. Survivors that extend
   a prefix by a new symbol are interned in one batch: a prefix is its
   parent's id and symbol, found again through the parent's ``child`` row,
-  and with an LM also a partial word id, LM contexts and the word's LM term.
+  with a partial word id, LM contexts and the word's LM term.
 
 The key fixes partial word, context and word count, so tied duplicates are
 identical and order within a beam never matters. A chunk finishes in one
@@ -56,9 +54,7 @@ A prefix keeps its id for the whole chunk, and no prefix is dropped within
 a chunk: when an extension would overflow the prefix columns, they double
 and the used rows are copied. Most prefixes die within a frame of being
 interned, so a chunk's prefixes grow with its utterances and its frames,
-and ``_CHUNK`` bounds them. The next chunk resets only the rows in use and
-keeps the grown columns, so the table grows again only when a chunk needs
-more rows than every chunk before it.
+and ``_CHUNK`` bounds them.
 """
 from __future__ import annotations
 
@@ -89,6 +85,9 @@ class BeamConfig:
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        for name in ("lm_weight", "word_insertion_bonus"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lm_weight < 0:
             raise ValueError("lm_weight must be >= 0")
 
@@ -171,46 +170,35 @@ def _grown(table: np.ndarray, fill) -> np.ndarray:
 
 
 class _Prefixes:
-    """The collapsed prefixes of one call, in columns indexed by prefix id,
-    holding one chunk at a time (``reset`` starts the next): the ids below
-    ``size`` are in use, the rows past it are room and hold the fill values,
-    and the first ``n_utts`` are the chunk's empty prefixes. A parent's id is
-    below its children's. A prefix holds its parent and last symbol
-    (NO_LAST for a root); with the call's ``_WordTerms`` also its partial
-    word (a ``_WordTerms`` word id, 0 for none), the LM contexts before and
-    after that word, and the word's LM term. ``child[p, g]`` is
-    the id of p extended by symbol g, or -1; ``slots[p]`` maps p's beam
-    hypotheses (last none, last symbol) to their flat slot during a frame's
-    merge, else -1. A separator adds the bonus to a prefix whose last symbol
-    is a letter: ``sep_bonus[symbol]``, whose last entry serves NO_LAST."""
+    """The collapsed prefixes of one chunk, in columns indexed by prefix id:
+    the ids below ``size`` are in use, the rows past it are room and hold the
+    fill values, and the first ``n_utts`` are the chunk's empty prefixes. A
+    parent's id is below its children's. A prefix holds its parent, its last
+    symbol (NO_LAST for a root), its partial word (a ``_WordTerms`` word id,
+    0 for none), the LM contexts before and after that word, and the word's
+    LM term. ``child[p, g]`` is the id of p extended by symbol g, or -1;
+    ``slots[p]`` maps p's beam hypotheses (last none, last symbol) to their
+    flat slot during a frame's merge, else -1. A separator adds the bonus to
+    a prefix whose last symbol is a letter: ``sep_bonus[symbol]``, whose last
+    entry serves NO_LAST."""
 
-    def __init__(self, terms: _WordTerms | None, config: BeamConfig, vocab: Vocabulary):
+    # Each column's fill value.
+    COLUMNS = {"parent": -1, "symbol": NO_LAST, "child": -1, "slots": -1,
+               "word": 0, "context": 0, "end": 0, "lm_add": 0.0}
+
+    def __init__(self, terms: _WordTerms, config: BeamConfig, vocab: Vocabulary,
+                 n_utts: int):
         self.lm = terms
         self.z, self.sep = vocab.size, vocab.word_separator_index
         self.sep_bonus = np.full(vocab.size + 1, config.word_insertion_bonus)
         self.sep_bonus[[self.sep, NO_LAST]] = 0.0
-        self.columns = {"parent": -1, "symbol": NO_LAST, "child": -1, "slots": -1}
-        if terms is not None:
-            self.columns.update(word=0, context=0, end=0, lm_add=0.0)
-        self.size = 0
-        for name in self.columns:
-            setattr(self, name, self._column(name, 0))
-
-    def reset(self, n_utts: int) -> None:
-        """Empty the table for a chunk of ``n_utts`` utterances. The used
-        rows get their fill values back; the columns are only replaced, by
-        twice ``n_utts`` rows, when they are shorter than that."""
-        if len(self.parent) < 2 * n_utts:
-            for name in self.columns:
-                setattr(self, name, self._column(name, 2 * n_utts))
-        else:
-            for name, fill in self.columns.items():
-                getattr(self, name)[:self.size] = fill
         self.size = n_utts
+        for name in self.COLUMNS:
+            setattr(self, name, self._column(name, 2 * n_utts))
 
     def _column(self, name: str, capacity: int) -> np.ndarray:
         shape = {"child": (capacity, self.z), "slots": (capacity, 2)}.get(name, capacity)
-        return np.full(shape, self.columns[name], float if name == "lm_add" else np.int32)
+        return np.full(shape, self.COLUMNS[name], float if name == "lm_add" else np.int32)
 
     def _grow(self, room: int) -> None:
         """Double the capacity until ``room`` more prefixes fit, copying the
@@ -218,7 +206,7 @@ class _Prefixes:
         capacity = len(self.parent)
         while self.size + room > capacity:
             capacity *= 2
-        for name in self.columns:
+        for name in self.COLUMNS:
             column = self._column(name, capacity)
             column[:self.size] = getattr(self, name)[:self.size]
             setattr(self, name, column)
@@ -234,25 +222,16 @@ class _Prefixes:
         self.parent[new] = parents
         self.symbol[new] = symbols
         self.child[parents, symbols] = ids
-        if self.lm is not None:
-            # A separator closes the parent's word; a letter extends it.
-            letter = symbols != self.sep
-            context = np.where(letter, self.context.take(parents), self.end.take(parents))
-            self.context[new] = context
-            self.end[new] = context
-            at = letter.nonzero()[0]
-            if len(at):
-                (self.word[new][at], self.lm_add[new][at], self.end[new][at]) = self.lm.extend(
-                    self.word.take(parents.take(at)), symbols.take(at), context.take(at))
+        # A separator closes the parent's word; a letter extends it.
+        letter = symbols != self.sep
+        context = np.where(letter, self.context.take(parents), self.end.take(parents))
+        self.context[new] = context
+        self.end[new] = context
+        at = letter.nonzero()[0]
+        if len(at):
+            (self.word[new][at], self.lm_add[new][at], self.end[new][at]) = self.lm.extend(
+                self.word.take(parents.take(at)), symbols.take(at), context.take(at))
         return ids
-
-    def state(self, p: int, last: int) -> tuple[tuple[int, ...], int]:
-        """The (prefix symbols, last symbol) a hypothesis is ranked by."""
-        out = []
-        while self.symbol[p] != NO_LAST:
-            out.append(int(self.symbol[p]))
-            p = self.parent[p]
-        return tuple(reversed(out)), last
 
     def spell(self, ids: np.ndarray) -> list[list[int]]:
         """The symbols of each prefix, first to last, read back through the
@@ -314,23 +293,22 @@ class _Prefixes:
         slots[keys] = -1
 
 
-def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
+def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm,
                 config: BeamConfig, vocab: Vocabulary) -> list[list[str]]:
     """Best word sequence of each utterance, in input order, under acoustic
-    + (optional) LM + bonus scoring."""
+    + LM + bonus scoring. The LM is required; ``lm_weight = 0`` searches by
+    acoustics and bonus alone."""
     posteriors = list(posteriors)
     for posts in posteriors:
         if posts.vocab_size != vocab.size:
             raise ValueError(f"utterance {posts.utterance_id!r}: posterior width "
                              f"{posts.vocab_size} does not match vocabulary size {vocab.size}")
-    fuse = lm is not None and config.lm_weight > 0
-    terms = _WordTerms(lm, config.lm_weight * LN10, vocab) if fuse else None
+    terms = _WordTerms(lm, config.lm_weight * LN10, vocab)
     # Longest first, so the utterances still running are a leading block of
     # each chunk.
     lengths = np.array([posts.num_frames for posts in posteriors])
     order = np.argsort(-lengths, kind="stable")
     out: list[list[str]] = [[] for _ in posteriors]
-    prefixes = _Prefixes(terms, config, vocab)
     for first in range(0, len(order), _CHUNK):
         chunk = order[first:first + _CHUNK]
         chunk_lengths = lengths[chunk]
@@ -339,23 +317,25 @@ def beam_decode(posteriors: Sequence[PosteriorSequence], lm: NgramLm | None,
         log_probs = np.concatenate([posteriors[i].probs for i in chunk.tolist()])
         with np.errstate(divide="ignore"):
             np.log(log_probs, out=log_probs)
-        words = _frame_loop(log_probs, starts, chunk_lengths, prefixes, config, vocab)
+        words = _frame_loop(log_probs, starts, chunk_lengths, terms, config, vocab)
         for i, best in zip(chunk.tolist(), words):
             out[i] = best
     return out
 
 
 def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                prefixes: _Prefixes, config: BeamConfig,
+                terms: _WordTerms, config: BeamConfig,
                 vocab: Vocabulary) -> list[list[str]]:
     """The beam search of the utterances whose log posteriors are the rows
-    ``starts[i]`` on, ``lengths[i]`` of them, longest first, in the call's
-    prefix table (reset here); their words in that order."""
+    ``starts[i]`` on, ``lengths[i]`` of them, longest first, in a prefix
+    table of their own; their words in that order. The table is freed on
+    return, before the next chunk allocates anything, so the chunks' tables
+    reuse the same memory."""
     z, blank, sep = vocab.size, vocab.blank_index, vocab.word_separator_index
     width = config.beam_width
     running = np.searchsorted(-lengths, -np.arange(lengths[0]))
     n_utts = len(lengths)
-    prefixes.reset(n_utts)
+    prefixes = _Prefixes(terms, config, vocab, n_utts)
     score = np.full((n_utts, width), np.nan)
     score[:, 0] = 0.0
     pid = np.full((n_utts, width), -1, np.int64)
@@ -367,8 +347,7 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         p = pid[:n]
         cand = score[:n, :, None] + log_probs[starts[:n] + t][:, None, :]
         cand[:, :, sep] += prefixes.sep_bonus[prefixes.symbol[p]]
-        if prefixes.lm is not None:
-            cand[:, :, sep] += prefixes.lm_add[p]
+        cand[:, :, sep] += prefixes.lm_add[p]
         flat_pid, flat_last = p.ravel(), last[:n].ravel()
         prefixes.merge_duplicates(cand.reshape(-1, z), flat_pid, flat_last,
                                   np.flatnonzero(~np.isnan(score[:n])))
@@ -376,9 +355,11 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
 
         def rank(r: int, kept: list[int]) -> list[int]:
             # Candidates tied at the cut-off: by score, then (prefix, last).
-            return sorted(kept, key=lambda c: (-cand[r, c], *_candidate_state(
-                prefixes, flat_pid[r * width + c // z], flat_last[r * width + c // z],
-                c % z, blank)))
+            src = r * width + np.array(kept) // z
+            spelled = prefixes.spell(flat_pid.take(src))
+            keys = [(-cand[r, c], *_after(prefix, old, c % z, blank))
+                    for c, prefix, old in zip(kept, spelled, flat_last.take(src).tolist())]
+            return [c for _, c in sorted(zip(keys, kept))]
 
         flat = _survivors(cand, width, rank) + offsets[:n]
         new_score = cand.take(flat)
@@ -394,12 +375,10 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         if len(fresh):
             pid[:n].reshape(-1)[fresh] = prefixes.extend(src_pid.take(fresh), g.take(fresh))
 
-    final = score + prefixes.sep_bonus[prefixes.symbol[pid]]
-    if prefixes.lm is not None:
-        final += prefixes.lm_add[pid]
-        live = ~np.isnan(score)
-        ends = prefixes.end[pid[live]]
-        final[live] += prefixes.lm.terms(np.full_like(ends, prefixes.lm.eos), ends)[0]
+    final = score + prefixes.sep_bonus[prefixes.symbol[pid]] + prefixes.lm_add[pid]
+    live = ~np.isnan(score)
+    ends = prefixes.end[pid[live]]
+    final[live] += prefixes.lm.terms(np.full_like(ends, prefixes.lm.eos), ends)[0]
     return _finish(final, pid, last, prefixes, vocab)
 
 
@@ -408,8 +387,12 @@ def _finish(final: np.ndarray, pid: np.ndarray, last: np.ndarray, prefixes: _Pre
     """The words of each row's winner among its slots' ``final`` scores
     (NaN is empty): its strict maximum, or the first of tied maxima in
     (prefix, last) order; no words when every path scores -inf."""
-    win = _survivors(final, 1, lambda r, tied: sorted(
-        tied, key=lambda w: prefixes.state(pid[r, w], last[r, w])))[:, 0]
+    def rank(r: int, tied: list[int]) -> list[int]:
+        # Tied maxima: by (prefix, last).
+        keys = zip(prefixes.spell(pid[r].take(tied)), last[r].take(tied).tolist())
+        return [w for _, w in sorted(zip(keys, tied))]
+
+    win = _survivors(final, 1, rank)[:, 0]
     rows = np.arange(len(final))
     spelled = prefixes.spell(pid[rows, win])
     return [vocab.indices_to_words(symbols) if best > -np.inf else []
@@ -446,12 +429,10 @@ def _survivors(cand: np.ndarray, width: int, rank) -> np.ndarray:
     return top
 
 
-def _candidate_state(prefixes: _Prefixes, p: int, last: int, g: int,
-                     blank: int) -> tuple[tuple[int, ...], int]:
-    """(prefix, last) of hypothesis (p, last) extended by symbol g."""
+def _after(prefix: list[int], last: int, g: int, blank: int) -> tuple[list[int], int]:
+    """The (prefix, last) of hypothesis (prefix, last) extended by symbol g."""
     if g == blank:
-        return prefixes.state(p, NO_LAST)
-    prefix, _ = prefixes.state(p, last)
+        return prefix, NO_LAST
     if g == last:
         return prefix, last
-    return prefix + (g,), g
+    return prefix + [g], g

@@ -3,6 +3,7 @@ domain specs, model/training/decoding settings, and the seed list."""
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -241,8 +242,8 @@ def _build(cls, mapping, key: str = ""):
     defaults), converted by the field types. ValueError names the dotted
     config key (``key`` is the mapping's own, "" the root) of a non-mapping,
     an unknown key, a list field given a non-list, a fixed-length tuple field
-    given the wrong number of items, a scalar of the wrong type or the first
-    absent field that has no default."""
+    given the wrong number of items, a scalar of the wrong type, a NaN or
+    infinite float or the first absent field that has no default."""
     if not isinstance(mapping, dict):
         raise ValueError(f"config key {key!r} must be a mapping")
     hints = typing.get_type_hints(cls)
@@ -283,6 +284,8 @@ def _field(tp, value, key: str):
         accepts, name = _SCALARS[tp]
         if not isinstance(value, accepts) or (isinstance(value, bool) and tp is not bool):
             raise ValueError(f"config key {key!r} must be {name}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite")
     return value
 
 

@@ -20,6 +20,7 @@ from ekd.config import default_config
 from ekd.corpus import load_corpus, transcript_read_count
 from ekd.ctc import (PosteriorSequence, ctc_loss, greedy_decode, min_frames_for_target,
                      softmax)
+from ekd.lm import load_arpa, train_lm
 from ekd.model import load_checkpoint
 from ekd.pipeline import SeedPaths, _eval_matrix, run_pipeline
 from ekd.report import ResultTable
@@ -199,11 +200,13 @@ def test_criterion_06_wer_and_decoder_reduction(rng):
             ok = False
             break
     vocab = default_vocabulary("abc")
-    cfg = BeamConfig(beam_width=1, lm_weight=0.4, word_insertion_bonus=0.0)
+    # A trained LM at zero weight, with no bonus: the search is acoustic alone.
+    lm = train_lm([["ab", "c"], ["ca", "b", "ab"], ["bc"]], order=2)
+    cfg = BeamConfig(beam_width=1, lm_weight=0.0, word_insertion_bonus=0.0)
     batch = [random_posteriors(rng, int(rng.integers(1, 13)), vocab.size, f"u{i}")
              for i in range(1000)]
     want = [vocab.indices_to_words(greedy_decode(posts, vocab.blank_index)) for posts in batch]
-    reduction_ok = beam_decode(batch, None, cfg, vocab) == want
+    reduction_ok = beam_decode(batch, lm, cfg, vocab) == want
     record(6, "WER totals match the recursive oracle (10000 pairs) and beam_width=1 "
               "reduces to greedy decoding (1000 posteriors)", ok and reduction_ok)
 
@@ -263,14 +266,16 @@ def test_criterion_09_lm_effect(default_run):
               "every model, student-domain test)", ok, " ".join(details))
 
 
-def test_lm_off_certified_best_paths_equal_the_frame_loop(default_run, monkeypatch):
+def test_lm_off_greedy_words_equal_the_zero_weight_search(default_run, monkeypatch):
     # Every model of the first seed: the greedy words that evaluate scores
-    # without the LM are the words of the beam's frame loop (no LM, zero
-    # bonus) on every utterance, so decoding LM-off greedily changes no word.
+    # without the LM are the words of the beam search with the seed's LM at
+    # zero weight and no bonus on every utterance, so decoding LM-off
+    # greedily changes no word.
     cfg, root, _, _ = default_run
+    paths = SeedPaths(root, cfg.seeds[0])
     test_corpus = functools.cache(load_corpus)
     references, posteriors = [], []
-    for _, checkpoint, test_sets in _eval_matrix(cfg, SeedPaths(root, cfg.seeds[0])):
+    for _, checkpoint, test_sets in _eval_matrix(cfg, paths):
         model = load_checkpoint(checkpoint)
         for _, path in test_sets:
             corpus = test_corpus(path)
@@ -286,10 +291,11 @@ def test_lm_off_certified_best_paths_equal_the_frame_loop(default_run, monkeypat
 
     monkeypatch.setattr(pipeline, "wer", scoring)
     pipeline.evaluate_model(references, posteriors, None, cfg, vocab)
-    no_lm = dataclasses.replace(cfg.beam, word_insertion_bonus=0.0)
-    searched = beam_decode([p for posts in posteriors for p in posts], None, no_lm, vocab)
+    zero = dataclasses.replace(cfg.beam, lm_weight=0.0, word_insertion_bonus=0.0)
+    searched = beam_decode([p for posts in posteriors for p in posts],
+                           load_arpa(paths.lm / "ngram.arpa"), zero, vocab)
     same = sum(g == s for g, s in zip(greedy, searched))
-    print(f"\nLM-off greedy words equal to the frame loop's, seed {cfg.seeds[0]}: "
+    print(f"\nLM-off greedy words equal to the zero-weight search's, seed {cfg.seeds[0]}: "
           f"{same} of {len(searched)}")
     assert len(greedy) == len(searched) and same == len(searched) > 0
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ def test_config_validation():
         BeamConfig(beam_width=0)
     with pytest.raises(ValueError):
         BeamConfig(lm_weight=-0.1)
+    # A NaN weight would make every fused score NaN.
+    for key in ("lm_weight", "word_insertion_bonus"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                BeamConfig(**{key: value})
+
+
+def fused(lm, cfg):
+    """The (LM, config) that ``beam_decode`` takes for the search that
+    ``object_beam_decode(posts, lm, cfg, vocab)`` runs. The LM-free search
+    (``lm`` None) is a trained LM fused at zero weight."""
+    return (LM3, dataclasses.replace(cfg, lm_weight=0.0)) if lm is None else (lm, cfg)
 
 
 def batch_of(rng, n, max_frames, z=VOCAB.size, min_frames=1):
@@ -31,16 +45,23 @@ def batch_of(rng, n, max_frames, z=VOCAB.size, min_frames=1):
 
 
 def test_width_one_no_lm_equals_greedy(rng):
-    cfg = BeamConfig(beam_width=1, lm_weight=0.4, word_insertion_bonus=0.0)
+    # A trained LM at zero weight, with no bonus.
+    cfg = BeamConfig(beam_width=1, lm_weight=0.0, word_insertion_bonus=0.0)
     batch = batch_of(rng, 200, 15)
     want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
-    assert beam_decode(batch, None, cfg, VOCAB) == want
+    assert beam_decode(batch, LM, cfg, VOCAB) == want
 
 
-def test_lm_weight_zero_ignores_lm(rng):
+def test_lm_weight_zero_ignores_lm(rng, monkeypatch):
+    # At zero weight, every LM order gives the LM-free reference's words, on
+    # random and quantised posteriors and in chunks of several sizes.
     cfg = BeamConfig(beam_width=6, lm_weight=0.0, word_insertion_bonus=0.3)
-    batch = batch_of(rng, 50, 9)
-    assert beam_decode(batch, LM, cfg, VOCAB) == beam_decode(batch, None, cfg, VOCAB)
+    batch = mixed_batch(rng, 50, 20, VOCAB.size)
+    want = [object_beam_decode(posts, None, cfg, VOCAB) for posts in batch]
+    for chunk in (3, 7, 160):
+        monkeypatch.setattr(beam, "_CHUNK", chunk)
+        for lm in (LM1, LM, LM3):
+            assert beam_decode(batch, lm, cfg, VOCAB) == want
 
 
 def test_matches_exhaustive_oracle(rng):
@@ -52,10 +73,11 @@ def test_matches_exhaustive_oracle(rng):
 
 
 def test_matches_exhaustive_oracle_no_lm(rng):
+    # A trained LM at zero weight, with no bonus.
     cfg = BeamConfig(beam_width=4096, lm_weight=0.0, word_insertion_bonus=0.0)
     batch = batch_of(rng, 40, 5)
     want = [exhaustive_beam_best(posts.probs, None, 0.0, 0.0, VOCAB) for posts in batch]
-    assert beam_decode(batch, None, cfg, VOCAB) == want
+    assert beam_decode(batch, LM, cfg, VOCAB) == want
 
 
 def test_score_monotone_toward_full_width(rng):
@@ -87,7 +109,7 @@ def test_separator_only_output_is_empty(rng):
     probs = np.zeros((3, VOCAB.size))
     probs[:, VOCAB.word_separator_index] = 1.0
     posts = PosteriorSequence(probs)
-    assert beam_decode([posts], None, BeamConfig(beam_width=4), VOCAB) == [[]]
+    assert beam_decode([posts], LM, BeamConfig(beam_width=4), VOCAB) == [[]]
 
 
 def test_empty_batch_decodes_to_nothing():
@@ -126,7 +148,7 @@ def test_matches_object_decoder(width, lm, bonus):
     rng = np.random.default_rng([width, 0 if lm is None else lm.order, int(bonus > 0)])
     cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=bonus)
     batch = mixed_batch(rng, 60, 60, VOCAB.size)
-    assert (beam_decode(batch, lm, cfg, VOCAB)
+    assert (beam_decode(batch, *fused(lm, cfg), VOCAB)
             == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
 
 
@@ -138,7 +160,7 @@ def test_matches_object_decoder_on_default_vocabulary(rng, vocab):
     cfg = BeamConfig()
     batch = mixed_batch(rng, 20, 60, vocab.size, min_frames=20)
     for model in (None, lm):
-        assert (beam_decode(batch, model, cfg, vocab)
+        assert (beam_decode(batch, *fused(model, cfg), vocab)
                 == [object_beam_decode(posts, model, cfg, vocab) for posts in batch])
 
 
@@ -147,9 +169,9 @@ def test_batch_matches_batches_of_one(width):
     rng = np.random.default_rng(width)
     cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.5)
     batch = mixed_batch(rng, 30, 60, VOCAB.size)
-    for lm in (None, LM3):
-        assert (beam_decode(batch, lm, cfg, VOCAB)
-                == [words for posts in batch for words in beam_decode([posts], lm, cfg, VOCAB)])
+    for lm, c in (fused(None, cfg), (LM3, cfg)):
+        assert (beam_decode(batch, lm, c, VOCAB)
+                == [words for posts in batch for words in beam_decode([posts], lm, c, VOCAB)])
 
 
 def models_batches(rng, z):
@@ -170,7 +192,7 @@ def test_one_call_over_several_models_matches_per_model_calls(width, chunk, monk
     # One call decodes every model's utterances longest first in chunks that
     # mix the models; each utterance's words are those of its own model's
     # call and of the reference decoder, LM on (fused, with a bonus) and off
-    # (no LM, no bonus).
+    # (zero weight against the LM-free reference, no bonus).
     rng = np.random.default_rng([width, chunk])
     monkeypatch.setattr(beam, "_CHUNK", chunk)
     models = models_batches(rng, VOCAB.size)
@@ -178,8 +200,9 @@ def test_one_call_over_several_models_matches_per_model_calls(width, chunk, monk
     for lm, bonus in ((LM3, 0.5), (None, 0.0)):
         cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=bonus)
         want = [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch]
-        assert beam_decode(batch, lm, cfg, VOCAB) == want
-        assert [words for model in models for words in beam_decode(model, lm, cfg, VOCAB)] == want
+        assert beam_decode(batch, *fused(lm, cfg), VOCAB) == want
+        assert [words for model in models
+                for words in beam_decode(model, *fused(lm, cfg), VOCAB)] == want
 
 
 def test_lm_queried_once_per_pair_across_chunks(rng, monkeypatch):
@@ -238,7 +261,7 @@ def test_survivors_takes_every_cut_off_path(width, monkeypatch):
     batch = [quantised_posteriors(rng, int(T), VOCAB.size) for T in rng.integers(1, 30, size=40)]
     for lm in (None, LM3):
         cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.5)
-        assert (beam_decode(batch, lm, cfg, VOCAB)
+        assert (beam_decode(batch, *fused(lm, cfg), VOCAB)
                 == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
     assert all(seen.values()), seen
 
@@ -248,17 +271,25 @@ def test_survivors_takes_every_cut_off_path(width, monkeypatch):
 def test_finish_ranks_tied_final_scores(width, lm, monkeypatch):
     # Quantised posteriors tie final scores exactly. A row whose best final
     # score is tied takes the first tied slot in (prefix, last) order, read
-    # back here one utterance at a time through the parent links.
+    # back here one slot at a time through the parent links.
     real, tied = beam._finish, []
 
     def spy(final, pid, last, prefixes, vocab):
         words = real(final, pid, last, prefixes, vocab)
+
+        def symbols(p):
+            out = []
+            while prefixes.symbol[p] != beam.NO_LAST:
+                out.append(int(prefixes.symbol[p]))
+                p = prefixes.parent[p]
+            return out[::-1]
+
         best = np.fmax.reduce(final, axis=1)
         for r in np.flatnonzero(np.count_nonzero(final == best[:, None], axis=1) > 1).tolist():
             if best[r] > -np.inf:
                 w = min(np.flatnonzero(final[r] == best[r]).tolist(),
-                        key=lambda w: prefixes.state(pid[r, w], last[r, w]))
-                assert words[r] == vocab.indices_to_words(prefixes.state(pid[r, w], 0)[0])
+                        key=lambda w: (symbols(pid[r, w]), last[r, w]))
+                assert words[r] == vocab.indices_to_words(symbols(pid[r, w]))
                 tied.append(r)
         return words
 
@@ -266,7 +297,7 @@ def test_finish_ranks_tied_final_scores(width, lm, monkeypatch):
     rng = np.random.default_rng([width, 29])
     batch = [quantised_posteriors(rng, int(T), VOCAB.size) for T in rng.integers(1, 30, size=40)]
     cfg = BeamConfig(beam_width=width, lm_weight=0.6, word_insertion_bonus=0.5)
-    assert (beam_decode(batch, lm, cfg, VOCAB)
+    assert (beam_decode(batch, *fused(lm, cfg), VOCAB)
             == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
     # One slot per row cannot tie.
     assert bool(tied) == (width > 1)
@@ -285,9 +316,8 @@ def loop_sizes(monkeypatch):
     return sizes
 
 
-# (lm, bonus); "lm_off_uncertified" is LM-free with a zero bonus.
-PREFIX_TABLE_CASES = {"no_lm": (None, 0.5), "trigram": (LM3, 0.5),
-                      "lm_off_uncertified": (None, 0.0)}
+# (lm, bonus); "lm_off" is the search at zero weight with a zero bonus.
+PREFIX_TABLE_CASES = {"no_lm": (None, 0.5), "trigram": (LM3, 0.5), "lm_off": (None, 0.0)}
 
 
 @pytest.mark.parametrize("lm, bonus, n_utts, chunk",
@@ -297,43 +327,38 @@ PREFIX_TABLE_CASES = {"no_lm": (None, 0.5), "trigram": (LM3, 0.5),
                             for name, case in PREFIX_TABLE_CASES.items()])
 def test_prefix_table_grows_and_keeps_every_id(lm, bonus, n_utts, chunk, monkeypatch,
                                                loop_sizes):
-    # A batch long enough to grow the prefix table several times. Each grow
-    # keeps every used row as it was, and at the end of each chunk every
-    # prefix it interned sits in the child column under its parent and its
-    # symbol, and nothing else does. One table serves the whole call: a
-    # reset between chunks gives every row its fill value back and keeps the
-    # columns unless the chunk needs more rows.
+    # A batch long enough to grow the prefix table several times. Each chunk
+    # builds its own table: two rows per utterance, the first n_utts (its
+    # empty prefixes) in use and every row at its fill value. Each grow keeps
+    # every used row as it was, and at the end of each chunk every prefix it
+    # interned sits in the child column under its parent and its symbol, and
+    # nothing else does.
     rng = np.random.default_rng(7)
     cfg = BeamConfig(beam_width=12, lm_weight=0.6, word_insertion_bonus=bonus)
     batch = mixed_batch(rng, n_utts, 150, VOCAB.size, min_frames=100)
     if chunk is not None:
         monkeypatch.setattr(beam, "_CHUNK", chunk)
-    tables, grown, resets, finished = [], [], [], []
-    real_init, real_grow, real_reset, real_finish = (
-        _Prefixes.__init__, _Prefixes._grow, _Prefixes.reset, beam._finish)
+    tables, rows, grown, finished = [], [], [], []
+    real_init, real_grow, real_finish = _Prefixes.__init__, _Prefixes._grow, beam._finish
 
-    def init(self, *args):
-        real_init(self, *args)
+    def init(self, terms, config, vocab, n):
+        real_init(self, terms, config, vocab, n)
+        assert self.size == n and len(self.parent) == 2 * n
+        for name, fill in self.COLUMNS.items():
+            assert np.all(getattr(self, name) == fill), name
         tables.append(self)
+        rows.append(n)
 
     def grow(self, room):
-        before = {name: getattr(self, name)[:self.size].copy() for name in self.columns}
+        before = {name: getattr(self, name)[:self.size].copy() for name in self.COLUMNS}
         real_grow(self, room)
         assert self.size + room <= len(self.parent)
-        for name, rows in before.items():
-            assert np.array_equal(getattr(self, name)[:self.size], rows)
+        for name, used in before.items():
+            assert np.array_equal(getattr(self, name)[:self.size], used)
         grown.append(self)
 
-    def reset(self, n):
-        columns = self.parent
-        real_reset(self, n)
-        assert self.size == n and len(self.parent) >= 2 * n
-        assert (self.parent is columns) == (len(columns) >= 2 * n)
-        for name, fill in self.columns.items():
-            assert np.all(getattr(self, name) == fill), name
-        resets.append(n)
-
     def finish(final, pid, last, prefixes, vocab):
+        assert prefixes is tables[-1]
         kids = np.arange(len(final), prefixes.size)
         assert np.all(prefixes.parent[kids] < kids)
         assert (prefixes.child[prefixes.parent[kids], prefixes.symbol[kids]].tolist()
@@ -344,14 +369,12 @@ def test_prefix_table_grows_and_keeps_every_id(lm, bonus, n_utts, chunk, monkeyp
 
     monkeypatch.setattr(_Prefixes, "__init__", init)
     monkeypatch.setattr(_Prefixes, "_grow", grow)
-    monkeypatch.setattr(_Prefixes, "reset", reset)
     monkeypatch.setattr(beam, "_finish", finish)
-    assert (beam_decode(batch, lm, cfg, VOCAB)
+    assert (beam_decode(batch, *fused(lm, cfg), VOCAB)
             == [object_beam_decode(posts, lm, cfg, VOCAB) for posts in batch])
     sizes = [n_utts] if chunk is None else [5, 5, 5, 2]
-    assert loop_sizes == resets == sizes and len(finished) == len(sizes)
-    assert len(tables) == 1 and len(grown) >= 3 and all(t is tables[0] for t in grown)
-    # Every chunk interned prefixes, so every later reset had rows to clear.
+    assert loop_sizes == rows == sizes and len(finished) == len(sizes) and len(grown) >= 3
+    # Every chunk interned prefixes.
     assert all(finished)
 
 

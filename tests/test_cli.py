@@ -175,6 +175,19 @@ def test_infeasible_config_value_is_a_cli_error(tmp_path, capsys, override, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("key", ["beam.lm_weight", "beam.word_insertion_bonus",
+                                 "probe_wer_threshold", "train.learning_rate"])
+def test_non_finite_config_float_is_a_cli_error(tmp_path, capsys, key, value):
+    """A NaN compares false with everything, so it would switch LM fusion or
+    the teacher gate off without a word, or fail training only after
+    gen-data; NaN and infinities are refused when the config loads."""
+    out = tmp_path / "out"
+    assert main(["gen-data", "--output-root", str(out), "--set", f"{key}={value}"]) == 1
+    assert f"error: config key '{key}' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, key", [
     ("student_domain.frames_per_symbol=[3,4]", "student_domain.name"),
     ("teacher_domains=[{name: x, train_size: 10}]", "teacher_domains[0].test_size")])
