@@ -40,11 +40,15 @@ class _Fields(dict):
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write-temp-then-rename so readers never observe partial files."""
+    """Write-temp-then-rename: no reader sees a partial file, no failure leaves one."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

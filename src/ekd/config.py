@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from pathlib import Path
 
 import numpy as np
 import yaml
 
+from . import binio
 from .beam import BeamConfig
 from .corpus import DomainSpec
 from .model import ModelConfig
@@ -83,9 +84,16 @@ class DomainRecipe:
     utterance_words: tuple[int, int] = (3, 6)
 
     def __post_init__(self) -> None:
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", self.name):
+            raise ValueError(f"domain {self.name!r}: name must be letters, digits, '_' or '-' "
+                             "(it names the domain's files)")
         if min(self.train_size, self.test_size) < 1:
             raise ValueError(f"domain {self.name!r}: train_size and test_size must be >= 1 "
                              f"(got {self.train_size} and {self.test_size})")
+        words = (self.shared_words, self.unique_words)
+        if min(words) < 0 or sum(words) < 1:
+            raise ValueError(f"domain {self.name!r}: shared_words and unique_words must be >= 0 "
+                             f"and not both 0 (got {words[0]} and {words[1]})")
 
 
 def _default_teacher_recipes() -> list[DomainRecipe]:
@@ -138,6 +146,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.teacher_domains:
             raise ValueError("config key 'teacher_domains' must list at least one teacher")
+        if self.feature_dim < 1:
+            raise ValueError("config key 'feature_dim' must be >= 1")
+        keys = [f"teacher_domains[{i}]" for i in range(len(self.teacher_domains))]
+        for key, recipe in zip([*keys, "student_domain"], self.all_domains()):
+            if recipe.shared_words > self.shared_lexicon_size:
+                raise ValueError(f"config key '{key}.shared_words' is {recipe.shared_words}, "
+                                 f"above 'shared_lexicon_size' ({self.shared_lexicon_size})")
         if not 1 <= self.word_length[0] <= self.word_length[1]:
             raise ValueError("config key 'word_length' must be [min, max] with 1 <= min <= max")
         if self.svcca.n_frames < 2:
@@ -154,13 +169,14 @@ class ExperimentConfig:
                                  "and training seeds from 'seeds'")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        for key, values in (("seeds", self.seeds), ("strategies", self.strategies)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"config key {key!r} lists {repeated} more than once")
         known = [s.value for s in Strategy]
         unknown = [s for s in self.strategies if s not in known]
         if unknown:
             raise ValueError(f"unknown strategies {unknown}; choose from {known}")
-        repeated = sorted({s for s in self.strategies if self.strategies.count(s) > 1})
-        if repeated:
-            raise ValueError(f"config key 'strategies' lists {repeated} more than once")
         if Strategy.ELITIST.value not in self.strategies:
             raise ValueError("strategies must include 'elitist': the svcca stage analyses "
                              "the elitist student's snapshots")
@@ -189,8 +205,7 @@ class ExperimentConfig:
             scale, bias = build_transform(self.feature_dim, recipe.transform_strength,
                                           recipe.transform_seed)
             rng = np.random.default_rng(derive_seed(self.shared_lexicon_seed, "pick", recipe.name))
-            pick = sorted(rng.choice(len(shared), size=min(recipe.shared_words, len(shared)),
-                                     replace=False).tolist())
+            pick = sorted(rng.choice(len(shared), size=recipe.shared_words, replace=False).tolist())
             own = build_lexicon(vocab, recipe.unique_words,
                                 derive_seed(self.shared_lexicon_seed, "own", recipe.name),
                                 self.word_length, exclude=used)
@@ -330,5 +345,4 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    text = yaml.safe_dump(config.to_dict(), sort_keys=True)
-    Path(path).write_text(text)
+    binio.atomic_write_text(path, yaml.safe_dump(config.to_dict(), sort_keys=True))

@@ -27,8 +27,8 @@ class ModelConfig:
             raise ValueError("hidden sizes must be positive")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.activation != "tanh":
+            raise ValueError(f"activation {self.activation!r}: only 'tanh' is supported")
 
 
 @dataclass
@@ -89,56 +89,41 @@ def context_expand(features: np.ndarray, window: int) -> np.ndarray:
     return out[window:window + T].reshape(T, width * F)
 
 
-def _activate(x: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(x, 0.0) if kind == "relu" else np.tanh(x)
-
-
-def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
-    return (pre > 0).astype(np.float64) if kind == "relu" else 1.0 - post * post
-
-
 def forward_features(model: ModelCheckpoint, features: np.ndarray,
                      with_cache: bool = False):
     """Per-frame logits plus named hidden activations (and, optionally, the
-    intermediate tensors needed for backprop)."""
+    list of layer inputs that backprop needs: the context-expanded features,
+    then each hidden layer's tanh output)."""
     if features.ndim != 2 or features.shape[1] != model.feature_dim:
         raise ValueError(f"feature dim {features.shape} does not match model input {model.feature_dim}")
-    x = context_expand(features, model.config.context_window)
-    act = model.config.activation
     n_hidden = len(model.config.hidden_sizes)
-    inputs = [x]
-    pres = []
-    activations: dict[str, np.ndarray] = {}
-    h = x
+    inputs = [context_expand(features, model.config.context_window)]
     for i in range(n_hidden):
-        W, b = model.weights[2 * i], model.weights[2 * i + 1]
-        pre = h @ W
-        pre += b
-        h = _activate(pre, act)
-        pres.append(pre)
-        inputs.append(h)
-        activations[f"hidden_{i}"] = h
-    Wout, bout = model.weights[2 * n_hidden], model.weights[2 * n_hidden + 1]
-    logits = h @ Wout
-    logits += bout
+        pre = inputs[-1] @ model.weights[2 * i]
+        pre += model.weights[2 * i + 1]
+        inputs.append(np.tanh(pre))
+    logits = inputs[-1] @ model.weights[2 * n_hidden]
+    logits += model.weights[2 * n_hidden + 1]
+    activations = {f"hidden_{i}": h for i, h in enumerate(inputs[1:])}
     if with_cache:
-        return logits, activations, (inputs, pres)
+        return logits, activations, inputs
     return logits, activations
 
 
-def backward_features(model: ModelCheckpoint, cache, grad_logits: np.ndarray) -> list[np.ndarray]:
-    """Gradients for every weight given d(loss)/d(logits)."""
-    inputs, pres = cache
-    act = model.config.activation
+def backward_features(model: ModelCheckpoint, inputs: list[np.ndarray],
+                      grad_logits: np.ndarray) -> list[np.ndarray]:
+    """Gradients for every weight given d(loss)/d(logits) and the layer
+    inputs that ``forward_features(..., with_cache=True)`` returned."""
     n_hidden = len(model.config.hidden_sizes)
     grads: list[np.ndarray | None] = [None] * len(model.weights)
     d = grad_logits
     grads[2 * n_hidden] = inputs[n_hidden].T @ d
     grads[2 * n_hidden + 1] = d.sum(axis=0)
     for i in range(n_hidden - 1, -1, -1):
-        # d(loss)/d(layer i's output), then through its activation; the
-        # input layer's own input gradient is never needed.
-        d = (d @ model.weights[2 * i + 2].T) * _activate_grad(pres[i], inputs[i + 1], act)
+        # d(loss)/d(layer i's output), then through its tanh; the input
+        # layer's own input gradient is never needed.
+        post = inputs[i + 1]
+        d = (d @ model.weights[2 * i + 2].T) * (1.0 - post * post)
         grads[2 * i] = inputs[i].T @ d
         grads[2 * i + 1] = d.sum(axis=0)
     return grads  # type: ignore[return-value]

@@ -39,8 +39,8 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and eval_every must be >= 1")
         if self.learning_rate <= 0 or self.gradient_clip <= 0:
             raise ValueError("learning_rate and gradient_clip must be > 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"optimizer {self.optimizer!r}: only 'adam' is supported")
 
 
 class _Optimizer:
@@ -55,11 +55,6 @@ class _Optimizer:
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
         if norm > clip:
             grads = [g * (clip / norm) for g in grads]
-        lr = self.cfg.learning_rate
-        if self.cfg.optimizer == "sgd":
-            for w, g in zip(weights, grads):
-                w -= lr * g
-            return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         for i, (w, g) in enumerate(zip(weights, grads)):
@@ -67,7 +62,7 @@ class _Optimizer:
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / (1 - b1 ** self.t)
             vhat = self.v[i] / (1 - b2 ** self.t)
-            w -= lr * mhat / (np.sqrt(vhat) + eps)
+            w -= self.cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
 
 
 def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: ModelConfig,

@@ -78,6 +78,7 @@ def test_unwritable_init_config_is_a_cli_error(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+    assert not out.with_name(out.name + ".tmp").exists()
 
 
 def test_config_overrides(tmp_path):
@@ -173,6 +174,43 @@ def test_infeasible_config_value_is_a_cli_error(tmp_path, capsys, override, mess
     assert main(["gen-data", "--output-root", str(out), "--set", override]) == 1
     assert f"error: config key {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["model.activation=relu"], "activation 'relu': only 'tanh' is supported"),
+    (["train.optimizer=sgd"], "optimizer 'sgd': only 'adam' is supported"),
+    (["student_domain.name=../../escape"],
+     "domain '../../escape': name must be letters, digits, '_' or '-' "
+     "(it names the domain's files)"),
+    (["student_domain.name=a/b"], "domain 'a/b': name must be letters, digits, '_' or '-' "
+     "(it names the domain's files)"),
+    (["seeds=[11, 12, 11]"], "config key 'seeds' lists [11] more than once"),
+    (["student_domain.shared_words=40"],
+     "config key 'student_domain.shared_words' is 40, above 'shared_lexicon_size' (16)"),
+    (["shared_lexicon_size=11"],
+     "config key 'teacher_domains[1].shared_words' is 12, above 'shared_lexicon_size' (11)"),
+    (["shared_lexicon_size=-1"],
+     "config key 'teacher_domains[0].shared_words' is 10, above 'shared_lexicon_size' (-1)"),
+    (["student_domain.shared_words=0", "student_domain.unique_words=0"],
+     "domain 'delta': shared_words and unique_words must be >= 0 and not both 0 "
+     "(got 0 and 0)"),
+    (["student_domain.unique_words=-1"],
+     "domain 'delta': shared_words and unique_words must be >= 0 and not both 0 "
+     "(got 10 and -1)"),
+    (["feature_dim=0"], "config key 'feature_dim' must be >= 1")])
+def test_config_gen_data_cannot_finish_is_refused_at_load(tmp_path, capsys, overrides,
+                                                          message):
+    """A config on which gen-data would fail part-way, write outside the
+    seed directory or run a seed twice is refused before anything is
+    written, naming the key or the domain."""
+    cfg_path = tmp_path / "c.yaml"
+    save_config(default_config(), cfg_path)
+    argv = ["pipeline", "-c", str(cfg_path), "--output-root", str(tmp_path / "root" / "out")]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])

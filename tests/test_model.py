@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ekd import binio
 from ekd.ctc import softmax
-from ekd.model import (ModelCheckpoint, ModelConfig, context_expand, forward_features,
-                       init_model, layer_shapes, load_checkpoint, save_checkpoint)
+from ekd.model import (CHECKPOINT_FORMAT_VERSION, ModelCheckpoint, ModelConfig, context_expand,
+                       forward_features, init_model, layer_shapes, load_checkpoint,
+                       save_checkpoint)
 
 from oracles import padded_context_expand
 
@@ -19,8 +21,9 @@ def test_config_validation():
         ModelConfig(hidden_sizes=())
     with pytest.raises(ValueError):
         ModelConfig(context_window=-1)
-    with pytest.raises(ValueError):
-        ModelConfig(activation="gelu")
+    for activation in ("gelu", "relu"):
+        with pytest.raises(ValueError, match=f"activation '{activation}': only 'tanh'"):
+            ModelConfig(activation=activation)
 
 
 def test_layer_shapes():
@@ -96,13 +99,12 @@ def test_forward_matches_padded_context_and_bias_after_matmul(rng, window):
     for w in model.weights[1::2]:
         w[:] = rng.normal(size=w.shape)
     features = rng.normal(size=(9, 5))
-    logits, acts, (inputs, pres) = forward_features(model, features, with_cache=True)
+    logits, acts, inputs = forward_features(model, features, with_cache=True)
     h = padded_context_expand(features, window)
     assert np.array_equal(inputs[0], h)
     for i in range(len(model.config.hidden_sizes)):
-        pre = h @ model.weights[2 * i] + model.weights[2 * i + 1]
-        h = np.tanh(pre)
-        assert np.array_equal(pres[i], pre) and np.array_equal(acts[f"hidden_{i}"], h)
+        h = np.tanh(h @ model.weights[2 * i] + model.weights[2 * i + 1])
+        assert np.array_equal(acts[f"hidden_{i}"], h) and np.array_equal(inputs[i + 1], h)
     assert np.array_equal(logits, h @ model.weights[-2] + model.weights[-1])
 
 
@@ -125,6 +127,19 @@ def test_checkpoint_round_trip(tmp_path, rng):
     a, _ = forward_features(model, probe)
     b, _ = forward_features(loaded, probe)
     assert np.array_equal(a, b)
+
+
+def test_checkpoint_recording_relu_is_refused(tmp_path):
+    """A header that records another activation than tanh is refused, not
+    loaded as a tanh model."""
+    path = tmp_path / "m.ekdm"
+    save_checkpoint(make_model(), path)
+    header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    header = {k: v for k, v in header.items() if k != "kind"}
+    header["config"] = {**header["config"], "activation": "relu"}
+    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
+    with pytest.raises(ValueError, match="activation 'relu': only 'tanh'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_weight_layout_validated():
