@@ -40,8 +40,6 @@ def main(argv: list[str] | None = None) -> int:
     for name, stage in STAGES.items():
         p = sub.add_parser(name, help=stage.__doc__)
         _add_common(p)
-        if name == "evaluate":
-            p.add_argument("--lm", dest="lm_mode", choices=["on", "off", "both"], default="both")
         if name == "report":
             p.add_argument("--summary", action="store_true",
                            help="cross-seed summary instead of one seed")
@@ -55,7 +53,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.out}")
             return 0
         config = load_config(args.config, args.overrides)
-        config.validate_ood()
         if args.command == "pipeline":
             table = run_pipeline(config, args.output_root, force=args.force)
             print(table.to_text())
@@ -70,8 +67,7 @@ def main(argv: list[str] | None = None) -> int:
                         for s in config.seeds}
             print(write_summary(root, per_seed), end="")
         else:
-            kwargs = {"lm_mode": args.lm_mode} if args.command == "evaluate" else {}
-            table = run_stage(args.command, config, seed, paths, force=args.force, **kwargs)
+            table = run_stage(args.command, config, seed, paths, force=args.force)
             if table is not None:
                 print(table.to_text())
     except (PipelineError, ValueError, OSError) as e:

@@ -144,6 +144,11 @@ class ExperimentConfig:
     svcca: SvccaSettings = field(default_factory=SvccaSettings)
 
     def __post_init__(self) -> None:
+        self._check_rules()
+
+    def _check_rules(self) -> None:
+        """Refuse a config whose fields break a rule of the experiment; run
+        when the config is built and again by ``validate_ood``."""
         if not self.teacher_domains:
             raise ValueError("config key 'teacher_domains' must list at least one teacher")
         if self.feature_dim < 1:
@@ -190,7 +195,13 @@ class ExperimentConfig:
         return default_vocabulary(self.vocabulary_letters)
 
     def validate_ood(self) -> None:
-        """The student domain must differ from every teacher domain."""
+        """The checks a run starts with, which also see fields changed after
+        the config was built: the rules of every domain recipe, of the train
+        and beam settings and of the config, then that the student domain
+        differs from every teacher domain."""
+        for part in (*self.all_domains(), self.train, self.beam):
+            part.__post_init__()
+        self._check_rules()
         self.expand_domains()
 
     def expand_domains(self) -> dict[str, DomainSpec]:
@@ -331,7 +342,8 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
 
 def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConfig:
     """Load a YAML config (the defaults if ``path`` is None); ``overrides`` are
-    dotted key=value pairs that win over file values (values parsed as YAML)."""
+    dotted key=value pairs that win over file values (values parsed as YAML).
+    The config is checked by ``validate_ood``."""
     data = {}
     if path is not None:
         with open(path) as f:
@@ -341,7 +353,9 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
                 raise ValueError(f"{path}: not valid YAML ({e})") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config root must be a mapping")
-    return ExperimentConfig.from_dict(apply_overrides(data, overrides or []))
+    config = ExperimentConfig.from_dict(apply_overrides(data, overrides or []))
+    config.validate_ood()
+    return config
 
 
 def save_config(config: ExperimentConfig, path) -> None:

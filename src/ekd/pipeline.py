@@ -63,13 +63,13 @@ class SeedPaths:
         self.decode = self.base / "decode"
         self.select = self.base / "select"
         self.students = self.base / "students"
-        self.eval_cells = self.base / "eval" / "cells"
+        self.eval = self.base / "eval"
         self.svcca = self.base / "svcca"
         self.report = self.base / "report"
 
     def ensure(self) -> None:
         for d in (self.corpora, self.lm, self.teachers, self.decode, self.select,
-                  self.students, self.eval_cells, self.svcca, self.report):
+                  self.students, self.eval, self.svcca, self.report):
             d.mkdir(parents=True, exist_ok=True)
 
     def corpus_path(self, domain: str, part: str) -> Path:
@@ -90,17 +90,13 @@ class SeedPaths:
     def snapshot_dir(self, run_name: str) -> Path:
         return self.base / "snapshots" / run_name
 
-    def cell_path(self, model: str, lm_on: bool) -> Path:
-        """The evaluate cells of ``model`` in one LM mode: its row for each test set."""
-        return self.eval_cells / f"{model}--lm_{'on' if lm_on else 'off'}.tsv"
-
 
 # -- the resume rule ------------------------------------------------------------
 
 # The stage that writes the artifacts of each SeedPaths directory (by name).
 _PRODUCERS = {"corpora": "gen-data", "lm": "gen-data", "teachers": "train-teacher",
               "decode": "decode", "select": "select", "students": "train-student",
-              "snapshots": "train-student", "cells": "evaluate"}
+              "snapshots": "train-student", "eval": "evaluate"}
 
 
 def _require(path: Path) -> Path:
@@ -364,53 +360,49 @@ def evaluate_model(references: Sequence[list[list[str]]],
 
 def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
                    lm_mode: str = "both", force: bool = False) -> None:
-    """decode test sets and score WER"""
-    if lm_mode not in ("on", "off", "both"):
-        raise PipelineError(f"lm mode must be on/off/both, got {lm_mode!r}")
-    lm_flags = [False, True] if lm_mode == "both" else [lm_mode == "on"]
+    """decode test sets and score WER, LM off and on"""
+    # Both LM modes are always scored; lm_mode stays for callers that pass it.
+    if lm_mode != "both":
+        raise PipelineError(f"lm mode must be 'both', got {lm_mode!r}")
     lm_path = paths.lm / "ngram.arpa"
-    load_lm = functools.cache(lambda: load_arpa(lm_path) if True in lm_flags else None)
-    test_corpus = functools.cache(load_corpus)
-    # (model, test set, test corpus, posteriors) of each test set of every
-    # model built, in _eval_matrix order: one evaluate_model batch per LM mode.
-    batch: list[tuple[str, str, Corpus, list[PosteriorSequence]]] = []
+    results = paths.eval / "results.tsv"
+    matrix = _eval_matrix(config, paths)
 
-    def build(model_name, checkpoint, test_sets, _) -> None:
-        model = load_checkpoint(checkpoint)
-        for test_set, corpus_path in test_sets:
-            corpus = test_corpus(corpus_path)
-            batch.append((model_name, test_set, corpus, corpus_posteriors(model, corpus)))
+    @functools.cache
+    def test_corpus(path: Path) -> tuple[Corpus, list[list[str]]]:
+        """The test corpus at ``path`` and its reference words, built once for
+        all its models."""
+        corpus = load_corpus(path)
+        return corpus, [corpus.vocabulary.indices_to_words(u.transcript) for u in corpus.utterances]
 
-    units = [_Unit(name, [paths.cell_path(name, lm_on) for lm_on in lm_flags],
-                   functools.partial(build, name, ckpt, test_sets),
-                   [ckpt, *(corpus_path for _, corpus_path in test_sets)])
-             for name, ckpt, test_sets in _eval_matrix(config, paths)]
-    if not _run_units("evaluate", units, force, needs=[lm_path] if True in lm_flags else [],
-                      load=load_lm):
-        return
-    # The test corpora's one vocabulary, that of every model (checked by
-    # corpus_posteriors).
-    vocab = batch[0][2].vocabulary
-    # Each test corpus's reference words, built once for all its models.
-    words: dict[str, list[list[str]]] = {}
-    for _, test_set, corpus, _ in batch:
-        if test_set not in words:
-            words[test_set] = [vocab.indices_to_words(utt.transcript)
-                               for utt in corpus.utterances]
-    references = [words[test_set] for _, test_set, _, _ in batch]
-    for lm_on in lm_flags:
-        # A failure propagates before this mode's files are written, and a
-        # model with a missing file is evaluated again on resume.
-        breakdowns = evaluate_model(references, [posts for *_, posts in batch],
-                                    load_lm() if lm_on else None, config, vocab)
-        tables: dict[str, ResultTable] = {}
-        for (model_name, test_set, _, _), breakdown in zip(batch, breakdowns):
-            tables.setdefault(model_name, ResultTable()).set(test_set, model_name, lm_on,
-                                                             breakdown)
-            logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
-                        "on" if lm_on else "off", 100 * breakdown.wer)
-        for model_name, table in tables.items():
-            binio.atomic_write_text(paths.cell_path(model_name, lm_on), table.to_tsv())
+    def build(lm) -> None:
+        # (test set, model) of each test set of every model, in _eval_matrix
+        # order, with its reference words and the model's posteriors on it.
+        keys, references, posteriors = [], [], []
+        for model_name, checkpoint, test_sets in matrix:
+            model = load_checkpoint(checkpoint)
+            for test_set, corpus_path in test_sets:
+                corpus, words = test_corpus(corpus_path)
+                keys.append((test_set, model_name))
+                references.append(words)
+                posteriors.append(corpus_posteriors(model, corpus))
+        # The test corpora's one vocabulary, that of every model (checked by
+        # corpus_posteriors).
+        vocab = corpus.vocabulary
+        table = ResultTable()
+        for lm_on in (False, True):
+            breakdowns = evaluate_model(references, posteriors, lm if lm_on else None, config,
+                                        vocab)
+            for (test_set, model_name), breakdown in zip(keys, breakdowns):
+                table.set(test_set, model_name, lm_on, breakdown)
+                logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
+                            "on" if lm_on else "off", 100 * breakdown.wer)
+        binio.atomic_write_text(results, table.to_tsv())
+
+    needs = [lm_path, *(p for _, ckpt, test_sets in matrix
+                        for p in (ckpt, *(corpus_path for _, corpus_path in test_sets)))]
+    _run_units("evaluate", [_Unit("results", [results], build, needs)], force,
+               load=lambda: load_arpa(lm_path))
 
 
 def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
@@ -451,19 +443,16 @@ def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
 def stage_report(config: ExperimentConfig, seed: int, paths: SeedPaths,
                  force: bool = False) -> ResultTable:
     """assemble result tables from a run directory"""
-    cells = [(_require(paths.cell_path(name, lm_on)), name, lm_on, test_sets)
-             for name, _, test_sets in _eval_matrix(config, paths) for lm_on in (False, True)]
+    results = _require(paths.eval / "results.tsv")
     selections = [_require(paths.selection_path(strat)) for strat in config.strategies]
     win_counts = "\n".join(_load_checked(load_selection, path, config).summary_text()
                            for path in selections)
-    table = ResultTable()
-    for path, name, lm_on, test_sets in cells:
-        held = ResultTable.from_tsv(path.read_text(), str(path)).cells
-        if held.keys() != {CellKey(test_set, name, lm_on) for test_set, _ in test_sets}:
-            raise PipelineError(f"{path} does not hold the cells of {name} "
-                                f"(lm {'on' if lm_on else 'off'}); delete it and re-run "
-                                "'evaluate'")
-        table.cells.update(held)
+    table = ResultTable.from_tsv(results.read_text(), str(results))
+    if table.cells.keys() != {CellKey(test_set, name, lm_on)
+                              for name, _, test_sets in _eval_matrix(config, paths)
+                              for test_set, _ in test_sets for lm_on in (False, True)}:
+        raise PipelineError(f"{results} does not hold exactly the cells of every model, test "
+                            "set and LM mode; delete it and re-run 'evaluate'")
     binio.atomic_write_text(paths.report / "results.tsv", table.to_tsv())
     binio.atomic_write_text(paths.report / "results.txt", table.to_text())
     binio.atomic_write_text(paths.report / "win_counts.txt", win_counts)

@@ -29,8 +29,7 @@ def cli_run(tmp_path_factory):
         ["decode", "-c", str(cfg_path), "--seed", str(seed)],
         ["select", "-c", str(cfg_path), "--seed", str(seed)],
         ["train-student", "-c", str(cfg_path), "--seed", str(seed)],
-        ["evaluate", "-c", str(cfg_path), "--seed", str(seed), "--lm", "off"],
-        ["evaluate", "-c", str(cfg_path), "--seed", str(seed), "--lm", "on"],
+        ["evaluate", "-c", str(cfg_path), "--seed", str(seed)],
         ["svcca", "-c", str(cfg_path), "--seed", str(seed)],
     ):
         assert main(argv) == 0, f"command failed: {argv}"
@@ -57,10 +56,9 @@ def test_evaluate_populates_both_lm_columns(cli_run):
     from ekd.pipeline import SeedPaths
     from ekd.report import ResultTable
 
-    paths = SeedPaths(out, seed)
+    table = ResultTable.from_tsv((SeedPaths(out, seed).eval / "results.tsv").read_text())
     student_test = f"{cfg.student_domain.name}_test"
     for lm_on in (False, True):
-        table = ResultTable.from_tsv(paths.cell_path("student_elitist", lm_on).read_text())
         assert table.get(student_test, "student_elitist", lm_on).breakdown is not None
 
 
@@ -314,11 +312,12 @@ def test_missing_artifact_is_a_cli_error(tmp_path, capsys):
                                   ["evaluate", "--models", "student_elitist"],
                                   ["gen-data", "--allow-indomain"],
                                   ["pipeline", "--allow-indomain"],
-                                  ["report", "--win-counts"]], ids=" ".join)
+                                  ["report", "--win-counts"],
+                                  ["evaluate", "--lm", "on"]], ids=" ".join)
 def test_removed_flag_is_a_usage_error(tmp_path, capsys, argv):
     """Stage filters are gone (delete a unit's outputs and re-run its stage
-    to rebuild only that unit), and so are the flag form of allow_indomain
-    and the printing of report/win_counts.txt."""
+    to rebuild only that unit), and so are the flag form of allow_indomain,
+    the printing of report/win_counts.txt and evaluate's one-LM-mode runs."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--output-root", str(out)])

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import os
 import re
 import shutil
 from pathlib import Path
@@ -11,11 +12,11 @@ from ekd import binio
 from ekd.config import SvccaSettings, derive_seed
 from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
 from ekd.ctc import greedy_decode
-from ekd.model import load_checkpoint
-from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, output_root,
-                          run_pipeline, run_seed, stage_decode, stage_evaluate, stage_gen_data,
-                          stage_report, stage_select, stage_svcca, stage_train_student,
-                          stage_train_teacher)
+from ekd.model import ModelConfig, load_checkpoint
+from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, _eval_matrix,
+                          output_root, run_pipeline, run_seed, stage_decode, stage_evaluate,
+                          stage_gen_data, stage_report, stage_select, stage_svcca,
+                          stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, load_selection, save_posteriors
 from ekd.training import corpus_posteriors, greedy_corpus_wer
@@ -147,47 +148,16 @@ def test_resume_downstream_reproduces_outputs(finished_run):
     seed = cfg.seeds[0]
     paths = SeedPaths(root, seed)
     before_results = (paths.report / "results.tsv").read_bytes()
-    before_cells = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
+    # evaluate writes the table that report checks and copies
+    assert (paths.eval / "results.tsv").read_bytes() == before_results
     # wipe evaluation + report, re-run only downstream stages
-    shutil.rmtree(paths.eval_cells)
+    shutil.rmtree(paths.eval)
     shutil.rmtree(paths.report)
     paths.ensure()
-    from ekd.pipeline import stage_evaluate
-
     stage_evaluate(cfg, seed, paths)
     stage_report(cfg, seed, paths)
     assert (paths.report / "results.tsv").read_bytes() == before_results
-    after_cells = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
-    assert after_cells == before_cells
-
-
-def test_failed_evaluate_cell_is_retried(finished_run, monkeypatch):
-    cfg, root, _ = finished_run
-    seed = cfg.seeds[0]
-    paths = SeedPaths(root, seed)
-    cell = paths.cell_path("student_elitist", False)
-    before = cell.read_bytes()
-    cell.unlink()
-    import ekd.pipeline as pl
-
-    real = pl.evaluate_model
-    calls = []
-
-    def fail_once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise RuntimeError("synthetic evaluate failure")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pl, "evaluate_model", fail_once)
-    with pytest.raises(RuntimeError, match="synthetic"):
-        pl.stage_evaluate(cfg, seed, paths, lm_mode="off")
-    assert not cell.exists()
-    pl.stage_evaluate(cfg, seed, paths, lm_mode="off")
-    assert cell.read_bytes() == before
-    # The unit is the model: only the student whose file is missing is
-    # evaluated again; every other model has all its files and is skipped.
-    assert len(calls) == 2
+    assert (paths.eval / "results.tsv").read_bytes() == before_results
 
 
 def _copy_run(finished_run, tmp_path):
@@ -196,96 +166,79 @@ def _copy_run(finished_run, tmp_path):
     return cfg, SeedPaths(tmp_path / "copy", cfg.seeds[0])
 
 
-def _cell_stamps(paths):
-    """Each cell file's (inode, mtime); a rewrite replaces the file."""
-    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in paths.eval_cells.iterdir()}
-
-
-def test_deleted_teacher_cell_reevaluates_only_that_teacher(finished_run, tmp_path, monkeypatch):
-    # One decode per LM flag over all of the teacher's test sets; no other
-    # model's file is written.
+def test_forced_evaluate_decodes_once_and_rewrites_the_same_bytes(finished_run, tmp_path,
+                                                                  monkeypatch):
+    # LM on, every model's test utterances go through one beam search; LM
+    # off is greedy and runs none.
     cfg, paths = _copy_run(finished_run, tmp_path)
-    teacher = f"teacher_{cfg.teacher_domains[1].name}"
-    before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
-    stamps = _cell_stamps(paths)
-    paths.cell_path(teacher, False).unlink()
-    import ekd.pipeline as pl
-
-    real = pl.evaluate_model
-    calls = []
-
-    def recording(references, posteriors, lm, config, vocab):
-        calls.append(([len(words) for words in references],
-                      [[p.utterance_id for p in posts] for posts in posteriors], lm is not None))
-        return real(references, posteriors, lm, config, vocab)
-
-    monkeypatch.setattr(pl, "evaluate_model", recording)
-    pl.stage_evaluate(cfg, cfg.seeds[0], paths)
-    domains = [r.name for r in cfg.all_domains()]
-    test_ids = [[u.id for u in load_corpus(paths.corpus_path(d, "test")).utterances]
-                for d in domains]
-    sizes = [len(ids) for ids in test_ids]
-    assert calls == [(sizes, test_ids, False), (sizes, test_ids, True)]
-    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
-    rewritten = {name for name, stamp in _cell_stamps(paths).items() if stamp != stamps[name]}
-    assert rewritten == {f"{teacher}--lm_off.tsv", f"{teacher}--lm_on.tsv"}
-    # Each file holds the teacher's row for every test set.
-    held = ResultTable.from_tsv(paths.cell_path(teacher, True).read_text())
-    assert {k.test_set for k in held.cells} == {f"{d}_test" for d in domains}
-
-
-def test_models_to_evaluate_share_one_decode_per_lm_mode(finished_run, tmp_path, monkeypatch):
-    # A teacher missing its LM-on file and a student missing its LM-off file
-    # are both evaluated again in both modes: LM on in one beam_decode call
-    # over both models' test utterances, LM off greedily, with no beam
-    # search; the other models are skipped.
-    cfg, paths = _copy_run(finished_run, tmp_path)
-    teacher, student = f"teacher_{cfg.teacher_domains[0].name}", "student_elitist"
-    before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
-    stamps = _cell_stamps(paths)
-    paths.cell_path(teacher, True).unlink()
-    paths.cell_path(student, False).unlink()
+    results = paths.eval / "results.tsv"
+    before = results.read_bytes()
+    os.utime(results, ns=(0, 0))
     import ekd.pipeline as pl
 
     real = pl.beam_decode
     calls = []
 
     def recording(posteriors, lm, config, vocab):
-        calls.append(([p.utterance_id for p in posteriors], lm is not None))
+        calls.append([p.utterance_id for p in posteriors])
         return real(posteriors, lm, config, vocab)
 
     monkeypatch.setattr(pl, "beam_decode", recording)
-    pl.stage_evaluate(cfg, cfg.seeds[0], paths)
+    pl.stage_evaluate(cfg, paths.seed, paths, force=True)
     test_ids = {d: [u.id for u in load_corpus(paths.corpus_path(d, "test")).utterances]
                 for d in [r.name for r in cfg.all_domains()]}
-    batch = [*(i for ids in test_ids.values() for i in ids), *test_ids[cfg.student_domain.name]]
-    assert calls == [(batch, True)]
-    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
-    rewritten = {name for name, stamp in _cell_stamps(paths).items() if stamp != stamps[name]}
-    assert rewritten == {f"{model}--lm_{mode}.tsv" for model in (teacher, student)
-                         for mode in ("on", "off")}
+    teachers = [i for ids in test_ids.values() for i in ids] * len(cfg.teacher_domains)
+    students = test_ids[cfg.student_domain.name] * len(cfg.strategies)
+    assert calls == [teachers + students]
+    assert results.stat().st_mtime_ns != 0  # written again, not left in place
+    assert results.read_bytes() == before
 
 
-def test_lm_off_evaluate_scores_the_greedy_words(finished_run, tmp_path, monkeypatch):
-    # Without the LM the best CTC hypothesis is the best path: each LM-off
-    # row is the WER of every utterance's greedy decoding, and no beam
-    # search runs.
+def test_failed_evaluate_writes_no_results(finished_run, tmp_path, monkeypatch):
     cfg, paths = _copy_run(finished_run, tmp_path)
+    results = paths.eval / "results.tsv"
+    before = results.read_bytes()
     import ekd.pipeline as pl
 
-    real, calls = pl.beam_decode, []
+    real = pl.evaluate_model
+    calls = []
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def fail_once_with_lm(references, posteriors, lm, config, vocab):
+        calls.append(lm is not None)
+        if calls == [False, True]:
+            raise RuntimeError("synthetic evaluate failure")
+        return real(references, posteriors, lm, config, vocab)
 
-    monkeypatch.setattr(pl, "beam_decode", recording)
-    pl.stage_evaluate(cfg, cfg.seeds[0], paths, lm_mode="off", force=True)
-    assert calls == []
+    monkeypatch.setattr(pl, "evaluate_model", fail_once_with_lm)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        pl.stage_evaluate(cfg, paths.seed, paths, force=True)
+    # LM off was scored, then the LM-on search failed: nothing is written.
+    assert not results.exists()
+    pl.stage_evaluate(cfg, paths.seed, paths)
+    assert calls == [False, True, False, True]
+    assert results.read_bytes() == before
+
+
+@pytest.mark.parametrize("lm_mode", ["on", "off"])
+def test_one_lm_mode_is_refused_before_any_file_is_touched(finished_run, tmp_path, lm_mode):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    results = paths.eval / "results.tsv"
+    os.utime(results, ns=(0, 0))
+    with pytest.raises(PipelineError, match=f"lm mode must be 'both', got '{lm_mode}'$"):
+        stage_evaluate(cfg, paths.seed, paths, lm_mode=lm_mode, force=True)
+    assert results.stat().st_mtime_ns == 0
+
+
+def test_lm_off_evaluate_scores_the_greedy_words(finished_run):
+    # Without the LM the best CTC hypothesis is the best path: each LM-off
+    # row is the WER of every utterance's greedy decoding (and the one beam
+    # search of test_forced_evaluate_decodes_once_... is LM-on's).
+    cfg, root, _ = finished_run
+    paths = SeedPaths(root, cfg.seeds[0])
+    held = ResultTable.from_tsv((paths.eval / "results.tsv").read_text())
     rows = 0
-    for name, checkpoint, test_sets in pl._eval_matrix(cfg, paths):
+    for name, checkpoint, test_sets in _eval_matrix(cfg, paths):
         model = load_checkpoint(checkpoint)
-        held = ResultTable.from_tsv(paths.cell_path(name, False).read_text())
         for test_set, corpus_path in test_sets:
             corpus = load_corpus(corpus_path)
             vocab = corpus.vocabulary
@@ -302,26 +255,11 @@ def test_evaluate_reads_each_reference_once_per_test_corpus(finished_run, tmp_pa
     # Every model and both LM modes score against one list of reference
     # words per test corpus.
     cfg, paths = _copy_run(finished_run, tmp_path)
-    before = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
+    before = (paths.eval / "results.tsv").read_bytes()
     reads = transcript_read_count()
     stage_evaluate(cfg, cfg.seeds[0], paths, force=True)
     assert transcript_read_count() - reads == sum(r.test_size for r in cfg.all_domains())
-    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == before
-
-
-def test_lm_off_then_on_writes_the_cells_of_both(finished_run, tmp_path):
-    cfg, paths = _copy_run(finished_run, tmp_path)
-    both = {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()}
-    shutil.rmtree(paths.eval_cells)
-    paths.ensure()
-    from ekd.pipeline import stage_evaluate
-
-    stage_evaluate(cfg, cfg.seeds[0], paths, lm_mode="off")
-    assert sorted(p.name for p in paths.eval_cells.iterdir()) == sorted(
-        name for name in both if name.endswith("--lm_off.tsv"))
-    stage_evaluate(cfg, cfg.seeds[0], paths, lm_mode="on")
-    assert {p.name: p.read_bytes() for p in paths.eval_cells.iterdir()} == both
-    assert len(both) == 2 * (len(cfg.teacher_domains) + len(cfg.strategies)) == 12
+    assert (paths.eval / "results.tsv").read_bytes() == before
 
 
 def test_select_rejects_dumps_of_different_utterances(finished_run, tmp_path):
@@ -440,22 +378,31 @@ def test_report_requires_every_selection(finished_run, tmp_path):
         stage_report(cfg, paths.seed, paths)
 
 
-@pytest.mark.parametrize("model, damage", [
-    ("student_elitist", lambda lines, paths: lines[:1]),  # cut to its header
-    ("teacher_alpha", lambda lines, paths: lines[:2] + lines[3:]),  # one row deleted
-    ("student_elitist",  # another model's row
-     lambda lines, paths: paths.cell_path("student_framewise_max", True).read_text().splitlines())],
-    ids=["header-only", "row-deleted", "other-model"])
-def test_report_refuses_a_cell_file_without_its_cells(finished_run, tmp_path, model, damage):
+def _other_model(row: str) -> str:
+    test_set, _, rest = row.split("\t", 2)
+    return "\t".join([test_set, "teacher_epsilon", rest])
+
+
+@pytest.mark.parametrize("damage, error", [
+    (lambda lines: None, "; run 'evaluate' first"),  # deleted
+    (lambda lines: lines[:1], " does not hold exactly the cells"),  # cut to its header
+    (lambda lines: lines[:2] + lines[3:], " does not hold exactly the cells"),  # row deleted
+    (lambda lines: lines + lines[1:2], " line 32: cell teacher_alpha on alpha_test (lm off) "
+                                       "is repeated"),
+    (lambda lines: lines + [_other_model(lines[1])], " does not hold exactly the cells")],
+    ids=["missing", "header-only", "row-deleted", "row-repeated", "other-model"])
+def test_report_refuses_a_cell_file_without_its_cells(finished_run, tmp_path, damage, error):
+    # The cell file is eval/results.tsv: one row per model, test set and LM mode.
     cfg, paths = _copy_run(finished_run, tmp_path)
-    cell = paths.cell_path(model, True)
-    cell.write_text("\n".join(damage(cell.read_text().splitlines(), paths)) + "\n")
-    results = (paths.report / "results.tsv").read_bytes()
-    with pytest.raises(PipelineError, match=re.escape(
-            f"{cell} does not hold the cells of {model} (lm on); delete it and re-run "
-            "'evaluate'")):
+    results = paths.eval / "results.tsv"
+    lines = damage(results.read_text().splitlines())
+    results.unlink()
+    if lines is not None:
+        results.write_text("\n".join(lines) + "\n")
+    report = (paths.report / "results.tsv").read_bytes()
+    with pytest.raises((PipelineError, ValueError), match=re.escape(f"{results}{error}")):
         stage_report(cfg, paths.seed, paths)
-    assert (paths.report / "results.tsv").read_bytes() == results
+    assert (paths.report / "results.tsv").read_bytes() == report
 
 
 def test_forced_svcca_applies_new_settings(finished_run, tmp_path):
@@ -536,7 +483,7 @@ def test_resume_touches_nothing(finished_run):
 
     def artifacts():
         files = [p for p in root.rglob("*") if p.suffix.startswith(".ekd")]
-        files += list(paths.eval_cells.iterdir())
+        files.append(paths.eval / "results.tsv")
         return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
 
     before = artifacts()
@@ -642,6 +589,31 @@ def test_config_without_elitist_rejected(tmp_path):
     with pytest.raises(ValueError, match="elitist"):
         dataclasses.replace(compact_config(str(tmp_path / "out")),
                             strategies=["teacher_average", "framewise_max"])
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda cfg: setattr(cfg, "seeds", [11, 11]), "config key 'seeds' lists [11] more than once"),
+    (lambda cfg: setattr(cfg, "strategies", ["teacher_average", "framewise_max"]),
+     "strategies must include 'elitist'"),
+    (lambda cfg: setattr(cfg, "probe_wer_threshold", -1),
+     "config key 'probe_wer_threshold' must be null or >= 0"),
+    (lambda cfg: setattr(cfg, "model", ModelConfig(seed=1)), "config key 'model.seed' must be 0"),
+    (lambda cfg: setattr(cfg.student_domain, "name", "../../escape"),
+     "domain '../../escape': name must be letters, digits, '_' or '-'"),
+    (lambda cfg: setattr(cfg.train, "epochs", 0),
+     "epochs, batch_size and eval_every must be >= 1")],
+    ids=["repeated-seed", "no-elitist", "negative-probe-threshold", "model-seed",
+         "domain-name", "train-epochs"])
+def test_fields_set_after_the_config_is_built_are_checked_when_a_run_starts(tmp_path, change,
+                                                                            error):
+    # compact_config sets its fields one by one, after the config was built.
+    cfg = compact_config(str(tmp_path / "out"))
+    change(cfg)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        cfg.validate_ood()
+    with pytest.raises(ValueError, match=re.escape(error)):
+        run_pipeline(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_output_root_precedence(tmp_path, monkeypatch):
