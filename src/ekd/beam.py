@@ -35,10 +35,13 @@ numpy calls over the whole block:
   exactly ``beam_width`` of them in almost every row; more when some tie
   at the cut-off, ranked then by (prefix, last), the published tie rule; and
   with fewer than ``beam_width`` candidates (as at the first frames) the
-  cut-off is NaN and ``argpartition`` keeps them all. Survivors that extend
-  a prefix by a new symbol are interned in one batch: a prefix is its
-  parent's id and symbol, found again through the parent's ``child`` row,
-  with a partial word id, LM contexts and the word's LM term.
+  cut-off is NaN and ``argpartition`` keeps them all. A survivor is its
+  flat index ``slot * z + symbol`` over the block's candidates, so one
+  ``divmod`` gives its source slot and symbol. Survivors that extend a
+  prefix by a new symbol are interned in one batch: a prefix is its
+  parent's id and symbol, found again in the flat ``child`` table at
+  ``parent * z + symbol``, with a partial word id, LM contexts and the
+  word's LM term.
 
 The key fixes partial word, context and word count, so tied duplicates are
 identical and order within a beam never matters. A chunk finishes in one
@@ -221,7 +224,7 @@ class _Prefixes:
         self.size = new.stop
         self.parent[new] = parents
         self.symbol[new] = symbols
-        self.child[parents, symbols] = ids
+        self.child.reshape(-1)[parents * self.z + symbols] = ids
         # A separator closes the parent's word; a letter extends it.
         letter = symbols != self.sep
         context = np.where(letter, self.context.take(parents), self.end.take(parents))
@@ -281,9 +284,10 @@ class _Prefixes:
         at = rep.nonzero()[0]
         hit, g = live.take(at), g.take(at)
         q = self.parent.take(p.take(at))
-        source = slots.take(2 * q)
+        q2 = 2 * q
+        source = slots.take(q2)
         source = np.where(source >= 0, source,
-                          np.where(g != self.symbol.take(q), slots.take(2 * q + 1), -1))
+                          np.where(g != self.symbol.take(q), slots.take(q2 + 1), -1))
         found = (source >= 0).nonzero()[0]
         if len(found):
             g = g.take(found)
@@ -341,16 +345,15 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     pid = np.full((n_utts, width), -1, np.int64)
     pid[:, 0] = np.arange(n_utts)
     last = np.full((n_utts, width), NO_LAST, np.int64)
-    # Row r's first candidate in the flattened [n, width * z] candidates.
-    offsets = np.arange(n_utts)[:, None] * (width * z)
     for t, n in enumerate(running.tolist()):
-        p = pid[:n]
-        cand = score[:n, :, None] + log_probs[starts[:n] + t][:, None, :]
-        cand[:, :, sep] += prefixes.sep_bonus[prefixes.symbol[p]]
-        cand[:, :, sep] += prefixes.lm_add[p]
+        p, s = pid[:n], score[:n]
+        cand = s[:, :, None] + log_probs.take(starts[:n] + t, axis=0)[:, None, :]
+        cand[:, :, sep] += prefixes.sep_bonus.take(prefixes.symbol.take(p))
+        cand[:, :, sep] += prefixes.lm_add.take(p)
         flat_pid, flat_last = p.ravel(), last[:n].ravel()
+        # An empty slot's score is NaN, the one value unequal to itself.
         prefixes.merge_duplicates(cand.reshape(-1, z), flat_pid, flat_last,
-                                  np.flatnonzero(~np.isnan(score[:n])))
+                                  np.flatnonzero(s == s))
         cand = cand.reshape(n, width * z)
 
         def rank(r: int, kept: list[int]) -> list[int]:
@@ -361,13 +364,14 @@ def _frame_loop(log_probs: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                     for c, prefix, old in zip(kept, spelled, flat_last.take(src).tolist())]
             return [c for _, c in sorted(zip(keys, kept))]
 
-        flat = _survivors(cand, width, rank) + offsets[:n]
+        # Each survivor is candidate g of flat slot src.
+        flat = _survivors(cand, width, rank)
         new_score = cand.take(flat)
         src, g = np.divmod(flat, z)
         src_pid, src_last = flat_pid.take(src), flat_last.take(src)
         extended = (g != blank) & (g != src_last)
         kid = prefixes.child.take(src_pid * z + g)
-        fresh = np.flatnonzero(extended & (kid < 0) & ~np.isnan(new_score))
+        fresh = np.flatnonzero(extended & (kid < 0) & (new_score == new_score))
         score[:n] = new_score
         last[:n] = np.where(g == blank, NO_LAST, g)
         # A fresh prefix is interned below.
@@ -393,20 +397,20 @@ def _finish(final: np.ndarray, pid: np.ndarray, last: np.ndarray, prefixes: _Pre
         return [w for _, w in sorted(zip(keys, tied))]
 
     win = _survivors(final, 1, rank)[:, 0]
-    rows = np.arange(len(final))
-    spelled = prefixes.spell(pid[rows, win])
+    spelled = prefixes.spell(pid.take(win))
     return [vocab.indices_to_words(symbols) if best > -np.inf else []
-            for symbols, best in zip(spelled, final[rows, win].tolist())]
+            for symbols, best in zip(spelled, final.take(win).tolist())]
 
 
 def _survivors(cand: np.ndarray, width: int, rank) -> np.ndarray:
-    """The columns of each row's ``width`` best candidates (NaN is none).
-    One partition finds each row's cut-off, its ``width``-th best score, and
-    ``kept = cand >= cutoff`` the candidates at or above it. A row with
-    exactly ``width`` kept takes them; a row with more (ties at the cut-off)
-    takes the first ``width`` of ``rank(row, kept columns)``; a row with
-    fewer than ``width`` candidates has a NaN cut-off, keeps none, and takes
-    them all from ``argpartition``, padded with empty columns."""
+    """The flat indices into ``cand`` of each row's ``width`` best candidates
+    (NaN is none). One partition finds each row's cut-off, its
+    ``width``-th best score, and ``kept = cand >= cutoff`` the candidates at
+    or above it. A row with exactly ``width`` kept takes them; a row with
+    more (ties at the cut-off) takes the first ``width`` of ``rank(row, kept
+    columns)``; a row with fewer than ``width`` candidates has a NaN
+    cut-off, keeps none, and takes them all from ``argpartition``, padded
+    with empty columns."""
     n, m = cand.shape
     # Negated, NaN sorts last; partitioned in place.
     neg = -cand
@@ -416,16 +420,17 @@ def _survivors(cand: np.ndarray, width: int, rank) -> np.ndarray:
     # A row with a cut-off keeps at least ``width``, so n * width kept and no
     # NaN cut-off mean exactly ``width`` in every row.
     if np.count_nonzero(kept) == n * width and not np.isnan(cutoff).any():
-        return np.flatnonzero(kept).reshape(n, width) % m
+        return np.flatnonzero(kept).reshape(n, width)
     n_kept = np.count_nonzero(kept, axis=1)
     exact = n_kept == width
     top = np.empty((n, width), np.intp)
-    top[exact] = np.flatnonzero(kept[exact]).reshape(-1, width) % m
+    top[exact] = np.flatnonzero(kept & exact[:, None]).reshape(-1, width)
     short = n_kept < width
     if short.any():
-        top[short] = np.argpartition(-cand[short], width - 1, axis=1)[:, :width]
+        rows = np.flatnonzero(short)[:, None]
+        top[short] = rows * m + np.argpartition(-cand[short], width - 1, axis=1)[:, :width]
     for r in np.flatnonzero(n_kept > width).tolist():
-        top[r] = rank(r, np.flatnonzero(kept[r]).tolist())[:width]
+        top[r] = [r * m + c for c in rank(r, np.flatnonzero(kept[r]).tolist())[:width]]
     return top
 
 

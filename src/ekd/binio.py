@@ -2,11 +2,12 @@
 
 Layout: magic | u32 version | u64 header_len | header JSON (sorted keys,
 carries a "kind" tag) | u64 n_records | n_records x (u64 len | payload).
-Every record of every artifact (corpus, posteriors, selection, checkpoint)
-is u64 meta_len | meta JSON (sorted keys, with the array's "frames") |
-[frames, width] float64 array, built and checked only here; a selection
-record's array is empty ([0, 0]). All integers little-endian; float
-payloads are little-endian float64 so files round-trip bit-exactly across
+Every record of every artifact (corpus, posteriors, checkpoint) is u64
+meta_len | meta JSON (sorted keys, with the array's "frames") | [frames,
+width] float64 array, built and checked only here. A selection file has no
+records: its header holds every outcome. All integers little-endian; float
+payloads are little-endian float64, and JSON floats are written in their
+shortest round-tripping form, so files round-trip bit-exactly across
 platforms.
 """
 from __future__ import annotations
@@ -24,6 +25,10 @@ MAGIC = b"EKD1"
 
 class FormatError(ValueError):
     """Raised on bad magic, version/kind mismatch, or a corrupted record."""
+
+
+class VersionError(FormatError):
+    """Raised on a container of another format version."""
 
 
 class _Fields(dict):
@@ -90,7 +95,7 @@ def read_container(path: str | Path, kind: str, version: int) -> tuple[dict, lis
         raise FormatError(f"{path}: not an EKD container")
     (got_version,) = struct.unpack("<I", take(4, "version"))
     if got_version != version:
-        raise FormatError(f"{path}: version mismatch (file {got_version}, expected {version})")
+        raise VersionError(f"{path}: version mismatch (file {got_version}, expected {version})")
     (hlen,) = struct.unpack("<Q", take(8, "header length"))
     try:
         header = json.loads(take(hlen, "header"))

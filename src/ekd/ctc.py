@@ -51,8 +51,8 @@ class PosteriorSequence:
 
     @classmethod
     def _checked(cls, probs: np.ndarray, utterance_id: str) -> PosteriorSequence:
-        """One whose float64 ``probs`` passed :func:`_check_posteriors`, kept
-        as they are (a view stays a view)."""
+        """One whose float64 ``probs`` are known to pass
+        :func:`_check_posteriors`, kept as they are (a view stays a view)."""
         posts = cls.__new__(cls)
         posts.probs, posts.utterance_id = probs, utterance_id
         return posts
@@ -111,10 +111,16 @@ def softmax(logits: np.ndarray, utterance_id: str = "") -> PosteriorSequence:
 def softmax_utterances(logits: Sequence[np.ndarray],
                        utterance_ids: Sequence[str]) -> list[PosteriorSequence]:
     """The row-wise softmax of each utterance's ``[T, z]`` logits, computed
-    and checked once over their concatenation. Row-wise max and sum give
-    every row the bits of a softmax of its utterance alone, and each
-    utterance's posteriors are a view into the one block. A ValueError
-    names the first utterance with non-finite logits or bad posteriors."""
+    once over their concatenation. Row-wise max and sum give every row the
+    bits of a softmax of its utterance alone, and each utterance's
+    posteriors are a view into the one block. A ValueError names the first
+    utterance with non-finite logits.
+
+    Finite logits always give rows that pass :func:`_check_posteriors`, so
+    the output is not checked again: ``exp(x - max)`` lies in [0, 1] and is
+    1 at the maximum, so each row sum is at least 1 and every quotient lies
+    in [0, 1]; the rounding of the sum and the z divisions keeps each row
+    sum within about ``z * eps`` of 1."""
     lengths = [len(rows) for rows in logits]
     if not lengths:
         return []
@@ -127,7 +133,6 @@ def softmax_utterances(logits: Sequence[np.ndarray],
     block -= block.max(axis=1, keepdims=True)
     probs = np.exp(block, out=block)
     probs /= probs.sum(axis=1, keepdims=True)
-    _check_posteriors(probs, bounds, utterance_ids)
     return [PosteriorSequence._checked(probs[start:end], uid)
             for start, end, uid in zip(bounds[:-1].tolist(), bounds[1:].tolist(), utterance_ids)]
 
@@ -149,6 +154,27 @@ def collapse_alignment(path, blank: int) -> np.ndarray:
 def greedy_decode(posteriors: PosteriorSequence, blank: int) -> np.ndarray:
     """Per-frame argmax followed by the collapse rule."""
     return collapse_alignment(np.argmax(posteriors.probs, axis=1), blank)
+
+
+def greedy_decode_batch(posteriors: Sequence[PosteriorSequence], blank: int) -> list[np.ndarray]:
+    """:func:`greedy_decode` of each utterance, in order: each utterance's
+    argmax path is written into one path of the batch, and one collapse
+    mask over it drops blanks and repeats. An utterance's first frame is
+    never a repeat, so no repeat is collapsed across utterances."""
+    if not posteriors:
+        return []
+    bounds = np.cumsum([0, *(posts.num_frames for posts in posteriors)])
+    path = np.empty(bounds[-1], np.int64)
+    for posts, start, end in zip(posteriors, bounds[:-1].tolist(), bounds[1:].tolist()):
+        posts.probs.argmax(axis=1, out=path[start:end])
+    keep = np.empty(len(path), bool)
+    keep[1:] = path[1:] != path[:-1]
+    keep[bounds[:-1]] = True
+    keep &= path != blank
+    symbols = path[keep]
+    # The symbols kept up to each utterance's end.
+    ends = np.cumsum(keep)[bounds[1:] - 1].tolist()
+    return [symbols[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def min_frames_for_target(target: np.ndarray) -> int:

@@ -25,7 +25,7 @@ from . import binio
 from .beam import beam_decode
 from .config import ExperimentConfig, derive_seed, save_config
 from .corpus import Corpus, generate_corpus, load_corpus, save_corpus, split_corpus
-from .ctc import PosteriorSequence, greedy_decode
+from .ctc import PosteriorSequence, greedy_decode_batch
 from .lm import NgramLm, load_arpa, save_arpa, train_lm
 from .model import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .report import CellKey, ResultTable, summarize
@@ -154,8 +154,13 @@ def _check_vocabulary(path: Path, vocabulary_hash: str, config: ExperimentConfig
 
 def _load_checked(load: Callable, path: Path, config: ExperimentConfig):
     """The artifact that ``load`` returns with its header, checked by
-    ``_check_vocabulary``."""
-    header, artifact = load(path)
+    ``_check_vocabulary``. A file of another format version names the stage
+    that rebuilds it."""
+    try:
+        header, artifact = load(path)
+    except binio.VersionError as e:
+        raise PipelineError(f"{e}; re-run '{_PRODUCERS[path.parent.name]}' with --force, "
+                            "or use a new output root") from e
     _check_vocabulary(path, header["vocabulary_hash"], config)
     return artifact
 
@@ -347,12 +352,13 @@ def evaluate_model(references: Sequence[list[list[str]]],
     """The WER breakdown of each test set of one or more models, from the
     model's posteriors and the reference words on it (``posteriors[i]``
     against ``references[i]``). With the LM, every utterance is decoded in
-    one beam search. Without it, each is decoded greedily: the acoustic
-    score stands alone (the word bonus exists to offset the LM's per-word
-    cost), and the best CTC hypothesis is then the best path."""
+    one beam search. Without it, every utterance is decoded greedily in one
+    pass (:func:`~ekd.ctc.greedy_decode_batch`): the acoustic score stands
+    alone (the word bonus exists to offset the LM's per-word cost), and the
+    best CTC hypothesis is then the best path."""
     batch = [p for posts in posteriors for p in posts]
     if lm is None:
-        hyps = (vocab.indices_to_words(greedy_decode(p, vocab.blank_index)) for p in batch)
+        hyps = map(vocab.indices_to_words, greedy_decode_batch(batch, vocab.blank_index))
     else:
         hyps = iter(beam_decode(batch, lm, config.beam, vocab))
     return [accumulate([wer(words, next(hyps)) for words in refs]) for refs in references]

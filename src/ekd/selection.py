@@ -21,7 +21,7 @@ from .ctc import PosteriorSequence, greedy_decode, prepare_target
 
 logger = logging.getLogger(__name__)
 
-SELECTION_FORMAT_VERSION = 2
+SELECTION_FORMAT_VERSION = 3
 POSTERIORS_FORMAT_VERSION = 1
 
 
@@ -199,38 +199,43 @@ def load_posteriors(path) -> tuple[dict, list[PosteriorSequence]]:
 
 
 def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> None:
+    """One container whose header holds the whole selection, every outcome
+    included; it has no records."""
     header = {
         "strategy": selection.strategy.value,
         "vocabulary_hash": vocabulary_hash,
         "win_counts": selection.win_counts,
         "skipped": list(selection.skipped),
-        "n_outcomes": len(selection.outcomes),
+        "outcomes": [{
+            "id": o.utterance_id,
+            "winning_teacher": o.winning_teacher,
+            "per_teacher_scores": o.per_teacher_scores,
+            "pseudo_transcript": o.pseudo_transcript.tolist(),
+            "sequence_confidence": o.sequence_confidence,
+        } for o in selection.outcomes],
     }
-    records = [binio.encode_record({
-        "id": o.utterance_id,
-        "winning_teacher": o.winning_teacher,
-        "per_teacher_scores": o.per_teacher_scores,
-        "pseudo_transcript": [int(x) for x in o.pseudo_transcript],
-        "sequence_confidence": o.sequence_confidence,
-    }, np.zeros((0, 0))) for o in selection.outcomes]
-    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
+    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, [])
 
 
 def load_selection(path) -> tuple[dict, CorpusSelection]:
     header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
     strategy = Strategy(header["strategy"])
-    decoded = binio.decode_records(path, records, [0] * header["n_outcomes"])
+    if records:
+        raise binio.FormatError(f"{path}: corrupted record (a selection file has no records)")
     try:
         outcomes = [SelectionOutcome(
-            utterance_id=meta["id"],
+            utterance_id=o["id"],
             selected_posteriors=None,
-            winning_teacher=meta["winning_teacher"],
-            per_teacher_scores=meta["per_teacher_scores"],
-            pseudo_transcript=meta["pseudo_transcript"],
-            sequence_confidence=meta["sequence_confidence"],
-        ) for meta, _ in decoded]
+            winning_teacher=o["winning_teacher"],
+            per_teacher_scores=o["per_teacher_scores"],
+            pseudo_transcript=o["pseudo_transcript"],
+            sequence_confidence=o["sequence_confidence"],
+        ) for o in header["outcomes"]]
     except binio.FormatError:
         raise
+    except KeyError as e:
+        raise binio.FormatError(
+            f"{path}: corrupted record (an outcome has no {e.args[0]!r})") from e
     except (TypeError, ValueError) as e:
         raise binio.FormatError(f"{path}: corrupted record ({e})") from e
     return header, CorpusSelection(strategy=strategy, outcomes=outcomes,

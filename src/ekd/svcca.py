@@ -39,6 +39,11 @@ class SvccaResult:
     kept_dims: tuple[int, int]
 
 
+class _Pruned(ActivationMatrix):
+    """Activations that :func:`svd_prune` returned; :func:`svcca` does not
+    prune them again."""
+
+
 def svd_prune(acts: ActivationMatrix, variance_fraction: float = 0.99) -> ActivationMatrix:
     """Project mean-centered data onto the smallest set of top singular
     directions holding at least the requested fraction of squared singular
@@ -53,7 +58,7 @@ def svd_prune(acts: ActivationMatrix, variance_fraction: float = 0.99) -> Activa
     cumulative = np.cumsum(energy) / energy.sum()
     k = int(np.searchsorted(cumulative, variance_fraction - 1e-12) + 1)
     k = min(k, int(np.sum(s > 0)))
-    return ActivationMatrix(layer_name=acts.layer_name, data=centered @ vt[:k].T)
+    return _Pruned(layer_name=acts.layer_name, data=centered @ vt[:k].T)
 
 
 def _inv_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -90,8 +95,12 @@ def cca(a: ActivationMatrix, b: ActivationMatrix) -> SvccaResult:
 
 def svcca(a: ActivationMatrix, b: ActivationMatrix,
           variance_fraction: float = 0.99) -> SvccaResult:
-    """SVD-prune both inputs, then correlate the pruned subspaces."""
-    return cca(svd_prune(a, variance_fraction), svd_prune(b, variance_fraction))
+    """SVD-prune both inputs, then correlate the pruned subspaces. An input
+    that :func:`svd_prune` returned is correlated as it is."""
+    def pruned(acts: ActivationMatrix) -> ActivationMatrix:
+        return acts if isinstance(acts, _Pruned) else svd_prune(acts, variance_fraction)
+
+    return cca(pruned(a), pruned(b))
 
 
 @dataclass
@@ -134,10 +143,11 @@ def correlation_trajectory(acts_a: dict[int, dict[str, ActivationMatrix]],
     """Layer-wise convergence trajectories of two runs, each given as
     ``{step: {layer: activations}}`` sampled on the same probe frames.
 
-    For each run, every step is correlated against that run's final step;
-    the report also carries the difference between the two runs'
-    trajectories. Both runs must hold the same steps: a step that only one
-    run holds is a ValueError naming it.
+    For each run, every step is correlated against that run's final step,
+    whose activations are pruned once per layer; the report also carries
+    the difference between the two runs' trajectories. Both runs must hold
+    the same steps: a step that only one run holds is a ValueError naming
+    it.
     """
     unshared = sorted(set(acts_a) ^ set(acts_b))
     if unshared:
@@ -149,9 +159,9 @@ def correlation_trajectory(acts_a: dict[int, dict[str, ActivationMatrix]],
     rho_a: dict[tuple[str, int], float] = {}
     rho_b: dict[tuple[str, int], float] = {}
     for layer in layers:
+        final_a = svd_prune(acts_a[final][layer], variance_fraction)
+        final_b = svd_prune(acts_b[final][layer], variance_fraction)
         for step in steps:
-            rho_a[(layer, step)] = svcca(acts_a[step][layer], acts_a[final][layer],
-                                         variance_fraction).mean_rho
-            rho_b[(layer, step)] = svcca(acts_b[step][layer], acts_b[final][layer],
-                                         variance_fraction).mean_rho
+            rho_a[(layer, step)] = svcca(acts_a[step][layer], final_a, variance_fraction).mean_rho
+            rho_b[(layer, step)] = svcca(acts_b[step][layer], final_b, variance_fraction).mean_rho
     return SvccaReport(layers=list(layers), steps=steps, rho_a=rho_a, rho_b=rho_b)

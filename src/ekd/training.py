@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .ctc import (PosteriorSequence, ctc_lattices, greedy_decode, log_softmax, prepare_target,
-                  softmax_utterances)
+from .ctc import (PosteriorSequence, ctc_lattices, greedy_decode_batch, log_softmax,
+                  prepare_target, softmax_utterances)
 from .kd import soft_ctc_kd_loss
 from .model import ModelCheckpoint, ModelConfig, backward_features, forward_features, init_model
 from .selection import SelectionOutcome
@@ -145,9 +145,9 @@ def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: Model
 def greedy_corpus_wer(model: ModelCheckpoint, corpus: Corpus) -> float:
     """Greedy-decode WER of a model over a labelled corpus."""
     vocab = corpus.vocabulary
-    parts = [wer(vocab.indices_to_words(utt.transcript),
-                 vocab.indices_to_words(greedy_decode(posts, vocab.blank_index)))
-             for utt, posts in zip(corpus.utterances, corpus_posteriors(model, corpus))]
+    hyps = greedy_decode_batch(corpus_posteriors(model, corpus), vocab.blank_index)
+    parts = [wer(vocab.indices_to_words(utt.transcript), vocab.indices_to_words(symbols))
+             for utt, symbols in zip(corpus.utterances, hyps)]
     return accumulate(parts).wer
 
 

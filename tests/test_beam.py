@@ -240,7 +240,9 @@ def test_survivors_takes_every_cut_off_path(width, monkeypatch):
 
         top = real(cand, w, ranking)
         cutoff = -np.sort(-cand, axis=1)[:, w - 1]
-        for r, row in enumerate(top.tolist()):
+        # _survivors returns flat indices into cand; row r's columns follow.
+        columns = top - np.arange(len(cand))[:, None] * cand.shape[1]
+        for r, row in enumerate(columns.tolist()):
             kept = set(np.flatnonzero(cand[r] >= cutoff[r]).tolist())
             if np.isnan(cutoff[r]):
                 seen["short"] += 1

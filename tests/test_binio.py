@@ -64,8 +64,11 @@ def _count_mismatch(records):
     return records[:-1]
 
 
-@pytest.mark.parametrize("corrupt", [_short, _meta_past_end, _wrong_blob_size, _count_mismatch])
-@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+# A selection file has no records, so its one corruption is a record at all.
+@pytest.mark.parametrize("kind, corrupt", [
+    *((kind, corrupt) for kind in sorted(ARTIFACTS) if kind != "selection"
+      for corrupt in (_short, _meta_past_end, _wrong_blob_size, _count_mismatch)),
+    ("selection", _short)])
 def test_loader_rejects_malformed_record(tmp_path, rng, kind, corrupt):
     write, load, version = ARTIFACTS[kind]
     path = tmp_path / "artifact"
@@ -101,8 +104,7 @@ def test_header_missing_keys_rejected(tmp_path, rng, kind):
 
 
 @pytest.mark.parametrize("kind, kept, missing", [("corpus", {"id"}, "transcript"),
-                                                 ("posteriors", set(), "id"),
-                                                 ("selection", {"id"}, "winning_teacher")])
+                                                 ("posteriors", set(), "id")])
 def test_record_meta_missing_keys_rejected(tmp_path, rng, kind, kept, missing):
     write, load, version = ARTIFACTS[kind]
     path = tmp_path / "artifact"
@@ -116,6 +118,33 @@ def test_record_meta_missing_keys_rejected(tmp_path, rng, kind, kept, missing):
     with pytest.raises(binio.FormatError,
                        match=re.escape(f"{path}: corrupted record (record 0 has no {missing!r})")):
         load(path)
+
+
+@pytest.mark.parametrize("missing", ["id", "winning_teacher", "per_teacher_scores",
+                                     "pseudo_transcript", "sequence_confidence"])
+def test_selection_outcome_missing_keys_rejected(tmp_path, rng, missing):
+    path = tmp_path / "artifact"
+    _write_selection(path, rng)
+    header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    del header["outcomes"][1][missing]
+    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
+    message = f"{path}: corrupted record (an outcome has no {missing!r})"
+    with pytest.raises(binio.FormatError, match=re.escape(message)):
+        load_selection(path)
+
+
+@pytest.mark.parametrize("outcomes", [7, [7], ["u0"], [{"id": "u0", "winning_teacher": 0,
+                                                         "per_teacher_scores": [0.5],
+                                                         "pseudo_transcript": "ab",
+                                                         "sequence_confidence": 0.5}]])
+def test_selection_malformed_outcomes_rejected(tmp_path, rng, outcomes):
+    path = tmp_path / "artifact"
+    _write_selection(path, rng)
+    header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    header["outcomes"] = outcomes
+    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
+    with pytest.raises(binio.FormatError, match=f"^{re.escape(str(path))}: corrupted record"):
+        load_selection(path)
 
 
 def test_bad_meta_json_rejected(tmp_path):

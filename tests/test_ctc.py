@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ekd import ctc
 from ekd.ctc import (InfeasibleTargetError, PosteriorSequence, collapse_alignment,
-                     ctc_lattices, ctc_loss, greedy_decode, log_softmax, min_frames_for_target,
-                     prepare_target, softmax)
+                     ctc_lattices, ctc_loss, greedy_decode, greedy_decode_batch, log_softmax,
+                     min_frames_for_target, prepare_target, softmax, softmax_utterances)
 
 from conftest import random_posteriors
 from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss, two_pass_lattice
@@ -35,6 +36,35 @@ def test_softmax_rejects_nonfinite():
         softmax(np.array([[np.inf, 0.0]]))
 
 
+def test_softmax_utterances_names_the_first_utterance_with_non_finite_logits(rng):
+    logits = [rng.normal(size=(3 + i, 5)) for i in range(5)]
+    logits[2][1, 3] = -np.inf
+    logits[4][0, 0] = np.nan
+    with pytest.raises(ValueError, match="^utterance 'u2': non-finite logits$"):
+        softmax_utterances(logits, [f"u{i}" for i in range(5)])
+
+
+@pytest.mark.parametrize("z", [2, 10, 300])
+def test_softmax_utterances_output_passes_the_posterior_check(rng, z):
+    # Finite logits cannot give bad posteriors, so softmax_utterances does
+    # not check its output again: the check passes on every row, also where
+    # the logits are huge and their differences overflow.
+    logits = [rng.normal(size=(int(rng.integers(1, 40)), z)) * scale
+              for scale in (1e-300, 1.0, 30.0, 1e3, 1e300)]
+    extreme = np.zeros((4, z))
+    extreme[0, ::2], extreme[0, 1::2] = 1e300, -1e300
+    extreme[1] = -1e300
+    extreme[2, 0], extreme[2, 1:] = np.finfo(float).max, -np.finfo(float).max
+    extreme[3] = rng.choice([1e300, -1e300], size=z)
+    logits.append(extreme)
+    ids = [f"u{i}" for i in range(len(logits))]
+    with np.errstate(over="ignore"):   # -max - max overflows to -inf, whose exp is 0
+        posts = softmax_utterances(logits, ids)
+    assert [p.utterance_id for p in posts] == ids
+    bounds = np.cumsum([0, *(len(rows) for rows in logits)])
+    ctc._check_posteriors(np.concatenate([p.probs for p in posts]), bounds, ids)
+
+
 # -- collapse / greedy ----------------------------------------------------------
 
 def test_collapse_examples():
@@ -60,6 +90,28 @@ def test_greedy_examples():
     assert list(greedy_decode(PosteriorSequence(all_blank), blank=1)) == []
     aba = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.8, 0.1, 0.1]])
     assert list(greedy_decode(PosteriorSequence(aba), blank=1)) == [0, 0]
+
+
+def test_batched_greedy_decode_equals_greedy_decode_per_utterance(rng):
+    z, blank = 6, 0
+
+    def posteriors(path, uid):
+        probs = rng.uniform(size=(len(path), z))
+        probs[np.arange(len(path)), path] += 1.0   # the argmax of every frame
+        return PosteriorSequence(probs / probs.sum(axis=1, keepdims=True), uid)
+
+    # The first utterance ends in symbol 3 and the second starts with it;
+    # then an all-blank utterance, one-frame ones and random ones.
+    paths = [[1, 0, 3], [3, 3, 2], [0, 0, 0, 0], [4], [0], [2, 0, 2, 2, 5], [5], [5, 5]]
+    paths += [rng.integers(0, z, size=int(rng.integers(1, 30))).tolist() for _ in range(30)]
+    batch = [posteriors(path, f"u{i}") for i, path in enumerate(paths)]
+    got = greedy_decode_batch(batch, blank)
+    want = [greedy_decode(posts, blank) for posts in batch]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w)
+    assert [g.tolist() for g in got[:8]] == [[1, 3], [3, 2], [], [4], [], [2, 2, 5], [5], [5]]
+    assert greedy_decode_batch([], blank) == []
 
 
 def test_posteriors_refuse_nan():

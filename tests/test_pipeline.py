@@ -14,9 +14,9 @@ from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
 from ekd.ctc import greedy_decode
 from ekd.model import ModelConfig, load_checkpoint
 from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, _eval_matrix,
-                          output_root, run_pipeline, run_seed, stage_decode, stage_evaluate,
-                          stage_gen_data, stage_report, stage_select, stage_svcca,
-                          stage_train_student, stage_train_teacher)
+                          output_root, run_pipeline, run_seed, run_stage, stage_decode,
+                          stage_evaluate, stage_gen_data, stage_report, stage_select,
+                          stage_svcca, stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, load_selection, save_posteriors
 from ekd.training import corpus_posteriors, greedy_corpus_wer
@@ -376,6 +376,27 @@ def test_report_requires_every_selection(finished_run, tmp_path):
     missing.unlink()
     with pytest.raises(PipelineError, match=f"{re.escape(str(missing))}; run 'select' first"):
         stage_report(cfg, paths.seed, paths)
+
+
+@pytest.mark.parametrize("stage", ["train-student", "report"])
+def test_version_2_selection_is_refused_naming_select(finished_run, tmp_path, stage):
+    # Version 2 kept one record per outcome; a root written then is rebuilt
+    # with --force. Without its student, train-student reads the selection.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    old = paths.selection_path("elitist")
+    header, selection = load_selection(old)
+    records = [binio.encode_record({"id": o.utterance_id, "winning_teacher": o.winning_teacher,
+                                    "per_teacher_scores": o.per_teacher_scores,
+                                    "pseudo_transcript": o.pseudo_transcript.tolist(),
+                                    "sequence_confidence": o.sequence_confidence},
+                                   np.zeros((0, 0))) for o in selection.outcomes]
+    header = {k: header[k] for k in ("strategy", "vocabulary_hash", "win_counts", "skipped")}
+    binio.write_container(old, "selection", 2, {**header, "n_outcomes": len(records)}, records)
+    paths.student_path("elitist").unlink()
+    with pytest.raises(PipelineError, match=f"^{re.escape(str(old))}: version mismatch "
+                                            r"\(file 2, expected 3\); re-run 'select' with "
+                                            "--force, or use a new output root$"):
+        run_stage(stage, cfg, paths.seed, paths)
 
 
 def _other_model(row: str) -> str:

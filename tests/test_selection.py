@@ -8,10 +8,10 @@ from ekd.config import build_transform
 from ekd.corpus import DomainSpec, generate_corpus
 from ekd.ctc import PosteriorSequence, greedy_decode
 from ekd.model import ModelConfig
-from ekd.selection import (SELECTION_FORMAT_VERSION, SelectionOutcome, Strategy, TeacherBundle,
-                           elitist_scores, elitist_select, framewise_max, load_posteriors,
-                           load_selection, save_posteriors, save_selection, select_corpus,
-                           teacher_average)
+from ekd.selection import (SELECTION_FORMAT_VERSION, CorpusSelection, SelectionOutcome, Strategy,
+                           TeacherBundle, elitist_scores, elitist_select, framewise_max,
+                           load_posteriors, load_selection, save_posteriors, save_selection,
+                           select_corpus, teacher_average)
 from ekd.training import TrainConfig, train_student
 from ekd.vocab import default_vocabulary
 
@@ -279,12 +279,39 @@ def test_selection_round_trip(tmp_path, rng):
         assert a.sequence_confidence == b.sequence_confidence
         assert a.winning_teacher == b.winning_teacher
         assert a.per_teacher_scores == b.per_teacher_scores
-    _, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
-    decoded = binio.decode_records(path, records, [0] * len(records))
-    assert [values.shape for _, values in decoded] == [(0, 0)] * len(result.outcomes)
+    # The header holds every outcome; there are no records.
+    header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    assert records == [] and len(header["outcomes"]) == len(result.outcomes)
     again = tmp_path / "s2.ekds"
     save_selection(again, loaded, "hash123")
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_selection_round_trips_bit_exactly(tmp_path, rng):
+    # Scores and confidences come back with every bit, transcripts with
+    # every symbol, also for floats that print long or are subnormal.
+    hard = [0.1 + 0.2, 1.0 - 2.0 ** -53, 5e-324, 2.0 ** -1022, 1 / 3, 0.0, 1.0]
+    outcomes = [SelectionOutcome(f"u{i}", None, i % 3, [float(x) for x in rng.uniform(size=3)],
+                                 rng.integers(1, 7, size=int(rng.integers(1, 12))),
+                                 float(rng.uniform())) for i in range(20)]
+    outcomes += [SelectionOutcome(f"h{i}", None, 0, [x, 1.0 - x, x / 7], [1], x)
+                 for i, x in enumerate(hard)]
+    selection = CorpusSelection(Strategy.ELITIST, outcomes, [9, 10, 8], [("bad", "too short")])
+    path = tmp_path / "s.ekds"
+    save_selection(path, selection, "hash123")
+    _, loaded = load_selection(path)
+
+    def bits(values):
+        return np.array(values, dtype=np.float64).tobytes()
+
+    assert [o.utterance_id for o in loaded.outcomes] == [o.utterance_id for o in outcomes]
+    for a, b in zip(outcomes, loaded.outcomes):
+        assert bits(b.per_teacher_scores) == bits(a.per_teacher_scores)
+        assert bits([b.sequence_confidence]) == bits([a.sequence_confidence])
+        assert b.pseudo_transcript.dtype == np.int64
+        assert np.array_equal(b.pseudo_transcript, a.pseudo_transcript)
+        assert b.winning_teacher == a.winning_teacher
+    assert (loaded.win_counts, loaded.skipped) == ([9, 10, 8], [("bad", "too short")])
 
 
 def test_confidence_out_of_range_rejected():

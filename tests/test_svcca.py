@@ -192,3 +192,36 @@ def test_report_text_shape(rng):
     text = report.to_text()
     assert "mean_abs_diff" in text
     assert len([ln for ln in text.splitlines() if ln.startswith("hidden_0")]) == 3
+
+
+def test_trajectory_prunes_each_final_step_once(rng, monkeypatch):
+    # Each run's final-step activations are pruned once per layer, not once
+    # per step, and every correlation keeps the bits of the per-step
+    # computation.
+    steps, layers = [1, 2, 3, 4], ["hidden_0", "hidden_1"]
+    run_a = _fake_run(rng, steps, drift=1.0)
+    run_b = _fake_run(rng, steps, drift=2.0)
+    real, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    report = correlation_trajectory(run_a, run_b, layers)
+    monkeypatch.undo()
+    # Per run and layer: one prune per step plus the final's, one CCA per step.
+    assert calls.count(True) == 2 * len(layers) * (len(steps) + 1)
+    assert calls.count(False) == 2 * len(layers) * len(steps)
+    for run, rho in ((run_a, report.rho_a), (run_b, report.rho_b)):
+        for layer in layers:
+            for step in steps:
+                want = cca(svd_prune(run[step][layer]), svd_prune(run[steps[-1]][layer]))
+                assert rho[(layer, step)] == want.mean_rho
+
+
+def test_svcca_does_not_prune_a_pruned_input_again(rng):
+    a, b = random_acts(rng), random_acts(rng)
+    pruned = svd_prune(b, 0.9)
+    assert svcca(a, pruned, 0.9).mean_rho == cca(svd_prune(a, 0.9), pruned).mean_rho
+    assert svcca(a, b, 0.9).mean_rho == cca(svd_prune(a, 0.9), pruned).mean_rho
