@@ -10,8 +10,7 @@ from .beam import BeamConfig, beam_decode
 from .config import DomainRecipe, ExperimentConfig, default_config, load_config
 from .corpus import (Corpus, DomainSpec, Utterance, generate_corpus, load_corpus,
                      save_corpus, split_corpus, transcript_read_count)
-from .ctc import (CtcLossResult, InfeasibleTargetError, PosteriorSequence, collapse_alignment,
-                  ctc_loss, greedy_decode, softmax)
+from .ctc import CtcLossResult, InfeasibleTargetError, PosteriorSequence, ctc_loss, softmax
 from .kd import soft_ctc_kd_loss
 from .lm import NgramLm, load_arpa, save_arpa, train_lm
 from .model import ModelCheckpoint, ModelConfig, init_model, load_checkpoint, save_checkpoint

@@ -142,25 +142,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def collapse_alignment(path, blank: int) -> np.ndarray:
-    """CTC collapse: drop consecutive repeats, then drop blanks."""
-    path = np.asarray(path, dtype=np.int64)
-    keep = np.ones(path.size, dtype=bool)
-    keep[1:] = path[1:] != path[:-1]
-    dedup = path[keep]
-    return dedup[dedup != blank]
-
-
-def greedy_decode(posteriors: PosteriorSequence, blank: int) -> np.ndarray:
-    """Per-frame argmax followed by the collapse rule."""
-    return collapse_alignment(np.argmax(posteriors.probs, axis=1), blank)
-
-
 def greedy_decode_batch(posteriors: Sequence[PosteriorSequence], blank: int) -> list[np.ndarray]:
-    """:func:`greedy_decode` of each utterance, in order: each utterance's
-    argmax path is written into one path of the batch, and one collapse
-    mask over it drops blanks and repeats. An utterance's first frame is
-    never a repeat, so no repeat is collapsed across utterances."""
+    """The greedy decoding of each utterance, in order: each utterance's
+    per-frame argmax path is written into one path of the batch, and one
+    collapse mask over it drops repeats, then blanks. An utterance's first
+    frame is never a repeat, so no repeat is collapsed across utterances."""
     if not posteriors:
         return []
     bounds = np.cumsum([0, *(posts.num_frames for posts in posteriors)])

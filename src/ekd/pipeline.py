@@ -5,17 +5,16 @@ teacher per teacher domain, decode the unlabeled student-domain training
 split with every teacher, build training targets with each selection
 strategy, train one student per strategy, evaluate every model with and
 without the LM, and run the representation-trajectory comparison. Every
-stage persists its artifacts and can be re-run independently; one rule
-(``_run_units``) decides which of its outputs to skip or rebuild, so deleting
-one unit's outputs and re-running its stage rebuilds only that unit. Resume
-is keyed on file existence only: after changing the config on an existing
-root, pass ``force`` or use a new root, or the old artifacts are reused
-(those of another vocabulary are refused).
+stage persists its artifacts and can be re-run independently. A stage is a
+list of units, plain data that one rule (``_run_units``) skips or rebuilds,
+so deleting one unit's outputs and re-running its stage rebuilds only that
+unit. Resume is keyed on file existence only: after changing the config on
+an existing root, pass ``force`` or use a new root, or the old artifacts
+are reused (those of another vocabulary are refused).
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import shutil
 from pathlib import Path
@@ -75,6 +74,10 @@ class SeedPaths:
     def corpus_path(self, domain: str, part: str) -> Path:
         return self.corpora / f"{domain}_{part}.ekdc"
 
+    def student_train(self, config: ExperimentConfig) -> Path:
+        """The unlabeled student-domain training split."""
+        return self.corpus_path(config.student_domain.name, "train")
+
     def teacher_path(self, domain: str) -> Path:
         return self.teachers / f"{domain}.ekdm"
 
@@ -109,19 +112,21 @@ def _require(path: Path) -> Path:
 class _Unit(NamedTuple):
     name: str
     outputs: Sequence[Path]
-    build: Callable[[object], None]
-    needs: Sequence[Path] = ()
+    needs: Sequence[Path]
+    build: Callable[[ExperimentConfig, int, SeedPaths, object, str], None]
 
 
-def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path] = (),
-               load: Callable[[], object] = lambda: None) -> list[_Unit]:
-    """A unit is one piece of a stage's work: the files and directories it
-    writes, its build step and the artifacts of earlier stages it reads.
-    Each unit whose outputs all exist is skipped unless ``force``; every
-    other unit has its existing outputs deleted and is built. Only if some
-    unit is built are the stage's and those units' ``needs`` checked and the
-    inputs loaded, once, by ``load``; every build step is called with them.
-    Returns the units built."""
+def _run_units(stage: str, units: list[_Unit], config: ExperimentConfig, seed: int,
+               paths: SeedPaths, force: bool,
+               load: Callable[[ExperimentConfig, SeedPaths], object] | None = None) -> list[_Unit]:
+    """A unit is one piece of a stage's work: its name (a teacher domain, a
+    strategy or a step), the files and directories it writes, the artifacts
+    of earlier stages that it or the stage's ``load`` reads, and a
+    module-level build step. Each unit whose outputs all exist is skipped
+    unless ``force``. If any unit is left to build, the needs of every such
+    unit are checked and the inputs loaded, once, by ``load(config, paths)``;
+    then each has its outputs deleted and is built as ``unit.build(config,
+    seed, paths, inputs, unit.name)``. Returns the units built."""
     todo = []
     for unit in units:
         if all(p.exists() for p in unit.outputs) and not force:
@@ -130,16 +135,16 @@ def _run_units(stage: str, units: list[_Unit], force: bool, needs: Sequence[Path
             todo.append(unit)
     if not todo:
         return todo
-    for path in [*needs, *(p for unit in todo for p in unit.needs)]:
+    for path in (p for unit in todo for p in unit.needs):
         _require(path)
-    inputs = load()
+    inputs = load(config, paths) if load else None
     for unit in todo:
         for path in unit.outputs:
             if path.is_dir():
                 shutil.rmtree(path)
             elif path.exists():
                 path.unlink()
-        unit.build(inputs)
+        unit.build(config, seed, paths, inputs, unit.name)
     return todo
 
 
@@ -152,15 +157,18 @@ def _check_vocabulary(path: Path, vocabulary_hash: str, config: ExperimentConfig
                             "with --force, or use a new output root")
 
 
-def _load_checked(load: Callable, path: Path, config: ExperimentConfig):
-    """The artifact that ``load`` returns with its header, checked by
-    ``_check_vocabulary``. A file of another format version names the stage
-    that rebuilds it."""
+def _load_versioned(load: Callable, path: Path):
+    """``load(path)``; a file of another format version names the stage that rebuilds it."""
     try:
-        header, artifact = load(path)
+        return load(path)
     except binio.VersionError as e:
         raise PipelineError(f"{e}; re-run '{_PRODUCERS[path.parent.name]}' with --force, "
                             "or use a new output root") from e
+
+
+def _load_checked(load: Callable, path: Path, config: ExperimentConfig):
+    """The artifact of ``_load_versioned``, its header checked by ``_check_vocabulary``."""
+    header, artifact = _load_versioned(load, path)
     _check_vocabulary(path, header["vocabulary_hash"], config)
     return artifact
 
@@ -171,49 +179,53 @@ def _seeded_configs(config: ExperimentConfig, seed: int, run: str):
             dataclasses.replace(config.train, seed=derive_seed(seed, "train", run)))
 
 
+def _load_student_train(config: ExperimentConfig, paths: SeedPaths) -> Corpus:
+    return load_corpus(paths.student_train(config))
+
+
 # -- stages -------------------------------------------------------------------
+
+def _require_svcca_frames(student_train: Corpus, config: ExperimentConfig) -> None:
+    # svcca samples config.svcca.n_frames frames from the student train split.
+    frames = sum(u.num_frames for u in student_train.utterances)
+    if frames < config.svcca.n_frames:
+        raise PipelineError(f"config key 'svcca.n_frames' is {config.svcca.n_frames}, but "
+                            f"the student train split has only {frames} frames")
+
+
+def _gen_data(config, seed, paths, _inputs, _name) -> None:
+    specs = config.expand_domains()
+    vocab = config.vocabulary()
+    transcripts = []  # the LM's: teacher-domain training transcripts, in teacher order
+    for recipe in config.all_domains():
+        total = recipe.train_size + recipe.test_size
+        corpus = generate_corpus(specs[recipe.name], vocab, total,
+                                 derive_seed(seed, "data", recipe.name))
+        train_part, test_part = split_corpus(corpus, recipe.train_size,
+                                             derive_seed(seed, "split", recipe.name))
+        save_corpus(train_part, paths.corpus_path(recipe.name, "train"))
+        save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
+        if recipe is not config.student_domain:
+            transcripts += [vocab.indices_to_words(u.transcript) for u in train_part.utterances]
+        else:
+            # Raised before the LM is written, so a re-run builds gen-data again.
+            _require_svcca_frames(train_part, config)
+    save_arpa(train_lm(transcripts, config.lm_order), paths.lm / "ngram.arpa")
+
 
 def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,
                    force: bool = False) -> None:
     """synthesize corpora, splits, and the n-gram LM"""
     paths.ensure()
-    lm_path = paths.lm / "ngram.arpa"
-
-    def require_svcca_frames(student_train: Corpus) -> None:
-        # svcca samples config.svcca.n_frames frames from the student train split.
-        frames = sum(u.num_frames for u in student_train.utterances)
-        if frames < config.svcca.n_frames:
-            raise PipelineError(f"config key 'svcca.n_frames' is {config.svcca.n_frames}, but "
-                                f"the student train split has only {frames} frames")
-
-    def build(_) -> None:
-        specs = config.expand_domains()
-        vocab = config.vocabulary()
-        transcripts = []  # the LM's: teacher-domain training transcripts, in teacher order
-        for recipe in config.all_domains():
-            total = recipe.train_size + recipe.test_size
-            corpus = generate_corpus(specs[recipe.name], vocab, total,
-                                     derive_seed(seed, "data", recipe.name))
-            train_part, test_part = split_corpus(corpus, recipe.train_size,
-                                                 derive_seed(seed, "split", recipe.name))
-            save_corpus(train_part, paths.corpus_path(recipe.name, "train"))
-            save_corpus(test_part, paths.corpus_path(recipe.name, "test"))
-            if recipe is not config.student_domain:
-                transcripts += [vocab.indices_to_words(u.transcript) for u in train_part.utterances]
-            else:
-                # Raised before the LM is written, so a re-run builds gen-data again.
-                require_svcca_frames(train_part)
-        save_arpa(train_lm(transcripts, config.lm_order), lm_path)
-
     outputs = [paths.corpus_path(r.name, part)
                for r in config.all_domains() for part in ("train", "test")]
-    if not _run_units("gen-data", [_Unit("corpora and LM", [*outputs, lm_path], build)], force):
+    unit = _Unit("corpora and LM", [*outputs, paths.lm / "ngram.arpa"], [], _gen_data)
+    if not _run_units("gen-data", [unit], config, seed, paths, force):
         # The corpora exist already, perhaps from a config with another
         # vocabulary or fewer svcca frames.
-        student_train = paths.corpus_path(config.student_domain.name, "train")
-        corpus = load_corpus(student_train)
-        _check_vocabulary(student_train, corpus.vocabulary.content_hash(), config)
-        require_svcca_frames(corpus)
+        corpus = _load_student_train(config, paths)
+        _check_vocabulary(paths.student_train(config), corpus.vocabulary.content_hash(), config)
+        _require_svcca_frames(corpus, config)
 
 
 def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,
@@ -230,65 +242,67 @@ def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,
                                   f"exceeds gate {threshold:.3f}")
 
 
+def _train_teacher(config, seed, paths, specs, name) -> None:
+    corpus = load_corpus(paths.corpus_path(name, "train"))
+    model_cfg, train_cfg = _seeded_configs(config, seed, name)
+    model = train_teacher(corpus, model_cfg, train_cfg)
+    if config.probe_wer_threshold is not None:
+        _probe_gate(model, corpus, specs[name], train_cfg.seed, config.probe_wer_threshold)
+    save_checkpoint(model, paths.teacher_path(name))
+    logger.info("trained teacher %s (final loss: mean %.4f, sum %.2f)", name,
+                model.training_meta["final_mean_loss"], model.training_meta["final_sum_loss"])
+
+
 def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
                         force: bool = False) -> None:
     """train teacher model(s) on their domains"""
-    names = [r.name for r in config.teacher_domains]
+    units = [_Unit(r.name, [paths.teacher_path(r.name)], [paths.corpus_path(r.name, "train")],
+                   _train_teacher) for r in config.teacher_domains]
+    _run_units("train-teacher", units, config, seed, paths, force,
+               load=lambda config, _: config.expand_domains())
 
-    def build(name, specs) -> None:
-        corpus = load_corpus(paths.corpus_path(name, "train"))
-        model_cfg, train_cfg = _seeded_configs(config, seed, name)
-        model = train_teacher(corpus, model_cfg, train_cfg)
-        if config.probe_wer_threshold is not None:
-            _probe_gate(model, corpus, specs[name], train_cfg.seed, config.probe_wer_threshold)
-        save_checkpoint(model, paths.teacher_path(name))
-        logger.info("trained teacher %s (final loss: mean %.4f, sum %.2f)", name,
-                    model.training_meta["final_mean_loss"],
-                    model.training_meta["final_sum_loss"])
 
-    units = [_Unit(n, [paths.teacher_path(n)], functools.partial(build, n),
-                   [paths.corpus_path(n, "train")]) for n in names]
-    _run_units("train-teacher", units, force, load=config.expand_domains)
+def _decode(config, seed, paths, corpus, name) -> None:
+    model = _load_versioned(load_checkpoint, paths.teacher_path(name))
+    save_posteriors(paths.posteriors_path(name), corpus_posteriors(model, corpus),
+                    f"teacher_{name}", corpus.vocabulary.content_hash())
 
 
 def stage_decode(config: ExperimentConfig, seed: int, paths: SeedPaths,
                  force: bool = False) -> None:
     """dump teacher posteriors for the student-domain train split"""
-    student_train = paths.corpus_path(config.student_domain.name, "train")
+    units = [_Unit(r.name, [paths.posteriors_path(r.name)],
+                   [paths.student_train(config), paths.teacher_path(r.name)], _decode)
+             for r in config.teacher_domains]
+    _run_units("decode", units, config, seed, paths, force, load=_load_student_train)
 
-    def build(name, corpus) -> None:
-        model = load_checkpoint(paths.teacher_path(name))
-        save_posteriors(paths.posteriors_path(name), corpus_posteriors(model, corpus),
-                        f"teacher_{name}", corpus.vocabulary.content_hash())
 
-    units = [_Unit(r.name, [paths.posteriors_path(r.name)], functools.partial(build, r.name),
-                   [paths.teacher_path(r.name)]) for r in config.teacher_domains]
-    _run_units("decode", units, force, needs=[student_train],
-               load=lambda: load_corpus(student_train))
+def _load_bundles(config: ExperimentConfig, paths: SeedPaths) -> list[TeacherBundle]:
+    dumps = [paths.posteriors_path(r.name) for r in config.teacher_domains]
+    per_teacher = [_load_checked(load_posteriors, path, config) for path in dumps]
+    ids = [p.utterance_id for p in per_teacher[0]]
+    for path, posts in zip(dumps[1:], per_teacher[1:]):
+        if [p.utterance_id for p in posts] != ids:
+            raise PipelineError(f"teacher posterior dumps {dumps[0]} and {path} cover "
+                                "different utterances; re-run 'decode' with --force")
+    return [TeacherBundle(uid, [p[i] for p in per_teacher]) for i, uid in enumerate(ids)]
+
+
+def _select(config, seed, paths, bundles, strategy) -> None:
+    vocab = config.vocabulary()
+    selection = select_corpus(Strategy(strategy), bundles, vocab.blank_index)
+    save_selection(paths.selection_path(strategy), selection, vocab.content_hash())
 
 
 def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
                  force: bool = False) -> None:
     """build training targets with the selection strategies"""
-    vocab = config.vocabulary()
     dumps = [paths.posteriors_path(r.name) for r in config.teacher_domains]
+    units = [_Unit(s, [paths.selection_path(s)], dumps, _select) for s in config.strategies]
+    _run_units("select", units, config, seed, paths, force, load=_load_bundles)
 
-    def load_bundles() -> list[TeacherBundle]:
-        per_teacher = [_load_checked(load_posteriors, path, config) for path in dumps]
-        ids = [p.utterance_id for p in per_teacher[0]]
-        for path, posts in zip(dumps[1:], per_teacher[1:]):
-            if [p.utterance_id for p in posts] != ids:
-                raise PipelineError(f"teacher posterior dumps {dumps[0]} and {path} cover "
-                                    "different utterances; re-run 'decode' with --force")
-        return [TeacherBundle(uid, [p[i] for p in per_teacher]) for i, uid in enumerate(ids)]
 
-    def build(strat, bundles) -> None:
-        selection = select_corpus(Strategy(strat), bundles, vocab.blank_index)
-        save_selection(paths.selection_path(strat), selection, vocab.content_hash())
-
-    units = [_Unit(s, [paths.selection_path(s)], functools.partial(build, s))
-             for s in config.strategies]
-    _run_units("select", units, force, needs=dumps, load=load_bundles)
+_ANALYSED = Strategy.ELITIST.value  # svcca's student, the only one keeping per-epoch snapshots
 
 
 def _snapshots_into(snap_dir: Path):
@@ -307,30 +321,26 @@ def _sample_snapshots(snap_dir: Path, corpus: Corpus,
             for p in sorted(snap_dir.glob("epoch_*.ekdm"))}
 
 
+def _train_student(config, seed, paths, unlabeled, strategy) -> None:
+    selection = _load_checked(load_selection, paths.selection_path(strategy), config)
+    hook = (_snapshots_into(paths.snapshot_dir(f"student_{strategy}"))
+            if strategy == _ANALYSED else None)
+    model_cfg, train_cfg = _seeded_configs(config, seed, "student")
+    model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg, snapshot_hook=hook)
+    save_checkpoint(model, paths.student_path(strategy))
+    logger.info("trained student (%s), final loss: mean %.4f, sum %.2f", strategy,
+                model.training_meta["final_mean_loss"], model.training_meta["final_sum_loss"])
+
+
 def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
                         force: bool = False) -> None:
     """train student model(s) on selected soft labels"""
-    student_train = paths.corpus_path(config.student_domain.name, "train")
-    model_cfg, train_cfg = _seeded_configs(config, seed, "student")
-    # Only the student that the svcca stage analyses keeps per-epoch snapshots.
-    analysed = Strategy.ELITIST.value
-    snap_dir = paths.snapshot_dir(f"student_{analysed}")
-
-    def build(strat, unlabeled) -> None:
-        selection = _load_checked(load_selection, paths.selection_path(strat), config)
-        hook = _snapshots_into(snap_dir) if strat == analysed else None
-        model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg,
-                              snapshot_hook=hook)
-        save_checkpoint(model, paths.student_path(strat))
-        logger.info("trained student (%s), final loss: mean %.4f, sum %.2f", strat,
-                    model.training_meta["final_mean_loss"],
-                    model.training_meta["final_sum_loss"])
-
-    units = [_Unit(s, [paths.student_path(s), *([snap_dir] if s == analysed else [])],
-                   functools.partial(build, s), [paths.selection_path(s)])
+    snap_dir = paths.snapshot_dir(f"student_{_ANALYSED}")
+    units = [_Unit(s, [paths.student_path(s), *([snap_dir] if s == _ANALYSED else [])],
+                   [paths.student_train(config), paths.selection_path(s)], _train_student)
              for s in config.strategies]
-    _run_units("train-student", units, force, needs=[student_train],
-               load=lambda: load_corpus(student_train).without_transcripts())
+    _run_units("train-student", units, config, seed, paths, force,
+               load=lambda config, paths: _load_student_train(config, paths).without_transcripts())
 
 
 def _eval_matrix(config: ExperimentConfig,
@@ -364,86 +374,80 @@ def evaluate_model(references: Sequence[list[list[str]]],
     return [accumulate([wer(words, next(hyps)) for words in refs]) for refs in references]
 
 
+def _evaluate(config, seed, paths, lm, _name) -> None:
+    # (test set, model) of each test set of every model, in _eval_matrix
+    # order, with its reference words and the model's posteriors on it.
+    keys, references, posteriors = [], [], []
+    test_corpora = {}  # path -> (test corpus, reference words), built once for all its models
+    for model_name, checkpoint, test_sets in _eval_matrix(config, paths):
+        model = _load_versioned(load_checkpoint, checkpoint)
+        for test_set, corpus_path in test_sets:
+            if corpus_path not in test_corpora:
+                corpus = load_corpus(corpus_path)
+                test_corpora[corpus_path] = corpus, [corpus.vocabulary.indices_to_words(
+                    u.transcript) for u in corpus.utterances]
+            corpus, words = test_corpora[corpus_path]
+            keys.append((test_set, model_name))
+            references.append(words)
+            posteriors.append(corpus_posteriors(model, corpus))
+    # The test corpora's one vocabulary, that of every model (checked by
+    # corpus_posteriors).
+    vocab = corpus.vocabulary
+    table = ResultTable()
+    for lm_on in (False, True):
+        breakdowns = evaluate_model(references, posteriors, lm if lm_on else None, config, vocab)
+        for (test_set, model_name), breakdown in zip(keys, breakdowns):
+            table.set(test_set, model_name, lm_on, breakdown)
+            logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
+                        "on" if lm_on else "off", 100 * breakdown.wer)
+    binio.atomic_write_text(paths.eval / "results.tsv", table.to_tsv())
+
+
 def stage_evaluate(config: ExperimentConfig, seed: int, paths: SeedPaths,
                    lm_mode: str = "both", force: bool = False) -> None:
     """decode test sets and score WER, LM off and on"""
     # Both LM modes are always scored; lm_mode stays for callers that pass it.
     if lm_mode != "both":
         raise PipelineError(f"lm mode must be 'both', got {lm_mode!r}")
-    lm_path = paths.lm / "ngram.arpa"
-    results = paths.eval / "results.tsv"
-    matrix = _eval_matrix(config, paths)
+    needs = [paths.lm / "ngram.arpa", *(p for _, ckpt, test_sets in _eval_matrix(config, paths)
+                                        for p in (ckpt, *(corpus for _, corpus in test_sets)))]
+    _run_units("evaluate", [_Unit("results", [paths.eval / "results.tsv"], needs, _evaluate)],
+               config, seed, paths, force, load=lambda _, paths: load_arpa(paths.lm / "ngram.arpa"))
 
-    @functools.cache
-    def test_corpus(path: Path) -> tuple[Corpus, list[list[str]]]:
-        """The test corpus at ``path`` and its reference words, built once for
-        all its models."""
-        corpus = load_corpus(path)
-        return corpus, [corpus.vocabulary.indices_to_words(u.transcript) for u in corpus.utterances]
 
-    def build(lm) -> None:
-        # (test set, model) of each test set of every model, in _eval_matrix
-        # order, with its reference words and the model's posteriors on it.
-        keys, references, posteriors = [], [], []
-        for model_name, checkpoint, test_sets in matrix:
-            model = load_checkpoint(checkpoint)
-            for test_set, corpus_path in test_sets:
-                corpus, words = test_corpus(corpus_path)
-                keys.append((test_set, model_name))
-                references.append(words)
-                posteriors.append(corpus_posteriors(model, corpus))
-        # The test corpora's one vocabulary, that of every model (checked by
-        # corpus_posteriors).
-        vocab = corpus.vocabulary
-        table = ResultTable()
-        for lm_on in (False, True):
-            breakdowns = evaluate_model(references, posteriors, lm if lm_on else None, config,
-                                        vocab)
-            for (test_set, model_name), breakdown in zip(keys, breakdowns):
-                table.set(test_set, model_name, lm_on, breakdown)
-                logger.info("evaluated %s on %s (lm %s): WER %.2f%%", model_name, test_set,
-                            "on" if lm_on else "off", 100 * breakdown.wer)
-        binio.atomic_write_text(results, table.to_tsv())
+def _svcca_reference_run(config, seed, paths, corpus, _name) -> None:
+    # Analysis-only supervised run on the target domain's true labels,
+    # sharing init and batching with the pseudo-label student.
+    model_cfg, train_cfg = _seeded_configs(config, seed, "student")
+    train_teacher(corpus, model_cfg, train_cfg,
+                  snapshot_hook=_snapshots_into(paths.snapshot_dir("student_original_labels")))
 
-    needs = [lm_path, *(p for _, ckpt, test_sets in matrix
-                        for p in (ckpt, *(corpus_path for _, corpus_path in test_sets)))]
-    _run_units("evaluate", [_Unit("results", [results], build, needs)], force,
-               load=lambda: load_arpa(lm_path))
+
+def _svcca_report(config, seed, paths, corpus, _name) -> None:
+    layers = [f"hidden_{i}" for i in range(len(config.model.hidden_sizes))]
+    report = correlation_trajectory(
+        _sample_snapshots(paths.snapshot_dir("student_original_labels"), corpus, config),
+        _sample_snapshots(paths.snapshot_dir(f"student_{_ANALYSED}"), corpus, config), layers,
+        config.svcca.variance_fraction)
+    binio.atomic_write_text(paths.svcca / "trajectory.txt", report.to_text())
+    binio.atomic_write_text(paths.svcca / "layer_diffs.tsv", report.diffs_text())
 
 
 def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
                 force: bool = False) -> None:
     """layer-correlation trajectories: original vs pseudo labels"""
-    student_train = paths.corpus_path(config.student_domain.name, "train")
-    pseudo_dir = paths.snapshot_dir(f"student_{Strategy.ELITIST.value}")
     original_dir = paths.snapshot_dir("student_original_labels")
-    out_txt = paths.svcca / "trajectory.txt"
-    out_diffs = paths.svcca / "layer_diffs.tsv"
-
-    def reference_run(corpus) -> None:
-        # Analysis-only supervised run on the target domain's true labels,
-        # sharing init and batching with the pseudo-label student.
-        model_cfg, train_cfg = _seeded_configs(config, seed, "student")
-        train_teacher(corpus, model_cfg, train_cfg, snapshot_hook=_snapshots_into(original_dir))
-
-    def build_report(corpus) -> None:
-        layers = [f"hidden_{i}" for i in range(len(config.model.hidden_sizes))]
-        report = correlation_trajectory(_sample_snapshots(original_dir, corpus, config),
-                                        _sample_snapshots(pseudo_dir, corpus, config), layers,
-                                        config.svcca.variance_fraction)
-        binio.atomic_write_text(out_txt, report.to_text())
-        binio.atomic_write_text(out_diffs, report.diffs_text())
-
     # _run_training always snapshots its last epoch, so an interrupted run
     # lacks that file and is rebuilt on resume.
     last = original_dir / f"epoch_{config.train.epochs:04d}.ekdm"
-    units = [_Unit("reference run", [original_dir, last], reference_run),
-             _Unit("report", [out_txt, out_diffs], build_report)]
     # The elitist checkpoint is saved after its last snapshot, so an
-    # interrupted train-student leaves it missing and pseudo_dir incomplete.
-    _run_units("svcca", units, force,
-               needs=[student_train, pseudo_dir, paths.student_path(Strategy.ELITIST.value)],
-               load=lambda: load_corpus(student_train))
+    # interrupted train-student leaves it missing and its snapshots incomplete.
+    pseudo = [paths.snapshot_dir(f"student_{_ANALYSED}"), paths.student_path(_ANALYSED)]
+    units = [_Unit("reference run", [original_dir, last], [paths.student_train(config)],
+                   _svcca_reference_run),
+             _Unit("report", [paths.svcca / "trajectory.txt", paths.svcca / "layer_diffs.tsv"],
+                   [paths.student_train(config), *pseudo], _svcca_report)]
+    _run_units("svcca", units, config, seed, paths, force, load=_load_student_train)
 
 
 def stage_report(config: ExperimentConfig, seed: int, paths: SeedPaths,

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import binio
-from .ctc import PosteriorSequence, greedy_decode, prepare_target
+from .ctc import PosteriorSequence, greedy_decode_batch, prepare_target
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ def _outcome(bundle: TeacherBundle, selected: PosteriorSequence, blank: int,
         selected_posteriors=selected,
         winning_teacher=winner,
         per_teacher_scores=scores,
-        pseudo_transcript=greedy_decode(selected, blank),
+        pseudo_transcript=greedy_decode_batch([selected], blank)[0],
         sequence_confidence=utterance_confidence(selected.probs),
     )
 

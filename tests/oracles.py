@@ -38,6 +38,8 @@ from ekd.vocab import symbol_prototypes
 # -- CTC ----------------------------------------------------------------------
 
 def collapse(path, blank):
+    """The CTC collapse rule: drop consecutive repeats, then blanks. The
+    reference for ``ekd.ctc.greedy_decode_batch`` and every collapse below."""
     out = []
     prev = None
     for s in path:

@@ -18,7 +18,7 @@ from ekd import pipeline
 from ekd.beam import BeamConfig, beam_decode
 from ekd.config import default_config
 from ekd.corpus import load_corpus, transcript_read_count
-from ekd.ctc import (PosteriorSequence, ctc_loss, greedy_decode, min_frames_for_target,
+from ekd.ctc import (PosteriorSequence, ctc_loss, greedy_decode_batch, min_frames_for_target,
                      softmax)
 from ekd.lm import load_arpa, train_lm
 from ekd.model import load_checkpoint
@@ -205,7 +205,7 @@ def test_criterion_06_wer_and_decoder_reduction(rng):
     cfg = BeamConfig(beam_width=1, lm_weight=0.0, word_insertion_bonus=0.0)
     batch = [random_posteriors(rng, int(rng.integers(1, 13)), vocab.size, f"u{i}")
              for i in range(1000)]
-    want = [vocab.indices_to_words(greedy_decode(posts, vocab.blank_index)) for posts in batch]
+    want = [vocab.indices_to_words(s) for s in greedy_decode_batch(batch, vocab.blank_index)]
     reduction_ok = beam_decode(batch, lm, cfg, vocab) == want
     record(6, "WER totals match the recursive oracle (10000 pairs) and beam_width=1 "
               "reduces to greedy decoding (1000 posteriors)", ok and reduction_ok)

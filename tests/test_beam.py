@@ -5,7 +5,7 @@ import pytest
 
 from ekd import beam
 from ekd.beam import BeamConfig, _Prefixes, beam_decode
-from ekd.ctc import PosteriorSequence, greedy_decode
+from ekd.ctc import PosteriorSequence, greedy_decode_batch
 from ekd.lm import NgramLm, train_lm
 from ekd.vocab import default_vocabulary
 
@@ -48,7 +48,7 @@ def test_width_one_no_lm_equals_greedy(rng):
     # A trained LM at zero weight, with no bonus.
     cfg = BeamConfig(beam_width=1, lm_weight=0.0, word_insertion_bonus=0.0)
     batch = batch_of(rng, 200, 15)
-    want = [VOCAB.indices_to_words(greedy_decode(posts, VOCAB.blank_index)) for posts in batch]
+    want = [VOCAB.indices_to_words(s) for s in greedy_decode_batch(batch, VOCAB.blank_index)]
     assert beam_decode(batch, LM, cfg, VOCAB) == want
 
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekd import ctc
-from ekd.ctc import (InfeasibleTargetError, PosteriorSequence, collapse_alignment,
-                     ctc_lattices, ctc_loss, greedy_decode, greedy_decode_batch, log_softmax,
-                     min_frames_for_target, prepare_target, softmax, softmax_utterances)
+from ekd.ctc import (InfeasibleTargetError, PosteriorSequence, ctc_lattices, ctc_loss,
+                     greedy_decode_batch, log_softmax, min_frames_for_target, prepare_target,
+                     softmax, softmax_utterances)
 
 from conftest import random_posteriors
-from oracles import brute_ctc, fd_ctc_gradient, two_pass_ctc_loss, two_pass_lattice
+from oracles import brute_ctc, collapse, fd_ctc_gradient, two_pass_ctc_loss, two_pass_lattice
 
 
 # -- softmax -------------------------------------------------------------------
@@ -67,12 +67,17 @@ def test_softmax_utterances_output_passes_the_posterior_check(rng, z):
 
 # -- collapse / greedy ----------------------------------------------------------
 
+def greedy_path(path, blank: int = 0, z: int = 4) -> np.ndarray:
+    """The greedy decoding of one-hot posteriors whose argmax path is ``path``."""
+    return greedy_decode_batch([PosteriorSequence(np.eye(z)[path])], blank)[0]
+
+
 def test_collapse_examples():
-    assert collapse_alignment([], blank=0).tolist() == []
-    assert collapse_alignment([], blank=0).dtype == np.int64
-    assert list(collapse_alignment([0], blank=0)) == []
-    assert list(collapse_alignment([1, 1, 2], blank=0)) == [1, 2]
-    assert list(collapse_alignment([1, 0, 0, 1, 2, 2], blank=0)) == [1, 1, 2]
+    assert greedy_path([0]).tolist() == []
+    assert greedy_path([0]).dtype == np.int64
+    assert greedy_path([1, 1, 2]).tolist() == [1, 2]
+    assert greedy_path([1, 0, 0, 1, 2, 2]).tolist() == [1, 1, 2]
+    assert greedy_decode_batch([], blank=0) == []
 
 
 @pytest.mark.parametrize("target, frames", [([], 0), ([1], 1), ([1, 2], 2), ([1, 1], 3),
@@ -84,12 +89,12 @@ def test_min_frames_for_target(target, frames):
 def test_greedy_examples():
     # frame argmaxes a, a, blank, b -> "ab"
     probs = np.array([[0.8, 0.1, 0.1], [0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.1, 0.7]])
-    seq = greedy_decode(PosteriorSequence(probs), blank=1)
-    assert list(seq) == [0, 2]
     all_blank = np.tile([0.1, 0.8, 0.1], (5, 1))
-    assert list(greedy_decode(PosteriorSequence(all_blank), blank=1)) == []
     aba = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.8, 0.1, 0.1]])
-    assert list(greedy_decode(PosteriorSequence(aba), blank=1)) == [0, 0]
+    got = greedy_decode_batch([PosteriorSequence(p) for p in (probs, all_blank, aba)], blank=1)
+    assert [seq.tolist() for seq in got] == [[0, 2], [], [0, 0]]
+    assert [greedy_path(path, blank=1, z=3).tolist()
+            for path in ([0, 0, 1, 2], [1] * 5, [0, 1, 0])] == [[0, 2], [], [0, 0]]
 
 
 def test_batched_greedy_decode_equals_greedy_decode_per_utterance(rng):
@@ -106,10 +111,10 @@ def test_batched_greedy_decode_equals_greedy_decode_per_utterance(rng):
     paths += [rng.integers(0, z, size=int(rng.integers(1, 30))).tolist() for _ in range(30)]
     batch = [posteriors(path, f"u{i}") for i, path in enumerate(paths)]
     got = greedy_decode_batch(batch, blank)
-    want = [greedy_decode(posts, blank) for posts in batch]
+    want = [list(collapse(path, blank)) for path in paths]
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.int64 and np.array_equal(g, w)
+        assert g.dtype == np.int64 and g.tolist() == w
     assert [g.tolist() for g in got[:8]] == [[1, 3], [3, 2], [], [4], [], [2, 2, 5], [5], [5]]
     assert greedy_decode_batch([], blank) == []
 
@@ -127,21 +132,22 @@ def test_posteriors_refuse_inf():
         PosteriorSequence(probs, "worse")
 
 
-@given(st.lists(st.integers(0, 3), min_size=0, max_size=12))
+# A posterior has at least one frame, so every path below has one too.
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_collapse_output_blank_free_and_no_longer(path):
-    out = collapse_alignment(np.array(path, dtype=np.int64), blank=0)
-    assert 0 not in out.tolist()
+    out = greedy_path(path).tolist()
+    assert out == list(collapse(path, blank=0))
+    assert 0 not in out
     assert len(out) <= len(path)
 
 
-@given(st.lists(st.integers(1, 3), min_size=0, max_size=10))
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=10))
 @settings(max_examples=200, deadline=None)
 def test_collapse_identity_on_canonical_sequences(seq):
     # blank-free with no adjacent repeats: collapse must not touch it
     canonical = [s for i, s in enumerate(seq) if i == 0 or s != seq[i - 1]]
-    out = collapse_alignment(np.array(canonical, dtype=np.int64), blank=0)
-    assert out.tolist() == canonical
+    assert greedy_path(canonical).tolist() == canonical
 
 
 # -- ctc loss -------------------------------------------------------------------

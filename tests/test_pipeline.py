@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import os
+import pickle
 import re
 import shutil
 from pathlib import Path
@@ -11,12 +12,12 @@ import pytest
 from ekd import binio
 from ekd.config import SvccaSettings, derive_seed
 from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
-from ekd.ctc import greedy_decode
+from ekd.ctc import greedy_decode_batch
 from ekd.model import ModelConfig, load_checkpoint
-from ekd.pipeline import (PipelineError, SeedPaths, TeacherQualityError, _eval_matrix,
-                          output_root, run_pipeline, run_seed, run_stage, stage_decode,
-                          stage_evaluate, stage_gen_data, stage_report, stage_select,
-                          stage_svcca, stage_train_student, stage_train_teacher)
+from ekd.pipeline import (STAGES, PipelineError, SeedPaths, TeacherQualityError,
+                          _eval_matrix, output_root, run_pipeline, run_seed, run_stage,
+                          stage_decode, stage_evaluate, stage_gen_data, stage_report,
+                          stage_select, stage_svcca, stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, load_selection, save_posteriors
 from ekd.training import corpus_posteriors, greedy_corpus_wer
@@ -242,10 +243,10 @@ def test_lm_off_evaluate_scores_the_greedy_words(finished_run):
         for test_set, corpus_path in test_sets:
             corpus = load_corpus(corpus_path)
             vocab = corpus.vocabulary
-            want = accumulate([
-                wer(vocab.indices_to_words(utt.transcript),
-                    vocab.indices_to_words(greedy_decode(posts, vocab.blank_index)))
-                for utt, posts in zip(corpus.utterances, corpus_posteriors(model, corpus))])
+            greedy = greedy_decode_batch(corpus_posteriors(model, corpus), vocab.blank_index)
+            want = accumulate([wer(vocab.indices_to_words(utt.transcript),
+                                   vocab.indices_to_words(symbols))
+                               for utt, symbols in zip(corpus.utterances, greedy)])
             assert held.get(test_set, name, False).breakdown == want
             rows += 1
     assert rows == len(cfg.teacher_domains) * len(cfg.all_domains()) + len(cfg.strategies)
@@ -513,6 +514,80 @@ def test_resume_touches_nothing(finished_run):
     assert artifacts() == before
 
 
+@pytest.fixture(scope="module")
+def forced_units(finished_run, tmp_path_factory):
+    """A forced ``run_pipeline`` over a copy of the run, recording every unit
+    each stage hands to ``_run_units`` as (stage, unit), and each unit built
+    as (stage, unit, paths that its stage's load and its build step read)."""
+    cfg, root, _ = finished_run
+    copy = tmp_path_factory.mktemp("forced") / "out"
+    shutil.copytree(root, copy)
+    import ekd.pipeline as pl
+
+    reads, seen, built = [], [], []
+
+    def reading(load):
+        def recorded(path, *args, **kwargs):
+            reads.append(Path(path))
+            return load(path, *args, **kwargs)
+        return recorded
+
+    def run_units(stage, units, config, seed, paths, force, load=None):
+        seen.extend((stage, unit) for unit in units)
+        shared = []
+
+        def recorded_load(config, paths):
+            start = len(reads)
+            inputs = load(config, paths) if load else None
+            shared.extend(reads[start:])
+            return inputs
+
+        def recorded(unit):
+            def build(*args):
+                start = len(reads)
+                unit.build(*args)
+                built.append((stage, unit, [*shared, *reads[start:]]))
+            return unit._replace(build=build)
+
+        return real_run_units(stage, [recorded(unit) for unit in units], config, seed, paths,
+                              force, recorded_load)
+
+    real_run_units = pl._run_units
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("load_corpus", "load_checkpoint", "load_posteriors", "load_selection",
+                     "load_arpa"):
+            mp.setattr(pl, name, reading(getattr(pl, name)))
+        mp.setattr(pl, "_run_units", run_units)
+        run_pipeline(cfg, str(copy), force=True)
+    return cfg, seen, built
+
+
+def test_every_unit_is_plain_data(forced_units):
+    # What a worker process needs: a unit pickles to an equal unit.
+    cfg, seen, _ = forced_units
+    assert [stage for stage in STAGES if any(s == stage for s, _ in seen)] == list(STAGES)[:-1]
+    assert len(seen) == 4 + 2 * len(cfg.teacher_domains) + 2 * len(cfg.strategies)
+    for _, unit in seen:
+        assert pickle.loads(pickle.dumps(unit)) == unit
+
+
+def test_every_unit_needs_what_it_reads_from_earlier_stages(forced_units):
+    # Resume keyed on a unit's inputs needs every one of them declared.
+    _, seen, built = forced_units
+    assert [(stage, unit) for stage, unit, _ in built] == seen
+
+    def under(path, roots) -> bool:
+        return any(path == root or root in path.parents for root in roots)
+
+    stages_reading = set()
+    for stage, unit, reads in built:
+        own = [p for s, u in seen if s == stage for p in u.outputs]
+        for path in (p for p in reads if not under(p, own)):
+            stages_reading.add(stage)
+            assert under(path, unit.needs), f"{stage} {unit.name} reads {path} undeclared"
+    assert stages_reading == set(STAGES) - {"gen-data", "report"}
+
+
 def test_missing_upstream_artifact_names_file(tmp_path):
     cfg = compact_config(str(tmp_path / "out"))
     paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
@@ -521,22 +596,47 @@ def test_missing_upstream_artifact_names_file(tmp_path):
         stage_decode(cfg, cfg.seeds[0], paths)
 
 
-def test_resume_over_version_1_checkpoint_names_stage(finished_run, tmp_path):
-    # A root written before checkpoints moved to one record per weight array:
-    # version 1 kept the shapes in the header and every weight in one blob.
-    cfg, paths = _copy_run(finished_run, tmp_path)
-    name = cfg.teacher_domains[0].name
-    model = load_checkpoint(paths.teacher_path(name))
+def _write_version_1_checkpoint(path: Path) -> None:
+    """Rewrite the checkpoint at ``path`` as a root written before checkpoints
+    moved to one record per weight array had it: version 1 kept the shapes
+    in the header and every weight in one blob."""
+    model = load_checkpoint(path)
     header = {"config": dataclasses.asdict(model.config), "feature_dim": model.feature_dim,
               "vocab_size": model.vocab_size, "vocabulary_hash": model.vocabulary_hash,
               "layout": [list(w.shape) for w in model.weights],
               "training_meta": model.training_meta}
     blob = np.concatenate([w.ravel() for w in model.weights]).astype("<f8").tobytes()
-    binio.write_container(paths.teacher_path(name), "checkpoint", 1, header, [blob])
+    binio.write_container(path, "checkpoint", 1, header, [blob])
+
+
+def _rebuild_remedy(path: Path, stage: str) -> str:
+    return (f"^{re.escape(str(path))}: version mismatch \\(file 1, expected 2\\); "
+            f"re-run '{stage}' with --force, or use a new output root$")
+
+
+def test_resume_over_version_1_checkpoint_names_stage(finished_run, tmp_path):
+    # Resuming cannot mend an old teacher: decode names the stage that rebuilds it.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    name = cfg.teacher_domains[0].name
+    _write_version_1_checkpoint(paths.teacher_path(name))
     paths.posteriors_path(name).unlink()
-    with pytest.raises(PipelineError, match=r"stage 'decode'.*version mismatch \(file 1, "
-                                            r"expected 2\)"):
+    with pytest.raises(PipelineError, match=_rebuild_remedy(paths.teacher_path(name),
+                                                            "train-teacher")):
         run_seed(cfg, paths.seed, tmp_path / "copy")
+
+
+def test_evaluate_over_version_1_student_checkpoint_names_train_student(finished_run, tmp_path):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    student = paths.student_path(cfg.strategies[-1])
+    _write_version_1_checkpoint(student)
+    (paths.eval / "results.tsv").unlink()
+    with pytest.raises(PipelineError, match=_rebuild_remedy(student, "train-student")):
+        run_seed(cfg, paths.seed, tmp_path / "copy")
+    # The remedy works: the rebuilt student gives the same results.
+    run_stage("train-student", cfg, paths.seed, paths, force=True)
+    run_seed(cfg, paths.seed, tmp_path / "copy")
+    assert ((paths.eval / "results.tsv").read_bytes()
+            == (finished_run[1] / paths.base.name / "eval" / "results.tsv").read_bytes())
 
 
 def test_stage_failure_names_stage(tmp_path, monkeypatch):

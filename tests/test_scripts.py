@@ -41,3 +41,12 @@ def test_default_experiment_prints_the_summary_files(tmp_path):
     assert printed_summary.split("):\n", 1)[1] == (summary / "summary.tsv").read_text()
     assert (summary / "per_seed.txt").read_text() in printed_per_seed
     assert "student_elitist" in printed_summary
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's library quick-start is self-contained: it runs as written."""
+    section = (REPO / "README.md").read_text().split("\n## Library quick-start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md library quick-start", "exec"), {})
+    # The winner and its confidence, its transcript, and one line per teacher.
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 3
