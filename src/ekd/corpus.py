@@ -8,7 +8,7 @@ import numpy as np
 from . import binio
 from .vocab import Vocabulary, symbol_prototypes
 
-CORPUS_FORMAT_VERSION = 1
+CORPUS_FORMAT_VERSION = 2
 
 # Counts every access to Utterance.transcript; lets callers prove a code path
 # (student training) never touched the labels.
@@ -233,34 +233,31 @@ def generate_corpus(spec: DomainSpec, vocab: Vocabulary, n_utterances: int,
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    """One array per utterance, its features; the header lists the ids and
+    transcripts in the same order."""
     header = {
         "name": corpus.name,
         "vocabulary": asdict(corpus.vocabulary),
         "vocabulary_hash": corpus.vocabulary.content_hash(),
-        "feature_dim": corpus.feature_dim if corpus.utterances else 0,
-        "n_utterances": len(corpus.utterances),
+        "ids": [u.id for u in corpus.utterances],
+        "transcripts": [None if u._transcript is None else u._transcript.tolist()
+                        for u in corpus.utterances],
     }
-    records = [binio.encode_record({
-        "id": u.id,
-        "transcript": None if u._transcript is None else u._transcript.tolist(),
-    }, u.features) for u in corpus.utterances]
-    binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
+    binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header,
+                          [u.features for u in corpus.utterances])
 
 
 def load_corpus(path) -> Corpus:
-    """The corpus saved at ``path``. Header and record keys it does not read,
-    such as the ``domain_tag`` and ``generation_seed`` of older files, are
-    ignored."""
-    header, records = binio.read_container(path, "corpus", CORPUS_FORMAT_VERSION)
-    vocab = Vocabulary(**header["vocabulary"])
-    if vocab.content_hash() != header["vocabulary_hash"]:
-        raise binio.FormatError(f"{path}: vocabulary-hash mismatch")
-    utterances = []
-    widths = [header["feature_dim"]] * header["n_utterances"]
-    for meta, features in binio.decode_records(path, records, widths):
-        transcript = None if meta["transcript"] is None else np.asarray(meta["transcript"], dtype=np.int64)
-        utterances.append(Utterance(meta["id"], features, transcript))
-    return Corpus(name=header["name"], vocabulary=vocab, utterances=utterances)
+    """The corpus saved at ``path``."""
+    header, features = binio.read_container(path, "corpus", CORPUS_FORMAT_VERSION)
+    with binio.checked(path):
+        vocab = Vocabulary(**header["vocabulary"])
+        if vocab.content_hash() != header["vocabulary_hash"]:
+            raise binio.FormatError(f"{path}: vocabulary-hash mismatch")
+        ids, transcripts = header["ids"], header["transcripts"]
+        binio.check_counts(path, ids, arrays=features, transcripts=transcripts)
+        return Corpus(header["name"], vocab,
+                      [Utterance(*utt) for utt in zip(ids, features, transcripts)])
 
 
 def split_corpus(corpus: Corpus, n_first: int, seed: int) -> tuple[Corpus, Corpus]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import binio
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,7 @@ def backward_features(model: ModelCheckpoint, inputs: list[np.ndarray],
 
 
 def save_checkpoint(model: ModelCheckpoint, path) -> None:
-    """One record per weight array: a weight matrix as [in, out], a bias as
-    [1, out]. The shapes are not stored; they follow from the header."""
+    """One array per weight, in its own shape."""
     header = {
         "config": asdict(model.config),
         "feature_dim": model.feature_dim,
@@ -139,27 +138,19 @@ def save_checkpoint(model: ModelCheckpoint, path) -> None:
         "vocabulary_hash": model.vocabulary_hash,
         "training_meta": model.training_meta,
     }
-    records = [binio.encode_record({}, w.reshape(-1, w.shape[-1])) for w in model.weights]
-    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
+    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, model.weights)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
-    config = ModelConfig(**header["config"])
-    shapes = layer_shapes(config, header["feature_dim"], header["vocab_size"])
-    decoded = binio.decode_records(path, records, [shape[-1] for shape in shapes])
-    weights = []
-    for i, ((_, w), shape) in enumerate(zip(decoded, shapes)):
-        rows = shape[0] if len(shape) == 2 else 1  # a bias is stored as [1, out]
-        if w.shape[0] != rows:
-            raise binio.FormatError(
-                f"{path}: corrupted record (weight {i} has {w.shape[0]} rows, expected {rows})")
-        weights.append(w.reshape(shape))
-    return ModelCheckpoint(
-        config=config,
-        feature_dim=int(header["feature_dim"]),
-        vocab_size=int(header["vocab_size"]),
-        weights=weights,
-        vocabulary_hash=header["vocabulary_hash"],
-        training_meta=header["training_meta"],
-    )
+    """The checkpoint saved at ``path``; weights that do not have the layout
+    its config implies raise :class:`~ekd.binio.FormatError`."""
+    header, weights = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    with binio.checked(path):
+        return ModelCheckpoint(
+            config=ModelConfig(**header["config"]),
+            feature_dim=header["feature_dim"],
+            vocab_size=header["vocab_size"],
+            weights=weights,
+            vocabulary_hash=header["vocabulary_hash"],
+            training_meta=header["training_meta"],
+        )

@@ -10,7 +10,8 @@ list of units, plain data that one rule (``_run_units``) skips or rebuilds,
 so deleting one unit's outputs and re-running its stage rebuilds only that
 unit. Resume is keyed on file existence only: after changing the config on
 an existing root, pass ``force`` or use a new root, or the old artifacts
-are reused (those of another vocabulary are refused).
+are reused (those of another vocabulary are refused, and one of another
+format version names the stage that rebuilds it).
 """
 from __future__ import annotations
 
@@ -96,16 +97,25 @@ class SeedPaths:
 
 # -- the resume rule ------------------------------------------------------------
 
-# The stage that writes the artifacts of each SeedPaths directory (by name).
+_ANALYSED = Strategy.ELITIST.value  # svcca's student, the only one keeping per-epoch snapshots
+_ORIGINAL = "student_original_labels"  # svcca's own run, on the true labels
+
+# The stage that writes the artifacts of each directory under seed_<s>/, by
+# name; under snapshots/, each run's directory is its own producer's.
 _PRODUCERS = {"corpora": "gen-data", "lm": "gen-data", "teachers": "train-teacher",
               "decode": "decode", "select": "select", "students": "train-student",
-              "snapshots": "train-student", "eval": "evaluate"}
+              f"student_{_ANALYSED}": "train-student", _ORIGINAL: "svcca", "eval": "evaluate"}
+
+
+def _producer(path: Path) -> str:
+    """The stage that writes ``path``: a file under one of ``_PRODUCERS``'
+    directories, or a snapshot directory itself."""
+    return _PRODUCERS.get(path.parent.name) or _PRODUCERS[path.name]
 
 
 def _require(path: Path) -> Path:
     if not path.exists():
-        raise PipelineError(f"missing required artifact {path}; "
-                            f"run '{_PRODUCERS[path.parent.name]}' first")
+        raise PipelineError(f"missing required artifact {path}; run '{_producer(path)}' first")
     return path
 
 
@@ -158,11 +168,12 @@ def _check_vocabulary(path: Path, vocabulary_hash: str, config: ExperimentConfig
 
 
 def _load_versioned(load: Callable, path: Path):
-    """``load(path)``; a file of another format version names the stage that rebuilds it."""
+    """``load(path)`` of an earlier stage's artifact; a file of another format
+    version names the stage that rebuilds it. Every such read goes through here."""
     try:
         return load(path)
     except binio.VersionError as e:
-        raise PipelineError(f"{e}; re-run '{_PRODUCERS[path.parent.name]}' with --force, "
+        raise PipelineError(f"{e}; re-run '{_producer(path)}' with --force, "
                             "or use a new output root") from e
 
 
@@ -180,7 +191,7 @@ def _seeded_configs(config: ExperimentConfig, seed: int, run: str):
 
 
 def _load_student_train(config: ExperimentConfig, paths: SeedPaths) -> Corpus:
-    return load_corpus(paths.student_train(config))
+    return _load_versioned(load_corpus, paths.student_train(config))
 
 
 # -- stages -------------------------------------------------------------------
@@ -243,7 +254,7 @@ def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,
 
 
 def _train_teacher(config, seed, paths, specs, name) -> None:
-    corpus = load_corpus(paths.corpus_path(name, "train"))
+    corpus = _load_versioned(load_corpus, paths.corpus_path(name, "train"))
     model_cfg, train_cfg = _seeded_configs(config, seed, name)
     model = train_teacher(corpus, model_cfg, train_cfg)
     if config.probe_wer_threshold is not None:
@@ -302,9 +313,6 @@ def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
     _run_units("select", units, config, seed, paths, force, load=_load_bundles)
 
 
-_ANALYSED = Strategy.ELITIST.value  # svcca's student, the only one keeping per-epoch snapshots
-
-
 def _snapshots_into(snap_dir: Path):
     """A snapshot hook that writes each epoch's checkpoint into a new ``snap_dir``."""
     snap_dir.mkdir(parents=True)
@@ -315,8 +323,8 @@ def _sample_snapshots(snap_dir: Path, corpus: Corpus,
                       config: ExperimentConfig) -> dict[int, dict[str, ActivationMatrix]]:
     """``{epoch: {layer: activations}}`` of every snapshot in ``snap_dir``,
     each sampled on the same frames of ``corpus``."""
-    return {int(p.stem.split("_")[1]): dump_activations(load_checkpoint(p), corpus,
-                                                        config.svcca.n_frames,
+    return {int(p.stem.split("_")[1]): dump_activations(_load_versioned(load_checkpoint, p),
+                                                        corpus, config.svcca.n_frames,
                                                         config.svcca.sample_seed)
             for p in sorted(snap_dir.glob("epoch_*.ekdm"))}
 
@@ -383,7 +391,7 @@ def _evaluate(config, seed, paths, lm, _name) -> None:
         model = _load_versioned(load_checkpoint, checkpoint)
         for test_set, corpus_path in test_sets:
             if corpus_path not in test_corpora:
-                corpus = load_corpus(corpus_path)
+                corpus = _load_versioned(load_corpus, corpus_path)
                 test_corpora[corpus_path] = corpus, [corpus.vocabulary.indices_to_words(
                     u.transcript) for u in corpus.utterances]
             corpus, words = test_corpora[corpus_path]
@@ -420,13 +428,13 @@ def _svcca_reference_run(config, seed, paths, corpus, _name) -> None:
     # sharing init and batching with the pseudo-label student.
     model_cfg, train_cfg = _seeded_configs(config, seed, "student")
     train_teacher(corpus, model_cfg, train_cfg,
-                  snapshot_hook=_snapshots_into(paths.snapshot_dir("student_original_labels")))
+                  snapshot_hook=_snapshots_into(paths.snapshot_dir(_ORIGINAL)))
 
 
 def _svcca_report(config, seed, paths, corpus, _name) -> None:
     layers = [f"hidden_{i}" for i in range(len(config.model.hidden_sizes))]
     report = correlation_trajectory(
-        _sample_snapshots(paths.snapshot_dir("student_original_labels"), corpus, config),
+        _sample_snapshots(paths.snapshot_dir(_ORIGINAL), corpus, config),
         _sample_snapshots(paths.snapshot_dir(f"student_{_ANALYSED}"), corpus, config), layers,
         config.svcca.variance_fraction)
     binio.atomic_write_text(paths.svcca / "trajectory.txt", report.to_text())
@@ -436,7 +444,7 @@ def _svcca_report(config, seed, paths, corpus, _name) -> None:
 def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
                 force: bool = False) -> None:
     """layer-correlation trajectories: original vs pseudo labels"""
-    original_dir = paths.snapshot_dir("student_original_labels")
+    original_dir = paths.snapshot_dir(_ORIGINAL)
     # _run_training always snapshots its last epoch, so an interrupted run
     # lacks that file and is rebuilt on resume.
     last = original_dir / f"epoch_{config.train.epochs:04d}.ekdm"

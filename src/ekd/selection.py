@@ -21,8 +21,8 @@ from .ctc import PosteriorSequence, greedy_decode_batch, prepare_target
 
 logger = logging.getLogger(__name__)
 
-SELECTION_FORMAT_VERSION = 3
-POSTERIORS_FORMAT_VERSION = 1
+SELECTION_FORMAT_VERSION = 4
+POSTERIORS_FORMAT_VERSION = 2
 
 
 class Strategy(str, Enum):
@@ -184,23 +184,24 @@ def select_corpus(strategy: Strategy | str, bundles: list[TeacherBundle],
 
 def save_posteriors(path, posteriors: list[PosteriorSequence], model_id: str,
                     vocabulary_hash: str) -> None:
-    z = posteriors[0].vocab_size if posteriors else 0
+    """One array per utterance, its posteriors; the header lists the ids in
+    the same order."""
     header = {"model_id": model_id, "vocabulary_hash": vocabulary_hash,
-              "vocab_size": z, "n_sequences": len(posteriors)}
-    records = [binio.encode_record({"id": p.utterance_id}, p.probs)
-               for p in posteriors]
-    binio.write_container(path, "posteriors", POSTERIORS_FORMAT_VERSION, header, records)
+              "ids": [p.utterance_id for p in posteriors]}
+    binio.write_container(path, "posteriors", POSTERIORS_FORMAT_VERSION, header,
+                          [p.probs for p in posteriors])
 
 
 def load_posteriors(path) -> tuple[dict, list[PosteriorSequence]]:
-    header, records = binio.read_container(path, "posteriors", POSTERIORS_FORMAT_VERSION)
-    decoded = binio.decode_records(path, records, [header["vocab_size"]] * header["n_sequences"])
-    return header, [PosteriorSequence(probs, meta["id"]) for meta, probs in decoded]
+    header, probs = binio.read_container(path, "posteriors", POSTERIORS_FORMAT_VERSION)
+    with binio.checked(path):
+        binio.check_counts(path, header["ids"], arrays=probs)
+        return header, [PosteriorSequence(*p) for p in zip(probs, header["ids"])]
 
 
 def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> None:
     """One container whose header holds the whole selection, every outcome
-    included; it has no records."""
+    included; it has no arrays."""
     header = {
         "strategy": selection.strategy.value,
         "vocabulary_hash": vocabulary_hash,
@@ -214,30 +215,26 @@ def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> No
             "sequence_confidence": o.sequence_confidence,
         } for o in selection.outcomes],
     }
-    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, [])
+    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header)
 
 
 def load_selection(path) -> tuple[dict, CorpusSelection]:
-    header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
-    strategy = Strategy(header["strategy"])
-    if records:
-        raise binio.FormatError(f"{path}: corrupted record (a selection file has no records)")
-    try:
-        outcomes = [SelectionOutcome(
-            utterance_id=o["id"],
-            selected_posteriors=None,
-            winning_teacher=o["winning_teacher"],
-            per_teacher_scores=o["per_teacher_scores"],
-            pseudo_transcript=o["pseudo_transcript"],
-            sequence_confidence=o["sequence_confidence"],
-        ) for o in header["outcomes"]]
-    except binio.FormatError:
-        raise
-    except KeyError as e:
-        raise binio.FormatError(
-            f"{path}: corrupted record (an outcome has no {e.args[0]!r})") from e
-    except (TypeError, ValueError) as e:
-        raise binio.FormatError(f"{path}: corrupted record ({e})") from e
-    return header, CorpusSelection(strategy=strategy, outcomes=outcomes,
-                                   win_counts=header["win_counts"],
-                                   skipped=[tuple(s) for s in header["skipped"]])
+    header, arrays = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    if arrays:
+        raise binio.FormatError(f"{path}: corrupted record (a selection file has no arrays)")
+    with binio.checked(path):
+        try:
+            outcomes = [SelectionOutcome(
+                utterance_id=o["id"],
+                selected_posteriors=None,
+                winning_teacher=o["winning_teacher"],
+                per_teacher_scores=o["per_teacher_scores"],
+                pseudo_transcript=o["pseudo_transcript"],
+                sequence_confidence=o["sequence_confidence"],
+            ) for o in header["outcomes"]]
+        except KeyError as e:
+            raise binio.FormatError(
+                f"{path}: corrupted record (an outcome has no {e.args[0]!r})") from e
+        return header, CorpusSelection(strategy=Strategy(header["strategy"]), outcomes=outcomes,
+                                       win_counts=header["win_counts"],
+                                       skipped=[tuple(s) for s in header["skipped"]])

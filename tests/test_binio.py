@@ -1,5 +1,6 @@
-"""Every artifact loader shares binio's record checks: a malformed record
-raises binio.FormatError instead of a low-level error or a silent load."""
+"""Every artifact loader shares binio's container checks: a malformed file
+raises binio.FormatError naming it instead of a low-level error or a
+silent load."""
 import json
 import re
 import struct
@@ -47,45 +48,89 @@ ARTIFACTS = {
 }
 
 
-def _short(records):
-    return [b"\x01\x02\x03", *records[1:]]
+def _split(path):
+    """(header, value bytes) of the container at ``path``, unchecked."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data, 8)
+    return json.loads(data[16:16 + hlen]), data[16 + hlen:]
 
 
-def _meta_past_end(records):
-    rec = records[0]
-    return [struct.pack("<Q", len(rec)) + rec[8:], *records[1:]]
+def _join(path, version, header, values):
+    """Write a container with exactly ``header`` (no "kind" or "shapes" added)."""
+    blob = binio.encode_header(header)
+    path.write_bytes(binio.MAGIC + struct.pack("<IQ", version, len(blob)) + blob + values)
 
 
-def _wrong_blob_size(records):
-    return [records[0][:-8], *records[1:]]
+def _short(path, kind, version):
+    # The last value loses 3 of its 8 bytes; a selection, which has no
+    # values, loses the end of its header.
+    path.write_bytes(path.read_bytes()[:-3])
 
 
-def _count_mismatch(records):
-    return records[:-1]
+def _meta_past_end(path, kind, version):
+    # The length of the header, the file's meta, runs past the file's end.
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(data)) + data[16:])
 
 
-# A selection file has no records, so its one corruption is a record at all.
-@pytest.mark.parametrize("kind, corrupt", [
-    *((kind, corrupt) for kind in sorted(ARTIFACTS) if kind != "selection"
-      for corrupt in (_short, _meta_past_end, _wrong_blob_size, _count_mismatch)),
-    ("selection", _short)])
+def _wrong_blob_size(path, kind, version):
+    path.write_bytes(path.read_bytes() + bytes(8))  # trailing bytes
+
+
+def _bad_shapes(path, kind, version):
+    header, values = _split(path)
+    header["shapes"] = [str(shape) for shape in header["shapes"]] or "[]"
+    _join(path, version, header, values)
+
+
+def _count_mismatch(path, kind, version):
+    # One array fewer than the ids (or weights) it stands for; a selection
+    # gets one array, where it has none.
+    header, arrays = binio.read_container(path, kind, version)
+    binio.write_container(path, kind, version, header, arrays[:-1] if arrays else [np.zeros(2)])
+
+
+@pytest.mark.parametrize("corrupt", [_short, _meta_past_end, _wrong_blob_size, _bad_shapes,
+                                     _count_mismatch])
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
 def test_loader_rejects_malformed_record(tmp_path, rng, kind, corrupt):
     write, load, version = ARTIFACTS[kind]
     path = tmp_path / "artifact"
     write(path, rng)
     load(path)
-    header, records = binio.read_container(path, kind, version)
-    binio.write_container(path, kind, version, header, corrupt(records))
-    with pytest.raises(binio.FormatError, match="corrupted record"):
+    corrupt(path, kind, version)
+    with pytest.raises(binio.FormatError, match=f"^{re.escape(str(path))}: corrupted record"):
         load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_other_version_refused_before_parsing(tmp_path, kind):
+    # A stale file needs only its version number to be refused: nothing
+    # after it is read, so this one has no header at all.
+    _, load, version = ARTIFACTS[kind]
+    path = tmp_path / "artifact"
+    path.write_bytes(binio.MAGIC + struct.pack("<IQ", version - 1, 99))
+    with pytest.raises(binio.VersionError, match=re.escape(
+            f"{path}: version mismatch (file {version - 1}, expected {version})")):
+        load(path)
+
+
+def test_corpus_transcript_count_checked(tmp_path, rng):
+    path = tmp_path / "artifact"
+    _write_corpus(path, rng)
+    header, features = binio.read_container(path, "corpus", CORPUS_FORMAT_VERSION)
+    binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION,
+                          {**header, "transcripts": header["transcripts"][:1]}, features)
+    with pytest.raises(binio.FormatError,
+                       match=re.escape(f"{path}: corrupted record (1 transcripts for 2 ids)")):
+        load_corpus(path)
 
 
 @pytest.mark.parametrize("header", [b'["x"]', b'"posteriors"', b"3", b"null",
                                     b"\xff\xfe{", b'{"kind":"\xff"}'])
 def test_non_object_header_rejected(tmp_path, header):
     path = tmp_path / "artifact"
-    path.write_bytes(binio.MAGIC + struct.pack("<IQ", 1, len(header)) + header
-                     + struct.pack("<Q", 0))
+    path.write_bytes(binio.MAGIC + struct.pack("<IQ", 1, len(header)) + header)
     with pytest.raises(binio.FormatError,
                        match=re.escape(f"{path}: corrupted record (bad header)")):
         binio.read_container(path, "posteriors", 1)
@@ -96,27 +141,10 @@ def test_header_missing_keys_rejected(tmp_path, rng, kind):
     write, load, version = ARTIFACTS[kind]
     path = tmp_path / "artifact"
     write(path, rng)
-    _, records = binio.read_container(path, kind, version)
-    binio.write_container(path, kind, version, {}, records)   # header is {"kind": kind}
+    _, arrays = binio.read_container(path, kind, version)
+    binio.write_container(path, kind, version, {}, arrays)   # header is {"kind", "shapes"}
     with pytest.raises(binio.FormatError,
                        match=re.escape(f"{path}: corrupted record (header has no '")):
-        load(path)
-
-
-@pytest.mark.parametrize("kind, kept, missing", [("corpus", {"id"}, "transcript"),
-                                                 ("posteriors", set(), "id")])
-def test_record_meta_missing_keys_rejected(tmp_path, rng, kind, kept, missing):
-    write, load, version = ARTIFACTS[kind]
-    path = tmp_path / "artifact"
-    write(path, rng)
-    header, records = binio.read_container(path, kind, version)
-    (mlen,) = struct.unpack("<Q", records[0][:8])
-    meta = json.loads(records[0][8:8 + mlen])
-    blob = binio.encode_header({k: v for k, v in meta.items() if k in kept | {"frames"}})
-    records[0] = struct.pack("<Q", len(blob)) + blob + records[0][8 + mlen:]
-    binio.write_container(path, kind, version, header, records)
-    with pytest.raises(binio.FormatError,
-                       match=re.escape(f"{path}: corrupted record (record 0 has no {missing!r})")):
         load(path)
 
 
@@ -125,9 +153,9 @@ def test_record_meta_missing_keys_rejected(tmp_path, rng, kind, kept, missing):
 def test_selection_outcome_missing_keys_rejected(tmp_path, rng, missing):
     path = tmp_path / "artifact"
     _write_selection(path, rng)
-    header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    header, _ = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
     del header["outcomes"][1][missing]
-    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
+    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header)
     message = f"{path}: corrupted record (an outcome has no {missing!r})"
     with pytest.raises(binio.FormatError, match=re.escape(message)):
         load_selection(path)
@@ -140,49 +168,42 @@ def test_selection_outcome_missing_keys_rejected(tmp_path, rng, missing):
 def test_selection_malformed_outcomes_rejected(tmp_path, rng, outcomes):
     path = tmp_path / "artifact"
     _write_selection(path, rng)
-    header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    header, _ = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
     header["outcomes"] = outcomes
-    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header, records)
+    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header)
     with pytest.raises(binio.FormatError, match=f"^{re.escape(str(path))}: corrupted record"):
         load_selection(path)
 
 
-def test_bad_meta_json_rejected(tmp_path):
-    meta = b"{not json"
-    rec = struct.pack("<Q", len(meta)) + meta
-    with pytest.raises(binio.FormatError, match="bad meta"):
-        binio.decode_records(tmp_path / "x", [rec], [3])
-
-
-# Each blob holds 2 floats at width 4 (0.5 rows) or 0 floats at width 0, so
-# the byte count alone would accept every one of these.
+# Each blob holds as many floats as the shape [frames, width] multiplies
+# out to, so the byte count alone would accept every one of these.
 @pytest.mark.parametrize("frames, floats, width", [(0.5, 2, 4), (True, 4, 4), (-1, 0, 0),
                                                    ("1", 4, 4)])
 def test_non_integer_frames_rejected(tmp_path, frames, floats, width):
-    meta = binio.encode_header({"frames": frames})
-    rec = struct.pack("<Q", len(meta)) + meta + np.zeros(floats, dtype="<f8").tobytes()
-    with pytest.raises(binio.FormatError, match=re.escape("corrupted record (bad meta)")):
-        binio.decode_records(tmp_path / "x", [rec], [width])
+    path = tmp_path / "artifact"
+    _join(path, 1, {"kind": "posteriors", "shapes": [[frames, width]]}, bytes(8 * floats))
+    with pytest.raises(binio.FormatError,
+                       match=re.escape(f"{path}: corrupted record (bad shapes)")):
+        binio.read_container(path, "posteriors", 1)
 
 
 @pytest.mark.parametrize("missing", [8, 3])  # one float short, and not a whole float
 def test_checkpoint_blob_size_checked(tmp_path, rng, missing):
     path = tmp_path / "model.ekdm"
     _write_checkpoint(path, rng)
-    header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
-    records[2] = records[2][:-missing]  # the second weight matrix
-    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
-    with pytest.raises(binio.FormatError, match=re.escape(f"{path}: corrupted record (blob size)")):
+    path.write_bytes(path.read_bytes()[:-missing])
+    with pytest.raises(binio.FormatError, match=re.escape(f"{path}: corrupted record (blob size")):
         load_checkpoint(path)
 
 
 def test_checkpoint_record_rows_checked(tmp_path, rng):
-    # A bias rewritten as [2, out] passes the blob-size check for 2 rows.
+    # A bias stored as [2, out] is a whole container, but not the layout
+    # the checkpoint's config implies.
     path = tmp_path / "model.ekdm"
     _write_checkpoint(path, rng)
-    header, records = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
-    records[1] = binio.encode_record({}, np.zeros((2, 4)))
-    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, records)
+    header, weights = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    weights[1] = np.zeros((2, 4))
+    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, weights)
     with pytest.raises(binio.FormatError,
-                       match=re.escape(f"{path}: corrupted record (weight 1 has 2 rows")):
+                       match=re.escape(f"{path}: corrupted record (weight layout")):
         load_checkpoint(path)

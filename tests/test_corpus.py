@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,15 +5,15 @@ import pytest
 
 from ekd import binio
 from ekd.config import build_transform, default_config
-from ekd.corpus import (CORPUS_FORMAT_VERSION, Corpus, DomainSpec, Utterance, generate_corpus,
-                        load_corpus, save_corpus, split_corpus, transcript_read_count)
+from ekd.corpus import (Corpus, DomainSpec, Utterance, generate_corpus, load_corpus, save_corpus,
+                        split_corpus, transcript_read_count)
 from ekd.vocab import default_vocabulary, symbol_prototypes
 
 from oracles import expected_mean_frames, nearest_prototype_transcript, tiled_generate_corpus
 
 # Regression pin: SHA-256 of the serialized reference corpus below. Any change
 # to the generator's random stream or the file format must be deliberate.
-REFERENCE_CORPUS_SHA256 = "42797bd5e0744a65814ce16a4d53d997ecc933ea4858c4a36ad313576f40da81"
+REFERENCE_CORPUS_SHA256 = "defad05365d302b33bfb036fb434d2f02a0b377c4cf0a4435243f1ad441c2850"
 
 
 def make_spec(noise=0.25, frames=(2, 4), words=(2, 4), lexicon=("ab", "cd", "bca", "da"),
@@ -140,21 +139,6 @@ def test_round_trip_hash_regression(tmp_path, vocab):
     second = hashlib.sha256(again.read_bytes()).hexdigest()
     assert first == second
     assert first == REFERENCE_CORPUS_SHA256
-
-
-def test_file_with_domain_tags_still_loads(tmp_path, vocab):
-    # Files written before the domain tags were dropped carry "domain_tag" and
-    # "generation_seed" in the header and "domain_tag" in every record.
-    corpus = generate_corpus(make_spec(), vocab, 3, seed=1)
-    header = {"name": corpus.name, "domain_tag": corpus.name, "generation_seed": 1,
-              "vocabulary": dataclasses.asdict(vocab), "vocabulary_hash": vocab.content_hash(),
-              "feature_dim": corpus.feature_dim, "n_utterances": len(corpus)}
-    records = [binio.encode_record({"id": u.id, "domain_tag": corpus.name,
-                                    "transcript": [int(x) for x in u.transcript]}, u.features)
-               for u in corpus.utterances]
-    path = tmp_path / "old.ekdc"
-    binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header, records)
-    assert load_corpus(path) == corpus
 
 
 def test_truncated_record_is_corrupted(tmp_path, vocab):

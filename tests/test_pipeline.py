@@ -11,15 +11,16 @@ import pytest
 
 from ekd import binio
 from ekd.config import SvccaSettings, derive_seed
-from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
+from ekd.corpus import CORPUS_FORMAT_VERSION, generate_corpus, load_corpus, transcript_read_count
 from ekd.ctc import greedy_decode_batch
-from ekd.model import ModelConfig, load_checkpoint
+from ekd.model import CHECKPOINT_FORMAT_VERSION, ModelConfig, load_checkpoint
 from ekd.pipeline import (STAGES, PipelineError, SeedPaths, TeacherQualityError,
                           _eval_matrix, output_root, run_pipeline, run_seed, run_stage,
                           stage_decode, stage_evaluate, stage_gen_data, stage_report,
                           stage_select, stage_svcca, stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
-from ekd.selection import load_posteriors, load_selection, save_posteriors
+from ekd.selection import (POSTERIORS_FORMAT_VERSION, SELECTION_FORMAT_VERSION, load_posteriors,
+                           load_selection, save_posteriors)
 from ekd.training import corpus_posteriors, greedy_corpus_wer
 from ekd.wer import accumulate, wer
 
@@ -385,18 +386,10 @@ def test_version_2_selection_is_refused_naming_select(finished_run, tmp_path, st
     # with --force. Without its student, train-student reads the selection.
     cfg, paths = _copy_run(finished_run, tmp_path)
     old = paths.selection_path("elitist")
-    header, selection = load_selection(old)
-    records = [binio.encode_record({"id": o.utterance_id, "winning_teacher": o.winning_teacher,
-                                    "per_teacher_scores": o.per_teacher_scores,
-                                    "pseudo_transcript": o.pseudo_transcript.tolist(),
-                                    "sequence_confidence": o.sequence_confidence},
-                                   np.zeros((0, 0))) for o in selection.outcomes]
-    header = {k: header[k] for k in ("strategy", "vocabulary_hash", "win_counts", "skipped")}
-    binio.write_container(old, "selection", 2, {**header, "n_outcomes": len(records)}, records)
+    _write_stale(old, "selection", 2)
     paths.student_path("elitist").unlink()
-    with pytest.raises(PipelineError, match=f"^{re.escape(str(old))}: version mismatch "
-                                            r"\(file 2, expected 3\); re-run 'select' with "
-                                            "--force, or use a new output root$"):
+    with pytest.raises(PipelineError, match=_rebuild_remedy(old, "select", 2,
+                                                            SELECTION_FORMAT_VERSION)):
         run_stage(stage, cfg, paths.seed, paths)
 
 
@@ -517,14 +510,20 @@ def test_resume_touches_nothing(finished_run):
 @pytest.fixture(scope="module")
 def forced_units(finished_run, tmp_path_factory):
     """A forced ``run_pipeline`` over a copy of the run, recording every unit
-    each stage hands to ``_run_units`` as (stage, unit), and each unit built
-    as (stage, unit, paths that its stage's load and its build step read)."""
+    each stage hands to ``_run_units`` as (stage, unit), each unit built as
+    (stage, unit, paths that its stage's load and its build step read), every
+    path read and every path read through ``_load_versioned``."""
     cfg, root, _ = finished_run
     copy = tmp_path_factory.mktemp("forced") / "out"
     shutil.copytree(root, copy)
     import ekd.pipeline as pl
 
-    reads, seen, built = [], [], []
+    reads, seen, built, versioned = [], [], [], []
+    real_load_versioned = pl._load_versioned
+
+    def load_versioned(load, path):
+        versioned.append(path)
+        return real_load_versioned(load, path)
 
     def reading(load):
         def recorded(path, *args, **kwargs):
@@ -558,13 +557,14 @@ def forced_units(finished_run, tmp_path_factory):
                      "load_arpa"):
             mp.setattr(pl, name, reading(getattr(pl, name)))
         mp.setattr(pl, "_run_units", run_units)
+        mp.setattr(pl, "_load_versioned", load_versioned)
         run_pipeline(cfg, str(copy), force=True)
-    return cfg, seen, built
+    return cfg, seen, built, reads, versioned
 
 
 def test_every_unit_is_plain_data(forced_units):
     # What a worker process needs: a unit pickles to an equal unit.
-    cfg, seen, _ = forced_units
+    cfg, seen, *_ = forced_units
     assert [stage for stage in STAGES if any(s == stage for s, _ in seen)] == list(STAGES)[:-1]
     assert len(seen) == 4 + 2 * len(cfg.teacher_domains) + 2 * len(cfg.strategies)
     for _, unit in seen:
@@ -573,7 +573,7 @@ def test_every_unit_is_plain_data(forced_units):
 
 def test_every_unit_needs_what_it_reads_from_earlier_stages(forced_units):
     # Resume keyed on a unit's inputs needs every one of them declared.
-    _, seen, built = forced_units
+    _, seen, built, *_ = forced_units
     assert [(stage, unit) for stage, unit, _ in built] == seen
 
     def under(path, roots) -> bool:
@@ -588,6 +588,15 @@ def test_every_unit_needs_what_it_reads_from_earlier_stages(forced_units):
     assert stages_reading == set(STAGES) - {"gen-data", "report"}
 
 
+def test_every_binary_artifact_read_names_its_producer_if_stale(forced_units):
+    # Only the LM is read bare: it is text, with no format version.
+    *_, reads, versioned = forced_units
+    assert [p for p in reads if p.suffix != ".arpa"] == versioned
+    assert {p.parent.name for p in versioned} == {
+        "corpora", "teachers", "decode", "select", "students", "student_elitist",
+        "student_original_labels"}
+
+
 def test_missing_upstream_artifact_names_file(tmp_path):
     cfg = compact_config(str(tmp_path / "out"))
     paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
@@ -596,21 +605,14 @@ def test_missing_upstream_artifact_names_file(tmp_path):
         stage_decode(cfg, cfg.seeds[0], paths)
 
 
-def _write_version_1_checkpoint(path: Path) -> None:
-    """Rewrite the checkpoint at ``path`` as a root written before checkpoints
-    moved to one record per weight array had it: version 1 kept the shapes
-    in the header and every weight in one blob."""
-    model = load_checkpoint(path)
-    header = {"config": dataclasses.asdict(model.config), "feature_dim": model.feature_dim,
-              "vocab_size": model.vocab_size, "vocabulary_hash": model.vocabulary_hash,
-              "layout": [list(w.shape) for w in model.weights],
-              "training_meta": model.training_meta}
-    blob = np.concatenate([w.ravel() for w in model.weights]).astype("<f8").tobytes()
-    binio.write_container(path, "checkpoint", 1, header, [blob])
+def _write_stale(path: Path, kind: str, version: int) -> None:
+    """Overwrite ``path`` with a ``kind`` container of an older format
+    ``version``: a loader reads its version number and nothing after it."""
+    binio.write_container(path, kind, version, {})
 
 
-def _rebuild_remedy(path: Path, stage: str) -> str:
-    return (f"^{re.escape(str(path))}: version mismatch \\(file 1, expected 2\\); "
+def _rebuild_remedy(path: Path, stage: str, version: int, expected: int) -> str:
+    return (f"^{re.escape(str(path))}: version mismatch \\(file {version}, expected {expected}\\); "
             f"re-run '{stage}' with --force, or use a new output root$")
 
 
@@ -618,25 +620,63 @@ def test_resume_over_version_1_checkpoint_names_stage(finished_run, tmp_path):
     # Resuming cannot mend an old teacher: decode names the stage that rebuilds it.
     cfg, paths = _copy_run(finished_run, tmp_path)
     name = cfg.teacher_domains[0].name
-    _write_version_1_checkpoint(paths.teacher_path(name))
+    _write_stale(paths.teacher_path(name), "checkpoint", 1)
     paths.posteriors_path(name).unlink()
-    with pytest.raises(PipelineError, match=_rebuild_remedy(paths.teacher_path(name),
-                                                            "train-teacher")):
+    with pytest.raises(PipelineError, match=_rebuild_remedy(
+            paths.teacher_path(name), "train-teacher", 1, CHECKPOINT_FORMAT_VERSION)):
         run_seed(cfg, paths.seed, tmp_path / "copy")
 
 
 def test_evaluate_over_version_1_student_checkpoint_names_train_student(finished_run, tmp_path):
     cfg, paths = _copy_run(finished_run, tmp_path)
     student = paths.student_path(cfg.strategies[-1])
-    _write_version_1_checkpoint(student)
+    _write_stale(student, "checkpoint", 1)
     (paths.eval / "results.tsv").unlink()
-    with pytest.raises(PipelineError, match=_rebuild_remedy(student, "train-student")):
+    with pytest.raises(PipelineError, match=_rebuild_remedy(student, "train-student", 1,
+                                                            CHECKPOINT_FORMAT_VERSION)):
         run_seed(cfg, paths.seed, tmp_path / "copy")
     # The remedy works: the rebuilt student gives the same results.
     run_stage("train-student", cfg, paths.seed, paths, force=True)
     run_seed(cfg, paths.seed, tmp_path / "copy")
     assert ((paths.eval / "results.tsv").read_bytes()
             == (finished_run[1] / paths.base.name / "eval" / "results.tsv").read_bytes())
+
+
+def _first_snapshot(run: str):
+    return lambda cfg, paths: sorted(paths.snapshot_dir(run).glob("epoch_*.ekdm"))[0]
+
+
+# Each stale file, read by one stage, names the stage that rebuilds it: (the
+# file, the stage run, an output deleted so that the stage reads the file,
+# the stage named).
+@pytest.mark.parametrize("stale, stage, deleted, producer", [
+    (lambda cfg, paths: paths.student_train(cfg), "gen-data", None, "gen-data"),
+    (lambda cfg, paths: paths.student_train(cfg), "train-student",
+     lambda cfg, paths: paths.student_path("elitist"), "gen-data"),
+    (lambda cfg, paths: paths.corpus_path("alpha", "train"), "train-teacher",
+     lambda cfg, paths: paths.teacher_path("alpha"), "gen-data"),
+    (lambda cfg, paths: paths.corpus_path("alpha", "test"), "evaluate",
+     lambda cfg, paths: paths.eval / "results.tsv", "gen-data"),
+    (lambda cfg, paths: paths.posteriors_path("alpha"), "select",
+     lambda cfg, paths: paths.selection_path("elitist"), "decode"),
+    (_first_snapshot("student_elitist"), "svcca",
+     lambda cfg, paths: paths.svcca / "trajectory.txt", "train-student"),
+    (_first_snapshot("student_original_labels"), "svcca",
+     lambda cfg, paths: paths.svcca / "trajectory.txt", "svcca")],
+    ids=["student-corpus-on-resume", "student-corpus", "teacher-corpus", "test-corpus",
+         "posteriors", "elitist-snapshot", "reference-snapshot"])
+def test_stale_artifact_names_the_stage_that_rebuilds_it(finished_run, tmp_path, stale, stage,
+                                                         deleted, producer):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    path = stale(cfg, paths)
+    kind, version = {".ekdc": ("corpus", CORPUS_FORMAT_VERSION),
+                     ".ekdp": ("posteriors", POSTERIORS_FORMAT_VERSION),
+                     ".ekdm": ("checkpoint", CHECKPOINT_FORMAT_VERSION)}[path.suffix]
+    _write_stale(path, kind, version - 1)
+    if deleted:
+        deleted(cfg, paths).unlink()
+    with pytest.raises(PipelineError, match=_rebuild_remedy(path, producer, version - 1, version)):
+        run_stage(stage, cfg, paths.seed, paths)
 
 
 def test_stage_failure_names_stage(tmp_path, monkeypatch):

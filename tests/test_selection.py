@@ -278,9 +278,9 @@ def test_selection_round_trip(tmp_path, rng):
         assert a.sequence_confidence == b.sequence_confidence
         assert a.winning_teacher == b.winning_teacher
         assert a.per_teacher_scores == b.per_teacher_scores
-    # The header holds every outcome; there are no records.
-    header, records = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
-    assert records == [] and len(header["outcomes"]) == len(result.outcomes)
+    # The header holds every outcome; there are no arrays.
+    header, arrays = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    assert arrays == [] and len(header["outcomes"]) == len(result.outcomes)
     again = tmp_path / "s2.ekds"
     save_selection(again, loaded, "hash123")
     assert again.read_bytes() == path.read_bytes()
