@@ -22,15 +22,14 @@ from typing import Sequence
 import numpy as np
 
 MAGIC = b"EKD1"
+# Every kind's format version; above every per-kind version an earlier ekd
+# wrote, so each of its files is stale.
+VERSION = 5
 _PREFIX = struct.Struct("<IQ")  # version, header length
 
 
 class FormatError(ValueError):
     """Raised on bad magic, version/kind mismatch, or a corrupted container."""
-
-
-class VersionError(FormatError):
-    """Raised on a container of another format version."""
 
 
 class _Fields(dict):
@@ -65,13 +64,13 @@ def encode_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
 
 
-def write_container(path: str | Path, kind: str, version: int, header: dict,
+def write_container(path: str | Path, kind: str, header: dict,
                     arrays: Sequence[np.ndarray] = ()) -> None:
     """``header`` plus its ``kind`` and the shape of each of ``arrays``, then
     the arrays' values."""
     arrays = [np.asarray(a, dtype="<f8") for a in arrays]
     blob = encode_header({**header, "kind": kind, "shapes": [list(a.shape) for a in arrays]})
-    atomic_write_bytes(path, b"".join([MAGIC, _PREFIX.pack(version, len(blob)), blob,
+    atomic_write_bytes(path, b"".join([MAGIC, _PREFIX.pack(VERSION, len(blob)), blob,
                                        *(a.tobytes() for a in arrays)]))
 
 
@@ -80,10 +79,18 @@ def _is_shape(shape) -> bool:
     return isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
 
 
-def read_container(path: str | Path, kind: str,
-                   version: int) -> tuple[dict, list[np.ndarray]]:
-    """The header and arrays of a container of ``kind`` and ``version``; each
-    array is a copy of its own. Reading a key the header lacks raises
+def stale(path: str | Path) -> bool:
+    """True if ``path`` is a container of another format version, read from
+    its prefix alone; a text file, a short file or one without the magic is
+    not stale (its loader refuses it)."""
+    with open(path, "rb") as f:
+        magic, prefix = f.read(len(MAGIC)), f.read(_PREFIX.size)
+    return magic == MAGIC and len(prefix) == _PREFIX.size and _PREFIX.unpack(prefix)[0] != VERSION
+
+
+def read_container(path: str | Path, kind: str) -> tuple[dict, list[np.ndarray]]:
+    """The header and arrays of a container of ``kind`` at :data:`VERSION`;
+    each array is a copy of its own. Reading a key the header lacks raises
     :class:`FormatError`."""
     data = Path(path).read_bytes()
 
@@ -96,8 +103,8 @@ def read_container(path: str | Path, kind: str,
     if len(data) < start:
         raise corrupted("truncated header")
     got_version, hlen = _PREFIX.unpack_from(data, len(MAGIC))
-    if got_version != version:
-        raise VersionError(f"{path}: version mismatch (file {got_version}, expected {version})")
+    if got_version != VERSION:
+        raise FormatError(f"{path}: version mismatch (file {got_version}, expected {VERSION})")
     if len(data) < start + hlen:
         raise corrupted("truncated header")
     try:

@@ -94,6 +94,15 @@ class DomainRecipe:
         if min(words) < 0 or sum(words) < 1:
             raise ValueError(f"domain {self.name!r}: shared_words and unique_words must be >= 0 "
                              f"and not both 0 (got {words[0]} and {words[1]})")
+        (flo, fhi), (wlo, whi) = self.frames_per_symbol, self.utterance_words
+        for key, ok, rule in (("frames_per_symbol", 1 <= flo <= fhi, "satisfy 1 <= lo <= hi"),
+                              ("utterance_words", 1 <= wlo <= whi, "satisfy 1 <= lo <= hi"),
+                              ("emission_noise_std", self.emission_noise_std >= 0, "be >= 0"),
+                              ("transform_strength", 0 <= self.transform_strength <= 1,
+                               "lie in [0, 1]")):
+            if not ok:
+                raise ValueError(f"domain {self.name!r}: {key} must {rule} "
+                                 f"(got {getattr(self, key)})")
 
 
 def _default_teacher_recipes() -> list[DomainRecipe]:

@@ -8,8 +8,6 @@ import numpy as np
 from . import binio
 from .vocab import Vocabulary, symbol_prototypes
 
-CORPUS_FORMAT_VERSION = 2
-
 # Counts every access to Utterance.transcript; lets callers prove a code path
 # (student training) never touched the labels.
 _TRANSCRIPT_READS = 0
@@ -154,12 +152,9 @@ class DomainSpec:
             raise ValueError("feature_scale must be square")
         if self.feature_bias.shape != (self.feature_scale.shape[0],):
             raise ValueError("feature_bias dimension does not match feature_scale")
-        lo, hi = self.frames_per_symbol
-        if not (1 <= lo <= hi):
-            raise ValueError("frames_per_symbol range must satisfy 1 <= lo <= hi")
-        lo, hi = self.utterance_length_range
-        if not (1 <= lo <= hi):
-            raise ValueError("utterance_length_range must satisfy 1 <= lo <= hi")
+        for key in ("frames_per_symbol", "utterance_length_range"):
+            if not 1 <= getattr(self, key)[0] <= getattr(self, key)[1]:
+                raise ValueError(f"{key} must satisfy 1 <= lo <= hi")
         self.lexicon = tuple(self.lexicon)
 
     @property
@@ -243,13 +238,12 @@ def save_corpus(corpus: Corpus, path) -> None:
         "transcripts": [None if u._transcript is None else u._transcript.tolist()
                         for u in corpus.utterances],
     }
-    binio.write_container(path, "corpus", CORPUS_FORMAT_VERSION, header,
-                          [u.features for u in corpus.utterances])
+    binio.write_container(path, "corpus", header, [u.features for u in corpus.utterances])
 
 
 def load_corpus(path) -> Corpus:
     """The corpus saved at ``path``."""
-    header, features = binio.read_container(path, "corpus", CORPUS_FORMAT_VERSION)
+    header, features = binio.read_container(path, "corpus")
     with binio.checked(path):
         vocab = Vocabulary(**header["vocabulary"])
         if vocab.content_hash() != header["vocabulary_hash"]:

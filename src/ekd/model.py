@@ -9,8 +9,6 @@ import numpy as np
 
 from . import binio
 
-CHECKPOINT_FORMAT_VERSION = 3
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -138,13 +136,13 @@ def save_checkpoint(model: ModelCheckpoint, path) -> None:
         "vocabulary_hash": model.vocabulary_hash,
         "training_meta": model.training_meta,
     }
-    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, model.weights)
+    binio.write_container(path, "checkpoint", header, model.weights)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
     """The checkpoint saved at ``path``; weights that do not have the layout
     its config implies raise :class:`~ekd.binio.FormatError`."""
-    header, weights = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    header, weights = binio.read_container(path, "checkpoint")
     with binio.checked(path):
         return ModelCheckpoint(
             config=ModelConfig(**header["config"]),

@@ -8,10 +8,10 @@ without the LM, and run the representation-trajectory comparison. Every
 stage persists its artifacts and can be re-run independently. A stage is a
 list of units, plain data that one rule (``_run_units``) skips or rebuilds,
 so deleting one unit's outputs and re-running its stage rebuilds only that
-unit. Resume is keyed on file existence only: after changing the config on
-an existing root, pass ``force`` or use a new root, or the old artifacts
-are reused (those of another vocabulary are refused, and one of another
-format version names the stage that rebuilds it).
+unit. Resume is keyed on presence: a file exists at the current format
+version (``binio.VERSION``), so a stale file is rebuilt like a missing one.
+After changing the config on an existing root, pass ``force`` or use a new
+root, or the old artifacts are reused (those of another vocabulary are refused).
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ from .report import CellKey, ResultTable, summarize
 from .selection import (Strategy, TeacherBundle, load_posteriors, load_selection,
                         save_posteriors, save_selection, select_corpus)
 from .svcca import ActivationMatrix, correlation_trajectory
-from .training import (corpus_posteriors, dump_activations, greedy_corpus_wer, train_student,
-                       train_teacher)
+from .training import (corpus_posteriors, dump_activations, greedy_corpus_wer, snapshot_epochs,
+                       train_student, train_teacher)
 from .vocab import Vocabulary
 from .wer import WerBreakdown, accumulate, wer
 
@@ -94,28 +94,33 @@ class SeedPaths:
     def snapshot_dir(self, run_name: str) -> Path:
         return self.base / "snapshots" / run_name
 
+    def snapshots(self, run_name: str, config: ExperimentConfig) -> list[Path]:
+        """The per-epoch checkpoints of a run, one per ``snapshot_epochs``."""
+        return [self.snapshot_dir(run_name) / f"epoch_{epoch:04d}.ekdm"
+                for epoch in snapshot_epochs(config.train)]
+
 
 # -- the resume rule ------------------------------------------------------------
 
 _ANALYSED = Strategy.ELITIST.value  # svcca's student, the only one keeping per-epoch snapshots
 _ORIGINAL = "student_original_labels"  # svcca's own run, on the true labels
 
-# The stage that writes the artifacts of each directory under seed_<s>/, by
-# name; under snapshots/, each run's directory is its own producer's.
+# The stage that writes the files of each directory an earlier stage's
+# artifact lies in, by the directory's name.
 _PRODUCERS = {"corpora": "gen-data", "lm": "gen-data", "teachers": "train-teacher",
               "decode": "decode", "select": "select", "students": "train-student",
-              f"student_{_ANALYSED}": "train-student", _ORIGINAL: "svcca", "eval": "evaluate"}
+              f"student_{_ANALYSED}": "train-student", "eval": "evaluate"}
 
 
-def _producer(path: Path) -> str:
-    """The stage that writes ``path``: a file under one of ``_PRODUCERS``'
-    directories, or a snapshot directory itself."""
-    return _PRODUCERS.get(path.parent.name) or _PRODUCERS[path.name]
+def _present(path: Path) -> bool:
+    """The one resume rule: ``path`` exists at the current format version."""
+    return path.exists() and not binio.stale(path)
 
 
 def _require(path: Path) -> Path:
-    if not path.exists():
-        raise PipelineError(f"missing required artifact {path}; run '{_producer(path)}' first")
+    if not _present(path):
+        raise PipelineError(f"missing or out-of-date artifact {path}; "
+                            f"run '{_PRODUCERS[path.parent.name]}' first")
     return path
 
 
@@ -130,16 +135,16 @@ def _run_units(stage: str, units: list[_Unit], config: ExperimentConfig, seed: i
                paths: SeedPaths, force: bool,
                load: Callable[[ExperimentConfig, SeedPaths], object] | None = None) -> list[_Unit]:
     """A unit is one piece of a stage's work: its name (a teacher domain, a
-    strategy or a step), the files and directories it writes, the artifacts
-    of earlier stages that it or the stage's ``load`` reads, and a
-    module-level build step. Each unit whose outputs all exist is skipped
+    strategy or a step), the files it writes, the artifacts of earlier
+    stages that it or the stage's ``load`` reads, and a module-level build
+    step. Each unit whose outputs are all present (``_present``) is skipped
     unless ``force``. If any unit is left to build, the needs of every such
     unit are checked and the inputs loaded, once, by ``load(config, paths)``;
     then each has its outputs deleted and is built as ``unit.build(config,
     seed, paths, inputs, unit.name)``. Returns the units built."""
     todo = []
     for unit in units:
-        if all(p.exists() for p in unit.outputs) and not force:
+        if not force and all(map(_present, unit.outputs)):
             logger.info("%s %s: outputs exist, skipping", stage, unit.name)
         else:
             todo.append(unit)
@@ -150,10 +155,7 @@ def _run_units(stage: str, units: list[_Unit], config: ExperimentConfig, seed: i
     inputs = load(config, paths) if load else None
     for unit in todo:
         for path in unit.outputs:
-            if path.is_dir():
-                shutil.rmtree(path)
-            elif path.exists():
-                path.unlink()
+            path.unlink(missing_ok=True)
         unit.build(config, seed, paths, inputs, unit.name)
     return todo
 
@@ -167,19 +169,9 @@ def _check_vocabulary(path: Path, vocabulary_hash: str, config: ExperimentConfig
                             "with --force, or use a new output root")
 
 
-def _load_versioned(load: Callable, path: Path):
-    """``load(path)`` of an earlier stage's artifact; a file of another format
-    version names the stage that rebuilds it. Every such read goes through here."""
-    try:
-        return load(path)
-    except binio.VersionError as e:
-        raise PipelineError(f"{e}; re-run '{_producer(path)}' with --force, "
-                            "or use a new output root") from e
-
-
 def _load_checked(load: Callable, path: Path, config: ExperimentConfig):
-    """The artifact of ``_load_versioned``, its header checked by ``_check_vocabulary``."""
-    header, artifact = _load_versioned(load, path)
+    """The artifact of ``load(path)``, its header checked by ``_check_vocabulary``."""
+    header, artifact = load(path)
     _check_vocabulary(path, header["vocabulary_hash"], config)
     return artifact
 
@@ -191,7 +183,7 @@ def _seeded_configs(config: ExperimentConfig, seed: int, run: str):
 
 
 def _load_student_train(config: ExperimentConfig, paths: SeedPaths) -> Corpus:
-    return _load_versioned(load_corpus, paths.student_train(config))
+    return load_corpus(paths.student_train(config))
 
 
 # -- stages -------------------------------------------------------------------
@@ -254,7 +246,7 @@ def _probe_gate(model: ModelCheckpoint, corpus: Corpus, spec, train_seed: int,
 
 
 def _train_teacher(config, seed, paths, specs, name) -> None:
-    corpus = _load_versioned(load_corpus, paths.corpus_path(name, "train"))
+    corpus = load_corpus(paths.corpus_path(name, "train"))
     model_cfg, train_cfg = _seeded_configs(config, seed, name)
     model = train_teacher(corpus, model_cfg, train_cfg)
     if config.probe_wer_threshold is not None:
@@ -274,7 +266,7 @@ def stage_train_teacher(config: ExperimentConfig, seed: int, paths: SeedPaths,
 
 
 def _decode(config, seed, paths, corpus, name) -> None:
-    model = _load_versioned(load_checkpoint, paths.teacher_path(name))
+    model = load_checkpoint(paths.teacher_path(name))
     save_posteriors(paths.posteriors_path(name), corpus_posteriors(model, corpus),
                     f"teacher_{name}", corpus.vocabulary.content_hash())
 
@@ -313,25 +305,27 @@ def stage_select(config: ExperimentConfig, seed: int, paths: SeedPaths,
     _run_units("select", units, config, seed, paths, force, load=_load_bundles)
 
 
-def _snapshots_into(snap_dir: Path):
-    """A snapshot hook that writes each epoch's checkpoint into a new ``snap_dir``."""
-    snap_dir.mkdir(parents=True)
-    return lambda epoch, ckpt: save_checkpoint(ckpt, snap_dir / f"epoch_{epoch:04d}.ekdm")
+def _snapshots_into(files: list[Path], config: ExperimentConfig):
+    """A hook saving the checkpoint of each of ``snapshot_epochs`` as its one of
+    ``files``, in their directory started afresh: no earlier run's snapshot stays."""
+    shutil.rmtree(files[0].parent, ignore_errors=True)
+    files[0].parent.mkdir(parents=True)
+    by_epoch = dict(zip(snapshot_epochs(config.train), files))
+    return lambda epoch, ckpt: save_checkpoint(ckpt, by_epoch[epoch])
 
 
-def _sample_snapshots(snap_dir: Path, corpus: Corpus,
+def _sample_snapshots(files: list[Path], corpus: Corpus,
                       config: ExperimentConfig) -> dict[int, dict[str, ActivationMatrix]]:
-    """``{epoch: {layer: activations}}`` of every snapshot in ``snap_dir``,
-    each sampled on the same frames of ``corpus``."""
-    return {int(p.stem.split("_")[1]): dump_activations(_load_versioned(load_checkpoint, p),
-                                                        corpus, config.svcca.n_frames,
-                                                        config.svcca.sample_seed)
-            for p in sorted(snap_dir.glob("epoch_*.ekdm"))}
+    """``{epoch: {layer: activations}}`` of a run's snapshot ``files``, each
+    sampled on the same frames of ``corpus``."""
+    return {epoch: dump_activations(load_checkpoint(path), corpus, config.svcca.n_frames,
+                                    config.svcca.sample_seed)
+            for epoch, path in zip(snapshot_epochs(config.train), files)}
 
 
 def _train_student(config, seed, paths, unlabeled, strategy) -> None:
     selection = _load_checked(load_selection, paths.selection_path(strategy), config)
-    hook = (_snapshots_into(paths.snapshot_dir(f"student_{strategy}"))
+    hook = (_snapshots_into(paths.snapshots(f"student_{strategy}", config), config)
             if strategy == _ANALYSED else None)
     model_cfg, train_cfg = _seeded_configs(config, seed, "student")
     model = train_student(selection.outcomes, unlabeled, model_cfg, train_cfg, snapshot_hook=hook)
@@ -343,8 +337,8 @@ def _train_student(config, seed, paths, unlabeled, strategy) -> None:
 def stage_train_student(config: ExperimentConfig, seed: int, paths: SeedPaths,
                         force: bool = False) -> None:
     """train student model(s) on selected soft labels"""
-    snap_dir = paths.snapshot_dir(f"student_{_ANALYSED}")
-    units = [_Unit(s, [paths.student_path(s), *([snap_dir] if s == _ANALYSED else [])],
+    snapshots = paths.snapshots(f"student_{_ANALYSED}", config)
+    units = [_Unit(s, [paths.student_path(s), *(snapshots if s == _ANALYSED else [])],
                    [paths.student_train(config), paths.selection_path(s)], _train_student)
              for s in config.strategies]
     _run_units("train-student", units, config, seed, paths, force,
@@ -388,10 +382,10 @@ def _evaluate(config, seed, paths, lm, _name) -> None:
     keys, references, posteriors = [], [], []
     test_corpora = {}  # path -> (test corpus, reference words), built once for all its models
     for model_name, checkpoint, test_sets in _eval_matrix(config, paths):
-        model = _load_versioned(load_checkpoint, checkpoint)
+        model = load_checkpoint(checkpoint)
         for test_set, corpus_path in test_sets:
             if corpus_path not in test_corpora:
-                corpus = _load_versioned(load_corpus, corpus_path)
+                corpus = load_corpus(corpus_path)
                 test_corpora[corpus_path] = corpus, [corpus.vocabulary.indices_to_words(
                     u.transcript) for u in corpus.utterances]
             corpus, words = test_corpora[corpus_path]
@@ -428,14 +422,14 @@ def _svcca_reference_run(config, seed, paths, corpus, _name) -> None:
     # sharing init and batching with the pseudo-label student.
     model_cfg, train_cfg = _seeded_configs(config, seed, "student")
     train_teacher(corpus, model_cfg, train_cfg,
-                  snapshot_hook=_snapshots_into(paths.snapshot_dir(_ORIGINAL)))
+                  snapshot_hook=_snapshots_into(paths.snapshots(_ORIGINAL, config), config))
 
 
 def _svcca_report(config, seed, paths, corpus, _name) -> None:
     layers = [f"hidden_{i}" for i in range(len(config.model.hidden_sizes))]
     report = correlation_trajectory(
-        _sample_snapshots(paths.snapshot_dir(_ORIGINAL), corpus, config),
-        _sample_snapshots(paths.snapshot_dir(f"student_{_ANALYSED}"), corpus, config), layers,
+        _sample_snapshots(paths.snapshots(_ORIGINAL, config), corpus, config),
+        _sample_snapshots(paths.snapshots(f"student_{_ANALYSED}", config), corpus, config), layers,
         config.svcca.variance_fraction)
     binio.atomic_write_text(paths.svcca / "trajectory.txt", report.to_text())
     binio.atomic_write_text(paths.svcca / "layer_diffs.tsv", report.diffs_text())
@@ -444,17 +438,11 @@ def _svcca_report(config, seed, paths, corpus, _name) -> None:
 def stage_svcca(config: ExperimentConfig, seed: int, paths: SeedPaths,
                 force: bool = False) -> None:
     """layer-correlation trajectories: original vs pseudo labels"""
-    original_dir = paths.snapshot_dir(_ORIGINAL)
-    # _run_training always snapshots its last epoch, so an interrupted run
-    # lacks that file and is rebuilt on resume.
-    last = original_dir / f"epoch_{config.train.epochs:04d}.ekdm"
-    # The elitist checkpoint is saved after its last snapshot, so an
-    # interrupted train-student leaves it missing and its snapshots incomplete.
-    pseudo = [paths.snapshot_dir(f"student_{_ANALYSED}"), paths.student_path(_ANALYSED)]
-    units = [_Unit("reference run", [original_dir, last], [paths.student_train(config)],
-                   _svcca_reference_run),
+    units = [_Unit("reference run", paths.snapshots(_ORIGINAL, config),
+                   [paths.student_train(config)], _svcca_reference_run),
              _Unit("report", [paths.svcca / "trajectory.txt", paths.svcca / "layer_diffs.tsv"],
-                   [paths.student_train(config), *pseudo], _svcca_report)]
+                   [paths.student_train(config), *paths.snapshots(f"student_{_ANALYSED}", config)],
+                   _svcca_report)]
     _run_units("svcca", units, config, seed, paths, force, load=_load_student_train)
 
 

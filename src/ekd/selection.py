@@ -21,9 +21,6 @@ from .ctc import PosteriorSequence, greedy_decode_batch, prepare_target
 
 logger = logging.getLogger(__name__)
 
-SELECTION_FORMAT_VERSION = 4
-POSTERIORS_FORMAT_VERSION = 2
-
 
 class Strategy(str, Enum):
     TEACHER_AVERAGE = "teacher_average"
@@ -188,12 +185,11 @@ def save_posteriors(path, posteriors: list[PosteriorSequence], model_id: str,
     the same order."""
     header = {"model_id": model_id, "vocabulary_hash": vocabulary_hash,
               "ids": [p.utterance_id for p in posteriors]}
-    binio.write_container(path, "posteriors", POSTERIORS_FORMAT_VERSION, header,
-                          [p.probs for p in posteriors])
+    binio.write_container(path, "posteriors", header, [p.probs for p in posteriors])
 
 
 def load_posteriors(path) -> tuple[dict, list[PosteriorSequence]]:
-    header, probs = binio.read_container(path, "posteriors", POSTERIORS_FORMAT_VERSION)
+    header, probs = binio.read_container(path, "posteriors")
     with binio.checked(path):
         binio.check_counts(path, header["ids"], arrays=probs)
         return header, [PosteriorSequence(*p) for p in zip(probs, header["ids"])]
@@ -215,11 +211,11 @@ def save_selection(path, selection: CorpusSelection, vocabulary_hash: str) -> No
             "sequence_confidence": o.sequence_confidence,
         } for o in selection.outcomes],
     }
-    binio.write_container(path, "selection", SELECTION_FORMAT_VERSION, header)
+    binio.write_container(path, "selection", header)
 
 
 def load_selection(path) -> tuple[dict, CorpusSelection]:
-    header, arrays = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    header, arrays = binio.read_container(path, "selection")
     if arrays:
         raise binio.FormatError(f"{path}: corrupted record (a selection file has no arrays)")
     with binio.checked(path):

@@ -43,6 +43,12 @@ class TrainConfig:
             raise ValueError(f"optimizer {self.optimizer!r}: only 'adam' is supported")
 
 
+def snapshot_epochs(cfg: TrainConfig) -> list[int]:
+    """The epochs after which a run logs its loss and calls its snapshot
+    hook: every ``eval_every``-th and the last."""
+    return sorted({*range(cfg.eval_every, cfg.epochs + 1, cfg.eval_every), cfg.epochs})
+
+
 class _Optimizer:
     def __init__(self, cfg: TrainConfig, weights: list[np.ndarray]):
         self.cfg = cfg
@@ -97,6 +103,7 @@ def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: Model
     opt = _Optimizer(cfg, model.weights)
     shuffle_rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
+    snapshots = set(snapshot_epochs(cfg))
     n = len(utterances)
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -126,7 +133,7 @@ def _run_training(corpus: Corpus, utterances, targets, weights, model_cfg: Model
         epoch_losses.append(mean_loss)
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"epoch {epoch}: non-finite mean loss {mean_loss}")
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+        if epoch in snapshots:
             logger.info("%s epoch %d: mean loss %.6f over %d utterances",
                         corpus.name, epoch, mean_loss, n)
             if snapshot_hook is not None:

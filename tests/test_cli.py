@@ -195,7 +195,15 @@ def test_infeasible_config_value_is_a_cli_error(tmp_path, capsys, override, mess
     (["student_domain.unique_words=-1"],
      "domain 'delta': shared_words and unique_words must be >= 0 and not both 0 "
      "(got 10 and -1)"),
-    (["feature_dim=0"], "config key 'feature_dim' must be >= 1")])
+    (["feature_dim=0"], "config key 'feature_dim' must be >= 1"),
+    (["student_domain.utterance_words=[0,2]"],
+     "domain 'delta': utterance_words must satisfy 1 <= lo <= hi (got (0, 2))"),
+    (["student_domain.frames_per_symbol=[3,1]"],
+     "domain 'delta': frames_per_symbol must satisfy 1 <= lo <= hi (got (3, 1))"),
+    (["student_domain.emission_noise_std=-1.0"],
+     "domain 'delta': emission_noise_std must be >= 0 (got -1.0)"),
+    (["student_domain.transform_strength=2.0"],
+     "domain 'delta': transform_strength must lie in [0, 1] (got 2.0)")])
 def test_config_gen_data_cannot_finish_is_refused_at_load(tmp_path, capsys, overrides,
                                                           message):
     """A config on which gen-data would fail part-way, write outside the

@@ -13,7 +13,7 @@ from oracles import expected_mean_frames, nearest_prototype_transcript, tiled_ge
 
 # Regression pin: SHA-256 of the serialized reference corpus below. Any change
 # to the generator's random stream or the file format must be deliberate.
-REFERENCE_CORPUS_SHA256 = "defad05365d302b33bfb036fb434d2f02a0b377c4cf0a4435243f1ad441c2850"
+REFERENCE_CORPUS_SHA256 = "eb2ac1e97bca604c7ceb64de8f8766f6005dd4599c257aa058a568cabda326b2"
 
 
 def make_spec(noise=0.25, frames=(2, 4), words=(2, 4), lexicon=("ab", "cd", "bca", "da"),

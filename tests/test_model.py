@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ekd import binio
 from ekd.ctc import softmax
-from ekd.model import (CHECKPOINT_FORMAT_VERSION, ModelCheckpoint, ModelConfig, context_expand,
-                       forward_features, init_model, layer_shapes, load_checkpoint,
-                       save_checkpoint)
+from ekd.model import (ModelCheckpoint, ModelConfig, context_expand, forward_features,
+                       init_model, layer_shapes, load_checkpoint, save_checkpoint)
 
 from oracles import padded_context_expand
 
@@ -134,9 +133,9 @@ def test_checkpoint_recording_relu_is_refused(tmp_path):
     loaded as a tanh model."""
     path = tmp_path / "m.ekdm"
     save_checkpoint(make_model(), path)
-    header, weights = binio.read_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    header, weights = binio.read_container(path, "checkpoint")
     header["config"] = {**header["config"], "activation": "relu"}
-    binio.write_container(path, "checkpoint", CHECKPOINT_FORMAT_VERSION, header, weights)
+    binio.write_container(path, "checkpoint", header, weights)
     with pytest.raises(ValueError, match="activation 'relu': only 'tanh'"):
         load_checkpoint(path)
 

@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,16 +12,15 @@ import pytest
 
 from ekd import binio
 from ekd.config import SvccaSettings, derive_seed
-from ekd.corpus import CORPUS_FORMAT_VERSION, generate_corpus, load_corpus, transcript_read_count
+from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
 from ekd.ctc import greedy_decode_batch
-from ekd.model import CHECKPOINT_FORMAT_VERSION, ModelConfig, load_checkpoint
+from ekd.model import ModelConfig, load_checkpoint
 from ekd.pipeline import (STAGES, PipelineError, SeedPaths, TeacherQualityError,
                           _eval_matrix, output_root, run_pipeline, run_seed, run_stage,
                           stage_decode, stage_evaluate, stage_gen_data, stage_report,
                           stage_select, stage_svcca, stage_train_student, stage_train_teacher)
 from ekd.report import ResultTable
-from ekd.selection import (POSTERIORS_FORMAT_VERSION, SELECTION_FORMAT_VERSION, load_posteriors,
-                           load_selection, save_posteriors)
+from ekd.selection import load_posteriors, load_selection, save_posteriors
 from ekd.training import corpus_posteriors, greedy_corpus_wer
 from ekd.wer import accumulate, wer
 
@@ -380,19 +380,6 @@ def test_report_requires_every_selection(finished_run, tmp_path):
         stage_report(cfg, paths.seed, paths)
 
 
-@pytest.mark.parametrize("stage", ["train-student", "report"])
-def test_version_2_selection_is_refused_naming_select(finished_run, tmp_path, stage):
-    # Version 2 kept one record per outcome; a root written then is rebuilt
-    # with --force. Without its student, train-student reads the selection.
-    cfg, paths = _copy_run(finished_run, tmp_path)
-    old = paths.selection_path("elitist")
-    _write_stale(old, "selection", 2)
-    paths.student_path("elitist").unlink()
-    with pytest.raises(PipelineError, match=_rebuild_remedy(old, "select", 2,
-                                                            SELECTION_FORMAT_VERSION)):
-        run_stage(stage, cfg, paths.seed, paths)
-
-
 def _other_model(row: str) -> str:
     test_set, _, rest = row.split("\t", 2)
     return "\t".join([test_set, "teacher_epsilon", rest])
@@ -435,8 +422,8 @@ def _cut_after_first_snapshot(monkeypatch):
 
     real = pl._snapshots_into
 
-    def cut_after_first(snap_dir):
-        hook = real(snap_dir)
+    def cut_after_first(files, config):
+        hook = real(files, config)
 
         def snapshot_then_stop(epoch, ckpt):
             hook(epoch, ckpt)
@@ -448,8 +435,8 @@ def _cut_after_first_snapshot(monkeypatch):
 
 
 def test_interrupted_svcca_reference_run_is_rebuilt(finished_run, tmp_path, monkeypatch):
-    # The snapshot directory exists from the first snapshot on, so only the
-    # final epoch's snapshot tells a finished reference run from a cut one.
+    # Every snapshot file is an output of the reference run, so a cut run,
+    # which lacks its later ones, is rebuilt.
     cfg, paths = _copy_run(finished_run, tmp_path)
     before = (paths.svcca / "trajectory.txt").read_bytes()
     reference = paths.snapshot_dir("student_original_labels")
@@ -470,7 +457,8 @@ def test_interrupted_svcca_reference_run_is_rebuilt(finished_run, tmp_path, monk
 
 def test_svcca_refuses_an_interrupted_elitist_student(finished_run, tmp_path, monkeypatch):
     # A cut elitist run leaves a snapshot directory with only its first
-    # epochs; svcca must wait for train-student instead of comparing them.
+    # epochs; svcca must wait for train-student instead of comparing them,
+    # and names the first snapshot file missing.
     cfg, paths = _copy_run(finished_run, tmp_path)
     before = (paths.svcca / "layer_diffs.tsv").read_bytes()
     student, pseudo = paths.student_path("elitist"), paths.snapshot_dir("student_elitist")
@@ -483,8 +471,8 @@ def test_svcca_refuses_an_interrupted_elitist_student(finished_run, tmp_path, mo
         stage_train_student(cfg, paths.seed, paths)
     assert sorted(p.name for p in pseudo.iterdir()) == [f"epoch_{cfg.train.eval_every:04d}.ekdm"]
     monkeypatch.undo()
-    with pytest.raises(PipelineError,
-                       match=f"{re.escape(str(student))}; run 'train-student' first"):
+    missing = paths.snapshots("student_elitist", cfg)[1]
+    with pytest.raises(PipelineError, match=_refused(missing, "train-student")):
         stage_svcca(cfg, paths.seed, paths)
     assert not (paths.svcca / "layer_diffs.tsv").exists()
     stage_train_student(cfg, paths.seed, paths)
@@ -510,20 +498,14 @@ def test_resume_touches_nothing(finished_run):
 @pytest.fixture(scope="module")
 def forced_units(finished_run, tmp_path_factory):
     """A forced ``run_pipeline`` over a copy of the run, recording every unit
-    each stage hands to ``_run_units`` as (stage, unit), each unit built as
-    (stage, unit, paths that its stage's load and its build step read), every
-    path read and every path read through ``_load_versioned``."""
+    each stage hands to ``_run_units`` as (stage, unit) and each unit built as
+    (stage, unit, paths that its stage's load and its build step read)."""
     cfg, root, _ = finished_run
     copy = tmp_path_factory.mktemp("forced") / "out"
     shutil.copytree(root, copy)
     import ekd.pipeline as pl
 
-    reads, seen, built, versioned = [], [], [], []
-    real_load_versioned = pl._load_versioned
-
-    def load_versioned(load, path):
-        versioned.append(path)
-        return real_load_versioned(load, path)
+    reads, seen, built = [], [], []
 
     def reading(load):
         def recorded(path, *args, **kwargs):
@@ -557,14 +539,13 @@ def forced_units(finished_run, tmp_path_factory):
                      "load_arpa"):
             mp.setattr(pl, name, reading(getattr(pl, name)))
         mp.setattr(pl, "_run_units", run_units)
-        mp.setattr(pl, "_load_versioned", load_versioned)
         run_pipeline(cfg, str(copy), force=True)
-    return cfg, seen, built, reads, versioned
+    return cfg, seen, built
 
 
 def test_every_unit_is_plain_data(forced_units):
     # What a worker process needs: a unit pickles to an equal unit.
-    cfg, seen, *_ = forced_units
+    cfg, seen, _ = forced_units
     assert [stage for stage in STAGES if any(s == stage for s, _ in seen)] == list(STAGES)[:-1]
     assert len(seen) == 4 + 2 * len(cfg.teacher_domains) + 2 * len(cfg.strategies)
     for _, unit in seen:
@@ -573,7 +554,7 @@ def test_every_unit_is_plain_data(forced_units):
 
 def test_every_unit_needs_what_it_reads_from_earlier_stages(forced_units):
     # Resume keyed on a unit's inputs needs every one of them declared.
-    _, seen, built, *_ = forced_units
+    _, seen, built = forced_units
     assert [(stage, unit) for stage, unit, _ in built] == seen
 
     def under(path, roots) -> bool:
@@ -588,15 +569,6 @@ def test_every_unit_needs_what_it_reads_from_earlier_stages(forced_units):
     assert stages_reading == set(STAGES) - {"gen-data", "report"}
 
 
-def test_every_binary_artifact_read_names_its_producer_if_stale(forced_units):
-    # Only the LM is read bare: it is text, with no format version.
-    *_, reads, versioned = forced_units
-    assert [p for p in reads if p.suffix != ".arpa"] == versioned
-    assert {p.parent.name for p in versioned} == {
-        "corpora", "teachers", "decode", "select", "students", "student_elitist",
-        "student_original_labels"}
-
-
 def test_missing_upstream_artifact_names_file(tmp_path):
     cfg = compact_config(str(tmp_path / "out"))
     paths = SeedPaths(tmp_path / "out", cfg.seeds[0])
@@ -605,52 +577,74 @@ def test_missing_upstream_artifact_names_file(tmp_path):
         stage_decode(cfg, cfg.seeds[0], paths)
 
 
-def _write_stale(path: Path, kind: str, version: int) -> None:
-    """Overwrite ``path`` with a ``kind`` container of an older format
-    ``version``: a loader reads its version number and nothing after it."""
-    binio.write_container(path, kind, version, {})
+def _make_stale(path: Path, version: int = binio.VERSION - 1) -> None:
+    """Rewrite the container's u32 format version (bytes 4-7) as an older
+    ekd wrote it; resume reads that and nothing after it."""
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", version)
+    path.write_bytes(bytes(data))
 
 
-def _rebuild_remedy(path: Path, stage: str, version: int, expected: int) -> str:
-    return (f"^{re.escape(str(path))}: version mismatch \\(file {version}, expected {expected}\\); "
-            f"re-run '{stage}' with --force, or use a new output root$")
+def _refused(path: Path, producer: str) -> str:
+    return (f"^missing or out-of-date artifact {re.escape(str(path))}; "
+            f"run '{producer}' first$")
 
 
-def test_resume_over_version_1_checkpoint_names_stage(finished_run, tmp_path):
-    # Resuming cannot mend an old teacher: decode names the stage that rebuilds it.
+def _mtimes(root: Path) -> dict[Path, int]:
+    return {p: p.stat().st_mtime_ns for p in root.rglob("*") if p.is_file()}
+
+
+# Each kind of binary artifact, and the stage that writes it.
+_OWN_STAGE = {
+    "corpus": (lambda cfg, paths: paths.corpus_path("alpha", "test"), "gen-data"),
+    "teacher": (lambda cfg, paths: paths.teacher_path("beta"), "train-teacher"),
+    "posteriors": (lambda cfg, paths: paths.posteriors_path("gamma"), "decode"),
+    "selection": (lambda cfg, paths: paths.selection_path("teacher_average"), "select"),
+    "student": (lambda cfg, paths: paths.student_path("framewise_max"), "train-student"),
+    "elitist-snapshot": (lambda cfg, paths: paths.snapshots("student_elitist", cfg)[0],
+                         "train-student"),
+    "reference-snapshot": (lambda cfg, paths: paths.snapshots("student_original_labels", cfg)[0],
+                           "svcca")}
+
+
+@pytest.mark.parametrize("kind", list(_OWN_STAGE))
+def test_stale_output_is_rebuilt_by_its_own_stage(finished_run, tmp_path, kind):
+    # A file of another format version counts as absent: its own stage
+    # rebuilds it without --force, byte for byte at the current version.
     cfg, paths = _copy_run(finished_run, tmp_path)
-    name = cfg.teacher_domains[0].name
-    _write_stale(paths.teacher_path(name), "checkpoint", 1)
-    paths.posteriors_path(name).unlink()
-    with pytest.raises(PipelineError, match=_rebuild_remedy(
-            paths.teacher_path(name), "train-teacher", 1, CHECKPOINT_FORMAT_VERSION)):
-        run_seed(cfg, paths.seed, tmp_path / "copy")
+    output, stage = _OWN_STAGE[kind]
+    path = output(cfg, paths)
+    want = path.read_bytes()
+    _make_stale(path)
+    stale = path.read_bytes()
+    before = _mtimes(paths.base)
+    run_stage(stage, cfg, paths.seed, paths)
+    assert path.read_bytes() == want != stale
+    rewritten = {p for p, t in _mtimes(paths.base).items() if before.get(p) != t}
+    assert path in rewritten
+    # The stage's other units stay as they are.
+    if kind in ("teacher", "posteriors", "selection", "student"):
+        assert rewritten == {path}
 
 
-def test_evaluate_over_version_1_student_checkpoint_names_train_student(finished_run, tmp_path):
-    cfg, paths = _copy_run(finished_run, tmp_path)
-    student = paths.student_path(cfg.strategies[-1])
-    _write_stale(student, "checkpoint", 1)
-    (paths.eval / "results.tsv").unlink()
-    with pytest.raises(PipelineError, match=_rebuild_remedy(student, "train-student", 1,
-                                                            CHECKPOINT_FORMAT_VERSION)):
-        run_seed(cfg, paths.seed, tmp_path / "copy")
-    # The remedy works: the rebuilt student gives the same results.
-    run_stage("train-student", cfg, paths.seed, paths, force=True)
-    run_seed(cfg, paths.seed, tmp_path / "copy")
-    assert ((paths.eval / "results.tsv").read_bytes()
-            == (finished_run[1] / paths.base.name / "eval" / "results.tsv").read_bytes())
+def test_every_binary_artifact_read_names_its_producer_if_stale(forced_units):
+    # A unit reads earlier stages' artifacts only through its needs (see
+    # test_every_unit_needs_what_it_reads_from_earlier_stages), and
+    # _require names, for a missing or stale need, the stage whose unit
+    # writes it.
+    import ekd.pipeline as pl
+
+    _, seen, _ = forced_units
+    writers = {path: stage for stage, unit in seen for path in unit.outputs}
+    needs = {path for _, unit in seen for path in unit.needs}
+    assert {p: pl._PRODUCERS[p.parent.name] for p in needs} == {p: writers[p] for p in needs}
+    assert {p.parent.name for p in needs} == set(pl._PRODUCERS) - {"eval"}  # report's need
 
 
-def _first_snapshot(run: str):
-    return lambda cfg, paths: sorted(paths.snapshot_dir(run).glob("epoch_*.ekdm"))[0]
-
-
-# Each stale file, read by one stage, names the stage that rebuilds it: (the
-# file, the stage run, an output deleted so that the stage reads the file,
-# the stage named).
+# Each stale need, read by one stage run alone, is named with the stage that
+# rebuilds it: (the file, the stage run, an output deleted so that the stage
+# reads the file, the stage named).
 @pytest.mark.parametrize("stale, stage, deleted, producer", [
-    (lambda cfg, paths: paths.student_train(cfg), "gen-data", None, "gen-data"),
     (lambda cfg, paths: paths.student_train(cfg), "train-student",
      lambda cfg, paths: paths.student_path("elitist"), "gen-data"),
     (lambda cfg, paths: paths.corpus_path("alpha", "train"), "train-teacher",
@@ -659,24 +653,79 @@ def _first_snapshot(run: str):
      lambda cfg, paths: paths.eval / "results.tsv", "gen-data"),
     (lambda cfg, paths: paths.posteriors_path("alpha"), "select",
      lambda cfg, paths: paths.selection_path("elitist"), "decode"),
-    (_first_snapshot("student_elitist"), "svcca",
-     lambda cfg, paths: paths.svcca / "trajectory.txt", "train-student"),
-    (_first_snapshot("student_original_labels"), "svcca",
-     lambda cfg, paths: paths.svcca / "trajectory.txt", "svcca")],
-    ids=["student-corpus-on-resume", "student-corpus", "teacher-corpus", "test-corpus",
-         "posteriors", "elitist-snapshot", "reference-snapshot"])
+    (lambda cfg, paths: paths.snapshots("student_elitist", cfg)[0], "svcca",
+     lambda cfg, paths: paths.svcca / "trajectory.txt", "train-student")],
+    ids=["student-corpus", "teacher-corpus", "test-corpus", "posteriors", "elitist-snapshot"])
 def test_stale_artifact_names_the_stage_that_rebuilds_it(finished_run, tmp_path, stale, stage,
                                                          deleted, producer):
     cfg, paths = _copy_run(finished_run, tmp_path)
     path = stale(cfg, paths)
-    kind, version = {".ekdc": ("corpus", CORPUS_FORMAT_VERSION),
-                     ".ekdp": ("posteriors", POSTERIORS_FORMAT_VERSION),
-                     ".ekdm": ("checkpoint", CHECKPOINT_FORMAT_VERSION)}[path.suffix]
-    _write_stale(path, kind, version - 1)
-    if deleted:
-        deleted(cfg, paths).unlink()
-    with pytest.raises(PipelineError, match=_rebuild_remedy(path, producer, version - 1, version)):
+    _make_stale(path)
+    deleted(cfg, paths).unlink()
+    with pytest.raises(PipelineError, match=_refused(path, producer)):
         run_stage(stage, cfg, paths.seed, paths)
+    # The named stage, then the one run, mend it without --force.
+    run_stage(producer, cfg, paths.seed, paths)
+    run_stage(stage, cfg, paths.seed, paths)
+    assert not binio.stale(path)
+
+
+def test_resume_over_version_1_checkpoint_names_stage(finished_run, tmp_path):
+    # Decode, resumed on its own, cannot mend an old teacher: it names the
+    # stage that rebuilds it, and that stage needs no --force.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    name = cfg.teacher_domains[0].name
+    teacher, dump = paths.teacher_path(name), paths.posteriors_path(name)
+    want = teacher.read_bytes(), dump.read_bytes()
+    _make_stale(teacher, 1)
+    dump.unlink()
+    with pytest.raises(PipelineError, match=_refused(teacher, "train-teacher")):
+        run_stage("decode", cfg, paths.seed, paths)
+    run_stage("train-teacher", cfg, paths.seed, paths)
+    run_stage("decode", cfg, paths.seed, paths)
+    assert (teacher.read_bytes(), dump.read_bytes()) == want
+
+
+def test_evaluate_over_version_1_student_checkpoint_names_train_student(finished_run, tmp_path):
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    student = paths.student_path(cfg.strategies[-1])
+    _make_stale(student, 1)
+    (paths.eval / "results.tsv").unlink()
+    with pytest.raises(PipelineError, match=_refused(student, "train-student")):
+        run_stage("evaluate", cfg, paths.seed, paths)
+    # The remedy works: the rebuilt student gives the same results.
+    run_stage("train-student", cfg, paths.seed, paths)
+    run_stage("evaluate", cfg, paths.seed, paths)
+    assert ((paths.eval / "results.tsv").read_bytes()
+            == (finished_run[1] / paths.base.name / "eval" / "results.tsv").read_bytes())
+
+
+@pytest.mark.parametrize("stage", ["train-student", "report"])
+def test_version_2_selection_is_refused_naming_select(finished_run, tmp_path, stage):
+    # Version 2 kept one record per outcome. Without its student,
+    # train-student reads the selection; report always does.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    old = paths.selection_path("elitist")
+    old.write_bytes(binio.MAGIC + struct.pack("<IQ", 2, 2) + b"{}")
+    paths.student_path("elitist").unlink()
+    with pytest.raises(PipelineError, match=_refused(old, "select")):
+        run_stage(stage, cfg, paths.seed, paths)
+
+
+def test_older_root_is_rebuilt_by_one_run(finished_run, tmp_path):
+    # Every container of an older ekd is stale: one resumed run rebuilds
+    # each, byte for byte, and a second run rewrites none of them.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    containers = sorted(p for p in paths.base.rglob("*") if p.suffix.startswith(".ekd"))
+    want = {p: p.read_bytes() for p in containers}
+    for path in containers:
+        _make_stale(path)
+    run_seed(cfg, paths.seed, paths.base.parent)
+    assert {p: p.read_bytes() for p in containers} == want
+    assert sorted(p for p in paths.base.rglob("*") if p.suffix.startswith(".ekd")) == containers
+    before = {p: p.stat().st_mtime_ns for p in containers}
+    run_seed(cfg, paths.seed, paths.base.parent)
+    assert {p: p.stat().st_mtime_ns for p in containers} == before
 
 
 def test_stage_failure_names_stage(tmp_path, monkeypatch):

@@ -34,15 +34,6 @@ def test_selection_strategy_demo_runs_pipeline_stages(tmp_path):
         assert (paths_base / "select" / f"{strategy}.ekds").exists()
 
 
-def test_default_experiment_prints_the_summary_files(tmp_path):
-    _, out = _run_script(tmp_path, "run_default_experiment.py", tmp_path / "run")
-    summary = tmp_path / "run" / "summary"
-    printed_per_seed, printed_summary = out.split("\n=== cross-seed summary, mean WER (")
-    assert printed_summary.split("):\n", 1)[1] == (summary / "summary.tsv").read_text()
-    assert (summary / "per_seed.txt").read_text() in printed_per_seed
-    assert "student_elitist" in printed_summary
-
-
 def test_readme_quick_start_runs(capsys):
     """The README's library quick-start is self-contained: it runs as written."""
     section = (REPO / "README.md").read_text().split("\n## Library quick-start", 1)[1]

@@ -8,10 +8,10 @@ from ekd.config import build_transform
 from ekd.corpus import DomainSpec, generate_corpus
 from ekd.ctc import PosteriorSequence
 from ekd.model import ModelConfig
-from ekd.selection import (SELECTION_FORMAT_VERSION, CorpusSelection, SelectionOutcome, Strategy,
-                           TeacherBundle, elitist_scores, elitist_select, framewise_max,
-                           load_posteriors, load_selection, save_posteriors, save_selection,
-                           select_corpus, teacher_average)
+from ekd.selection import (CorpusSelection, SelectionOutcome, Strategy, TeacherBundle,
+                           elitist_scores, elitist_select, framewise_max, load_posteriors,
+                           load_selection, save_posteriors, save_selection, select_corpus,
+                           teacher_average)
 from ekd.training import TrainConfig, train_student
 from ekd.vocab import default_vocabulary
 
@@ -279,7 +279,7 @@ def test_selection_round_trip(tmp_path, rng):
         assert a.winning_teacher == b.winning_teacher
         assert a.per_teacher_scores == b.per_teacher_scores
     # The header holds every outcome; there are no arrays.
-    header, arrays = binio.read_container(path, "selection", SELECTION_FORMAT_VERSION)
+    header, arrays = binio.read_container(path, "selection")
     assert arrays == [] and len(header["outcomes"]) == len(result.outcomes)
     again = tmp_path / "s2.ekds"
     save_selection(again, loaded, "hash123")

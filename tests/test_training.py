@@ -279,6 +279,19 @@ def test_snapshot_hook_cadence(corpus):
     assert seen == [3, 6, 8]
 
 
+@pytest.mark.parametrize("epochs, eval_every, want", [
+    (8, 3, [3, 6, 8]), (6, 3, [3, 6]), (5, 1, [1, 2, 3, 4, 5]), (3, 5, [3]), (1, 1, [1]),
+    (4, 4, [4])])
+def test_snapshot_epochs_are_the_epochs_the_hook_sees(spec, epochs, eval_every, want):
+    # The pipeline lists a run's snapshot files from snapshot_epochs before
+    # it trains, so the rule and the loop must agree.
+    cfg = dataclasses.replace(TRAIN_CFG, epochs=epochs, eval_every=eval_every)
+    seen = []
+    train_teacher(generate_corpus(spec, VOCAB, 4, seed=21), MODEL_CFG, cfg,
+                  snapshot_hook=lambda e, m: seen.append(e))
+    assert seen == training.snapshot_epochs(cfg) == want
+
+
 # -- minibatch lattices -----------------------------------------------------------
 
 def _one_at_a_time(log_probs_list, prepared):
