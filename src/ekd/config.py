@@ -19,6 +19,14 @@ from .selection import Strategy
 from .training import TrainConfig
 from .vocab import Vocabulary, default_vocabulary
 
+# The synthetic world every run shares: the width of every domain's
+# features, and the pool of words that each domain draws its shared words
+# from. The graphemes, the word lengths and the LM order are the defaults of
+# ``default_vocabulary``, ``build_lexicon`` and ``lm.train_lm``.
+FEATURE_DIM = 8
+SHARED_LEXICON_SIZE = 16
+SHARED_LEXICON_SEED = 7000
+
 
 def derive_seed(master: int, *tags) -> int:
     """Stable sub-seed from a master seed and a tag path."""
@@ -134,17 +142,11 @@ class SvccaSettings:
 
 @dataclass
 class ExperimentConfig:
-    vocabulary_letters: str = "abcdefgh"
-    feature_dim: int = 8
     teacher_domains: list[DomainRecipe] = field(default_factory=_default_teacher_recipes)
     student_domain: DomainRecipe = field(default_factory=_default_student_recipe)
-    shared_lexicon_size: int = 16
-    shared_lexicon_seed: int = 7000
-    word_length: tuple[int, int] = (2, 5)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     beam: BeamConfig = field(default_factory=BeamConfig)
-    lm_order: int = 3
     strategies: list[str] = field(default_factory=lambda: [
         "teacher_average", "framewise_max", "elitist"])
     seeds: list[int] = field(default_factory=lambda: [11, 12, 13, 14, 15])
@@ -160,23 +162,17 @@ class ExperimentConfig:
         when the config is built and again by ``validate_ood``."""
         if not self.teacher_domains:
             raise ValueError("config key 'teacher_domains' must list at least one teacher")
-        if self.feature_dim < 1:
-            raise ValueError("config key 'feature_dim' must be >= 1")
         keys = [f"teacher_domains[{i}]" for i in range(len(self.teacher_domains))]
         for key, recipe in zip([*keys, "student_domain"], self.all_domains()):
-            if recipe.shared_words > self.shared_lexicon_size:
+            if recipe.shared_words > SHARED_LEXICON_SIZE:
                 raise ValueError(f"config key '{key}.shared_words' is {recipe.shared_words}, "
-                                 f"above 'shared_lexicon_size' ({self.shared_lexicon_size})")
-        if not 1 <= self.word_length[0] <= self.word_length[1]:
-            raise ValueError("config key 'word_length' must be [min, max] with 1 <= min <= max")
+                                 f"above the {SHARED_LEXICON_SIZE} words of the shared lexicon")
         if self.svcca.n_frames < 2:
             raise ValueError("config key 'svcca.n_frames' must be >= 2")
         if not 0 < self.svcca.variance_fraction <= 1:
             raise ValueError("config key 'svcca.variance_fraction' must lie in (0, 1]")
         if self.probe_wer_threshold is not None and self.probe_wer_threshold < 0:
             raise ValueError("config key 'probe_wer_threshold' must be null or >= 0")
-        if self.lm_order < 1:
-            raise ValueError("lm_order must be >= 1")
         for key, value in (("model.seed", self.model.seed), ("train.seed", self.train.seed)):
             if value != 0:
                 raise ValueError(f"config key {key!r} must be 0: every run derives its model "
@@ -201,7 +197,7 @@ class ExperimentConfig:
         return [*self.teacher_domains, self.student_domain]
 
     def vocabulary(self) -> Vocabulary:
-        return default_vocabulary(self.vocabulary_letters)
+        return default_vocabulary()
 
     def validate_ood(self) -> None:
         """The checks a run starts with, which also see fields changed after
@@ -217,18 +213,17 @@ class ExperimentConfig:
         """Concrete DomainSpecs; validates that distinct domains actually differ
         and that the student domain is genuinely out-of-domain."""
         vocab = self.vocabulary()
-        shared = build_lexicon(vocab, self.shared_lexicon_size, self.shared_lexicon_seed,
-                               self.word_length)
+        shared = build_lexicon(vocab, SHARED_LEXICON_SIZE, SHARED_LEXICON_SEED)
         specs: dict[str, DomainSpec] = {}
         used = set(shared)
         for recipe in self.all_domains():
-            scale, bias = build_transform(self.feature_dim, recipe.transform_strength,
+            scale, bias = build_transform(FEATURE_DIM, recipe.transform_strength,
                                           recipe.transform_seed)
-            rng = np.random.default_rng(derive_seed(self.shared_lexicon_seed, "pick", recipe.name))
+            rng = np.random.default_rng(derive_seed(SHARED_LEXICON_SEED, "pick", recipe.name))
             pick = sorted(rng.choice(len(shared), size=recipe.shared_words, replace=False).tolist())
             own = build_lexicon(vocab, recipe.unique_words,
-                                derive_seed(self.shared_lexicon_seed, "own", recipe.name),
-                                self.word_length, exclude=used)
+                                derive_seed(SHARED_LEXICON_SEED, "own", recipe.name),
+                                exclude=used)
             used |= set(own)
             lexicon = tuple([shared[i] for i in pick] + list(own))
             specs[recipe.name] = DomainSpec(

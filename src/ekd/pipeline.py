@@ -213,7 +213,7 @@ def _gen_data(config, seed, paths, _inputs, _name) -> None:
         else:
             # Raised before the LM is written, so a re-run builds gen-data again.
             _require_svcca_frames(train_part, config)
-    save_arpa(train_lm(transcripts, config.lm_order), paths.lm / "ngram.arpa")
+    save_arpa(train_lm(transcripts), paths.lm / "ngram.arpa")
 
 
 def stage_gen_data(config: ExperimentConfig, seed: int, paths: SeedPaths,

@@ -7,7 +7,8 @@ import yaml
 
 from ekd.beam import BeamConfig
 from ekd.cli import main
-from ekd.config import DomainRecipe, SvccaSettings, default_config, load_config, save_config
+from ekd.config import (SHARED_LEXICON_SIZE, DomainRecipe, SvccaSettings, default_config,
+                        load_config, save_config)
 from ekd.model import ModelConfig
 from ekd.training import TrainConfig
 
@@ -82,8 +83,9 @@ def test_unwritable_init_config_is_a_cli_error(tmp_path, capsys, target):
 def test_config_overrides(tmp_path):
     out = tmp_path / "default.yaml"
     main(["init-config", "-o", str(out)])
-    cfg = load_config(out, overrides=["lm_order=2", "beam.beam_width=3", "train.epochs=2"])
-    assert cfg.lm_order == 2
+    cfg = load_config(out, overrides=["svcca.sample_seed=7", "beam.beam_width=3",
+                                      "train.epochs=2"])
+    assert cfg.svcca.sample_seed == 7
     assert cfg.beam.beam_width == 3
     assert cfg.train.epochs == 2
 
@@ -102,23 +104,33 @@ def test_bad_override_reports_error(tmp_path):
                                            # students always weight by confidence
                                            ("kd.soft_label_mode=hard_pseudo_label",
                                             "unknown config key(s): kd"),
+                                           # the synthetic world is fixed in ekd.config
+                                           ("vocabulary_letters=abc", "vocabulary_letters"),
+                                           ("feature_dim=2.5", "feature_dim"),
+                                           ("shared_lexicon_size=16", "shared_lexicon_size"),
+                                           ("shared_lexicon_seed=7000", "shared_lexicon_seed"),
+                                           ("word_length=3", "word_length"),
+                                           ("lm_order=x", "lm_order"),
                                            # wrong-shaped values of known keys
                                            ("teacher_domains=null", "teacher_domains"),
                                            # empty values are refused, not the defaults
                                            ("teacher_domains=[]", "teacher_domains"),
                                            ("student_domain=null", "student_domain"),
-                                           ("word_length=3", "word_length"),
+                                           ("student_domain.utterance_words=3",
+                                            "student_domain.utterance_words"),
                                            ("seeds=5", "seeds"),
                                            # wrongly typed values of known keys
-                                           ("lm_order=x", "lm_order"),
-                                           ("lm_order=true", "lm_order"),
+                                           ("train.batch_size=true", "train.batch_size"),
                                            ("train.epochs=abc", "train.epochs"),
                                            ("train.learning_rate=abc", "train.learning_rate"),
-                                           ("feature_dim=2.5", "feature_dim"),
-                                           ("word_length=[a,b]", "word_length[0]"),
+                                           ("svcca.n_frames=2.5", "svcca.n_frames"),
+                                           ("student_domain.frames_per_symbol=[a,b]",
+                                            "student_domain.frames_per_symbol[0]"),
                                            # fixed-length tuple fields given another length
-                                           ("word_length=[2]", "word_length"),
-                                           ("word_length=[2,3,4]", "word_length"),
+                                           ("student_domain.utterance_words=[2]",
+                                            "student_domain.utterance_words"),
+                                           ("student_domain.utterance_words=[2,3,4]",
+                                            "student_domain.utterance_words"),
                                            ("student_domain.frames_per_symbol=[1,2,3]",
                                             "student_domain.frames_per_symbol"),
                                            ("beam.beam_width=1.5", "beam.beam_width"),
@@ -153,14 +165,30 @@ def test_config_file_with_kd_section_is_a_cli_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# Keys an older `ekd init-config` wrote, with the values that are now fixed
+# in ekd.config; the fix is to delete the line.
+_FIXED_WORLD_KEYS = {"vocabulary_letters": "abcdefgh", "feature_dim": 8,
+                     "shared_lexicon_size": 16, "shared_lexicon_seed": 7000,
+                     "word_length": [2, 5], "lm_order": 3}
+
+
+@pytest.mark.parametrize("key", list(_FIXED_WORLD_KEYS))
+def test_config_file_with_a_fixed_world_key_is_a_cli_error(tmp_path, capsys, key):
+    data = default_config().to_dict()
+    data[key] = _FIXED_WORLD_KEYS[key]
+    cfg_path, out = tmp_path / "old.yaml", tmp_path / "out"
+    cfg_path.write_text(yaml.safe_dump(data))
+    assert main(["gen-data", "-c", str(cfg_path), "--output-root", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key(s): {key}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, message", [
     ("svcca.n_frames=1", "'svcca.n_frames' must be >= 2"),
     ("svcca.n_frames=-1", "'svcca.n_frames' must be >= 2"),
     ("svcca.variance_fraction=1.5", "'svcca.variance_fraction' must lie in (0, 1]"),
     ("svcca.variance_fraction=0", "'svcca.variance_fraction' must lie in (0, 1]"),
     ("probe_wer_threshold=-0.1", "'probe_wer_threshold' must be null or >= 0"),
-    ("word_length=[5,2]", "'word_length' must be [min, max] with 1 <= min <= max"),
-    ("word_length=[0,3]", "'word_length' must be [min, max] with 1 <= min <= max"),
     ("model.seed=7", "'model.seed' must be 0: every run derives its model and training "
                      "seeds from 'seeds'"),
     ("train.seed=99", "'train.seed' must be 0: every run derives its model and training "
@@ -184,18 +212,25 @@ def test_infeasible_config_value_is_a_cli_error(tmp_path, capsys, override, mess
      "(it names the domain's files)"),
     (["seeds=[11, 12, 11]"], "config key 'seeds' lists [11] more than once"),
     (["student_domain.shared_words=40"],
-     "config key 'student_domain.shared_words' is 40, above 'shared_lexicon_size' (16)"),
-    (["shared_lexicon_size=11"],
-     "config key 'teacher_domains[1].shared_words' is 12, above 'shared_lexicon_size' (11)"),
-    (["shared_lexicon_size=-1"],
-     "config key 'teacher_domains[0].shared_words' is 10, above 'shared_lexicon_size' (-1)"),
+     "config key 'student_domain.shared_words' is 40, above the 16 words of the shared lexicon"),
+    (["teacher_domains=[{name: x, train_size: 8, test_size: 8, emission_noise_std: 0.3, "
+      "transform_strength: 0.5, transform_seed: 1, shared_words: 17, unique_words: 4}]"],
+     "config key 'teacher_domains[0].shared_words' is 17, above the 16 words of the shared "
+     "lexicon"),
+    # 16 is the whole shared lexicon, so the second teacher is the one named
+    (["teacher_domains=[{name: x, train_size: 8, test_size: 8, emission_noise_std: 0.3, "
+      "transform_strength: 0.5, transform_seed: 1, shared_words: 16, unique_words: 0}, "
+      "{name: y, train_size: 8, test_size: 8, emission_noise_std: 0.3, "
+      "transform_strength: 0.5, transform_seed: 2, shared_words: 17, unique_words: 0}]"],
+     "config key 'teacher_domains[1].shared_words' is 17, above the 16 words of the shared "
+     "lexicon"),
     (["student_domain.shared_words=0", "student_domain.unique_words=0"],
      "domain 'delta': shared_words and unique_words must be >= 0 and not both 0 "
      "(got 0 and 0)"),
     (["student_domain.unique_words=-1"],
      "domain 'delta': shared_words and unique_words must be >= 0 and not both 0 "
      "(got 10 and -1)"),
-    (["feature_dim=0"], "config key 'feature_dim' must be >= 1"),
+    (["student_domain.name=beta"], "domain names must be unique"),
     (["student_domain.utterance_words=[0,2]"],
      "domain 'delta': utterance_words must satisfy 1 <= lo <= hi (got (0, 2))"),
     (["student_domain.frames_per_symbol=[3,1]"],
@@ -207,8 +242,8 @@ def test_infeasible_config_value_is_a_cli_error(tmp_path, capsys, override, mess
 def test_config_gen_data_cannot_finish_is_refused_at_load(tmp_path, capsys, overrides,
                                                           message):
     """A config on which gen-data would fail part-way, write outside the
-    seed directory or run a seed twice is refused before anything is
-    written, naming the key or the domain."""
+    seed directory, write two domains to one file or run a seed twice is
+    refused before anything is written, naming the key or the domain."""
     cfg_path = tmp_path / "c.yaml"
     save_config(default_config(), cfg_path)
     argv = ["pipeline", "-c", str(cfg_path), "--output-root", str(tmp_path / "root" / "out")]
@@ -273,14 +308,8 @@ def test_partial_config_section_takes_defaults(tmp_path, section):
 
 def test_non_default_config_round_trips(tmp_path):
     cfg = compact_config(str(tmp_path / "out"), seeds=(3, 4))
-    cfg.vocabulary_letters = "abcdefg"
-    cfg.feature_dim = 6
     cfg.teacher_domains[0] = dataclasses.replace(cfg.teacher_domains[0], frames_per_symbol=(1, 3))
     cfg.student_domain = dataclasses.replace(cfg.student_domain, utterance_words=(2, 5))
-    cfg.shared_lexicon_size = 14
-    cfg.shared_lexicon_seed = 7
-    cfg.word_length = (3, 4)
-    cfg.lm_order = 2
     cfg.strategies = ["elitist", "teacher_average"]
     default = default_config()
     assert all(getattr(cfg, f.name) != getattr(default, f.name)
@@ -339,12 +368,12 @@ def test_indomain_guard_via_cli(tmp_path, capsys):
 
     cfg = compact_config(str(tmp_path / "x"))
     t0 = dataclasses.replace(cfg.teacher_domains[0],
-                             shared_words=cfg.shared_lexicon_size, unique_words=0)
+                             shared_words=SHARED_LEXICON_SIZE, unique_words=0)
     cfg.teacher_domains = [t0, *cfg.teacher_domains[1:]]
     cfg.student_domain = dataclasses.replace(
         cfg.student_domain, emission_noise_std=t0.emission_noise_std,
         transform_strength=t0.transform_strength, transform_seed=t0.transform_seed,
-        shared_words=cfg.shared_lexicon_size, unique_words=0,
+        shared_words=SHARED_LEXICON_SIZE, unique_words=0,
         frames_per_symbol=t0.frames_per_symbol, utterance_words=t0.utterance_words)
     cfg_path = tmp_path / "c.yaml"
     save_config(cfg, cfg_path)

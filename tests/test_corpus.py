@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ekd import binio
-from ekd.config import build_transform, default_config
+from ekd.config import FEATURE_DIM, build_transform, default_config
 from ekd.corpus import (Corpus, DomainSpec, Utterance, generate_corpus, load_corpus, save_corpus,
                         split_corpus, transcript_read_count)
 from ekd.vocab import default_vocabulary, symbol_prototypes
@@ -108,7 +108,7 @@ def test_domain_separation_exceeds_noise(vocab):
     # apart than the emission noise scale.
     cfg = default_config()
     specs = cfg.expand_domains()
-    protos = symbol_prototypes(cfg.vocabulary(), cfg.feature_dim)
+    protos = symbol_prototypes(cfg.vocabulary(), FEATURE_DIM)
     names = list(specs)
     emitting = [i for i in range(cfg.vocabulary().size) if i != cfg.vocabulary().blank_index]
     for i in range(len(names)):

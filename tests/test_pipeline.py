@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ekd.config
 from ekd import binio
-from ekd.config import SvccaSettings, derive_seed
+from ekd.config import SHARED_LEXICON_SIZE, SvccaSettings, derive_seed
 from ekd.corpus import generate_corpus, load_corpus, transcript_read_count
 from ekd.ctc import greedy_decode_batch
 from ekd.model import ModelConfig, load_checkpoint
@@ -22,6 +23,7 @@ from ekd.pipeline import (STAGES, PipelineError, SeedPaths, TeacherQualityError,
 from ekd.report import ResultTable
 from ekd.selection import load_posteriors, load_selection, save_posteriors
 from ekd.training import corpus_posteriors, greedy_corpus_wer
+from ekd.vocab import default_vocabulary
 from ekd.wer import accumulate, wer
 
 from conftest import compact_config
@@ -276,10 +278,12 @@ def test_select_rejects_dumps_of_different_utterances(finished_run, tmp_path):
         stage_select(cfg, paths.seed, paths, force=True)
 
 
-def test_stages_refuse_artifacts_of_another_vocabulary(finished_run, tmp_path):
-    # Same size, other order: every index means another grapheme.
+def test_stages_refuse_artifacts_of_another_vocabulary(finished_run, tmp_path, monkeypatch):
+    # As from a checkout with other graphemes: the same size in another
+    # order, so every index means another grapheme.
     cfg, paths = _copy_run(finished_run, tmp_path)
-    permuted = dataclasses.replace(cfg, vocabulary_letters=cfg.vocabulary_letters[::-1])
+    permuted = default_vocabulary("abcdefgh"[::-1])
+    monkeypatch.setattr(ekd.config, "default_vocabulary", lambda: permuted)
     remedy = ("was built for another vocabulary; re-run 'pipeline' with --force, "
               "or use a new output root")
     selection = paths.selection_path(cfg.strategies[0])
@@ -289,12 +293,12 @@ def test_stages_refuse_artifacts_of_another_vocabulary(finished_run, tmp_path):
                         (functools.partial(stage_train_student, force=True), selection),
                         (stage_report, selection)):
         with pytest.raises(PipelineError, match=f"{re.escape(str(path))} {re.escape(remedy)}"):
-            stage(permuted, paths.seed, paths)
+            stage(cfg, paths.seed, paths)
     # The remedy works: every artifact is rebuilt on the new vocabulary.
-    table = run_pipeline(permuted, str(paths.base.parent), force=True)
+    table = run_pipeline(cfg, str(paths.base.parent), force=True)
     assert len(table.cells) == len(finished_run[2].cells)
-    stage_select(permuted, paths.seed, paths, force=True)
-    assert stage_report(permuted, paths.seed, paths).to_tsv() == table.to_tsv()
+    stage_select(cfg, paths.seed, paths, force=True)
+    assert stage_report(cfg, paths.seed, paths).to_tsv() == table.to_tsv()
 
 
 def test_gen_data_refuses_more_svcca_frames_than_the_student_split_has(tmp_path):
@@ -378,6 +382,18 @@ def test_report_requires_every_selection(finished_run, tmp_path):
     missing.unlink()
     with pytest.raises(PipelineError, match=f"{re.escape(str(missing))}; run 'select' first"):
         stage_report(cfg, paths.seed, paths)
+
+
+def test_report_restores_its_damaged_outputs(finished_run, tmp_path):
+    # report renders its files from evaluate's and select's outputs on every
+    # call, so a forced evaluate or select never leaves them stale.
+    cfg, paths = _copy_run(finished_run, tmp_path)
+    outputs = [paths.report / "results.txt", paths.report / "win_counts.txt"]
+    before = [p.read_bytes() for p in outputs]
+    outputs[0].write_text("damaged\n")
+    outputs[1].write_bytes(before[1][:-20])
+    stage_report(cfg, paths.seed, paths)
+    assert [p.read_bytes() for p in outputs] == before
 
 
 def _other_model(row: str) -> str:
@@ -486,7 +502,8 @@ def test_resume_touches_nothing(finished_run):
 
     def artifacts():
         files = [p for p in root.rglob("*") if p.suffix.startswith(".ekd")]
-        files.append(paths.eval / "results.tsv")
+        files += [paths.eval / "results.tsv", paths.lm / "ngram.arpa",
+                  paths.svcca / "trajectory.txt", paths.svcca / "layer_diffs.tsv"]
         return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
 
     before = artifacts()
@@ -743,12 +760,12 @@ def test_stage_failure_names_stage(tmp_path, monkeypatch):
 def _make_indomain(cfg):
     """Give the student the exact content of teacher alpha (different name)."""
     t0 = dataclasses.replace(cfg.teacher_domains[0],
-                             shared_words=cfg.shared_lexicon_size, unique_words=0)
+                             shared_words=SHARED_LEXICON_SIZE, unique_words=0)
     cfg.teacher_domains = [t0, *cfg.teacher_domains[1:]]
     cfg.student_domain = dataclasses.replace(
         cfg.student_domain, emission_noise_std=t0.emission_noise_std,
         transform_strength=t0.transform_strength, transform_seed=t0.transform_seed,
-        shared_words=cfg.shared_lexicon_size, unique_words=0,
+        shared_words=SHARED_LEXICON_SIZE, unique_words=0,
         frames_per_symbol=t0.frames_per_symbol, utterance_words=t0.utterance_words)
     return cfg
 
@@ -763,7 +780,7 @@ def test_ood_guard_refuses_matching_domains(tmp_path):
 def test_identical_domains_rejected(tmp_path):
     cfg = compact_config(str(tmp_path / "out"))
     base = dataclasses.replace(cfg.teacher_domains[0],
-                               shared_words=cfg.shared_lexicon_size, unique_words=0)
+                               shared_words=SHARED_LEXICON_SIZE, unique_words=0)
     twin = dataclasses.replace(base, name="twin")
     cfg.teacher_domains = [base, twin, cfg.teacher_domains[2]]
     with pytest.raises(ValueError, match="identical"):
